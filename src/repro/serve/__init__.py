@@ -12,7 +12,8 @@ and the cheap ``update_values`` rebind — into a long-running service:
   request coalescing and per-request deadlines;
 * :mod:`~repro.serve.controller` — the adaptive batching policy: a
   per-pattern cost model learned online decides batch caps, who rides
-  together (value bucketing) and mid-flight bail-out;
+  together (value bucketing), whether a batch is held open for
+  arrivals, and mid-flight bail-out;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the
   stdlib HTTP/JSON front-end and its Python client;
 * :mod:`~repro.serve.metrics` — live counters and latency histograms
@@ -36,13 +37,20 @@ from .client import ServeClient, SolveResponse, StreamResponse
 from .controller import POLICIES, BatchController, PatternStats, value_distance
 from .metrics import LatencyHistogram, ServeMetrics
 from .pool import PoolSolve, SolverPool
-from .queue import DispatchBatch, QueueFullError, RequestQueue, SolveRequest
+from .queue import (
+    DispatchBatch,
+    Hold,
+    QueueFullError,
+    RequestQueue,
+    SolveRequest,
+)
 from .server import ServeServer
 from .session import SessionState, SessionStore
 
 __all__ = [
     "BatchController",
     "DispatchBatch",
+    "Hold",
     "LatencyHistogram",
     "PatternStats",
     "POLICIES",

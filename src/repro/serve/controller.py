@@ -28,6 +28,15 @@ traffic (no offline profiles):
   tier's observable proxy for warm-start distance: instances close in
   data converge in similar iteration counts, so buckets stay
   iteration-homogeneous and lockstep wastes less work on stragglers.
+* **hold or dispatch** — :meth:`BatchController.dispatch_window` is
+  work-conserving first: a head dispatches the moment a worker pops it
+  unless holding has *measurably* paid for its pattern — riders were
+  already collected at pop time (a burst is trickling in) or past holds
+  gathered riders (:attr:`PatternStats.ewma_hold_riders`) — and an
+  opened hold closes once the group recent holds reached is in and
+  arrivals pause.  The queue reports every hold's outcome back through
+  :meth:`BatchController.observe_hold`, so the window is one more
+  learned series beside the cost model.
 * **bail out mid-flight** — :meth:`BatchController.make_progress`
   builds the ``progress`` callback for
   :meth:`~repro.backends.mib.MIBSolver.solve_batch`: once a pass runs
@@ -49,7 +58,7 @@ import numpy as np
 
 from ..solver import QPProblem
 from .metrics import ServeMetrics
-from .queue import SolveRequest
+from .queue import Hold, SolveRequest
 
 __all__ = ["BatchController", "PatternStats", "POLICIES"]
 
@@ -59,6 +68,17 @@ POLICIES = ("adaptive", "greedy", "off")
 # pattern's regime within a handful of passes, low enough not to
 # thrash on one outlier.
 DEFAULT_ALPHA = 0.35
+
+# A hold may wait for riders that are not there yet only while past
+# holds of the pattern gathered at least this many on (decayed)
+# average: below one rider every other hold, the window costs the head
+# more than the pass it buys.
+MIN_HOLD_YIELD = 0.5
+
+# Once a hold has the group it expected, it closes after this fraction
+# of its window passes without a new rider — long enough to see that a
+# burst is still trickling in, short next to the timer it replaces.
+HOLD_GRACE = 0.125
 
 
 def _ewma(old: float | None, new: float, alpha: float) -> float:
@@ -105,6 +125,14 @@ class PatternStats:
     # A pattern parked at a solo cap stops producing passes, so its
     # cost model would never see fresher evidence without this.
     solo_since_pass: int = 0
+    # The dispatch window's own series, one observation per hold the
+    # queue opened for this pattern (see BatchController.observe_hold).
+    ewma_hold_riders: float | None = None  # riders gathered during a hold
+    ewma_hold_group: float | None = None  # batch size when a hold closed
+    ewma_hold_seconds: float | None = None  # how long a hold stayed open
+    holds: int = 0
+    # Solo solves that priced a pattern whose history was all passes.
+    solo_probes: int = 0
 
     @property
     def seconds_per_iteration(self) -> float | None:
@@ -165,6 +193,11 @@ class PatternStats:
             "lanes": self.lanes,
             "bailed_lanes": self.bailed_lanes,
             "solo_since_pass": self.solo_since_pass,
+            "holds": self.holds,
+            "ewma_hold_riders": self.ewma_hold_riders,
+            "ewma_hold_group": self.ewma_hold_group,
+            "ewma_hold_seconds": self.ewma_hold_seconds,
+            "solo_probes": self.solo_probes,
         }
 
 
@@ -231,11 +264,10 @@ class BatchController:
         the hard cap.  A pattern parked solo never produces the pass
         observations that could revise its verdict; this bounds how
         stale that verdict may grow.
-    default_window / max_window:
-        Dispatch-window bounds (seconds) for
-        :meth:`dispatch_window`: ``default_window`` applies while the
-        pattern's solo cost is still unobserved, ``max_window`` caps
-        the hold absolutely.
+    max_window:
+        Absolute bound (seconds) on any hold :meth:`dispatch_window`
+        opens; also the hold's length while the pattern's solo cost
+        is still unobserved.
     """
 
     def __init__(
@@ -250,7 +282,6 @@ class BatchController:
         spread_threshold: float = 10.0,
         min_explore_passes: int = 2,
         explore_interval: int = 16,
-        default_window: float = 0.01,
         max_window: float = 0.05,
         metrics: ServeMetrics | None = None,
     ) -> None:
@@ -267,7 +298,6 @@ class BatchController:
         self.spread_threshold = spread_threshold
         self.min_explore_passes = min_explore_passes
         self.explore_interval = explore_interval
-        self.default_window = default_window
         self.max_window = max_window
         self.metrics = metrics
         self._lock = threading.Lock()
@@ -286,6 +316,11 @@ class BatchController:
         """Account one warm solo solve of this pattern."""
         with self._lock:
             s = self._stats.setdefault(fingerprint, PatternStats())
+            if (
+                s.ewma_solo_seconds is None
+                and s.passes >= self.min_explore_passes
+            ):
+                s.solo_probes += 1  # the cap-1 probe of max_batch_for
             s.ewma_solo_seconds = _ewma(
                 s.ewma_solo_seconds, float(seconds), self.alpha
             )
@@ -348,6 +383,31 @@ class BatchController:
             s.bailed_lanes += int(bailed_lanes)
             s.solo_since_pass = 0
 
+    def observe_hold(
+        self, fingerprint: str, *, riders: int, lanes: int, seconds: float
+    ) -> None:
+        """Account one dispatch-window hold the queue opened: ``riders``
+        joined while it was open, it closed with ``lanes`` in the
+        batch after ``seconds``."""
+        with self._lock:
+            s = self._stats.setdefault(fingerprint, PatternStats())
+            s.ewma_hold_riders = _ewma(
+                s.ewma_hold_riders, float(riders), self.alpha
+            )
+            if riders or s.ewma_hold_group is None:
+                # A hold nobody joined says holding did not pay (the
+                # yield above), not that groups got smaller.
+                s.ewma_hold_group = _ewma(
+                    s.ewma_hold_group, float(lanes), self.alpha
+                )
+            s.ewma_hold_seconds = _ewma(
+                s.ewma_hold_seconds, float(seconds), self.alpha
+            )
+            s.holds += 1
+        if self.metrics is not None:
+            self.metrics.inc("window_holds")
+            self.metrics.inc("window_riders", int(riders))
+
     # ------------------------------------------------------------------
     # dispatch decisions
     # ------------------------------------------------------------------
@@ -358,19 +418,23 @@ class BatchController:
 
         1. no pass history yet → explore at the hard cap (the first
            pass is the only way to learn whether batching pays);
-        2. the pattern has gone ``explore_interval`` solo solves
+        2. pass history but no solo price (every request so far rode a
+           batch) → solo: one solo dispatch prices the other arm, so
+           step 5 compares two measurements instead of trusting the
+           passes blindly;
+        3. the pattern has gone ``explore_interval`` solo solves
            without a pass → explore again: a solo verdict must be
            re-earned, not held forever on stale evidence;
-        3. rho-heavy pattern (fallback rate past the threshold) →
+        4. rho-heavy pattern (fallback rate past the threshold) →
            solo: its lanes keep leaving lockstep anyway;
-        4. batched lanes not cheaper than solo solves → solo: batching
+        5. batched lanes not cheaper than solo solves → solo: batching
            loses throughput *and* latency.  "Lane cost" is the affine
            fit's *marginal* lane cost when available
            (:attr:`PatternStats.marginal_lane_seconds`), else the
            per-lane average — the average conflates the fixed per-pass
            cost with the marginal lane, so fragmented small passes
            would otherwise park a pattern solo on amortization noise;
-        5. otherwise cap at what the latency budget buys.  The budget
+        6. otherwise cap at what the latency budget buys.  The budget
            reads as "the head may pay up to ``latency_budget`` times
            its solo latency for the pass": a pass of ``cap`` lanes
            costs ``fixed + cap * marginal`` seconds, so
@@ -393,6 +457,8 @@ class BatchController:
         with self._lock:
             if s.passes < self.min_explore_passes:
                 return hard_cap
+            if s.ewma_solo_seconds is None:
+                return 1
             if s.solo_since_pass >= self.explore_interval:
                 return hard_cap
             if (
@@ -402,7 +468,7 @@ class BatchController:
                 return 1
             solo = s.ewma_solo_seconds
             lane = s.ewma_lane_seconds
-            if solo is None or lane is None or lane <= 0.0:
+            if lane is None or lane <= 0.0:
                 return hard_cap
             marginal = s.marginal_lane_seconds
             if marginal is not None:
@@ -416,35 +482,58 @@ class BatchController:
                 cap = self.latency_budget * solo / lane
             return int(max(1, min(hard_cap, math.floor(cap))))
 
-    def dispatch_window(self, head: SolveRequest) -> float:
-        """How long the dequeuing worker may hold ``head``'s batch
-        open to gather same-pattern arrivals, in seconds.
+    def dispatch_window(self, head: SolveRequest, size: int) -> Hold | None:
+        """Queue hook: hold ``head``'s batch open for same-pattern
+        arrivals, or (``None``) dispatch it now?  ``size`` is the batch
+        as popped: the head plus the riders already queued.
 
-        Concurrent bursts trickle into the queue request by request
-        (admission is its own bottleneck), so dispatching the instant
-        a head appears fragments a burst into small passes that pay
-        the fixed pass cost many times.  When the learned model says
-        batching pays (cap above 1), waiting roughly one solo-solve
-        duration buys a much larger pass; the window is capped
-        absolutely and by a fraction of the head's remaining deadline.
-        Greedy/off policies never hold (the pre-controller
-        behaviour).
+        Dispatch is work-conserving unless holding has measurably paid
+        for this pattern:
+
+        * past holds gathered riders (:data:`MIN_HOLD_YIELD`) → wait,
+          at most the window, for the group those holds reached — also
+          when the head popped alone.  A lone closed-loop client never
+          produces that evidence, so it never waits; a pattern whose
+          holds stop gathering loses it again within a few holds.  No
+          hold when that group is already here.
+        * no such evidence, but riders were already queued at pop → a
+          burst may be trickling in (admission is its own bottleneck,
+          and dispatching at once would fragment it into passes that
+          each pay the fixed pass cost): hold only while it keeps
+          coming, one grace period per arrival.  These holds are how
+          the yield is first learned.
+
+        The window is about one solo solve, capped absolutely and by a
+        fraction of the head's remaining deadline.  Greedy/off
+        policies and batches already at the pattern's cap never hold.
         """
         if self.policy != "adaptive":
-            return 0.0
-        if self.max_batch_for(head.fingerprint, 1 << 30) <= 1:
-            return 0.0
+            return None
+        cap = self.max_batch_for(head.fingerprint, 1 << 30)
+        if size >= cap:
+            return None
         s = self.stats_for(head.fingerprint)
         with self._lock:
             solo = s.ewma_solo_seconds
-        window = (
-            2.0 * solo if solo is not None else self.default_window
-        )
-        window = min(window, self.max_window)
+            riders = s.ewma_hold_riders
+            group = s.ewma_hold_group
+        if riders is not None and riders >= MIN_HOLD_YIELD:
+            lanes = min(cap, max(2, round(group)))
+            if size >= lanes:
+                return None
+        elif size > 1:
+            lanes = size
+        else:
+            return None
+        window = self.max_window
+        if solo is not None:
+            window = min(window, 2.0 * solo)
         remaining = head.remaining()
         if remaining is not None:
             window = min(window, 0.25 * remaining)
-        return max(window, 0.0)
+        if window <= 0.0:
+            return None
+        return Hold(window, lanes, HOLD_GRACE * window)
 
     def rider(
         self, head: SolveRequest, candidate: SolveRequest, size: int

@@ -44,7 +44,7 @@ class SolveEngine:
         pool: SolverPool | None = None,
         queue_size: int = 64,
         max_batch: int = 16,
-        batch_policy: str = "greedy",
+        batch_policy: str = "adaptive",
         controller: BatchController | None = None,
         **pool_kwargs,
     ) -> None:
@@ -56,8 +56,8 @@ class SolveEngine:
         self.max_batch = max_batch
         # The batching policy layer: decides which lanes share a batch
         # (``max_batch`` stays the hard cap) and when a pass bails out
-        # of lockstep.  ``batch_policy="greedy"`` reproduces the
-        # pre-controller behaviour exactly.
+        # of lockstep.  ``batch_policy="greedy"`` is the pre-controller
+        # behaviour: coalesce whatever is waiting, never hold.
         self.controller = (
             controller
             if controller is not None
@@ -106,6 +106,13 @@ class SolveEngine:
             )
             if batch is None:  # queue closed
                 return
+            if batch.held_seconds:
+                self.controller.observe_hold(
+                    batch.fingerprint,
+                    riders=batch.held_riders,
+                    lanes=len(batch),
+                    seconds=batch.held_seconds,
+                )
             for request in batch.expired:
                 # Swept at pop time: the deadline passed while queued,
                 # so the request never occupies a solve lane.
@@ -116,7 +123,7 @@ class SolveEngine:
                 self.metrics.inc("coalesced_requests", len(batch) - 1)
                 self._process_batch(batch)
             elif batch:
-                self._process(batch[0])
+                self._process(batch[0], batch.held_seconds)
 
     def _timeout_queued(self, request: SolveRequest) -> None:
         queue_wait = time.monotonic() - request.enqueued_at
@@ -132,8 +139,17 @@ class SolveEngine:
         )
 
     def _ok_payload(
-        self, solved, queue_wait: float, *, batched: bool, batch_lanes: int
+        self,
+        solved,
+        queue_wait: float,
+        held: float,
+        *,
+        batched: bool,
+        batch_lanes: int,
     ) -> dict:
+        """``held`` is how long the dispatch window kept this request's
+        batch open; a rider that joined mid-hold waited less than that,
+        all of it in the window."""
         result = solved.report.result
         return {
             "status": "ok",
@@ -145,6 +161,7 @@ class SolveEngine:
             "batched": batched,
             "batch_lanes": batch_lanes,
             "queue_seconds": queue_wait,
+            "window_seconds": min(queue_wait, held),
             "compile_seconds": solved.compile_seconds,
             "solve_seconds": solved.solve_seconds,
             "cycles": solved.report.cycles,
@@ -153,7 +170,7 @@ class SolveEngine:
             "result": result.to_dict(),
         }
 
-    def _process(self, request: SolveRequest) -> None:
+    def _process(self, request: SolveRequest, held: float = 0.0) -> None:
         queue_wait = time.monotonic() - request.enqueued_at
         self.metrics.observe("queue_wait", queue_wait)
         if request.expired():
@@ -172,9 +189,11 @@ class SolveEngine:
         elif request.scenarios is not None:
             self._process_scenarios(request, queue_wait)
         else:
-            self._solve_solo(request, queue_wait)
+            self._solve_solo(request, queue_wait, held)
 
-    def _solve_solo(self, request: SolveRequest, queue_wait: float) -> None:
+    def _solve_solo(
+        self, request: SolveRequest, queue_wait: float, held: float
+    ) -> None:
         cpu_t0 = time.thread_time()
         try:
             solved = self.pool.solve(
@@ -203,7 +222,9 @@ class SolveEngine:
         self._finish(
             request,
             200,
-            self._ok_payload(solved, queue_wait, batched=False, batch_lanes=1),
+            self._ok_payload(
+                solved, queue_wait, held, batched=False, batch_lanes=1
+            ),
         )
 
     def _step_payload(self, solved) -> dict:
@@ -330,7 +351,9 @@ class SolveEngine:
             return
         if len(live) == 1:
             request = live[0]
-            self._solve_solo(request, waits[request.request_id])
+            self._solve_solo(
+                request, waits[request.request_id], batch.held_seconds
+            )
             return
         # Bail-out budget: the tightest live deadline bounds how long a
         # pass may chase stragglers before splitting them out.
@@ -356,6 +379,7 @@ class SolveEngine:
                 self._ok_payload(
                     solved,
                     waits[request.request_id],
+                    batch.held_seconds,
                     batched=True,
                     batch_lanes=len(live),
                 ),
@@ -397,6 +421,7 @@ class SolveEngine:
                     self._ok_payload(
                         solved,
                         waits[request.request_id],
+                        batch.held_seconds,
                         batched=True,
                         batch_lanes=len(live),
                     ),

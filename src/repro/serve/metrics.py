@@ -49,6 +49,8 @@ COUNTERS = (
     "rider_rejects_distance",  # ride-alongs refused by value bucketing
     "bailout_lanes",           # lanes split out of lockstep mid-flight
     "early_responses",         # lanes answered before their pass ended
+    "window_holds",            # dispatch-window holds opened
+    "window_riders",           # requests that joined a batch during a hold
     # Sharded serve tier (see repro.shard); counted front-end side:
     "shard_respawns",          # worker deaths detected (and respawned)
     "shard_death_503",         # in-flight requests failed fast on death

@@ -235,8 +235,7 @@ class SolverPool:
                     report.result.y,
                     float(entry.solver.reference.rho),
                 )
-            if entry.crossings_per_iter is None:
-                entry.crossings_per_iter = entry.solver.iteration_crossings()
+            compile_seconds += self._count_crossings(entry)
         metrics.observe("solve", solve_seconds)
         if warm:
             metrics.inc("warm_solve_count")
@@ -254,6 +253,22 @@ class SolverPool:
             compile_seconds=compile_seconds,
             solve_seconds=solve_seconds,
         )
+
+    @staticmethod
+    def _count_crossings(entry: _PoolEntry) -> float:
+        """Fill ``entry.crossings_per_iter`` after the entry's first
+        solve (caller holds the entry lock); returns the seconds spent.
+
+        Counting lowers the iteration kernels to traces the reference
+        solve never needed — trace compilation, tens of milliseconds
+        on a first touch — so the caller bills it to that response's
+        ``compile_seconds``; it is no part of the solve.
+        """
+        if entry.crossings_per_iter is not None:
+            return 0.0
+        t0 = time.perf_counter()
+        entry.crossings_per_iter = entry.solver.iteration_crossings()
+        return time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     def solve_sequence(
@@ -312,10 +327,7 @@ class SolverPool:
                     step = sess.step(problem)
                     solve_seconds = time.perf_counter() - t0
                     entry.solves += 1
-                    if entry.crossings_per_iter is None:
-                        entry.crossings_per_iter = (
-                            entry.solver.iteration_crossings()
-                        )
+                    compile_seconds += self._count_crossings(entry)
                     solves.append(
                         PoolSolve(
                             fingerprint=key,

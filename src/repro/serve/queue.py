@@ -33,10 +33,17 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..solver import QPProblem
 
-__all__ = ["DispatchBatch", "QueueFullError", "RequestQueue", "SolveRequest"]
+__all__ = [
+    "DispatchBatch",
+    "Hold",
+    "QueueFullError",
+    "RequestQueue",
+    "SolveRequest",
+]
 
 _REQUEST_IDS = itertools.count(1)
 
@@ -114,6 +121,16 @@ class SolveRequest:
         return True
 
 
+class Hold(NamedTuple):
+    """A batching policy's decision to keep a popped batch open for
+    same-pattern arrivals (the ``window`` hook of
+    :meth:`RequestQueue.next_batch`)."""
+
+    seconds: float  # longest the batch stays open
+    lanes: int  # expected group: until it is in, only ``seconds`` closes
+    grace: float  # once it is in, close after this long without a rider
+
+
 class DispatchBatch(list):
     """A coalesced batch: the live same-fingerprint requests (as list
     elements) plus the requests found already expired at pop time.
@@ -121,7 +138,9 @@ class DispatchBatch(list):
     ``expired`` requests never occupy a solve lane — the worker answers
     them with ``TIMEOUT`` immediately.  ``fingerprint`` is the batch's
     common pattern key (``""`` when the sweep found only expired
-    requests and the batch is empty).
+    requests and the batch is empty).  ``held_seconds`` is how long a
+    dispatch window kept the batch open (0.0: none was opened) and
+    ``held_riders`` how many requests joined while it was.
     """
 
     def __init__(
@@ -134,6 +153,8 @@ class DispatchBatch(list):
         super().__init__(requests)
         self.fingerprint = fingerprint
         self.expired: list[SolveRequest] = expired or []
+        self.held_seconds = 0.0
+        self.held_riders = 0
 
 
 class RequestQueue:
@@ -213,18 +234,24 @@ class RequestQueue:
         worker would stall out its entire window even though no rider
         can ever join.
 
-        ``window``, when given, is called as ``window(head)`` and may
-        return a dispatch window in seconds: how long this consumer
-        holds the still-unfilled batch open, gathering same-pattern
-        arrivals, before dispatching (the policy's latency-for-
-        throughput trade on a pattern whose batches are known to pay).
-        While the window is open the head's fingerprint is marked as
-        *gathering*: concurrent consumers skip those requests when
-        picking their own head — without the mark, two workers split
-        one burst into fragmented passes — and are woken when the
-        window closes.  A zero/None window dispatches immediately
-        (the pre-window behaviour, and always the case for a batch
-        already at the effective limit).
+        ``window``, when given, is called as ``window(head, size)`` once
+        the riders already queued are collected (``size`` counts the
+        head) and returns a :class:`Hold` or ``None``.  ``None`` — or a
+        batch already at the limit — dispatches immediately: the queue
+        is work-conserving unless the policy says holding pays.  A
+        hold keeps the batch open for same-pattern arrivals at most
+        ``seconds``; once ``lanes`` requests are in (the group the
+        policy expects, possibly below the limit) it closes as soon
+        as ``grace`` passes without a new rider, so a group that
+        arrives early is not kept waiting for the timer while a burst
+        larger than expected is still gathered whole.  While a hold
+        is open the head's fingerprint is marked as *gathering*:
+        concurrent consumers skip those requests when picking their
+        own head — without the mark, two workers split one burst into
+        fragmented passes — and are woken when it closes.  The outcome
+        comes back on the batch (``held_seconds``, ``held_riders``),
+        also when the queue closes mid-hold, so the policy can learn
+        whether its holds gather anyone.
         """
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -273,20 +300,29 @@ class RequestQueue:
                 # their pass shape is fixed by the request itself.
                 return batch
             self._collect_riders(batch, head, limit, rider)
-            hold = float(window(head) or 0.0) if window is not None else 0.0
-            if hold > 0.0 and len(batch) < limit:
+            hold = window(head, len(batch)) if window is not None else None
+            if hold is not None and hold.seconds > 0.0 and len(batch) < limit:
+                opened = joined = time.monotonic()
+                popped = len(batch)
                 self._gathering.add(head.fingerprint)
                 try:
-                    hold_deadline = time.monotonic() + hold
                     while len(batch) < limit and not self._closed:
-                        remaining = hold_deadline - time.monotonic()
+                        until = opened + hold.seconds
+                        if len(batch) >= hold.lanes:
+                            until = min(until, joined + hold.grace)
+                        remaining = until - time.monotonic()
                         if remaining <= 0:
                             break
                         self._cond.wait(timeout=remaining)
+                        size = len(batch)
                         self._collect_riders(batch, head, limit, rider)
+                        if len(batch) > size:
+                            joined = time.monotonic()
                 finally:
                     self._gathering.discard(head.fingerprint)
                     self._cond.notify_all()
+                    batch.held_seconds = time.monotonic() - opened
+                    batch.held_riders = len(batch) - popped
             return batch
 
     def _collect_riders(

@@ -153,7 +153,7 @@ class ServeServer:
         pool: SolverPool | None = None,
         queue_size: int = 64,
         max_batch: int = 16,
-        batch_policy: str = "greedy",
+        batch_policy: str = "adaptive",
         controller: BatchController | None = None,
         default_timeout_s: float = 30.0,
         shards: int = 0,

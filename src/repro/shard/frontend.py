@@ -72,7 +72,7 @@ class ShardFrontend:
         workers: int = 2,
         queue_size: int = 64,
         max_batch: int = 16,
-        batch_policy: str = "greedy",
+        batch_policy: str = "adaptive",
         slabs: int = 32,
         slab_size: int = 1 << 20,
         ready_timeout_s: float = 120.0,

@@ -77,7 +77,7 @@ class ShardWorker:
             workers=max(1, int(config.get("workers", 1))),
             queue_size=int(config.get("queue_size", 64)),
             max_batch=int(config.get("max_batch", 16)),
-            batch_policy=str(config.get("batch_policy", "greedy")),
+            batch_policy=str(config.get("batch_policy", "adaptive")),
             **config.get("pool_kwargs", {}),
         )
         self._skeletons: dict[str, QPProblem] = {}

@@ -229,6 +229,7 @@ class TestServerBatchedEndToEnd:
             workers=0,
             queue_size=2 * burst,
             max_batch=burst,
+            batch_policy="greedy",  # coalesce whatever is queued
             variant="direct",
             c=C,
             settings=SETTINGS,
@@ -283,6 +284,7 @@ class TestServerBatchedEndToEnd:
             workers=0,
             queue_size=2 * burst,
             max_batch=burst,
+            batch_policy="greedy",  # coalesce whatever is queued
             variant="direct",
             c=C,
             settings=SETTINGS,

@@ -6,7 +6,8 @@ Two layers:
 * **Cost model** — deterministic, no HTTP and no solver: EWMA updates,
   the affine pass-cost fit (fixed + marginal * lanes), cap decisions in
   their documented order (explore, fallback-parking, marginal-vs-solo,
-  latency budget), the explore escape, dispatch windows, bucketing
+  latency budget), the solo-arm probe, the explore escape, the
+  evidence-gated dispatch window and its hold series, bucketing
   distance and the bail-out closure over a synthetic progress state.
 
 * **Differential** — the controller's one hard contract: it only
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.backends.mib import MIBSolver
-from repro.problems import lasso_problem, mpc_problem
+from repro.problems import lasso_problem, mpc_problem, portfolio_problem
 from repro.serve import (
     BatchController,
     ServeClient,
@@ -212,6 +213,39 @@ class TestMaxBatchFor:
             ctrl.observe_solo("fp", seconds=0.001, iterations=30)
         assert ctrl.max_batch_for("fp", 16) == 16
 
+    def _always_coalesced(self, ctrl: BatchController) -> None:
+        """A pattern whose every request rode a 2-lane pass (two
+        clients in lock-step): 80 ms of CPU per pass, no solo price."""
+        for _ in range(2):
+            ctrl.observe_pass(
+                "fp", lanes=2, seconds=0.080, lane_iterations=[30, 30],
+                solo_lanes=0,
+            )
+
+    def test_unpriced_solo_arm_is_probed_then_compared(self):
+        ctrl = BatchController(min_explore_passes=2)
+        self._always_coalesced(ctrl)
+        # Passes on record, solo never measured: dispatch one head
+        # alone instead of trusting the passes blindly.
+        assert ctrl.max_batch_for("fp", 16) == 1
+        assert ctrl.dispatch_window(_request(None), 2) is None
+        ctrl.observe_solo("fp", seconds=0.025, iterations=30)
+        stats = ctrl.stats_for("fp")
+        assert stats.solo_probes == 1
+        # 40 ms per batched lane against 25 ms solo: batching loses.
+        assert ctrl.max_batch_for("fp", 16) == 1
+        ctrl.observe_solo("fp", seconds=0.025, iterations=30)
+        assert stats.solo_probes == 1  # priced once, not per solo
+
+    def test_explore_escape_retests_a_probed_solo_verdict(self):
+        ctrl = BatchController(min_explore_passes=2, explore_interval=16)
+        self._always_coalesced(ctrl)
+        for _ in range(15):
+            ctrl.observe_solo("fp", seconds=0.025, iterations=30)
+        assert ctrl.max_batch_for("fp", 16) == 1
+        ctrl.observe_solo("fp", seconds=0.025, iterations=30)
+        assert ctrl.max_batch_for("fp", 16) == 16
+
     def test_average_cost_fallback_without_size_variance(self):
         ctrl = BatchController(latency_budget=6.0)
         for _ in range(2):
@@ -232,41 +266,133 @@ class TestMaxBatchFor:
 # ----------------------------------------------------------------------
 # dispatch window and rider bucketing
 # ----------------------------------------------------------------------
+def _held(ctrl, riders, lanes, fp="fp", seconds=0.02, times=1):
+    for _ in range(times):
+        ctrl.observe_hold(fp, riders=riders, lanes=lanes, seconds=seconds)
+
+
 class TestDispatchWindow:
+    """Work-conserving first: a hold needs evidence that holding pays."""
+
+    BASE = lasso_problem(4, n_samples=8, seed=0)
+
     def test_non_adaptive_policies_never_hold(self):
-        base = lasso_problem(4, n_samples=8, seed=0)
         for policy in ("greedy", "off"):
             ctrl = BatchController(policy=policy)
-            assert ctrl.dispatch_window(_request(base)) == 0.0
+            _held(ctrl, riders=7, lanes=8)
+            assert ctrl.dispatch_window(_request(self.BASE), 1) is None
+            assert ctrl.dispatch_window(_request(self.BASE), 3) is None
+
+    def test_lone_head_dispatches_at_once_whatever_the_cap(self):
+        """No hold outcome on record: the hard-cap exploration of an
+        unbatched pattern and a learned cap above 1 both used to open
+        the window; neither is evidence that riders will come."""
+        ctrl = BatchController()
+        assert ctrl.max_batch_for("fp", 16) == 16  # still exploring
+        assert ctrl.dispatch_window(_request(self.BASE), 1) is None
+        _learned(ctrl, solo=0.010)
+        assert ctrl.max_batch_for("fp", 16) > 1
+        assert ctrl.dispatch_window(_request(self.BASE), 1) is None
 
     def test_parked_pattern_dispatches_immediately(self):
         ctrl = BatchController()
         _learned(ctrl, solo=0.001, marginal=0.002)  # cap == 1
-        base = lasso_problem(4, n_samples=8, seed=0)
-        assert ctrl.dispatch_window(_request(base)) == 0.0
+        _held(ctrl, riders=7, lanes=8)
+        assert ctrl.dispatch_window(_request(self.BASE), 1) is None
+
+    def test_riders_at_pop_hold_only_while_the_burst_trickles(self):
+        """Unlearned yield, riders queued at pop: the expected group
+        is what is already here, so only the grace period (a fraction
+        of the window) keeps the batch open, one arrival at a time."""
+        ctrl = BatchController(max_window=0.05)
+        _learned(ctrl, solo=0.010)
+        hold = ctrl.dispatch_window(_request(self.BASE), 3)
+        assert hold.seconds == pytest.approx(0.020)  # 2 x solo
+        assert hold.lanes == 3
+        assert 0.0 < hold.grace < 0.25 * hold.seconds
+
+    def test_productive_holds_license_waiting_for_the_learned_group(self):
+        ctrl = BatchController()
+        _learned(ctrl, solo=0.010)
+        _held(ctrl, riders=5, lanes=6, times=3)
+        hold = ctrl.dispatch_window(_request(self.BASE), 1)
+        assert hold.lanes == 6  # closes early at the group holds reached
+        assert hold.seconds == pytest.approx(0.020)
+        # The group is already here: nothing to wait for.
+        assert ctrl.dispatch_window(_request(self.BASE), 6) is None
+
+    def test_unproductive_holds_stop_and_productive_ones_continue(self):
+        ctrl = BatchController()
+        _learned(ctrl, solo=0.010)
+        _held(ctrl, riders=3, lanes=4, times=4)
+        assert ctrl.dispatch_window(_request(self.BASE), 1) is not None
+        opened = 0
+        while ctrl.dispatch_window(_request(self.BASE), 1) is not None:
+            _held(ctrl, riders=0, lanes=1)  # the lone client's outcome
+            opened += 1
+            assert opened < 10, "holds that gather nobody must stop"
+        stats = ctrl.stats_for("fp")
+        assert stats.ewma_hold_riders < 0.5
+        # Empty holds say "do not wait", not "groups shrank".
+        assert stats.ewma_hold_group == pytest.approx(4.0)
+        # A burst that trickles in re-earns the licence.
+        _held(ctrl, riders=3, lanes=4)
+        assert ctrl.dispatch_window(_request(self.BASE), 1).lanes == 4
+
+    def test_learned_group_is_clamped_to_the_cap(self):
+        ctrl = BatchController(latency_budget=1.0)
+        _learned(ctrl, solo=0.020, fixed=0.010, marginal=0.002)
+        cap = ctrl.max_batch_for("fp", 1 << 30)
+        assert 1 < cap < 12
+        _held(ctrl, riders=11, lanes=12, times=3)
+        assert ctrl.dispatch_window(_request(self.BASE), 1).lanes == cap
+        assert ctrl.dispatch_window(_request(self.BASE), cap) is None
 
     def test_window_is_twice_solo_capped_by_max_window(self):
         ctrl = BatchController(max_window=0.05)
-        _learned(ctrl, solo=0.010)
-        base = lasso_problem(4, n_samples=8, seed=0)
-        assert ctrl.dispatch_window(_request(base)) == pytest.approx(0.020)
         _learned(ctrl, fp="fp2", solo=0.040)
-        req = SolveRequest(problem=base, fingerprint="fp2")
-        assert ctrl.dispatch_window(req) == pytest.approx(0.05)
+        req = SolveRequest(problem=self.BASE, fingerprint="fp2")
+        assert ctrl.dispatch_window(req, 2).seconds == pytest.approx(0.05)
+        # Solo cost never observed: the absolute bound applies.
+        cold = SolveRequest(problem=self.BASE, fingerprint="never-solved")
+        assert ctrl.dispatch_window(cold, 2).seconds == pytest.approx(0.05)
 
     def test_deadline_tightens_the_window(self):
         import time
 
         ctrl = BatchController()
         _learned(ctrl, solo=0.020)
-        base = lasso_problem(4, n_samples=8, seed=0)
         req = SolveRequest(
-            problem=base,
+            problem=self.BASE,
             fingerprint="fp",
             deadline=time.monotonic() + 0.040,
         )
         # min(2 * solo, 0.25 * remaining) ~= 0.25 * 0.040
-        assert ctrl.dispatch_window(req) <= 0.25 * 0.040 + 1e-6
+        assert ctrl.dispatch_window(req, 2).seconds <= 0.25 * 0.040 + 1e-6
+        late = SolveRequest(
+            problem=self.BASE,
+            fingerprint="fp",
+            deadline=time.monotonic() - 1.0,
+        )
+        assert ctrl.dispatch_window(late, 2) is None
+
+    def test_hold_outcomes_feed_stats_and_counters(self):
+        metrics = ServeMetrics()
+        ctrl = BatchController(alpha=0.5, metrics=metrics)
+        ctrl.observe_hold("fp", riders=3, lanes=4, seconds=0.02)
+        ctrl.observe_hold("fp", riders=1, lanes=2, seconds=0.04)
+        s = ctrl.stats_for("fp")
+        assert s.holds == 2
+        assert s.ewma_hold_riders == pytest.approx(2.0)
+        assert s.ewma_hold_group == pytest.approx(3.0)
+        assert s.ewma_hold_seconds == pytest.approx(0.03)
+        assert metrics.count("window_holds") == 2
+        assert metrics.count("window_riders") == 4
+        snap = ctrl.snapshot()["patterns"]["fp"]
+        assert snap["holds"] == 2
+        assert snap["ewma_hold_riders"] == pytest.approx(2.0)
+        assert snap["ewma_hold_seconds"] == pytest.approx(0.03)
+        assert snap["solo_probes"] == 0
 
 
 class TestRider:
@@ -584,3 +710,69 @@ class TestDifferentialBitwise:
                 assert response.result.x.tobytes() == net.x.tobytes()
                 assert response.result.iterations == net.iterations
                 assert response.raw["cycles"] == net.cycles
+
+    @pytest.mark.serve_e2e
+    def test_lone_client_never_waits_and_a_burst_is_still_bitwise(self):
+        """Live adaptive server, default controller.  One closed-loop
+        client over three resident patterns is dispatched the moment a
+        worker pops it, from the first request on — no window opens on
+        concurrency nobody has shown.  A 4-client same-pattern burst is
+        then answered 200 whichever way the dispatcher splits it, each
+        lane bit-equal to the oracle of the path it took."""
+        from tests.test_serve.test_batch_serve import _post_concurrently
+
+        base = mpc_problem(2, horizon=3, seed=5)  # rho-stable pattern
+        patterns = [
+            base,
+            lasso_problem(6, n_samples=16, seed=0),
+            portfolio_problem(8, seed=0),
+        ]
+        with ServeServer(
+            port=0,
+            workers=2,
+            batch_policy="adaptive",
+            variant="direct",
+            c=C,
+            settings=SETTINGS,
+            warm_start=False,
+        ) as server:
+            for problem in patterns:
+                server.pool.solve(problem)  # resident before the clock
+            client = ServeClient(port=server.port)
+            for rotation in range(4):
+                for problem in patterns:
+                    response = client.solve(
+                        perturbed(problem, rotation), timeout_s=30.0
+                    )
+                    assert response.ok and response.solved, response.raw
+                    assert response.raw["window_seconds"] == 0.0
+                    assert response.raw["queue_seconds"] < 5e-3
+            assert server.metrics.count("window_holds") == 0
+
+            problems = [perturbed(base, 400 + i) for i in range(4)]
+            responses, threads = _post_concurrently(
+                client, problems, [30.0] * 4
+            )
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+
+            solo = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
+            net = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
+            for response, problem in zip(responses, problems):
+                assert response.ok and response.solved, response.raw
+                raw = response.raw
+                assert 0.0 <= raw["window_seconds"] <= raw["queue_seconds"]
+                if raw["batched"]:
+                    net.bind_instance(problem)
+                    lane = net.solve_on_network()
+                    x, iterations, cycles = lane.x, lane.iterations, lane.cycles
+                else:
+                    solo.update_values(problem)
+                    report = solo.solve()
+                    x = report.result.x
+                    iterations = report.result.iterations
+                    cycles = report.cycles
+                assert response.result.x.tobytes() == x.tobytes()
+                assert response.result.iterations == iterations
+                assert raw["cycles"] == cycles

@@ -4,11 +4,12 @@ fingerprint stability and thread-safety under concurrent misses."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.compiler import ScheduleCache
-from repro.problems import portfolio_problem
+from repro.problems import lasso_problem, portfolio_problem
 from repro.serve import SolverPool
 from repro.solver import Settings
 
@@ -42,6 +43,29 @@ class TestHitMiss:
         assert metrics.count("warm_solve_count") == 1
         assert metrics.count("pool_hits") == 1
         assert metrics.count("pool_misses") == 1
+
+    def test_miss_accounts_for_the_whole_pool_call(self):
+        """A first touch also lowers the iteration traces to count
+        host crossings; that time is trace compilation and lands in
+        ``compile_seconds``, so the two fields cover the call."""
+        pool = _pool()
+        for problem, sequence in (
+            (lasso_problem(16, n_samples=64, seed=0), False),
+            (portfolio_problem(24, seed=0), True),
+        ):
+            fingerprint = pool.fingerprint(problem)
+            t0 = time.perf_counter()
+            if sequence:
+                (solved,) = pool.solve_sequence(
+                    [problem], fingerprint=fingerprint
+                )
+            else:
+                solved = pool.solve(problem, fingerprint=fingerprint)
+            wall = time.perf_counter() - t0
+            assert not solved.warm
+            accounted = solved.compile_seconds + solved.solve_seconds
+            assert accounted <= wall
+            assert wall - accounted < 2e-3
 
     def test_warm_solve_matches_fresh_solve(self):
         """The update_values rebind must not change the answer."""

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.serve import QueueFullError, RequestQueue, SolveRequest
+from repro.serve import Hold, QueueFullError, RequestQueue, SolveRequest
 
 
 def _request(fingerprint: str, *, deadline: float | None = None) -> SolveRequest:
@@ -306,25 +306,93 @@ class TestQueueProperties:
         assert wins == len(submitted)
 
 
+def _hold(seconds: float, lanes: int, grace: float = 0.02):
+    """A window hook that always answers with the same decision."""
+    return lambda head, size: Hold(seconds, lanes, grace)
+
+
+def _consume(queue: RequestQueue, **kwargs) -> tuple[threading.Thread, list]:
+    got: list = []
+    consumer = threading.Thread(
+        target=lambda: got.append(queue.next_batch(timeout=2.0, **kwargs))
+    )
+    consumer.start()
+    return consumer, got
+
+
 class TestDispatchWindow:
+    def test_hook_sees_the_popped_size_and_none_dispatches_at_once(self):
+        queue = RequestQueue(maxsize=8)
+        for _ in range(3):
+            queue.submit(_request("A"))
+        seen: list = []
+
+        def window(head, size):
+            seen.append((head.fingerprint, size))
+            return None
+
+        t0 = time.monotonic()
+        batch = queue.next_batch(max_batch=8, timeout=1.0, window=window)
+        assert time.monotonic() - t0 < 0.2
+        assert len(batch) == 3 and seen == [("A", 3)]
+        # No hold was opened, so none is reported.
+        assert batch.held_seconds == 0.0 and batch.held_riders == 0
+
     def test_window_gathers_late_arrivals_into_one_batch(self):
         queue = RequestQueue(maxsize=8)
         queue.submit(_request("A"))
-        got: list = []
-        consumer = threading.Thread(
-            target=lambda: got.append(
-                queue.next_batch(
-                    max_batch=4, timeout=1.0, window=lambda head: 0.5
-                )
-            )
-        )
-        consumer.start()
+        consumer, got = _consume(queue, max_batch=4, window=_hold(0.5, 4))
         time.sleep(0.05)  # consumer now holds the window open
         for _ in range(3):
             queue.submit(_request("A"))
         consumer.join(timeout=2.0)
         assert not consumer.is_alive()
         assert [r.fingerprint for r in got[0]] == ["A"] * 4
+        # The outcome rides back on the batch, once.
+        assert got[0].held_riders == 3
+        assert 0.04 < got[0].held_seconds < 0.5
+
+    def test_hold_closes_early_once_the_expected_group_is_in(self):
+        """lanes=2 under a limit of 8 and a 5 s timer: the second
+        arrival plus one quiet grace period closes the hold."""
+        queue = RequestQueue(maxsize=8)
+        queue.submit(_request("A"))
+        consumer, got = _consume(
+            queue, max_batch=8, window=_hold(5.0, 2, grace=0.05)
+        )
+        time.sleep(0.05)
+        queue.submit(_request("A"))
+        consumer.join(timeout=2.0)
+        assert not consumer.is_alive()  # no 5 s stall
+        assert len(got[0]) == 2
+        assert got[0].held_riders == 1 and got[0].held_seconds < 1.0
+
+    def test_hold_keeps_gathering_a_burst_larger_than_expected(self):
+        """Arrivals inside the grace period extend the hold past the
+        expected group: a burst is gathered whole, not cut at the
+        size earlier holds happened to reach."""
+        queue = RequestQueue(maxsize=8)
+        queue.submit(_request("A"))
+        consumer, got = _consume(
+            queue, max_batch=8, window=_hold(5.0, 2, grace=0.25)
+        )
+        for _ in range(4):
+            time.sleep(0.05)
+            queue.submit(_request("A"))
+        consumer.join(timeout=2.0)
+        assert not consumer.is_alive()
+        assert len(got[0]) == 5 and got[0].held_riders == 4
+
+    def test_unproductive_hold_expires_and_reports_zero_riders(self):
+        queue = RequestQueue(maxsize=8)
+        queue.submit(_request("A"))
+        queue.submit(_request("B"))  # another pattern is no rider
+        batch = queue.next_batch(
+            max_batch=4, timeout=1.0, window=_hold(0.05, 4)
+        )
+        assert [r.fingerprint for r in batch] == ["A"]
+        assert batch.held_riders == 0
+        assert 0.04 < batch.held_seconds < 0.5
 
     def test_window_closes_at_the_effective_cap_not_max_batch(self):
         """A policy cap below max_batch must close the window: riders
@@ -336,26 +404,36 @@ class TestDispatchWindow:
         batch = queue.next_batch(
             max_batch=8,
             timeout=1.0,
-            window=lambda head: 5.0,
+            window=_hold(5.0, 8),
             cap=lambda head: 4,
         )
         assert len(batch) == 4
         assert time.monotonic() - t0 < 1.0  # no pointless 5 s stall
+        assert batch.held_seconds == 0.0
+
+    def test_queue_closing_mid_hold_still_reports_the_outcome(self):
+        queue = RequestQueue(maxsize=8)
+        queue.submit(_request("A"))
+        consumer, got = _consume(queue, max_batch=4, window=_hold(5.0, 4))
+        time.sleep(0.05)
+        queue.submit(_request("A"))
+        time.sleep(0.05)
+        queue.close()
+        consumer.join(timeout=2.0)
+        assert not consumer.is_alive()
+        # The gathered batch is handed over for the worker to answer,
+        # with the hold it sat through accounted.
+        assert len(got[0]) == 2
+        assert got[0].held_riders == 1 and got[0].held_seconds > 0.0
 
     def test_gathering_pattern_is_skipped_by_other_consumers(self):
         """While one consumer holds a window open for pattern A, a
         second consumer picks pattern B instead of splitting A."""
         queue = RequestQueue(maxsize=8)
         queue.submit(_request("A"))
-        first: list = []
-        gatherer = threading.Thread(
-            target=lambda: first.append(
-                queue.next_batch(
-                    max_batch=4, timeout=2.0, window=lambda head: 0.4
-                )
-            )
+        gatherer, first = _consume(
+            queue, max_batch=4, window=_hold(0.4, 4)
         )
-        gatherer.start()
         time.sleep(0.05)
         queue.submit(_request("A"))  # should join the gatherer's batch
         queue.submit(_request("B"))
