@@ -1359,11 +1359,11 @@ class MIBSolver:
     def _batch_maps(self) -> _BatchMaps:
         """Pattern-derived gathers/factors for :meth:`solve_batch`.
 
-        The two data maps are built by *index probing*: run an
-        ``arange`` payload through the exact derivation chain the
-        scalar path uses (symmetrize → permute → upper-triangle, all
-        value-preserving stable gathers) and read the resulting data as
-        source positions.
+        The data maps are built by *index probing*: run an ``arange``
+        payload through the exact derivation chain the scalar path uses
+        (all value-preserving stable gathers) and read the resulting
+        data as source positions.  The permuted-KKT map is the one the
+        reference's own refactorization gathers through.
         """
         if self._batch_maps_cache is not None:
             return self._batch_maps_cache
@@ -1381,26 +1381,13 @@ class MIBSolver:
             check=False,
         )
         pf_map = probe.symmetrize_from_upper().data.astype(np.int64)
-        kmat = kkt.matrix
-        kprobe = CSCMatrix(
-            kmat.shape,
-            kmat.indptr,
-            kmat.indices,
-            np.arange(kmat.nnz, dtype=np.float64),
-            check=False,
-        )
-        permuted = ks.perm.permute_symmetric(
-            kprobe.symmetrize_from_upper()
-        ).upper_triangle()
-        if not permuted.pattern_equal(ks._permuted_upper):
-            raise AssertionError("permuted KKT probe pattern drift")
         pu_rows, pu_cols, _ = pu.to_coo()
         maps = _BatchMaps(
             qfac=sc.c * sc.d,
             a_fac=sc.e[sp.a.indices] * sc.d[sp.a._entry_cols],
             pu_fac=sc.d[pu_rows] * sc.d[pu_cols],
             pf_map=pf_map,
-            perm_map=permuted.data.astype(np.int64),
+            perm_map=ks.permuted_positions,
             p_positions=kkt.p_positions,
             p_diag_positions=kkt.p_positions[pu_rows == pu_cols],
             a_positions=kkt.a_positions,

@@ -74,7 +74,9 @@ class LDLFactor:
 
         ``lower_method`` selects the row-based (MAC-dominated) or
         column-based (column-elimination-dominated) forward solve — the
-        two strategies of Section II-C.
+        two strategies of Section II-C.  All three substitutions replay
+        the symbolic factor's level plan; the two forward strategies
+        are its two commit kinds.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):

@@ -14,13 +14,96 @@ instructions from the explicit pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .csc import CSCMatrix
 from .etree import column_counts, elimination_tree
 
-__all__ = ["SymbolicFactor", "symbolic_factor", "row_reach"]
+__all__ = [
+    "LevelPlan",
+    "SolvePlan",
+    "SymbolicFactor",
+    "symbolic_factor",
+    "row_reach",
+]
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """One unit-triangular solve of a pattern, scheduled by dependency depth.
+
+    The *level* of an unknown is the length of the longest chain of
+    stored entries leading to it: 0 when its equation reads no other
+    unknown, otherwise one more than the deepest unknown it reads.
+    Every entry whose target sits at level ``k`` reads only unknowns of
+    lower levels, so level ``k`` is one gather-multiply over all its
+    entries followed by one ordered commit.  Entries of a level are
+    sorted by target and, within a target, in the order the sequential
+    substitution folds them, so an ordered ``ufunc.at`` commit lands
+    the same operands on each unknown in the same order.
+
+    ``sources`` / ``targets`` / ``owners`` hold one array per level
+    ``1 .. depth`` (level 0 has no entries): the index each entry reads,
+    the index it commits to, and the distinct targets of the level.
+    ``entries`` maps the concatenated levels back to positions in the
+    factor's ``l_data``; ``bounds[k]:bounds[k + 1]`` is level ``k + 1``.
+    All arrays are read-only.
+    """
+
+    entries: np.ndarray
+    bounds: tuple[int, ...]
+    sources: tuple[np.ndarray, ...]
+    targets: tuple[np.ndarray, ...]
+    owners: tuple[np.ndarray, ...]
+
+    @property
+    def depth(self) -> int:
+        """Number of levels with work: the longest dependency chain."""
+        return len(self.sources)
+
+
+@dataclass(frozen=True)
+class SolvePlan:
+    """Level schedules of the ``L`` and ``Lᵀ`` solves of one pattern."""
+
+    forward: LevelPlan
+    backward: LevelPlan
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _dependency_levels(n: int, order, reads) -> np.ndarray:
+    """Longest-chain depth of every unknown; ``order`` visits each
+    unknown after the ones ``reads(unknown)`` says it depends on."""
+    level = np.zeros(n, dtype=np.int64)
+    for i in order:
+        read = reads(i)
+        if read.size:
+            level[i] = level[read].max() + 1
+    return level
+
+
+def _level_plan(
+    level: np.ndarray, targets: np.ndarray, sources: np.ndarray
+) -> LevelPlan:
+    """Group entries by their target's level, in sequential fold order."""
+    entry_level = level[targets]
+    order = np.lexsort((sources, targets, entry_level))
+    depth = int(level.max()) if order.size else 0
+    bounds = np.searchsorted(entry_level[order], np.arange(1, depth + 2))
+    members = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return LevelPlan(
+        entries=_read_only(order),
+        bounds=tuple(bounds.tolist()),
+        sources=tuple(_read_only(sources[m]) for m in members),
+        targets=tuple(_read_only(targets[m]) for m in members),
+        owners=tuple(_read_only(np.unique(targets[m])) for m in members),
+    )
 
 
 @dataclass(frozen=True)
@@ -55,6 +138,27 @@ class SymbolicFactor:
     def l_nnz(self) -> int:
         """Stored entries of L below the diagonal."""
         return int(self.l_indices.size)
+
+    @cached_property
+    def solve_plan(self) -> SolvePlan:
+        """Level schedules for the triangular solves (built on first use).
+
+        Depends only on the pattern, so it is computed once and replayed
+        by every solve with every set of numeric values.
+        """
+        n = self.n
+        rows = self.l_indices
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.l_indptr))
+        # L x = b: row i reads the columns of its row pattern (all < i);
+        # Lᵀ x = b: row j of Lᵀ reads the rows of column j of L (all > j).
+        forward = _dependency_levels(n, range(n), self.row_pattern)
+        backward = _dependency_levels(
+            n, range(n - 1, -1, -1), self.col_pattern
+        )
+        return SolvePlan(
+            forward=_level_plan(forward, rows, cols),
+            backward=_level_plan(backward, cols, rows),
+        )
 
     def row_pattern(self, k: int) -> np.ndarray:
         """Columns ``j < k`` where row ``k`` of ``L`` is non-zero (ascending)."""

@@ -12,6 +12,11 @@ Both are implemented here against the symbolic LDLᵀ pattern (the layout
 the factorization produces) as well as against a generic CSC matrix.
 The backward solve with ``Lᵀ`` consumes columns of ``L`` directly, since
 a column of ``L`` is a row of ``Lᵀ``.
+
+The pattern-based solves replay the symbolic factor's level schedule
+(:class:`~repro.linalg.symbolic.LevelPlan`): one numpy gather-multiply
+and one ordered commit per dependency level instead of one Python
+iteration per column.  The two strategies differ only in the commit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csc import CSCMatrix
-from .symbolic import SymbolicFactor
+from .symbolic import LevelPlan, SymbolicFactor
 
 __all__ = [
     "solve_lower_unit_columns",
@@ -30,6 +35,51 @@ __all__ = [
 ]
 
 
+def _execute_level(
+    x: np.ndarray,
+    acc: np.ndarray | None,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    owners: np.ndarray,
+    coeffs: np.ndarray,
+) -> None:
+    """Run one level: gather-multiply every entry, then one ordered commit.
+
+    ``ufunc.at`` applies duplicate indices one after another in array
+    order, so each target receives its products as a sequential left
+    fold (the semantics ``xp.plans.ReducePlan`` reproduces on devices).
+    With ``acc`` absent the fold runs in place on ``x`` (column
+    elimination); otherwise it runs from zero in ``acc`` and the
+    finished sums are subtracted once per target (MAC).
+    """
+    products = coeffs * x[sources]
+    if acc is None:
+        np.subtract.at(x, targets, products)
+    else:
+        np.add.at(acc, targets, products)
+        np.subtract.at(x, owners, acc[owners])
+
+
+def _run_plan(
+    plan: LevelPlan, l_data: np.ndarray, b: np.ndarray, *, fold_from_zero: bool
+) -> np.ndarray:
+    """Replay a level schedule; all scratch is private to the call."""
+    x = np.array(b, dtype=np.float64, copy=True)
+    coeffs = l_data[plan.entries]
+    acc = np.zeros(x.size, dtype=np.float64) if fold_from_zero else None
+    bounds = plan.bounds
+    for k in range(plan.depth):
+        _execute_level(
+            x,
+            acc,
+            plan.sources[k],
+            plan.targets[k],
+            plan.owners[k],
+            coeffs[bounds[k] : bounds[k + 1]],
+        )
+    return x
+
+
 def solve_lower_unit_columns(
     sym: SymbolicFactor, l_data: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -37,15 +87,12 @@ def solve_lower_unit_columns(
 
     After ``x[j]`` is final, its contribution is eliminated from all
     later entries using column ``j`` of ``L`` — the column-elimination
-    primitive of the architecture.
+    primitive of the architecture.  Each ``x[i]`` therefore receives
+    ``x[i] -= l_ij · x_j`` in ascending ``j``, starting from ``b[i]``;
+    the forward level plan commits exactly that fold in place.
     """
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(sym.n):
-        xj = x[j]
-        if xj != 0.0:
-            lo, hi = sym.l_indptr[j], sym.l_indptr[j + 1]
-            x[sym.l_indices[lo:hi]] -= l_data[lo:hi] * xj
-    return x
+    return _run_plan(sym.solve_plan.forward, l_data, b, fold_from_zero=False)
+
 
 def solve_lower_unit_rows(
     sym: SymbolicFactor, l_data: np.ndarray, b: np.ndarray
@@ -53,26 +100,11 @@ def solve_lower_unit_rows(
     """Row-based forward substitution ``L x = b`` (unit diagonal).
 
     Each step is a sparse dot product of row ``i`` of ``L`` with the
-    already-computed prefix of ``x`` — the MAC primitive.  Requires the
-    row-oriented view of the pattern, which the symbolic factor carries.
-
-    Row-major value access is reconstructed through per-column cursors:
-    rows are visited in ascending order, and within a column the stored
-    entries are also ascending, so one pass suffices.
+    already-computed prefix of ``x`` — the MAC primitive: the products
+    ``l_ij · x_j`` are summed from zero in ascending ``j`` and the sum
+    is subtracted from ``b[i]`` (eq. (7)).
     """
-    n = sym.n
-    x = np.array(b, dtype=np.float64, copy=True)
-    cursor = sym.l_indptr[:-1].copy()  # next unread entry per column
-    for i in range(n):
-        acc = 0.0
-        for j in sym.row_pattern(i).tolist():
-            # The cursor of column j points at the entry for row i,
-            # because rows are consumed in ascending order.
-            p = cursor[j]
-            acc += l_data[p] * x[j]
-            cursor[j] = p + 1
-        x[i] -= acc
-    return x
+    return _run_plan(sym.solve_plan.forward, l_data, b, fold_from_zero=True)
 
 
 def solve_upper_unit_transpose(
@@ -82,14 +114,10 @@ def solve_upper_unit_transpose(
 
     Processes rows of ``Lᵀ`` from the bottom up; row ``j`` of ``Lᵀ`` is
     column ``j`` of ``L``, so the CSC layout is consumed directly as a
-    sequence of sparse dot products (MAC work).
+    sequence of sparse dot products (MAC work), each summed from zero
+    in the column's storage order (ascending row).
     """
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(sym.n - 1, -1, -1):
-        lo, hi = sym.l_indptr[j], sym.l_indptr[j + 1]
-        idx = sym.l_indices[lo:hi]
-        x[j] -= float(np.dot(l_data[lo:hi], x[idx]))
-    return x
+    return _run_plan(sym.solve_plan.backward, l_data, b, fold_from_zero=True)
 
 
 def solve_lower_csc(

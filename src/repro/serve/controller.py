@@ -75,6 +75,12 @@ DEFAULT_ALPHA = 0.35
 # more than the pass it buys.
 MIN_HOLD_YIELD = 0.5
 
+# Each exploration pass that re-confirms a solo verdict doubles the
+# number of solo solves the verdict stands for before the next one, up
+# to this many doublings: a pattern that keeps losing pays for ever
+# rarer re-tests instead of one hard-cap pass per ``explore_interval``.
+MAX_EXPLORE_BACKOFF = 6
+
 # Once a hold has the group it expected, it closes after this fraction
 # of its window passes without a new rider — long enough to see that a
 # burst is still trickling in, short next to the timer it replaces.
@@ -125,6 +131,9 @@ class PatternStats:
     # A pattern parked at a solo cap stops producing passes, so its
     # cost model would never see fresher evidence without this.
     solo_since_pass: int = 0
+    # Consecutive explorations (passes after a full solo interval) that
+    # left the verdict at solo; backs the explore escape off.
+    explore_losses: int = 0
     # The dispatch window's own series, one observation per hold the
     # queue opened for this pattern (see BatchController.observe_hold).
     ewma_hold_riders: float | None = None  # riders gathered during a hold
@@ -193,6 +202,7 @@ class PatternStats:
             "lanes": self.lanes,
             "bailed_lanes": self.bailed_lanes,
             "solo_since_pass": self.solo_since_pass,
+            "explore_losses": self.explore_losses,
             "holds": self.holds,
             "ewma_hold_riders": self.ewma_hold_riders,
             "ewma_hold_group": self.ewma_hold_group,
@@ -381,7 +391,12 @@ class BatchController:
             s.passes += 1
             s.lanes += lanes
             s.bailed_lanes += int(bailed_lanes)
+            explored = s.solo_since_pass >= self._explore_after(s)
             s.solo_since_pass = 0
+            if self._priced_cap(s, lanes) > 1:
+                s.explore_losses = 0
+            elif explored:
+                s.explore_losses += 1
 
     def observe_hold(
         self, fingerprint: str, *, riders: int, lanes: int, seconds: float
@@ -424,7 +439,11 @@ class BatchController:
            passes blindly;
         3. the pattern has gone ``explore_interval`` solo solves
            without a pass → explore again: a solo verdict must be
-           re-earned, not held forever on stale evidence;
+           re-earned, not held forever on stale evidence.  Every
+           exploration that re-confirms the verdict doubles the
+           interval (:data:`MAX_EXPLORE_BACKOFF`), so a pattern that
+           keeps losing pays a vanishing share of its traffic for
+           re-tests; the first pass that wins resets it;
         4. rho-heavy pattern (fallback rate past the threshold) →
            solo: its lanes keep leaving lockstep anyway;
         5. batched lanes not cheaper than solo solves → solo: batching
@@ -434,7 +453,13 @@ class BatchController:
            per-lane average — the average conflates the fixed per-pass
            cost with the marginal lane, so fragmented small passes
            would otherwise park a pattern solo on amortization noise;
-        6. otherwise cap at what the latency budget buys.  The budget
+        6. otherwise cap at what the latency budget buys — unless the
+           whole pass at that cap, ``fixed + cap * marginal``, costs
+           at least ``cap`` solo solves → solo: a cheap marginal lane
+           does not pay when the fixed pass cost is never amortized
+           within the cap (per-lane cost only falls with size, so a
+           pass that loses at the cap loses at every smaller size).
+           The budget
            reads as "the head may pay up to ``latency_budget`` times
            its solo latency for the pass": a pass of ``cap`` lanes
            costs ``fixed + cap * marginal`` seconds, so
@@ -459,28 +484,43 @@ class BatchController:
                 return hard_cap
             if s.ewma_solo_seconds is None:
                 return 1
-            if s.solo_since_pass >= self.explore_interval:
+            if s.solo_since_pass >= self._explore_after(s):
                 return hard_cap
-            if (
-                s.solo_fallback_rate is not None
-                and s.solo_fallback_rate > self.fallback_threshold
-            ):
+            return self._priced_cap(s, hard_cap)
+
+    def _explore_after(self, s: PatternStats) -> int:
+        """Solo solves a solo verdict stands for before step 3 re-tests
+        it: ``explore_interval``, doubled per exploration lost."""
+        return self.explore_interval << min(
+            s.explore_losses, MAX_EXPLORE_BACKOFF
+        )
+
+    def _priced_cap(self, s: PatternStats, hard_cap: int) -> int:
+        """Steps 4-6 of :meth:`max_batch_for`: the cap the cost model
+        alone buys (1 = solo verdict).  Caller holds the lock."""
+        if (
+            s.solo_fallback_rate is not None
+            and s.solo_fallback_rate > self.fallback_threshold
+        ):
+            return 1
+        solo = s.ewma_solo_seconds
+        lane = s.ewma_lane_seconds
+        if solo is None or lane is None or lane <= 0.0:
+            return hard_cap
+        marginal = s.marginal_lane_seconds
+        if marginal is not None:
+            if marginal >= solo:
                 return 1
-            solo = s.ewma_solo_seconds
-            lane = s.ewma_lane_seconds
-            if lane is None or lane <= 0.0:
-                return hard_cap
-            marginal = s.marginal_lane_seconds
-            if marginal is not None:
-                if marginal >= solo:
-                    return 1
-                fixed = s.fixed_pass_seconds or 0.0
-                cap = (self.latency_budget * solo - fixed) / marginal
-            else:
-                if lane >= solo:
-                    return 1
-                cap = self.latency_budget * solo / lane
-            return int(max(1, min(hard_cap, math.floor(cap))))
+            fixed = s.fixed_pass_seconds or 0.0
+            cap = (self.latency_budget * solo - fixed) / marginal
+            cap = int(max(1, min(hard_cap, math.floor(cap))))
+            if fixed + cap * marginal >= cap * solo:
+                return 1
+            return cap
+        if lane >= solo:
+            return 1
+        cap = self.latency_budget * solo / lane
+        return int(max(1, min(hard_cap, math.floor(cap))))
 
     def dispatch_window(self, head: SolveRequest, size: int) -> Hold | None:
         """Queue hook: hold ``head``'s batch open for same-pattern

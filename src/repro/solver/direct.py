@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..linalg import (
+    CSCMatrix,
     LDLFactor,
     Permutation,
     amd_order,
@@ -66,18 +67,34 @@ class DirectKKTSolver:
         ordering: str = "amd",
         lower_method: str = "column",
     ) -> None:
+        if ordering not in ("amd", "natural"):
+            raise ValueError(f"unknown ordering {ordering!r}")
+        if lower_method not in ("column", "row"):
+            raise ValueError(f"unknown lower_method {lower_method!r}")
         self.problem = problem
         self.sigma = float(sigma)
         self.lower_method = lower_method
         self.kkt: KKTMatrix = assemble_kkt(problem, sigma, rho_vec)
-        full = self.kkt.matrix.symmetrize_from_upper()
+        kmat = self.kkt.matrix
         if ordering == "amd":
-            self.perm: Permutation = amd_order(self.kkt.matrix)
-        elif ordering == "natural":
-            self.perm = Permutation.identity(problem.n + problem.m)
+            self.perm: Permutation = amd_order(kmat)
         else:
-            raise ValueError(f"unknown ordering {ordering!r}")
-        self._permuted_upper = self.perm.permute_symmetric(full).upper_triangle()
+            self.perm = Permutation.identity(problem.n + problem.m)
+        # Symmetrize -> permute -> upper triangle only moves values, so
+        # route the entry positions through it once per pattern; every
+        # refactorization is then one gather into the same matrix.
+        positions = CSCMatrix(
+            kmat.shape,
+            kmat.indptr,
+            kmat.indices,
+            np.arange(kmat.nnz, dtype=np.float64),
+            check=False,
+        )
+        self._permuted_upper = self.perm.permute_symmetric(
+            positions.symmetrize_from_upper()
+        ).upper_triangle()
+        self.permuted_positions = self._permuted_upper.data.astype(np.int64)
+        self._permuted_upper.data = kmat.data[self.permuted_positions]
         self.symbolic = symbolic_factor(self._permuted_upper)
         self.factor: LDLFactor = ldl_factor(self._permuted_upper, self.symbolic)
         self.num_factorizations = 1
@@ -114,8 +131,11 @@ class DirectKKTSolver:
         self._refactor(trace)
 
     def _refactor(self, trace: OpTrace | None) -> None:
-        full = self.kkt.matrix.symmetrize_from_upper()
-        self._permuted_upper = self.perm.permute_symmetric(full).upper_triangle()
+        np.take(
+            self.kkt.matrix.data,
+            self.permuted_positions,
+            out=self._permuted_upper.data,
+        )
         ldl_refactor(self._permuted_upper, self.factor)
         self.num_factorizations += 1
         if trace is not None:

@@ -6,8 +6,8 @@ Two layers:
 * **Cost model** — deterministic, no HTTP and no solver: EWMA updates,
   the affine pass-cost fit (fixed + marginal * lanes), cap decisions in
   their documented order (explore, fallback-parking, marginal-vs-solo,
-  latency budget), the solo-arm probe, the explore escape, the
-  evidence-gated dispatch window and its hold series, bucketing
+  latency budget, whole-pass-vs-solos), the solo-arm probe, the
+  explore escape and its back-off, the evidence-gated dispatch window and its hold series, bucketing
   distance and the bail-out closure over a synthetic progress state.
 
 * **Differential** — the controller's one hard contract: it only
@@ -245,6 +245,64 @@ class TestMaxBatchFor:
         assert ctrl.max_batch_for("fp", 16) == 1
         ctrl.observe_solo("fp", seconds=0.025, iterations=30)
         assert ctrl.max_batch_for("fp", 16) == 16
+
+    def test_unamortized_fixed_cost_parks_the_pattern(self):
+        """A cheap marginal lane is not enough: when the whole pass at
+        the cap costs more than that many solo solves, batching loses
+        throughput and latency both."""
+        ctrl = BatchController(latency_budget=6.0)
+        _learned(ctrl, solo=0.010, fixed=0.050, marginal=0.002)
+        stats = ctrl.stats_for("fp")
+        assert stats.marginal_lane_seconds < stats.ewma_solo_seconds
+        # The budget buys (6 * 0.010 - 0.050) / 0.002 = 5 lanes, but a
+        # 5-lane pass costs 0.060 s against 0.050 s for five solos.
+        assert ctrl.max_batch_for("fp", 16) == 1
+        # The same fixed cost amortized by a dearer solo arm pays:
+        # 10 lanes at 0.070 s against 0.200 s.
+        ctrl = BatchController(latency_budget=6.0)
+        _learned(ctrl, solo=0.020, fixed=0.050, marginal=0.002)
+        assert ctrl.max_batch_for("fp", 10) == 10
+
+    def test_lost_explorations_back_the_escape_off(self):
+        """Each re-test that confirms a solo verdict doubles how many
+        solo solves it stands for; a pass that wins resets that."""
+        ctrl = BatchController(explore_interval=16)
+        _learned(ctrl, solo=0.001, marginal=0.002)  # parked
+
+        def solos(count: int) -> None:
+            for _ in range(count):
+                ctrl.observe_solo("fp", seconds=0.001, iterations=30)
+
+        def explore(seconds: float) -> None:
+            ctrl.observe_pass(
+                "fp", lanes=16, seconds=seconds, lane_iterations=[30] * 16,
+                solo_lanes=0,
+            )
+
+        stats = ctrl.stats_for("fp")
+        solos(16)
+        assert ctrl.max_batch_for("fp", 16) == 16
+        explore(0.042)  # loses again
+        assert stats.explore_losses == 1
+        solos(16)
+        assert ctrl.max_batch_for("fp", 16) == 1  # stands for 32 now
+        solos(16)
+        assert ctrl.max_batch_for("fp", 16) == 16
+        explore(0.042)
+        assert stats.explore_losses == 2
+        # A fragment of the same exploration is not a second loss.
+        explore(0.042)
+        assert stats.explore_losses == 2
+        solos(63)
+        assert ctrl.max_batch_for("fp", 16) == 1
+        solos(1)
+        assert ctrl.max_batch_for("fp", 16) == 16
+        # The regime changes: passes become cheap, the verdict flips
+        # and the back-off is forgotten.
+        for _ in range(12):
+            explore(0.002)
+        assert ctrl.max_batch_for("fp", 16) == 16
+        assert stats.explore_losses == 0
 
     def test_average_cost_fallback_without_size_variance(self):
         ctrl = BatchController(latency_budget=6.0)
