@@ -26,6 +26,7 @@ bit ``i`` (``i < C``) = multiplier node of lane ``i``; bit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Butterfly",
@@ -47,6 +48,22 @@ class NodeMode:
     PASS_SUM = 3
 
     NAMES = {0: "idle", 1: "direct", 2: "cross", 3: "sum"}
+
+
+@lru_cache(maxsize=None)
+def _path_masks(c: int) -> tuple[int, ...]:
+    """Adder-node mask of every ``src → dst`` path of a width-``c``
+    network, indexed ``src * c + dst``.  A network has only C² paths
+    and a compile walks them ~10⁵ times, so they are built once."""
+    bf = Butterfly(c)
+    masks = []
+    for src in range(c):
+        for dst in range(c):
+            mask = 0
+            for s, lane in bf.path_nodes(src, dst):
+                mask |= bf.adder_bit(s, lane)
+            masks.append(mask)
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -119,6 +136,14 @@ class Butterfly:
         self._check_lane(dst)
         return [(s, self.route_lane(src, dst, s)) for s in range(self.stages)]
 
+    def path_mask(self, src: int, dst: int) -> int:
+        """Occupancy bits of the adder nodes along the ``src → dst``
+        path (:meth:`path_nodes` as a mask, memoised per network)."""
+        if not (0 <= src < self.c and 0 <= dst < self.c):
+            self._check_lane(src)
+            self._check_lane(dst)
+        return _path_masks(self.c)[src * self.c + dst]
+
     def control_word(self, src: int, dst: int) -> int:
         """Per-stage cross/direct selector: bit ``s`` set = cross at
         stage ``s`` (the XOR rule of Fig. 6c)."""
@@ -145,8 +170,7 @@ class Butterfly:
         for a in sources:
             if use_multipliers:
                 mask |= self.multiplier_bit(a)
-            for s, lane in self.path_nodes(a, dest):
-                mask |= self.adder_bit(s, lane)
+            mask |= self.path_mask(a, dest)
         return mask
 
     def occupancy_broadcast(
@@ -166,8 +190,7 @@ class Butterfly:
         for d in dests:
             if use_multipliers:
                 mask |= self.multiplier_bit(d)
-            for s, lane in self.path_nodes(source, d):
-                mask |= self.adder_bit(s, lane)
+            mask |= self.path_mask(source, d)
         return mask
 
     def occupancy_permute(self, pairs: list[tuple[int, int]]) -> int:
@@ -177,6 +200,24 @@ class Butterfly:
         node — a butterfly is blocking, so arbitrary permutations must
         be decomposed into conflict-free passes by the compiler.
         """
+        # Distinct sources, distinct destinations and pairwise disjoint
+        # paths: the union of the memoised path masks.  Anything else
+        # falls through to the node-by-node walk, which names the
+        # colliding flows.
+        c = self.c
+        paths = _path_masks(c)
+        mask = srcs_seen = dsts_seen = 0
+        for a, d in pairs:
+            if not (0 <= a < c and 0 <= d < c):
+                break
+            path = paths[a * c + d]
+            if (srcs_seen >> a) & 1 or (dsts_seen >> d) & 1 or path & mask:
+                break
+            srcs_seen |= 1 << a
+            dsts_seen |= 1 << d
+            mask |= path
+        else:
+            return mask
         seen: dict[tuple[int, int], tuple[int, int]] = {}
         srcs: set[int] = set()
         dsts: set[int] = set()

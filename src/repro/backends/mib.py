@@ -21,7 +21,9 @@ prototype system:
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +93,29 @@ PCIE_LATENCY = 10e-6  # per transfer
 # rather than hard-coding kernel names in control flow.
 ITERATION_KERNELS = ("iter_pre", "kkt_solve", "iter_post")
 CHECK_KERNELS = ("residuals",)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector for the span of a compile.
+
+    A compile allocates ~10⁵ long-lived ``NetOp`` / ``Location`` / list
+    objects, none of them garbage, and every generation-2 pass re-walks
+    all of them — a quarter of a first touch.  On the way out the
+    survivors are promoted by one young-generation pass, so the backlog
+    is paid by the request that made it and not by the next few.
+    Correct under concurrent compiles without a lock: a thread that
+    found the collector disabled never re-enables it, the thread that
+    disabled it always does.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect(1)
 
 
 @dataclass
@@ -617,13 +642,14 @@ class MIBSolver:
                     self.builder = KernelBuilder(c, depth=1 << 24)
                     self.kernels = _CompiledKernels()
         if not self.cache_hit:
-            if variant == "direct":
-                self._compile_direct()
-            else:
-                self._compile_indirect()
-            self._compile_vector_kernels()
-            if variant == "direct":
-                self._compile_network_iteration()
+            with _gc_paused():
+                if variant == "direct":
+                    self._compile_direct()
+                else:
+                    self._compile_indirect()
+                self._compile_vector_kernels()
+                if variant == "direct":
+                    self._compile_network_iteration()
             if cache is not None:
                 cache.put(self.cache_key, self._to_artifact(self.cache_key))
         self.compile_seconds = time.perf_counter() - t0

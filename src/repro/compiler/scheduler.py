@@ -115,18 +115,6 @@ class Schedule:
         return busy / total
 
 
-class _SlotState:
-    """Per-cycle structural bookkeeping."""
-
-    __slots__ = ("occ", "read_banks", "write_banks", "scalars")
-
-    def __init__(self) -> None:
-        self.occ = 0
-        self.read_banks: set[int] = set()
-        self.write_banks: set[int] = set()
-        self.scalars = 0
-
-
 def _op_port_usage(op: NetOp) -> tuple[list[set[int]], list[set[int]]]:
     """Per-cycle read/write bank sets (index = cycle offset).
 
@@ -144,6 +132,13 @@ def _op_port_usage(op: NetOp) -> tuple[list[set[int]], list[set[int]]]:
     return [first, second], [set(), writes]
 
 
+def _bank_mask(banks: set[int]) -> int:
+    mask = 0
+    for bank in banks:
+        mask |= 1 << bank
+    return mask
+
+
 @dataclass
 class _Tracker:
     """Data-dependency bookkeeping across placed instructions."""
@@ -154,28 +149,76 @@ class _Tracker:
 
 
 class _FirstFitScheduler:
+    """First-fit bin packing over per-cycle resource words.
+
+    Slot ``t``'s structural state is four integers in parallel lists:
+    the node-occupancy word ``occ[t]``, the read- and write-bank masks
+    ``rd[t]`` / ``wr[t]`` (bit ``b`` = bank ``b``'s port is taken) and
+    the scalar-unit count ``sc[t]``.  An instruction's *request* —
+    ``(occ, dur, reads_per_cycle, writes_per_cycle, is_scalar)`` with the
+    port usage as bank masks — is a pure function of the instruction
+    until a prefetch rewrites an operand, so it is derived once per
+    placement (``request_builds`` counts the derivations) and every
+    probe is a handful of integer ANDs.
+    """
+
     def __init__(self, program: NetworkProgram, c: int, options: ScheduleOptions):
         self.program = program
         self.c = c
         self.bf = Butterfly(c)
         self.latency = self.bf.latency + options.extra_latency
         self.options = options
-        self.slots: list[_SlotState] = []
+        self.occ: list[int] = []
+        self.rd: list[int] = []
+        self.wr: list[int] = []
+        self.sc: list[int] = []
         self.bundles: list[list[NetOp]] = []
         self.track = _Tracker()
         self.n_prefetch = 0
+        # Requests of instructions not yet placed, keyed by id(op): the
+        # ops outlive the scheduler, the table does not.
+        self._requests: dict[int, tuple] = {}
+        self._request_builds = 0
         # Scratch addresses for prefetch copies, one cursor per bank,
         # placed in a reserved high region of the register files.
         self._scratch_next = defaultdict(int)
         self._scratch_base = 1 << 22  # disjoint from allocator addresses
         self._next_seq = 0
 
+    @property
+    def request_builds(self) -> int:
+        """How many times a request was derived from an instruction:
+        once per placed instruction plus once per prefetch rewrite."""
+        return self._request_builds
+
     # -- helpers -------------------------------------------------------
-    def _slot(self, t: int) -> _SlotState:
-        while len(self.slots) <= t:
-            self.slots.append(_SlotState())
-            self.bundles.append([])
-        return self.slots[t]
+    def _grow(self, n: int) -> None:
+        """Make slots ``0 .. n-1`` exist."""
+        extra = n - len(self.occ)
+        if extra > 0:
+            zeros = [0] * extra
+            self.occ += zeros
+            self.rd += zeros
+            self.wr += zeros
+            self.sc += zeros
+            self.bundles += [[] for _ in range(extra)]
+
+    def _request(self, op: NetOp) -> tuple:
+        """The hardware request of ``op``: ``(occ, dur, reads_per_cycle,
+        writes_per_cycle, is_scalar)``, port usage as bank masks."""
+        req = self._requests.get(id(op))
+        if req is None:
+            reads_pc, writes_pc = _op_port_usage(op)
+            req = (
+                op_occupancy(op, self.bf),
+                op_duration(op),
+                tuple(_bank_mask(banks) for banks in reads_pc),
+                tuple(_bank_mask(banks) for banks in writes_pc),
+                op.kind is OpKind.SCALAR,
+            )
+            self._requests[id(op)] = req
+            self._request_builds += 1
+        return req
 
     def _earliest_by_deps(self, op: NetOp) -> int:
         """First cycle all data dependencies allow issuing ``op``."""
@@ -204,48 +247,90 @@ class _FirstFitScheduler:
         accompanying node conflict is usually resolved by the same
         copy).
         """
-        occ = op_occupancy(op, self.bf)
-        reads_per_cycle, writes_per_cycle = _op_port_usage(op)
-        dur = op_duration(op)
+        return self._probe(self._request(op), t)
+
+    def _probe(self, request: tuple, t: int) -> tuple[bool, bool]:
+        """:meth:`_fits` for an already-derived request."""
+        occ, dur, reads_pc, writes_pc, is_scalar = request
+        self._grow(t + dur)
         ok = True
         read_block = False
         for off in range(dur):
-            slot = self._slot(t + off)
-            if occ & slot.occ:
+            u = t + off
+            if occ & self.occ[u] or writes_pc[off] & self.wr[u]:
                 ok = False
-            if writes_per_cycle[off] & slot.write_banks:
-                ok = False
-            if reads_per_cycle[off] & slot.read_banks:
+            if reads_pc[off] & self.rd[u]:
                 ok = False
                 read_block = True
-        if op.kind is OpKind.SCALAR and self._slot(t).scalars >= SCALAR_UNITS:
+        if is_scalar and self.sc[t] >= SCALAR_UNITS:
             ok = False
         return ok, read_block
+
+    def _first_fit(self, op: NetOp, t0: int) -> tuple[int, int | None]:
+        """First slot at or after ``t0`` where ``op`` fits, and the first
+        slot on the way whose read ports blocked it (``None`` if none).
+
+        The scan is linear on purpose: *which* slot first shows a
+        read-port clash decides where a prefetch copy is aimed, so it is
+        part of the emitted schedule and a skip index could not know it.
+        """
+        request = self._request(op)
+        occ, dur, reads_pc, writes_pc, is_scalar = request
+        first_read_block: int | None = None
+        t = t0
+        if dur == 1:
+            # The common case, inlined: one cycle, three ANDs a probe.
+            # A slot past the end is empty, so it always fits.
+            reads, writes = reads_pc[0], writes_pc[0]
+            s_occ, s_rd, s_wr, s_sc = self.occ, self.rd, self.wr, self.sc
+            n = len(s_occ)
+            while t < n:
+                if reads & s_rd[t]:
+                    if first_read_block is None:
+                        first_read_block = t
+                elif not (
+                    occ & s_occ[t]
+                    or writes & s_wr[t]
+                    or (is_scalar and s_sc[t] >= SCALAR_UNITS)
+                ):
+                    break
+                t += 1
+        else:
+            # Double-pumped EWISE holds its ports over two cycles.
+            while True:
+                fits, read_block = self._probe(request, t)
+                if fits:
+                    break
+                if read_block and first_read_block is None:
+                    first_read_block = t
+                t += 1
+        return t, first_read_block
 
     def _place(self, op: NetOp, t: int) -> None:
         op._seq = self._next_seq  # program order, consumed by the simulator
         self._next_seq += 1
-        occ = op_occupancy(op, self.bf)
-        reads_per_cycle, writes_per_cycle = _op_port_usage(op)
-        dur = op_duration(op)
+        occ, dur, reads_pc, writes_pc, is_scalar = self._request(op)
+        del self._requests[id(op)]
+        self._grow(t + dur)
         for off in range(dur):
-            slot = self._slot(t + off)
-            slot.occ |= occ
-            slot.read_banks |= reads_per_cycle[off]
-            slot.write_banks |= writes_per_cycle[off]
-        if op.kind is OpKind.SCALAR:
-            self._slot(t).scalars += 1
+            u = t + off
+            self.occ[u] |= occ
+            self.rd[u] |= reads_pc[off]
+            self.wr[u] |= writes_pc[off]
+        if is_scalar:
+            self.sc[t] += 1
         self.bundles[t].append(op)
-        commit = t + dur - 1 + self.latency
+        last = t + dur - 1
+        commit = last + self.latency
+        track = self.track
         for loc in op.all_read_locations():
-            self.track.last_read[loc] = max(
-                self.track.last_read.get(loc, -1), t + dur - 1
-            )
+            if track.last_read.get(loc, -1) < last:
+                track.last_read[loc] = last
         for loc in op.all_write_locations():
-            self.track.ready[loc] = max(self.track.ready.get(loc, 0), commit + 1)
-            self.track.last_write_commit[loc] = max(
-                self.track.last_write_commit.get(loc, -1), commit
-            )
+            if track.ready.get(loc, 0) <= commit:
+                track.ready[loc] = commit + 1
+            if track.last_write_commit.get(loc, -1) < commit:
+                track.last_write_commit[loc] = commit
 
     # -- prefetching ---------------------------------------------------
     def _try_prefetch(self, op: NetOp, t_blocked: int) -> bool:
@@ -259,27 +344,32 @@ class _FirstFitScheduler:
             return False
         if op.kind not in (OpKind.MAC, OpKind.COLELIM):
             return False
-        slot = self._slot(t_blocked)
+        blocked_reads = self.rd[t_blocked]
+        own_banks = self._request(op)[2][0]  # MAC / COLELIM are one cycle
+        # The copy must commit before the blocked issue cycle; every
+        # candidate slot lies below ``t_blocked`` and so already exists.
+        t_copy_max = t_blocked - self.latency - 1
+        all_banks = (1 << self.c) - 1
         for ri, loc in enumerate(op.reads):
-            if loc.space != "rf" or loc.bank not in slot.read_banks:
+            if loc.space != "rf" or not (blocked_reads >> loc.bank) & 1:
                 continue
-            # The copy must commit before the blocked issue cycle.
-            t_copy_max = t_blocked - self.latency - 1
-            if t_copy_max < self.track.ready.get(loc, 0):
+            t_ready = self.track.ready.get(loc, 0)
+            if t_copy_max < t_ready:
                 continue
+            src_bit = 1 << loc.bank
             # Never collide with the op's own operand banks, nor with
             # reads already placed in the blocked slot.
-            own_banks = {l.bank for l in op.rf_reads()}
-            forbidden = {loc.bank} | slot.read_banks | own_banks
-            for t_copy in range(self.track.ready.get(loc, 0), t_copy_max + 1):
-                cslot = self._slot(t_copy)
-                if loc.bank in cslot.read_banks:
+            forbidden = src_bit | blocked_reads | own_banks
+            for t_copy in range(t_ready, t_copy_max + 1):
+                if self.rd[t_copy] & src_bit:
                     continue
-                for dst_bank in range(self.c):
-                    if dst_bank in forbidden or dst_bank in cslot.write_banks:
-                        continue
-                    copy_occ = self.bf.occupancy_permute([(loc.bank, dst_bank)])
-                    if copy_occ & cslot.occ:
+                free = all_banks & ~(forbidden | self.wr[t_copy])
+                slot_occ = self.occ[t_copy]
+                while free:
+                    low = free & -free
+                    free ^= low
+                    dst_bank = low.bit_length() - 1
+                    if self.bf.path_mask(loc.bank, dst_bank) & slot_occ:
                         continue
                     dst_loc = Location(
                         "rf",
@@ -303,7 +393,10 @@ class _FirstFitScheduler:
                         if lane == loc.bank:
                             op.src_lanes[li] = dst_bank
                             break
-                    op._occ = None  # invalidate the occupancy cache
+                    # The one point an instruction's request changes:
+                    # drop it (and the occupancy cached on the op).
+                    op._occ = None
+                    del self._requests[id(op)]
                     return True
         return False
 
@@ -357,19 +450,11 @@ class _FirstFitScheduler:
             raise ValueError(f"unknown priority {self.options.priority!r}")
         for op in op_order:
             t0 = self._earliest_by_deps(op)
-            t = t0
-            first_read_block: int | None = None
-            while True:
-                fits, read_block = self._fits(op, t)
-                if fits:
-                    break
-                if read_block and first_read_block is None:
-                    first_read_block = t
-                t += 1
-                if t - t0 > self.options.window:
-                    raise RuntimeError(
-                        f"scheduler window exceeded for {op.tag or op.kind}"
-                    )
+            t, first_read_block = self._first_fit(op, t0)
+            if t - t0 > self.options.window:
+                raise RuntimeError(
+                    f"scheduler window exceeded for {op.tag or op.kind}"
+                )
             if (
                 self.options.prefetch
                 and first_read_block is not None
@@ -378,12 +463,7 @@ class _FirstFitScheduler:
             ):
                 # Retry from the originally blocked slot with the
                 # rewritten operand.
-                t = first_read_block
-                while True:
-                    fits, _ = self._fits(op, t)
-                    if fits:
-                        break
-                    t += 1
+                t, _ = self._first_fit(op, first_read_block)
             self._place(op, t)
         return self._finish()
 
@@ -442,7 +522,7 @@ class _FirstFitScheduler:
             while head < total and issued[head]:
                 head += 1
             t += 1
-            if t > len(self.slots) + self.latency + self.options.window:
+            if t > len(self.occ) + self.latency + self.options.window:
                 raise RuntimeError("dynamic scheduler made no progress")
         return self._finish()
 

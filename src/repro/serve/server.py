@@ -23,9 +23,11 @@ API (all JSON):
 
 * ``POST /v1/solve`` — body ``{"problem": <repro-qp-v1 doc>,
   "timeout_s": <float, optional>, "session": <str, optional>}``; 200
-  with the solve payload, 400 on malformed input, 503 when the queue
-  rejects (backpressure), 504 on deadline expiry.  A ``session`` key
-  makes the warm start *sticky*: the solve restores that session's
+  with the solve payload, 400 on malformed input (on every endpoint,
+  a ``timeout_s`` that is not a finite positive number counts), 503
+  when the queue rejects (backpressure), 504 on deadline expiry.  A
+  ``session`` key makes the warm start *sticky*: the solve restores
+  that session's
   carried ``(x, y, ρ)`` and saves the new iterate back (see
   DESIGN.md §5.8).
 * ``POST /v1/sequence`` — body ``{"problem": <doc>, "steps":
@@ -52,6 +54,7 @@ API (all JSON):
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -283,6 +286,22 @@ class ServeServer:
         problem = problem_from_dict(body["problem"])
         return problem, tier.pool.fingerprint(problem)
 
+    def _parse_timeout(self, body: dict) -> float:
+        """The request's ``timeout_s`` (absent → the server default);
+        anything but a finite positive number is the client's error."""
+        raw = body.get("timeout_s")
+        if raw is None:
+            return self.default_timeout_s
+        try:
+            timeout_s = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            timeout_s = math.nan
+        if not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise ValueError(
+                f"timeout_s must be a finite positive number, got {raw!r}"
+            )
+        return timeout_s
+
     def _admit_and_wait(
         self, request: SolveRequest, timeout_s: float
     ) -> tuple[int, dict]:
@@ -317,6 +336,7 @@ class ServeServer:
         """Admit one parsed request and wait for its response."""
         self.metrics.inc("requests_total")
         try:
+            timeout_s = self._parse_timeout(body)
             problem, fingerprint = self._parse_base(body)
         except Exception as exc:
             self.metrics.inc("responses_error")
@@ -325,7 +345,6 @@ class ServeServer:
                 "detail": f"malformed problem payload: {exc}",
             }
         session = body.get("session")
-        timeout_s = float(body.get("timeout_s") or self.default_timeout_s)
         request = SolveRequest(
             problem=problem,
             fingerprint=fingerprint,
@@ -338,6 +357,7 @@ class ServeServer:
         """Admit an ordered step list onto one session, answer once."""
         self.metrics.inc("requests_total")
         try:
+            timeout_s = self._parse_timeout(body)
             base, fingerprint = self._parse_base(body)
             steps = _materialize_variants(
                 base, body.get("steps"), MAX_SEQUENCE_STEPS, "steps"
@@ -349,7 +369,6 @@ class ServeServer:
                 "detail": f"malformed sequence payload: {exc}",
             }
         session = body.get("session")
-        timeout_s = float(body.get("timeout_s") or self.default_timeout_s)
         request = SolveRequest(
             problem=steps[0],
             fingerprint=fingerprint,
@@ -363,6 +382,7 @@ class ServeServer:
         """Admit a scenario fan-out (N variants, one batched pass)."""
         self.metrics.inc("requests_total")
         try:
+            timeout_s = self._parse_timeout(body)
             base, fingerprint = self._parse_base(body)
             scenarios = _materialize_variants(
                 base, body.get("scenarios"), MAX_SCENARIO_LANES, "scenarios"
@@ -373,7 +393,6 @@ class ServeServer:
                 "status": "error",
                 "detail": f"malformed scenarios payload: {exc}",
             }
-        timeout_s = float(body.get("timeout_s") or self.default_timeout_s)
         request = SolveRequest(
             problem=scenarios[0],
             fingerprint=fingerprint,

@@ -165,6 +165,74 @@ class TestOccupancy:
         assert occ == expected
 
 
+class TestPathMaskMemo:
+    """The memoised per-path masks against the node-by-node walk they
+    replace, and the error paths the fast cases fall through to."""
+
+    @staticmethod
+    def walked(bf, src, dst):
+        mask = 0
+        for s, lane in bf.path_nodes(src, dst):
+            mask |= bf.adder_bit(s, lane)
+        return mask
+
+    @pytest.mark.parametrize("c", [2, 8, 32])
+    def test_every_path_mask_equals_the_walk(self, c):
+        bf = Butterfly(c)
+        for src in range(c):
+            for dst in range(c):
+                assert bf.path_mask(src, dst) == self.walked(bf, src, dst)
+
+    @pytest.mark.parametrize("c", [2, 8, 32])
+    def test_reduce_and_broadcast_equal_the_walk(self, c):
+        bf = Butterfly(c)
+        lanes = list(range(0, c, 3)) or [0]
+        for end in range(c):
+            for use_multipliers in (True, False):
+                want_r = want_b = 0
+                for lane in lanes:
+                    if use_multipliers:
+                        want_r |= bf.multiplier_bit(lane)
+                        want_b |= bf.multiplier_bit(lane)
+                    want_r |= self.walked(bf, lane, end)
+                    want_b |= self.walked(bf, end, lane)
+                assert want_r == bf.occupancy_reduce(
+                    lanes, end, use_multipliers=use_multipliers
+                )
+                assert want_b == bf.occupancy_broadcast(
+                    end, lanes, use_multipliers=use_multipliers
+                )
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (
+                [(0, 0), (1, 2)],
+                "flows (0, 0) and (1, 2) collide at stage 0, lane 0",
+            ),
+            (
+                [(3, 3), (0, 0), (2, 4)],
+                "flows (0, 0) and (2, 4) collide at stage 1, lane 0",
+            ),
+            ([(0, 1), (0, 2)], "source lane 0 used twice"),
+            ([(0, 5), (1, 4), (2, 4)], "destination lane 4 used twice"),
+        ],
+    )
+    def test_conflict_messages_unchanged(self, pairs, message):
+        with pytest.raises(RoutingConflict) as err:
+            Butterfly(8).occupancy_permute(pairs)
+        assert str(err.value) == message
+
+    def test_out_of_range_lane_still_rejected(self):
+        bf = Butterfly(8)
+        with pytest.raises(ValueError, match="lane 9 out of range for C=8"):
+            bf.occupancy_permute([(0, 3), (1, 2), (9, 1)])
+        with pytest.raises(ValueError, match="lane 8 out of range for C=8"):
+            bf.path_mask(0, 8)
+        with pytest.raises(ValueError, match="lane -1 out of range for C=8"):
+            bf.occupancy_reduce([-1], 0)
+
+
 class TestModeSimulation:
     """Gate-level checks: the computed mode words produce the intended
     arithmetic when values are pushed through the node array."""

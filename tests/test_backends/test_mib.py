@@ -3,6 +3,10 @@ and network-executed validation of the core kernels."""
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,6 +57,40 @@ class TestCompilation:
             assert (
                 s0.kernels.cycles(name) == s1.kernels.cycles(name)
             ), name
+
+    def test_concurrent_compiles_leave_the_collector_as_found(
+        self, small_problem
+    ):
+        """The compile pauses the cyclic collector without a lock; any
+        interleaving of compiles must hand it back enabled — and a
+        caller that had it disabled must get it back disabled."""
+        errors = []
+
+        def compile_one():
+            try:
+                for seed in range(3):
+                    MIBSolver(portfolio_problem(16, seed=seed), c=8, settings=FAST)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert gc.isenabled()
+            threads = [threading.Thread(target=compile_one) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert gc.isenabled()
+            gc.disable()
+            MIBSolver(small_problem, c=8, settings=FAST)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+            sys.setswitchinterval(interval)
 
     def test_clock_depends_on_width(self, small_problem):
         s16 = MIBSolver(small_problem, c=16, settings=FAST)

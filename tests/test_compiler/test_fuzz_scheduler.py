@@ -6,9 +6,15 @@ the result against a plain in-order interpreter of the op semantics.
 Any scheduling bug (missed dependency, port/node oversubscription,
 wrong prefetch rewrite) shows up as either a HazardViolation or a
 numeric mismatch.
+
+The same random programs are also scheduled by the set-based oracle
+(``tests/scheduler_oracle.py``): the product scheduler must emit the
+identical schedule, not merely a correct one.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +27,13 @@ from repro.arch import (
     OpKind,
     StreamBuffers,
 )
-from repro.compiler import NetworkProgram, ScheduleOptions, schedule_program
+from repro.compiler import (
+    NetworkProgram,
+    ScheduleOptions,
+    schedule_program,
+    validate_schedule,
+)
+from tests.scheduler_oracle import assert_same_schedule, oracle_schedule_program
 
 C = 8
 DEPTH = 64
@@ -146,8 +158,22 @@ def programs(draw):
     return ops
 
 
-def run_mode(ops, state, options):
+def checked_schedule(ops, options):
+    """Schedule ``ops`` (mutating them); the result must equal the
+    oracle's schedule of a copy and pass ``validate_schedule``."""
+    want = oracle_schedule_program(
+        NetworkProgram("fuzz", copy.deepcopy(ops)), C, options
+    )
     sched = schedule_program(NetworkProgram("fuzz", list(ops)), C, options)
+    assert_same_schedule(sched, want)
+    validate_schedule(sched)
+    return sched
+
+
+def run_mode(ops, state, options):
+    sched = checked_schedule(ops, options)
+    # Scratch words of prefetch copies live past DEPTH, in the
+    # register file's sparse overflow.
     sim = NetworkSimulator(C, depth=DEPTH)
     sim.rf.data[:, :] = state
     sim.run(sched.slots, StreamBuffers())
@@ -160,8 +186,6 @@ class TestSchedulerFuzz:
     def test_static_multi_issue_matches_in_order_semantics(self, ops, seed):
         state = np.random.default_rng(seed).standard_normal((C, DEPTH))
         expected = interpret(ops, state)
-        import copy
-
         got = run_mode(copy.deepcopy(ops), state, ScheduleOptions())
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -170,8 +194,6 @@ class TestSchedulerFuzz:
     def test_single_issue_matches_in_order_semantics(self, ops, seed):
         state = np.random.default_rng(seed).standard_normal((C, DEPTH))
         expected = interpret(ops, state)
-        import copy
-
         got = run_mode(
             copy.deepcopy(ops),
             state,
@@ -184,11 +206,83 @@ class TestSchedulerFuzz:
     def test_dynamic_matches_in_order_semantics(self, ops, seed, window):
         state = np.random.default_rng(seed).standard_normal((C, DEPTH))
         expected = interpret(ops, state)
-        import copy
-
         got = run_mode(
             copy.deepcopy(ops),
             state,
             ScheduleOptions(mode="dynamic", dynamic_window=window),
         )
         np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    @given(programs(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_capped_prefetch_matches_in_order_semantics(self, ops, seed, cap):
+        state = np.random.default_rng(seed).standard_normal((C, DEPTH))
+        expected = interpret(ops, state)
+        got = run_mode(
+            copy.deepcopy(ops), state, ScheduleOptions(max_prefetch=cap)
+        )
+        np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    @given(programs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_critical_path_matches_in_order_semantics(self, ops, seed):
+        state = np.random.default_rng(seed).standard_normal((C, DEPTH))
+        expected = interpret(ops, state)
+        got = run_mode(
+            copy.deepcopy(ops), state, ScheduleOptions(priority="critical_path")
+        )
+        np.testing.assert_allclose(got, expected, atol=1e-9)
+
+
+def _mac(reads, dst, tag):
+    return NetOp(
+        kind=OpKind.MAC,
+        reads=[Location("rf", bank, addr) for bank, addr in reads],
+        writes=[(Location("rf", *dst), False)],
+        coeffs=np.ones(len(reads)),
+        src_lanes=[bank for bank, _ in reads],
+        dst_lanes=[dst[0]],
+        tag=tag,
+    )
+
+
+def _read_blocked_program(copy_slot_reads_bank0: bool) -> list[NetOp]:
+    """``b`` is ready exactly when ``a`` holds bank 0's read port.
+
+    ``p`` and ``q`` issue at cycle 0 and commit X and Y one pipeline
+    latency later; ``a`` (reads X in bank 0) and ``b`` (reads bank 0 and
+    Y) both become ready in that slot, ``a`` goes first, and ``b``'s
+    only fit lies past it — unless its bank-0 operand is copied to an
+    idle bank at cycle 0, the one slot early enough.  When ``p`` itself
+    reads bank 0 that slot's read port is taken and the prefetch must
+    be declined.
+    """
+    return [
+        _mac([(0 if copy_slot_reads_bank0 else 1, 0)], (0, 1), "p"),
+        _mac([(2, 0)], (3, 1), "q"),
+        _mac([(0, 1)], (5, 2), "a"),
+        _mac([(0, 5), (3, 1)], (6, 2), "b"),
+    ]
+
+
+class TestReadBlockedSlot:
+    """The two outcomes of a first fit that lies past a read-blocked
+    slot, against the oracle and the in-order semantics."""
+
+    def _run(self, ops):
+        state = np.random.default_rng(0).standard_normal((C, DEPTH))
+        got = run_mode(copy.deepcopy(ops), state, ScheduleOptions())
+        np.testing.assert_allclose(got, interpret(ops, state), atol=1e-9)
+        return checked_schedule(copy.deepcopy(ops), ScheduleOptions())
+
+    def test_prefetch_taken_moves_the_op_into_the_blocked_slot(self):
+        sched = self._run(_read_blocked_program(False))
+        assert sched.n_prefetch == 1
+        assert [op.tag for op in sched.slots[0]] == ["p", "q", "prefetch:b"]
+        assert [op.tag for op in sched.slots[-1]] == ["a", "b"]
+
+    def test_prefetch_declined_when_no_copy_slot_is_free(self):
+        sched = self._run(_read_blocked_program(True))
+        assert sched.n_prefetch == 0
+        assert [op.tag for op in sched.slots[-2]] == ["a"]
+        assert [op.tag for op in sched.slots[-1]] == ["b"]

@@ -1,0 +1,89 @@
+"""The committed schedule digest, and the request-count guard.
+
+``golden_schedules.json`` pins every kernel schedule of the seven
+resident serving patterns at C = 8: ``cycles``, ``n_ops``,
+``n_prefetch`` and a SHA-256 over the ordered op tuples
+(:func:`tests.scheduler_oracle.schedule_signature`).  A change that
+moves a schedule — on purpose or not — must regenerate the file in the
+same commit:
+
+    PYTHONPATH=src:. python tests/test_compiler/test_golden_schedules.py
+
+The count guard replaces a stopwatch: the scheduler derives an
+instruction's bin-packing request once per placement and once more per
+prefetch rewrite, so ``request_builds`` is a function of the schedule.
+A change that goes back to deriving it per probe fails here without a
+wall-clock gate.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.backends.mib import MIBSolver
+from repro.compiler import scheduler as scheduler_module
+from repro.problems import (
+    huber_problem,
+    lasso_problem,
+    mpc_problem,
+    portfolio_problem,
+    svm_problem,
+)
+from tests.scheduler_oracle import schedule_digest
+
+GOLDEN = Path(__file__).with_name("golden_schedules.json")
+C = 8
+
+# The e2e benchmark's resident patterns, rebuilt from repro.problems.
+PATTERNS = {
+    "lasso": lambda: lasso_problem(16, n_samples=64, seed=0),
+    "mpc": lambda: mpc_problem(6, seed=0),
+    "portfolio": lambda: portfolio_problem(48, seed=0),
+    "svm": lambda: svm_problem(10, n_samples=40, seed=0),
+    "huber": lambda: huber_problem(10, n_samples=30, seed=0),
+    "portfolio160": lambda: portfolio_problem(160, seed=0),
+    "lasso32": lambda: lasso_problem(32, n_samples=128, seed=0),
+}
+
+
+def digests(pattern: str) -> dict[str, dict]:
+    solver = MIBSolver(PATTERNS[pattern](), c=C)
+    return {
+        name: schedule_digest(sched)
+        for name, sched in sorted(solver.kernels.schedules.items())
+    }
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_schedules_match_committed_digest(pattern):
+    golden = json.loads(GOLDEN.read_text())
+    assert digests(pattern) == golden[pattern]
+
+
+@pytest.mark.parametrize("pattern", ["lasso", "mpc"])
+def test_request_built_once_per_placement(pattern, monkeypatch):
+    finished = []
+
+    class Counting(scheduler_module._FirstFitScheduler):
+        def _finish(self):
+            schedule = super()._finish()
+            finished.append((self.request_builds, schedule))
+            return schedule
+
+    monkeypatch.setattr(scheduler_module, "_FirstFitScheduler", Counting)
+    MIBSolver(PATTERNS[pattern](), c=C)
+    assert len(finished) == 6
+    assert sum(s.n_prefetch for _, s in finished) > 0
+    for builds, schedule in finished:
+        assert builds == schedule.n_ops + schedule.n_prefetch, schedule.name
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({p: digests(p) for p in PATTERNS}, indent=1, sort_keys=True)
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")

@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.io import problem_to_dict
 from repro.problems import (
     huber_problem,
     lasso_problem,
@@ -91,6 +92,46 @@ class TestSolveEndpoint:
         status, payload = client._request("/v1/solve", body=[1, 2, 3])
         assert status == 400
         assert payload["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "bad", ["abc", -1.0, 0, float("nan"), float("inf"), [5], {}]
+    )
+    @pytest.mark.parametrize(
+        "path, extra",
+        [
+            ("/v1/solve", {}),
+            ("/v1/sequence", {"steps": [{}], "session": "bad-timeout"}),
+            ("/v1/scenarios", {"scenarios": [{}, {}]}),
+        ],
+    )
+    def test_malformed_timeout_is_a_400(self, client, path, extra, bad):
+        """A bad ``timeout_s`` is answered, not a dropped socket (which
+        the client would retry), and never reaches the queue."""
+        body = {"problem": problem_to_dict(portfolio_problem(8, seed=0)), **extra}
+        before = client.metrics()["counters"]
+        status, payload = client._request(
+            path, body={**body, "timeout_s": bad}, retry=False
+        )
+        assert status == 400
+        assert payload["status"] == "error"
+        assert "timeout_s" in payload["detail"]
+        after = client.metrics()["counters"]
+        assert after["responses_error"] == before["responses_error"] + 1
+        assert after["timeouts"] == before["timeouts"]
+
+    @pytest.mark.parametrize(
+        "path, extra",
+        [
+            ("/v1/solve", {}),
+            ("/v1/sequence", {"steps": [{}], "session": "good-timeout"}),
+            ("/v1/scenarios", {"scenarios": [{}, {}]}),
+        ],
+    )
+    def test_absent_and_numeric_timeouts_are_accepted(self, client, path, extra):
+        body = {"problem": problem_to_dict(portfolio_problem(8, seed=0)), **extra}
+        for timeout in ({}, {"timeout_s": None}, {"timeout_s": 60}):
+            status, payload = client._request(path, body={**body, **timeout})
+            assert status == 200, payload
 
     def test_unknown_endpoint_is_a_404(self, client):
         assert client._request("/v1/nope")[0] == 404
