@@ -20,7 +20,7 @@ compared bitwise against the sequential oracle — ``bind_instance`` +
 ``solve_on_network`` on the same solver — and the per-lane verdicts
 land in the JSON as ``bit_identical_lanes``.
 
-Writes ``BENCH_batch.json`` (repo root + ``benchmarks/results/``).
+Writes ``benchmarks/results/BENCH_batch.json``.
 
 Runnable two ways:
 

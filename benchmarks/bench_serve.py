@@ -20,7 +20,7 @@ serving economics of the paper's compile-once/solve-many argument:
   cold iterates; the controller warms up on unmeasured bursts first,
   the way a live service would have history.
 
-Writes ``BENCH_serve.json`` (repo root + ``benchmarks/results/``) with
+Writes ``benchmarks/results/BENCH_serve.json`` with
 p50/p95/p99 latency and throughput for every phase.
 
 Runnable two ways:

@@ -20,7 +20,7 @@ perturbed per request) and measures what sharding is for:
   or fast 503, never a hang), the shard respawns, and the pattern it
   owned serves again.
 
-Writes ``BENCH_shard.json`` (repo root + ``benchmarks/results/``).
+Writes ``benchmarks/results/BENCH_shard.json``.
 
 Runnable two ways:
 

@@ -7,7 +7,7 @@ wall time inside the per-iteration kernel loop of
 under all three execution modes on one representative of each of the
 five problem domains, verifies replay and fused results are
 bit-identical to the interpretive oracle, and writes
-``BENCH_solve.json`` (repo root + ``benchmarks/results/``).
+``benchmarks/results/BENCH_solve.json``.
 
 Runnable two ways:
 

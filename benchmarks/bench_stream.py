@@ -28,7 +28,7 @@ an amortization, not an approximation, and the JSON wire preserves
 float64 exactly, so the comparison is ``np.array_equal`` — no
 tolerance.
 
-Writes ``BENCH_stream.json`` (repo root + ``benchmarks/results/``).
+Writes ``benchmarks/results/BENCH_stream.json``.
 
 Runnable two ways:
 

@@ -17,7 +17,6 @@ import numpy as np
 from repro.solver import QPProblem, Settings
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Benchmark-harness solver settings: the paper's default tolerances.
 BENCH_SETTINGS = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=4000)
@@ -62,15 +61,11 @@ def emit(name: str, text: str) -> None:
 
 
 def write_json(name: str, doc: dict, *, sort_keys: bool = True) -> Path:
-    """Persist a benchmark document to the repo root *and*
-    ``benchmarks/results/`` (the convention every ``BENCH_*.json``
-    artifact follows)."""
-    payload = json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
-    out = REPO_ROOT / name
-    out.write_text(payload)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload)
-    return out
+    """Persist a benchmark document under ``benchmarks/results/`` (the
+    one home of every ``BENCH_*.json`` artifact)."""
+    return write_result(
+        name, json.dumps(doc, indent=2, sort_keys=sort_keys)
+    )
 
 
 def print_check_failures(failures: list[str]) -> int:

@@ -475,9 +475,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument(
         "--execution",
-        choices=("interpret", "replay", "fused"),
+        choices=("replay", "fused"),
         default="replay",
-        help="execution mode for every pooled solver (see 'solve')",
+        help="execution mode for every pooled solver (see 'solve'; "
+        "no serving path runs the 'interpret' oracle)",
     )
     p.add_argument(
         "--array-backend",

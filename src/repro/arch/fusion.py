@@ -1058,22 +1058,6 @@ class FusedTrace:
             "crossings": int(self.iteration_crossings()),
         }
 
-    # -- replay entry points (delegate to the run objects) -------------
-    def replay_fused(
-        self, run: "FusedRun", sim, streams, count: int | None = None
-    ) -> SimulationStats:
-        """Execute the first ``count`` fused segments (default: all)
-        against a run's persistent state, syncing in from ``sim`` and
-        ``streams`` first if the run was invalidated."""
-        return run.replay(sim, streams, count)
-
-    def replay_fused_batch(
-        self, run: "FusedBatchRun", ctx, streams, count: int | None = None
-    ) -> SimulationStats:
-        """Batched counterpart of :meth:`replay_fused` over a
-        :class:`~repro.arch.batch.BatchSimState`."""
-        return run.replay(ctx, streams, count)
-
 
 def fusion_stamp_matches(
     stamp: dict | None,

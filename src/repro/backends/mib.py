@@ -60,6 +60,7 @@ from ..compiler import (
 from ..solver import (
     DirectKKTSolver,
     IndirectKKTSolver,
+    OpTrace,
     OSQPSolver,
     QPProblem,
     Settings,
@@ -89,7 +90,7 @@ PCIE_LATENCY = 10e-6  # per transfer
 
 # The ADMM loop body as data: the kernels one iteration executes, in
 # order, plus the residual products appended on check iterations.  The
-# iteration engines below and the fusion pass both consume this program
+# iteration engine below and the fusion pass both consume this program
 # rather than hard-coding kernel names in control flow.
 ITERATION_KERNELS = ("iter_pre", "kkt_solve", "iter_post")
 CHECK_KERNELS = ("residuals",)
@@ -272,8 +273,30 @@ class _BatchMaps:
         )[: self.n]
 
 
+def _propose_rho(rho, prim, dual, eps_prim, eps_dual, settings):
+    """OSQP's residual-balancing ρ proposal, one value per lane.
+
+    Returns ``(new_rho, trigger)``: ρ·√(normalised primal over
+    normalised dual residual), clipped to the settings' range, and
+    whether it left the ``adaptive_rho_tolerance`` band around the
+    current ρ — only then is a refactorization worth its cycles.  The
+    one ρ rule of the network loop; the host reference keeps its own
+    (``OSQPSolver._maybe_update_rho``) as the oracle the loop's
+    ``rho_updates`` are held against.
+    """
+    ratio = (prim / np.maximum(eps_prim, 1e-12)) / np.maximum(
+        dual / np.maximum(eps_dual, 1e-12), 1e-12
+    )
+    new_rho = np.clip(
+        rho * np.sqrt(ratio), settings.rho_min, settings.rho_max
+    )
+    tol = settings.adaptive_rho_tolerance
+    return new_rho, (new_rho > rho * tol) | (new_rho < rho / tol)
+
+
+@dataclass(kw_only=True)
 class _LaneGroup:
-    """Batch lanes advancing in lockstep through the ADMM loop.
+    """Lanes advancing in lockstep through the ADMM loop.
 
     One kernel replay serves every lane in the group; per-lane numeric
     state lives in the batched context/streams/value arrays.  Lanes
@@ -283,44 +306,45 @@ class _LaneGroup:
     factorization they did not ask for.
     """
 
-    def __init__(
-        self,
-        *,
-        ids: np.ndarray,
-        ctx: BatchSimState,
-        streams: BatchStreamBuffers,
-        arrays: dict[str, np.ndarray],
-        rho: np.ndarray,
-        cycles: np.ndarray,
-        rho_updates: np.ndarray,
-        crossings: np.ndarray | None = None,
-        start_iteration: int = 0,
-        solo: bool = False,
-        needs_refactor: bool = True,
-        bailed: bool = False,
-    ) -> None:
-        self.ids = ids
-        self.ctx = ctx
-        self.streams = streams
-        self.arrays = arrays
-        self.rho = rho
-        self.cycles = cycles
-        self.rho_updates = rho_updates
-        self.crossings = (
-            crossings
-            if crossings is not None
-            else np.zeros(ids.size, dtype=np.int64)
-        )
-        self.start_iteration = start_iteration
-        self.solo = solo
-        # Whether the group must run the factor kernel before its first
-        # KKT solve.  True for the root group (initial factorization)
-        # and ρ-split children (the spawner installed a new ρ); False
-        # for bail-out children, whose extracted streams already carry
-        # the lane's live L/Dinv rows — rerunning factor would charge
-        # cycles a solo solve never pays.
-        self.needs_refactor = needs_refactor
-        self.bailed = bailed
+    ids: np.ndarray
+    ctx: BatchSimState
+    streams: BatchStreamBuffers
+    arrays: dict[str, np.ndarray]
+    rho: np.ndarray
+    cycles: np.ndarray
+    rho_updates: np.ndarray
+    crossings: np.ndarray
+    start_iteration: int = 0
+    solo: bool = False
+    # Whether the group must run the factor kernel before its first
+    # KKT solve.  True for the root group (initial factorization)
+    # and ρ-split children (the spawner installed a new ρ); False
+    # for bail-out children, whose extracted streams already carry
+    # the lane's live L/Dinv rows — rerunning factor would charge
+    # cycles a solo solve never pays.
+    needs_refactor: bool = True
+    bailed: bool = False
+
+    # -- storage, the one thing _BoundLane overrides: B rows of batch
+    # state here, and kernels always replay traces ----------------------
+    def run_kernel(self, solver: "MIBSolver", name: str) -> SimulationStats:
+        sim = solver._network_sim(reset=False)
+        return solver._trace(name, sim).replay_batch(self.ctx, self.streams)
+
+    def fused_run(self, solver: "MIBSolver", trace: FusedTrace):
+        return FusedBatchRun(trace)
+
+    def read_vector(self, view) -> np.ndarray:
+        return self.ctx.read_vector(view)
+
+    def lbuf_matrix(self, count: int) -> np.ndarray:
+        return self.ctx.lbuf_matrix(count)
+
+    def bind(self, name: str, rows: np.ndarray) -> None:
+        self.streams.bind(name, rows)
+
+    def rho_installed(self, solver: "MIBSolver", rho, rho_vec) -> None:
+        """Batch lanes carry their own ρ; the solver's is untouched."""
 
     def compact(self, keep: np.ndarray) -> None:
         self.ids = self.ids[keep]
@@ -359,151 +383,100 @@ class _LaneGroup:
         )
 
 
-class _ReplayIterationEngine:
-    """Per-kernel iteration loop body for the sequential network solve.
+class _BoundLane(_LaneGroup):
+    """The bound instance as a one-lane group: the same storage surface
+    at width 1 over the solver's :class:`NetworkSimulator` image
+    (``ctx``) and plain :class:`StreamBuffers` — what
+    :meth:`MIBSolver.solve_on_network` runs.
 
-    Runs :data:`ITERATION_KERNELS` (plus :data:`CHECK_KERNELS` on check
-    iterations) one compiled kernel at a time through the solver's
-    configured ``replay``/``interpret`` dispatch.  State lives in the
-    simulator image at all times, so the flush/invalidate hooks of the
-    engine protocol are no-ops.
+    Kernels keep the solver's per-kernel ``interpret``/``replay``
+    dispatch.  One lane adapts ρ in place and is never split, so
+    ``extract`` is never reached and ``compact`` only ever sees the
+    group become empty.
     """
 
-    def __init__(
-        self, solver: "MIBSolver", sim: NetworkSimulator, streams
-    ) -> None:
+    def run_kernel(self, solver: "MIBSolver", name: str) -> SimulationStats:
+        return solver._run_kernel(self.ctx, name, self.streams)
+
+    def fused_run(self, solver: "MIBSolver", trace: FusedTrace):
+        return FusedRun(trace, solver._xp_seq)
+
+    def read_vector(self, view) -> np.ndarray:
+        return self.ctx.rf.read_vector(view)[None]
+
+    def lbuf_matrix(self, count: int) -> np.ndarray:
+        lbuf = self.ctx.lbuf
+        return np.array([[lbuf.get(p, 0.0) for p in range(count)]])
+
+    def bind(self, name: str, rows: np.ndarray) -> None:
+        self.streams.bind(name, rows[0])
+
+    def rho_installed(self, solver: "MIBSolver", rho, rho_vec) -> None:
+        """Write an adapted ρ through to the bound instance: the
+        solver's ρ and host factorization follow the network's, as they
+        always have.  ``reference.rho_vec`` is *not* refreshed — it
+        never was, so a host ``solve()`` straight after an adapting
+        network solve pairs a stale vector with the new factor (ROADMAP
+        records it; rebinding resets all three)."""
+        solver.reference.rho = rho
+        solver.reference.kkt_solver.update_rho(rho_vec)
+
+    def compact(self, keep: np.ndarray) -> None:
+        self.ids = self.ids[keep]
+
+
+class _IterationEngine:
+    """The ADMM loop body over one lane group's storage.
+
+    Per kernel (``fused=False``) it runs :data:`ITERATION_KERNELS`
+    (plus :data:`CHECK_KERNELS` on check iterations) one at a time
+    through the group; state lives in the group's image at all times,
+    so ``flush``/``invalidate`` are no-ops.  Fused, it replays one
+    :class:`FusedTrace` per iteration against persistent fused state:
+    ``flush`` scatters the fused-written words back to the image —
+    before a refactorization, or before lane surgery (harvest
+    compaction, solo extraction) edits it — and ``invalidate`` marks
+    the fused state stale so the next replay re-syncs from the image
+    and the rebound streams, at the group's new width.
+    """
+
+    def __init__(self, solver: "MIBSolver", g: _LaneGroup, *, fused: bool):
         self.solver = solver
-        self.sim = sim
-        self.streams = streams
+        self.g = g
+        self.run_state: FusedRun | FusedBatchRun | None = None
+        if fused:
+            trace = solver._fused_trace(solver._network_sim(reset=False))
+            self._n_iter = trace.segment_index(ITERATION_KERNELS)
+            self.run_state = g.fused_run(solver, trace)
 
     def run(self, *, check: bool) -> SimulationStats:
+        if self.run_state is not None:
+            return self.run_state.replay(
+                self.g.ctx, self.g.streams, None if check else self._n_iter
+            )
         total = SimulationStats()
-        names = ITERATION_KERNELS + (CHECK_KERNELS if check else ())
-        for name in names:
-            stats = self.solver._run_kernel(self.sim, name, self.streams)
+        for name in ITERATION_KERNELS + (CHECK_KERNELS if check else ()):
+            stats = self.g.run_kernel(self.solver, name)
             total.cycles += stats.cycles
             total.host_crossings += stats.host_crossings
             total.phases_executed += stats.phases_executed
         return total
 
     def read_view(self, view) -> np.ndarray:
-        return self.sim.rf.read_vector(view)
-
-    def flush(self) -> None:
-        pass
-
-    def invalidate(self) -> None:
-        pass
-
-
-class _FusedIterationEngine:
-    """Whole-iteration loop body: one :class:`FusedTrace` replay per
-    iteration, with persistent fused state between iterations.
-
-    ``flush`` scatters the fused-written words back to the simulator
-    image (before a refactorization or any non-fused kernel touches
-    it); ``invalidate`` marks the fused state stale so the next replay
-    re-syncs from the image and the rebound streams.
-    """
-
-    def __init__(
-        self, solver: "MIBSolver", sim: NetworkSimulator, streams
-    ) -> None:
-        self.sim = sim
-        self.streams = streams
-        self.trace = solver._fused_trace(sim)
-        self._n_iter = self.trace.segment_index(ITERATION_KERNELS)
-        self.run_state = FusedRun(self.trace, solver._xp_seq)
-
-    def run(self, *, check: bool) -> SimulationStats:
-        count = None if check else self._n_iter
-        return self.trace.replay_fused(
-            self.run_state, self.sim, self.streams, count
-        )
-
-    def read_view(self, view) -> np.ndarray:
-        if not self.run_state.valid:
+        """Current per-lane value of an allocator view, ``(B, len)``."""
+        if self.run_state is None or not self.run_state.valid:
             # Invalidation always follows a flush, so the image is
             # current whenever the fused state is not.
-            return self.sim.rf.read_vector(view)
-        return self.run_state.read_view(self.sim, view)
+            return self.g.read_vector(view)
+        return np.atleast_2d(self.run_state.read_view(self.g.ctx, view))
 
     def flush(self) -> None:
-        if self.run_state.valid:
-            self.run_state.sync_out(self.sim)
-
-    def invalidate(self) -> None:
-        self.run_state.invalidate()
-
-
-class _ReplayBatchIterationEngine:
-    """Per-kernel batched loop body (replay/interpret-free: the batch
-    path always replays traces)."""
-
-    def __init__(
-        self, solver: "MIBSolver", sim: NetworkSimulator, g: _LaneGroup
-    ) -> None:
-        self.solver = solver
-        self.sim = sim
-        self.g = g
-
-    def run(self, *, check: bool) -> SimulationStats:
-        total = SimulationStats()
-        names = ITERATION_KERNELS + (CHECK_KERNELS if check else ())
-        for name in names:
-            stats = self.solver._trace(name, self.sim).replay_batch(
-                self.g.ctx, self.g.streams
-            )
-            total.cycles += stats.cycles
-            total.host_crossings += stats.host_crossings
-            total.phases_executed += stats.phases_executed
-        return total
-
-    def read_view(self, view) -> np.ndarray:
-        return self.g.ctx.read_vector(view)
-
-    def flush(self) -> None:
-        pass
-
-    def invalidate(self) -> None:
-        pass
-
-
-class _FusedBatchIterationEngine:
-    """Whole-iteration batched loop body over a
-    :class:`~repro.arch.batch.BatchSimState`.
-
-    The solver flushes before any lane surgery (harvest compaction,
-    solo extraction, refactorization) so the context is current, then
-    invalidates; the next replay re-syncs from the surgically updated
-    context at its new width.
-    """
-
-    def __init__(
-        self, solver: "MIBSolver", sim: NetworkSimulator, g: _LaneGroup
-    ) -> None:
-        self.g = g
-        self.trace = solver._fused_trace(sim)
-        self._n_iter = self.trace.segment_index(ITERATION_KERNELS)
-        self.run_state = FusedBatchRun(self.trace)
-
-    def run(self, *, check: bool) -> SimulationStats:
-        count = None if check else self._n_iter
-        return self.trace.replay_fused_batch(
-            self.run_state, self.g.ctx, self.g.streams, count
-        )
-
-    def read_view(self, view) -> np.ndarray:
-        if not self.run_state.valid:
-            return self.g.ctx.read_vector(view)
-        return self.run_state.read_view(self.g.ctx, view)
-
-    def flush(self) -> None:
-        if self.run_state.valid:
+        if self.run_state is not None and self.run_state.valid:
             self.run_state.sync_out(self.g.ctx)
 
     def invalidate(self) -> None:
-        self.run_state.invalidate()
+        if self.run_state is not None:
+            self.run_state.invalidate()
 
 
 class MIBSolver:
@@ -806,18 +779,6 @@ class MIBSolver:
         ):
             self.cache.put(self.cache_key, self._to_artifact(self.cache_key))
         self._stamps_dirty = False
-
-    def _iteration_engine(self, sim: NetworkSimulator, streams):
-        """The sequential ADMM loop body for the configured mode."""
-        if self.execution == "fused":
-            return _FusedIterationEngine(self, sim, streams)
-        return _ReplayIterationEngine(self, sim, streams)
-
-    def _batch_iteration_engine(self, sim: NetworkSimulator, g: _LaneGroup):
-        """The batched ADMM loop body for the configured mode."""
-        if self.execution == "fused":
-            return _FusedBatchIterationEngine(self, sim, g)
-        return _ReplayBatchIterationEngine(self, sim, g)
 
     def iteration_crossings(self, *, check: bool = False, xp=None) -> int:
         """Steady-state host→backend crossings of one network-executed
@@ -1141,32 +1102,37 @@ class MIBSolver:
         iters = result.iterations
         checks = iters // st.check_interval + 1
         invocations: dict[str, int] = {"admm_vector": iters, "residuals": checks}
-        cycles = self.data_load_cycles()
-        cycles += iters * self.kernels.cycles("admm_vector")
-        cycles += checks * self.kernels.cycles("residuals")
         if self.variant == "direct":
             invocations["kkt_solve"] = iters
             invocations["factor"] = 1 + result.rho_updates
-            cycles += iters * self.kernels.cycles("kkt_solve")
-            cycles += (1 + result.rho_updates) * self.kernels.cycles("factor")
         else:
             kkt = self.reference.kkt_solver
             assert isinstance(kkt, IndirectKKTSolver)
             cg_iters = kkt.diagnostics.total_iterations
-            cg_calls = kkt.diagnostics.calls
-            invocations["apply_s"] = cg_iters + cg_calls
+            invocations["apply_s"] = cg_iters + kkt.diagnostics.calls
             invocations["cg_vector"] = cg_iters
-            cycles += (cg_iters + cg_calls) * self.kernels.cycles("apply_s")
-            cycles += cg_iters * self.kernels.cycles("cg_vector")
+        # The pricing model: every kernel invocation at its scheduled
+        # cycle count, on top of the initial data load.
+        cycles = self.data_load_cycles() + sum(
+            count * self.kernels.cycles(name)
+            for name, count in invocations.items()
+        )
+        return self._priced(result, cycles, invocations)
+
+    def _priced(
+        self, result: SolveResult, cycles: int, invocations: dict[str, int]
+    ) -> MIBSolveReport:
+        """The pricing model's last step, shared by every priced
+        solve: device cycles at the clock plus the PCIe transfer of the
+        instance in and the solution out."""
         transfer_bytes = 4 * (
             self.problem.nnz + 2 * self.problem.n + 4 * self.problem.m
         )
         transfer = 2 * PCIE_LATENCY + transfer_bytes / PCIE_BANDWIDTH
-        runtime = cycles / self.clock_hz + transfer
         return MIBSolveReport(
             result=result,
             cycles=cycles,
-            runtime_seconds=runtime,
+            runtime_seconds=cycles / self.clock_hz + transfer,
             clock_hz=self.clock_hz,
             kernel_cycles={
                 k: s.cycles for k, s in self.kernels.schedules.items()
@@ -1174,6 +1140,38 @@ class MIBSolver:
             kernel_invocations=invocations,
             transfer_seconds=transfer,
         )
+
+    def lane_report(self, lane: "MIBNetworkSolveReport") -> MIBSolveReport:
+        """A network-executed lane (of :meth:`solve_batch`, or a
+        :meth:`solve_on_network` run) as a priced :class:`MIBSolveReport`:
+        its executed cycles, and the kernel invocations the loop made —
+        one residual check per ``check_interval`` iterations plus the
+        forced one when the lane stopped between checks."""
+        iters = lane.iterations
+        result = SolveResult(
+            status=lane.status,
+            x=lane.x,
+            y=lane.y,
+            z=lane.z,
+            iterations=iters,
+            objective=lane.objective,
+            primal_residual=lane.primal_residual,
+            dual_residual=lane.dual_residual,
+            rho_updates=lane.rho_updates,
+            trace=OpTrace(),
+            primal_infeasibility_certificate=(
+                lane.primal_infeasibility_certificate
+            ),
+            dual_infeasibility_certificate=(
+                lane.dual_infeasibility_certificate
+            ),
+        )
+        invocations = dict.fromkeys(ITERATION_KERNELS, iters)
+        invocations["residuals"] = -(
+            -iters // self.reference.settings.check_interval
+        )
+        invocations["factor"] = 1 + lane.rho_updates
+        return self._priced(result, lane.cycles, invocations)
 
     # ------------------------------------------------------------------
     # network-executed validation paths
@@ -1226,137 +1224,36 @@ class MIBSolver:
         """
         if self.variant != "direct":
             raise ValueError("solve_on_network supports the direct variant")
-        st = self.reference.settings
-        sc = self.reference.scaling
-        sp = sc.scaled
-        ks = self.reference.kkt_solver
+        ref = self.reference
+        sp = ref.scaling.scaled
+        ks = ref.kkt_solver
         assert isinstance(ks, DirectKKTSolver)
-        n, m = sp.n, sp.m
-        max_iter = max_iter or st.max_iter
-
-        sim = self._network_sim()
-        streams = StreamBuffers()
-        streams.bind("q", sp.q)
-        streams.bind("A", sp.a.data)
-        streams.bind("P", sp.p_full.data)
-        streams.bind("bounds", np.concatenate([sp.l, sp.u]))
-        rho = self.reference.rho
-        rho_vec = self.reference.rho_vec.copy()
-        sym = ks.symbolic
-        alloc = self.builder.alloc
-        total_cycles = 0
-        total_crossings = 0
-        rho_updates = 0
-        engine = self._iteration_engine(sim, streams)
-
-        def bind_rho() -> None:
-            streams.bind("rho", rho_vec)
-            streams.bind("rho_inv", 1.0 / rho_vec)
-
-        def refactor() -> int:
-            nonlocal total_crossings
-            # The factor kernel runs outside the fused iteration: flush
-            # the fused state to the image first, and invalidate after
-            # so the next iteration re-syncs against the rebound
-            # L/Dinv/rho streams.
-            engine.flush()
-            streams.bind("K", ks._permuted_upper.data)
-            stats = self._run_kernel(sim, "factor", streams)
-            streams.bind(
-                "L",
-                np.array([sim.lbuf.get(p, 0.0) for p in range(sym.l_nnz)]),
-            )
-            streams.bind(
-                "Dinv", sim.rf.read_vector(alloc.get("factor_dinv"))
-            )
-            engine.invalidate()
-            total_crossings += stats.host_crossings
-            return stats.cycles
-
-        bind_rho()
-        total_cycles += self.data_load_cycles()
-        total_cycles += refactor()
-
-        status = SolverStatus.MAX_ITERATIONS
-        prim_res = dual_res = float("inf")
-        prim_cert: np.ndarray | None = None
-        dual_cert: np.ndarray | None = None
-        iteration = 0
-        for iteration in range(1, max_iter + 1):
-            check = (
-                iteration % st.check_interval == 0 or iteration == max_iter
-            )
-            if check:
-                # Previous-iteration iterates for the δx/δy certificates.
-                x_prev = engine.read_view(alloc.get("adm_x"))
-                y_prev = engine.read_view(alloc.get("adm_y"))
-            stats = engine.run(check=check)
-            total_cycles += stats.cycles
-            total_crossings += stats.host_crossings
-            if not check:
-                continue
-            ax = engine.read_view(alloc.get("res_ax"))
-            px = engine.read_view(alloc.get("res_px"))
-            aty = engine.read_view(alloc.get("res_aty"))
-            z = engine.read_view(alloc.get("adm_z"))
-            prim_res, dual_res, eps_prim, eps_dual = residuals_from_products(
-                sc, st, ax=ax, px=px, aty=aty, z=z
-            )
-            if prim_res <= eps_prim and dual_res <= eps_dual:
-                status = SolverStatus.SOLVED
-                break
-            dy = engine.read_view(alloc.get("adm_y")) - y_prev
-            if self.reference._primal_infeasible(dy):
-                status = SolverStatus.PRIMAL_INFEASIBLE
-                prim_cert = sc.e * dy / sc.c
-                break
-            dx = engine.read_view(alloc.get("adm_x")) - x_prev
-            if self.reference._dual_infeasible(dx):
-                status = SolverStatus.DUAL_INFEASIBLE
-                dual_cert = sc.d * dx
-                break
-            if (
-                st.adaptive_rho
-                and iteration % st.adaptive_rho_interval == 0
-                and iteration < max_iter
-            ):
-                ratio = (prim_res / max(eps_prim, 1e-12)) / max(
-                    dual_res / max(eps_dual, 1e-12), 1e-12
-                )
-                new_rho = float(
-                    np.clip(rho * np.sqrt(ratio), st.rho_min, st.rho_max)
-                )
-                if (
-                    new_rho > rho * st.adaptive_rho_tolerance
-                    or new_rho < rho / st.adaptive_rho_tolerance
-                ):
-                    rho = new_rho
-                    self.reference.rho = new_rho
-                    rho_vec = self.reference._build_rho_vec(new_rho)
-                    ks.update_rho(rho_vec)
-                    bind_rho()
-                    total_cycles += refactor()
-                    rho_updates += 1
-
-        x = engine.read_view(alloc.get("adm_x"))
-        z = engine.read_view(alloc.get("adm_z"))
-        y = engine.read_view(alloc.get("adm_y"))
-        self._flush_stamps()
-        return MIBNetworkSolveReport(
-            status=status,
-            x=sc.unscale_x(x),
-            z=sc.unscale_z(z),
-            y=sc.unscale_y(y),
-            iterations=iteration,
-            cycles=total_cycles,
-            primal_residual=prim_res,
-            dual_residual=dual_res,
-            rho_updates=rho_updates,
-            objective=self.problem.objective(sc.unscale_x(x)),
-            primal_infeasibility_certificate=prim_cert,
-            dual_infeasibility_certificate=dual_cert,
-            host_crossings=total_crossings,
+        # The one-lane case of the lockstep loop, over the simulator
+        # image.  The lane is the *bound* instance's state — its scaled
+        # values, ρ and live KKT data — not a re-scaling of the raw
+        # problem: construction-time Ruiz scaling differs in the last
+        # ulp from the one-shot rescale the batch maps replicate.
+        lane = {
+            "q": sp.q,
+            "a": sp.a.data,
+            "pf": sp.p_full.data,
+            "l": sp.l,
+            "u": sp.u,
+            "rho_vec": ref.rho_vec,
+            "kdata": ks.kkt.matrix.data,
+        }
+        group = self._root_group(
+            _BoundLane,
+            self._network_sim(),
+            StreamBuffers(),
+            np.array([ref.rho], dtype=np.float64),
+            {name: arr[None].copy() for name, arr in lane.items()},
         )
+        reports: dict[int, MIBNetworkSolveReport] = {}
+        max_iter = max_iter or ref.settings.max_iter
+        self._run_batch_group(group, [self.problem], reports, [], max_iter)
+        self._flush_stamps()
+        return reports[0]
 
     def bind_instance(
         self, problem: QPProblem, *, rho0: float | None = None
@@ -1456,9 +1353,36 @@ class MIBSolver:
         )
         g.arrays["rho_vec"][row] = rv
         g.arrays["kdata"][row, maps.rho_positions] = -1.0 / rv
-        g.streams.bind("rho", g.arrays["rho_vec"])
-        g.streams.bind("rho_inv", 1.0 / g.arrays["rho_vec"])
+        g.bind("rho", g.arrays["rho_vec"])
+        g.bind("rho_inv", 1.0 / g.arrays["rho_vec"])
+        g.rho_installed(self, new_rho, rv)
         g.rho_updates[row] += 1
+
+    def _root_group(
+        self, group_cls, ctx, streams, rho: np.ndarray, arrays: dict
+    ) -> _LaneGroup:
+        """The group every lane of a pass starts in, its per-lane value
+        rows (*scaled* ``q``/``a``/``pf``/``l``/``u``, ``rho_vec`` and
+        KKT ``kdata``) bound as the kernels' streams."""
+        group = group_cls(
+            ids=np.arange(rho.size),
+            ctx=ctx,
+            streams=streams,
+            arrays=arrays,
+            rho=rho,
+            cycles=np.full(rho.size, self.data_load_cycles(), dtype=np.int64),
+            rho_updates=np.zeros(rho.size, dtype=np.int64),
+            crossings=np.zeros(rho.size, dtype=np.int64),
+        )
+        group.bind("q", arrays["q"])
+        group.bind("A", arrays["a"])
+        group.bind("P", arrays["pf"])
+        group.bind(
+            "bounds", np.concatenate([arrays["l"], arrays["u"]], axis=1)
+        )
+        group.bind("rho", arrays["rho_vec"])
+        group.bind("rho_inv", 1.0 / arrays["rho_vec"])
+        return group
 
     def solve_batch(
         self,
@@ -1556,18 +1480,12 @@ class MIBSolver:
             latency=sim.bf.latency + sim.extra_latency,
             xp=xp,
         )
-        streams = BatchStreamBuffers(b, xp)
-        streams.bind("q", q_s)
-        streams.bind("A", a_s)
-        streams.bind("P", pf_s)
-        streams.bind("bounds", np.concatenate([l_s, u_s], axis=1))
-        streams.bind("rho", rho_vec)
-        streams.bind("rho_inv", 1.0 / rho_vec)
-        group = _LaneGroup(
-            ids=np.arange(b),
-            ctx=ctx,
-            streams=streams,
-            arrays={
+        group = self._root_group(
+            _LaneGroup,
+            ctx,
+            BatchStreamBuffers(b, xp),
+            rho,
+            {
                 "q": q_s,
                 "a": a_s,
                 "pf": pf_s,
@@ -1576,9 +1494,6 @@ class MIBSolver:
                 "rho_vec": rho_vec,
                 "kdata": kdata,
             },
-            rho=rho,
-            cycles=np.full(b, self.data_load_cycles(), dtype=np.int64),
-            rho_updates=np.zeros(b, dtype=np.int64),
         )
         reports: dict[int, MIBNetworkSolveReport] = {}
         pending = [group]
@@ -1588,7 +1503,6 @@ class MIBSolver:
                 problems,
                 reports,
                 pending,
-                sim,
                 max_iter,
                 progress=progress,
                 on_lane=on_lane,
@@ -1612,18 +1526,21 @@ class MIBSolver:
         problems: list[QPProblem],
         reports: dict[int, MIBNetworkSolveReport],
         pending: list[_LaneGroup],
-        sim: NetworkSimulator,
         max_iter: int,
         *,
         progress=None,
         on_lane=None,
     ) -> None:
-        """Advance one lockstep group to completion.
+        """Advance one lockstep group to completion: the network ADMM
+        loop, for :meth:`solve_batch` groups and for the one-lane group
+        :meth:`solve_on_network` builds over the simulator image.
 
-        Mirrors :meth:`solve_on_network` per lane: same kernel order,
-        same check schedule, same convergence → primal-infeasibility →
-        dual-infeasibility → ρ-adaptation decision order, same cycle
-        accounting.
+        Per lane: the kernels of Algorithm 1 in order, a residual check
+        every ``check_interval`` iterations (and a forced one at
+        ``max_iter``), and at each check the decision order convergence
+        → primal infeasibility → dual infeasibility → ρ adaptation —
+        the host reference's (:meth:`OSQPSolver.solve`), which the
+        loop's iterations, ρ updates and status are held against.
         """
         st = self.reference.settings
         sc = self.reference.scaling
@@ -1635,27 +1552,68 @@ class MIBSolver:
         v_ax, v_px, v_aty = (
             alloc.get("res_ax"), alloc.get("res_px"), alloc.get("res_aty")
         )
-
-        engine = self._batch_iteration_engine(sim, g)
+        engine = _IterationEngine(self, g, fused=self.execution == "fused")
+        iteration = g.start_iteration
 
         def refactor() -> None:
+            # The factor kernel runs outside the fused iteration: flush
+            # the fused state to the image first, and invalidate after
+            # so the next iteration re-syncs against the rebound
+            # L/Dinv/rho streams.
             engine.flush()
-            g.streams.bind("K", g.arrays["kdata"][:, maps.perm_map])
-            stats = self._trace("factor", sim).replay_batch(
-                g.ctx, g.streams
-            )
+            g.bind("K", g.arrays["kdata"][:, maps.perm_map])
+            stats = g.run_kernel(self, "factor")
             g.cycles += stats.cycles
             g.crossings += stats.host_crossings
-            g.streams.bind("L", g.ctx.lbuf_matrix(maps.l_nnz))
-            g.streams.bind(
-                "Dinv", g.ctx.read_vector(alloc.get("factor_dinv"))
-            )
+            g.bind("L", g.lbuf_matrix(maps.l_nnz))
+            g.bind("Dinv", g.read_vector(alloc.get("factor_dinv")))
             engine.invalidate()
 
-        def emit(lane: int, report: MIBNetworkSolveReport) -> None:
+        def finish(r: int, status, cert_p=None, cert_d=None) -> None:
+            lane = int(g.ids[r])
+            xr = sc.unscale_x(x_now[r])
+            report = MIBNetworkSolveReport(
+                status=status,
+                x=xr,
+                z=sc.unscale_z(z[r]),
+                y=sc.unscale_y(y_now[r]),
+                iterations=iteration,
+                cycles=int(g.cycles[r]),
+                primal_residual=float(prim[r]),
+                dual_residual=float(dual[r]),
+                rho_updates=int(g.rho_updates[r]),
+                objective=problems[lane].objective(xr),
+                primal_infeasibility_certificate=cert_p,
+                dual_infeasibility_certificate=cert_d,
+                solo=g.solo,
+                bailed=g.bailed,
+                host_crossings=int(g.crossings[r]),
+            )
             reports[lane] = report
             if on_lane is not None:
                 on_lane(lane, report)
+
+        def leave(
+            gone: np.ndarray, *, extract: bool = False, **child
+        ) -> list[_LaneGroup]:
+            """Take the ``gone`` lanes out of the group: harvested, or
+            extracted into solo groups that resume at this iteration.
+            The fused state is flushed before the image is edited and
+            is stale at the new width."""
+            nonlocal prim, dual, ep, ed, x_now, y_now, z
+            engine.flush()
+            children = [
+                g.extract(int(r), start_iteration=iteration, **child)
+                for r in (np.flatnonzero(gone) if extract else ())
+            ]
+            pending.extend(children)
+            keep = ~gone
+            g.compact(keep)
+            engine.invalidate()
+            prim, dual, ep, ed, x_now, y_now, z = (
+                rows[keep] for rows in (prim, dual, ep, ed, x_now, y_now, z)
+            )
+            return children
 
         # Covers both the initial factorization (root group) and the
         # post-split ρ refactorization (solo groups: the spawner already
@@ -1664,14 +1622,13 @@ class MIBSolver:
         if g.needs_refactor:
             refactor()
 
-        prim = dual = None
-        iteration = g.start_iteration
         while g.ids.size and iteration < max_iter:
             iteration += 1
             check = (
                 iteration % st.check_interval == 0 or iteration == max_iter
             )
             if check:
+                # Previous-iteration iterates for the δx/δy certificates.
                 x_prev = engine.read_view(v_x)
                 y_prev = engine.read_view(v_y)
             stats = engine.run(check=check)
@@ -1679,19 +1636,19 @@ class MIBSolver:
             g.crossings += stats.host_crossings
             if not check:
                 continue
-            # Flush the fused state before the harvest/split machinery
-            # reads and surgically edits the context (no-op per-kernel).
-            engine.flush()
-            ax = g.ctx.read_vector(v_ax)
-            px = g.ctx.read_vector(v_px)
-            aty = g.ctx.read_vector(v_aty)
-            z = g.ctx.read_vector(v_z)
+            z = engine.read_view(v_z)
             prim, dual, ep, ed = residuals_from_products(
-                sc, st, ax=ax, px=px, aty=aty, z=z, q=g.arrays["q"]
+                sc,
+                st,
+                ax=engine.read_view(v_ax),
+                px=engine.read_view(v_px),
+                aty=engine.read_view(v_aty),
+                z=z,
+                q=g.arrays["q"],
             )
-            x_now = g.ctx.read_vector(v_x)
-            y_now = g.ctx.read_vector(v_y)
-            keep = np.ones(g.ids.size, dtype=bool)
+            x_now = engine.read_view(v_x)
+            y_now = engine.read_view(v_y)
+            done = np.zeros(g.ids.size, dtype=bool)
             for r in range(g.ids.size):
                 status = cert_p = cert_d = None
                 if prim[r] <= ep[r] and dual[r] <= ed[r]:
@@ -1724,34 +1681,11 @@ class MIBSolver:
                     ):
                         status = SolverStatus.DUAL_INFEASIBLE
                         cert_d = sc.d * dx
-                if status is None:
-                    continue
-                lane = int(g.ids[r])
-                xr = sc.unscale_x(x_now[r])
-                emit(lane, MIBNetworkSolveReport(
-                    status=status,
-                    x=xr,
-                    z=sc.unscale_z(z[r]),
-                    y=sc.unscale_y(y_now[r]),
-                    iterations=iteration,
-                    cycles=int(g.cycles[r]),
-                    primal_residual=float(prim[r]),
-                    dual_residual=float(dual[r]),
-                    rho_updates=int(g.rho_updates[r]),
-                    objective=problems[lane].objective(xr),
-                    primal_infeasibility_certificate=cert_p,
-                    dual_infeasibility_certificate=cert_d,
-                    solo=g.solo,
-                    bailed=g.bailed,
-                    host_crossings=int(g.crossings[r]),
-                ))
-                keep[r] = False
-            if not np.all(keep):
-                g.compact(keep)
-                engine.invalidate()
-                prim, dual, ep, ed = (
-                    prim[keep], dual[keep], ep[keep], ed[keep]
-                )
+                if status is not None:
+                    finish(r, status, cert_p, cert_d)
+                    done[r] = True
+            if done.any():
+                leave(done)
                 if not g.ids.size:
                     return
             if (
@@ -1759,37 +1693,20 @@ class MIBSolver:
                 and iteration % st.adaptive_rho_interval == 0
                 and iteration < max_iter
             ):
-                ratio = (prim / np.maximum(ep, 1e-12)) / np.maximum(
-                    dual / np.maximum(ed, 1e-12), 1e-12
-                )
-                new_rho = np.clip(
-                    g.rho * np.sqrt(ratio), st.rho_min, st.rho_max
-                )
-                trigger = (
-                    new_rho > g.rho * st.adaptive_rho_tolerance
-                ) | (new_rho < g.rho / st.adaptive_rho_tolerance)
-                if np.any(trigger):
-                    if g.ids.size == 1:
+                new_rho, trigger = _propose_rho(g.rho, prim, dual, ep, ed, st)
+                if g.ids.size == 1:
+                    if trigger[0]:
                         self._apply_batch_rho(g, 0, float(new_rho[0]))
                         refactor()
-                    else:
-                        # Refactorization drops a lane out of lockstep:
-                        # it finishes solo rather than forcing siblings
-                        # through a factor they did not trigger.
-                        for r in np.flatnonzero(trigger):
-                            child = g.extract(
-                                int(r), start_iteration=iteration
-                            )
-                            self._apply_batch_rho(
-                                child, 0, float(new_rho[r])
-                            )
-                            pending.append(child)
-                        g.compact(~trigger)
-                        engine.invalidate()
-                        prim, dual, ep, ed = (
-                            prim[~trigger], dual[~trigger],
-                            ep[~trigger], ed[~trigger],
-                        )
+                elif trigger.any():
+                    # Refactorization drops a lane out of lockstep: it
+                    # finishes solo rather than forcing siblings
+                    # through a factor they did not trigger.
+                    for child, rho in zip(
+                        leave(trigger, extract=True),
+                        new_rho[trigger].tolist(),
+                    ):
+                        self._apply_batch_rho(child, 0, rho)
             if (
                 progress is not None
                 and g.ids.size > 1
@@ -1812,44 +1729,17 @@ class MIBSolver:
                     split = np.array(
                         [int(i) in wanted for i in g.ids], dtype=bool
                     )
-                    if np.any(split):
-                        for r in np.flatnonzero(split):
-                            pending.append(g.extract(
-                                int(r),
-                                start_iteration=iteration,
-                                needs_refactor=False,
-                                bailed=True,
-                            ))
-                        g.compact(~split)
-                        engine.invalidate()
-                        prim, dual, ep, ed = (
-                            prim[~split], dual[~split],
-                            ep[~split], ed[~split],
+                    if split.any():
+                        leave(
+                            split,
+                            extract=True,
+                            needs_refactor=False,
+                            bailed=True,
                         )
-        if g.ids.size:
-            # MAX_ITERATIONS leftovers; the forced final check assigned
-            # prim/dual for every lane still in the group.
-            x_now = g.ctx.read_vector(v_x)
-            y_now = g.ctx.read_vector(v_y)
-            z = g.ctx.read_vector(v_z)
-            for r in range(g.ids.size):
-                lane = int(g.ids[r])
-                xr = sc.unscale_x(x_now[r])
-                emit(lane, MIBNetworkSolveReport(
-                    status=SolverStatus.MAX_ITERATIONS,
-                    x=xr,
-                    z=sc.unscale_z(z[r]),
-                    y=sc.unscale_y(y_now[r]),
-                    iterations=max_iter,
-                    cycles=int(g.cycles[r]),
-                    primal_residual=float(prim[r]),
-                    dual_residual=float(dual[r]),
-                    rho_updates=int(g.rho_updates[r]),
-                    objective=problems[lane].objective(xr),
-                    solo=g.solo,
-                    bailed=g.bailed,
-                    host_crossings=int(g.crossings[r]),
-                ))
+        # MAX_ITERATIONS leftovers; the forced final check read the
+        # iterates and residuals of every lane still in the group.
+        for r in range(g.ids.size):
+            finish(r, SolverStatus.MAX_ITERATIONS)
 
     def solve_reduced_on_network(
         self,

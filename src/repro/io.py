@@ -301,17 +301,36 @@ def problem_to_dict(problem: QPProblem) -> dict:
     }
 
 
+def _checked(problem: QPProblem) -> QPProblem:
+    """The decode boundary's value check.  :class:`QPProblem` rejects
+    NaN in ``q``/``l``/``u`` and ``l > u``; a decoded document can
+    still carry ``"inf"`` in ``q``, a non-finite matrix entry or a
+    bound that is a true infinity on the wrong side (the ``"inf"``
+    encoding decodes to the finite ``OSQP_INFTY``), which ADMM iterates
+    on to NaN until ``max_iter`` instead of failing."""
+    for name, values in (
+        ("q", problem.q), ("P", problem.p.data), ("A", problem.a.data)
+    ):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    if np.isposinf(problem.l).any() or np.isneginf(problem.u).any():
+        raise ValueError("a lower bound is +inf or an upper bound is -inf")
+    return problem
+
+
 def problem_from_dict(doc: dict) -> QPProblem:
     """Rebuild a QP from its ``repro-qp-v1`` document form."""
     if doc.get("format") != "repro-qp-v1":
         raise ValueError("unrecognized problem file format")
-    return QPProblem(
-        p=_matrix_from_obj(doc["P"]),
-        q=np.asarray(doc["q"], dtype=np.float64),
-        a=_matrix_from_obj(doc["A"]),
-        l=decode_bounds(doc["l"]),
-        u=decode_bounds(doc["u"]),
-        name=doc.get("name", "qp"),
+    return _checked(
+        QPProblem(
+            p=_matrix_from_obj(doc["P"]),
+            q=np.asarray(doc["q"], dtype=np.float64),
+            a=_matrix_from_obj(doc["A"]),
+            l=decode_bounds(doc["l"]),
+            u=decode_bounds(doc["u"]),
+            name=doc.get("name", "qp"),
+        )
     )
 
 
@@ -374,13 +393,15 @@ def problem_with_values(
             )
         return arr
 
-    return QPProblem(
-        p=p,
-        q=vector(q, base.q, "q"),
-        a=a,
-        l=vector(l, base.l, "l"),
-        u=vector(u, base.u, "u"),
-        name=base.name,
+    return _checked(
+        QPProblem(
+            p=p,
+            q=vector(q, base.q, "q"),
+            a=a,
+            l=vector(l, base.l, "l"),
+            u=vector(u, base.u, "u"),
+            name=base.name,
+        )
     )
 
 

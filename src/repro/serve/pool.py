@@ -30,15 +30,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..backends.mib import (
-    PCIE_BANDWIDTH,
-    PCIE_LATENCY,
-    MIBSolveReport,
-    MIBSolver,
-)
+from ..backends.mib import MIBSolveReport, MIBSolver
 from ..backends.session import SolveSession
 from ..compiler import ScheduleCache, ScheduleOptions
-from ..solver import OpTrace, QPProblem, Settings, SolveResult
+from ..solver import QPProblem, Settings
 from ..xp import BackendPolicy
 from .metrics import ServeMetrics
 from .session import SessionStore
@@ -131,9 +126,15 @@ class SolverPool:
         self.variant = variant
         self.c = c
         self.settings = settings if settings is not None else Settings()
+        # Checked and resolved eagerly so a bad mode or a forced-but-
+        # missing accelerator fails at pool construction, not on the
+        # first request.  'interpret' is the solver's cycle-stepped
+        # oracle; no serving path runs it.
+        if execution not in ("replay", "fused"):
+            raise ValueError(
+                f"execution must be 'replay' or 'fused', got {execution!r}"
+            )
         self.execution = execution
-        # Resolved eagerly so a forced-but-missing accelerator fails at
-        # pool construction, not on the first request.
         self.array_backend = array_backend
         self.backend_policy = BackendPolicy.resolve(array_backend)
         self.cache = cache if cache is not None else ScheduleCache(cache_dir)
@@ -423,30 +424,20 @@ class SolverPool:
         )
         metrics = self.metrics
         solver = entry.solver
-        st = solver.reference.settings
-        transfer_bytes = 4 * (
-            problems[0].nnz + 2 * problems[0].n + 4 * problems[0].m
-        )
-        transfer = 2 * PCIE_LATENCY + transfer_bytes / PCIE_BANDWIDTH
-        kernel_cycles = {
-            k: s.cycles for k, s in solver.kernels.schedules.items()
-        }
         built: dict[int, PoolSolve] = {}
         with entry.lock:
             t0 = time.perf_counter()
 
             def lane_done(index: int, lane) -> None:
-                solved = self._wrap_lane(
-                    lane,
-                    key=key,
+                solved = PoolSolve(
+                    fingerprint=key,
+                    report=solver.lane_report(lane),
                     warm=warm,
                     cache_hit=cache_hit,
                     compile_seconds=compile_seconds,
                     solve_seconds=time.perf_counter() - t0,
-                    solver=solver,
-                    st=st,
-                    transfer=transfer,
-                    kernel_cycles=kernel_cycles,
+                    solo_lane=lane.solo,
+                    bailed_lane=lane.bailed,
                 )
                 built[index] = solved
                 if on_lane is not None:
@@ -476,71 +467,6 @@ class SolverPool:
             "host_crossings", sum(r.host_crossings for r in batch.lanes)
         )
         return solves
-
-    def _wrap_lane(
-        self,
-        lane,
-        *,
-        key: str,
-        warm: bool,
-        cache_hit: bool,
-        compile_seconds: float,
-        solve_seconds: float,
-        solver: MIBSolver,
-        st,
-        transfer: float,
-        kernel_cycles: dict[str, int],
-    ) -> PoolSolve:
-        """One batched lane's report, wrapped as a pool solve."""
-        iters = lane.iterations
-        checks = sum(
-            1
-            for i in range(1, iters + 1)
-            if i % st.check_interval == 0 or i == iters
-        )
-        result = SolveResult(
-            status=lane.status,
-            x=lane.x,
-            y=lane.y,
-            z=lane.z,
-            iterations=iters,
-            objective=lane.objective,
-            primal_residual=lane.primal_residual,
-            dual_residual=lane.dual_residual,
-            rho_updates=lane.rho_updates,
-            trace=OpTrace(),
-            primal_infeasibility_certificate=(
-                lane.primal_infeasibility_certificate
-            ),
-            dual_infeasibility_certificate=(
-                lane.dual_infeasibility_certificate
-            ),
-        )
-        report = MIBSolveReport(
-            result=result,
-            cycles=lane.cycles,
-            runtime_seconds=lane.cycles / solver.clock_hz + transfer,
-            clock_hz=solver.clock_hz,
-            kernel_cycles=kernel_cycles,
-            kernel_invocations={
-                "iter_pre": iters,
-                "kkt_solve": iters,
-                "iter_post": iters,
-                "residuals": checks,
-                "factor": 1 + lane.rho_updates,
-            },
-            transfer_seconds=transfer,
-        )
-        return PoolSolve(
-            fingerprint=key,
-            report=report,
-            warm=warm,
-            cache_hit=cache_hit,
-            compile_seconds=compile_seconds,
-            solve_seconds=solve_seconds,
-            solo_lane=lane.solo,
-            bailed_lane=lane.bailed,
-        )
 
     # ------------------------------------------------------------------
     def _get_or_create(

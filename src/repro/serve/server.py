@@ -23,8 +23,11 @@ API (all JSON):
 
 * ``POST /v1/solve`` — body ``{"problem": <repro-qp-v1 doc>,
   "timeout_s": <float, optional>, "session": <str, optional>}``; 200
-  with the solve payload, 400 on malformed input (on every endpoint,
-  a ``timeout_s`` that is not a finite positive number counts), 503
+  with the solve payload, 400 on malformed input (on every endpoint:
+  a ``timeout_s`` that is not a finite positive number, a non-finite
+  value in ``q``/``P``/``A``, a bound infinite on the wrong side, a
+  ``Content-Length`` that is not a non-negative integer), 413 on a
+  body over 64 MiB, 503
   when the queue rejects (backpressure), 504 on deadline expiry.  A
   ``session`` key makes the warm start *sticky*: the solve restores
   that session's
@@ -81,6 +84,11 @@ _WAIT_GRACE_S = 0.05
 # the session carries the state over).
 MAX_SEQUENCE_STEPS = 512
 MAX_SCENARIO_LANES = 64
+
+# Largest request body read off a socket; a larger Content-Length is
+# answered 413 without reading.  A constant on purpose: it bounds what
+# one handler thread can be made to buffer, not a tuning knob.
+MAX_BODY_BYTES = 64 << 20
 
 _OVERRIDE_FIELDS = frozenset({"q", "l", "u", "a_data", "p_data"})
 
@@ -475,15 +483,28 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
                     404, {"status": "error", "detail": "unknown endpoint"}
                 )
                 return
+            # Content-Length is the peer's claim: judge it before any
+            # read (a negative one would park this thread in read(-1)
+            # until the peer closes; a huge one is an unbounded read).
+            refusal = 400
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError("Content-Length is negative")
+                if length > MAX_BODY_BYTES:
+                    refusal = 413
+                    raise ValueError(
+                        f"body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit"
+                    )
                 body = json.loads(self.rfile.read(length))
                 if not isinstance(body, dict):
                     raise ValueError("request body must be a JSON object")
             except Exception as exc:
                 server.metrics.inc("responses_error")
                 self._send_json(
-                    400, {"status": "error", "detail": f"bad request: {exc}"}
+                    refusal,
+                    {"status": "error", "detail": f"bad request: {exc}"},
                 )
                 return
             status_code, payload = handler(body)

@@ -1,0 +1,160 @@
+"""There is one network ADMM loop, and it kept its numbers.
+
+``solve_on_network`` is the one-lane case of the lockstep loop
+``solve_batch`` runs, over the simulator image instead of batch
+storage.  Two guards:
+
+* **single definition** — patching the one ρ proposal the network loop
+  evaluates silences adaptation on *both* entry points, in every
+  execution mode (two loop texts would leave one of them adapting);
+* **same numbers** — ``golden_network_solves.json`` pins a fresh
+  (never rebound) solver's ``solve_on_network()`` on the five
+  ``bench_serve`` domains at C = 8, and the solver state a mid-solve ρ
+  update leaves behind.  The file was GENERATED ON b21aac5, before the
+  scalar loop was removed; the fresh-solver half is what proves the
+  one-lane group is built from the bound instance's scaled values and
+  not re-scaled from the raw problem.  Regenerate only together with a
+  change that is meant to move a network solve:
+
+      PYTHONPATH=src:. python tests/test_backends/test_one_loop.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.backends import mib
+from repro.backends.mib import MIBSolver
+from repro.problems import (
+    huber_problem,
+    lasso_problem,
+    mpc_problem,
+    portfolio_problem,
+    svm_problem,
+)
+from repro.solver import QPProblem, Settings
+
+GOLDEN = Path(__file__).with_name("golden_network_solves.json")
+C = 8
+MODES = ("replay", "fused", "interpret")
+
+# bench_serve's settings and patterns.
+BENCH_SETTINGS = Settings(
+    eps_abs=1e-3, eps_rel=1e-3, max_iter=4000, check_interval=5
+)
+PATTERNS = {
+    "lasso": lambda: lasso_problem(16, n_samples=64, seed=0),
+    "mpc": lambda: mpc_problem(6, seed=0),
+    "portfolio": lambda: portfolio_problem(48, seed=0),
+    "svm": lambda: svm_problem(10, n_samples=40, seed=0),
+    "huber": lambda: huber_problem(10, n_samples=30, seed=0),
+}
+
+# Adapts ρ mid-solve (test_network_solve_with_rho_refactorization).
+ADAPTING = Settings(rho=1e-3, eps_abs=1e-4, eps_rel=1e-4, max_iter=4000)
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def fresh_solve_digest(pattern: str) -> dict:
+    r = MIBSolver(
+        PATTERNS[pattern](), c=C, settings=BENCH_SETTINGS
+    ).solve_on_network()
+    return {
+        "status": r.status.name,
+        "iterations": r.iterations,
+        "cycles": r.cycles,
+        "rho_updates": r.rho_updates,
+        "x": _sha(r.x),
+        "y": _sha(r.y),
+        "z": _sha(r.z),
+    }
+
+
+def write_through_digest() -> dict:
+    """Solver state after a network solve that adapted ρ, and what the
+    host ``solve()`` that follows makes of it."""
+    solver = MIBSolver(portfolio_problem(10), c=C, settings=ADAPTING)
+    net = solver.solve_on_network()
+    ref = solver.reference
+    rho, rho_vec = float(ref.rho), ref.rho_vec.copy()
+    after = solver.solve()
+    return {
+        "net_rho_updates": net.rho_updates,
+        "rho": rho.hex(),
+        "rho_vec": _sha(rho_vec),
+        "next_iterations": after.result.iterations,
+        "next_rho_updates": after.result.rho_updates,
+        "next_cycles": after.cycles,
+        "next_x": _sha(after.result.x),
+        "next_y": _sha(after.result.y),
+    }
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_fresh_solver_matches_parent_digest(pattern):
+    golden = json.loads(GOLDEN.read_text())
+    assert fresh_solve_digest(pattern) == golden["fresh"][pattern]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rho_write_through_matches_parent():
+    """What an adapting network solve leaves on the solver is the
+    parent's, bit for bit — including what the parent got wrong: it
+    writes ``reference.rho`` and the host factorization through but
+    never ``reference.rho_vec``, so the host ``solve()`` that follows
+    pairs a stale vector with the new factor and runs to ``max_iter``
+    (the recorded 4000 iterations).  This PR moves no number; ROADMAP
+    carries the finding."""
+    golden = json.loads(GOLDEN.read_text())["write_through"]
+    assert golden["net_rho_updates"] >= 1, "needs a mid-solve ρ update"
+    assert write_through_digest() == golden
+
+
+def _perturbed(base: QPProblem, seed: int) -> QPProblem:
+    rng = np.random.default_rng(seed)
+    q = base.q * (1.0 + 0.05 * rng.standard_normal(base.n))
+    return QPProblem(
+        p=base.p, q=q, a=base.a, l=base.l, u=base.u, name=base.name
+    )
+
+
+@pytest.mark.parametrize("execution", MODES)
+def test_one_rho_proposal_serves_both_entry_points(execution, monkeypatch):
+    base = portfolio_problem(10)
+    lanes = [_perturbed(base, seed) for seed in range(1, 4)]
+    solver = MIBSolver(base, c=C, settings=ADAPTING, execution=execution)
+    assert solver.solve_on_network().rho_updates >= 1
+    assert all(r.rho_updates >= 1 for r in solver.solve_batch(lanes).lanes)
+
+    def never_adapt(rho, prim, dual, eps_prim, eps_dual, settings):
+        return rho, np.zeros(rho.shape, dtype=bool)
+
+    monkeypatch.setattr(mib, "_propose_rho", never_adapt)
+    solver.bind_instance(base)
+    assert solver.solve_on_network().rho_updates == 0
+    batch = solver.solve_batch(lanes)
+    assert [r.rho_updates for r in batch.lanes] == [0, 0, 0]
+    assert batch.solo_lanes == 0
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps(
+            {
+                "fresh": {p: fresh_solve_digest(p) for p in PATTERNS},
+                "write_through": write_through_digest(),
+            },
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")

@@ -7,33 +7,104 @@ import numpy as np
 import pytest
 
 from repro.backends import MIBSolver
+from repro.linalg import CSCMatrix, eye
 from repro.problems import mpc_problem, portfolio_problem, svm_problem
-from repro.solver import Settings, SolverStatus, solve
+from repro.solver import QPProblem, Settings, SolverStatus, solve
+from repro.solver.problem import OSQP_INFTY
 
 FAST = Settings(eps_abs=1e-3, eps_rel=1e-3)
+
+
+# Primal infeasible: x0 >= 1 and x0 <= -1 at once (x1 keeps A's
+# pattern non-trivial).  Dual infeasible: min x0 + x1 with both
+# unbounded below.
+def primal_infeasible_problem() -> QPProblem:
+    return QPProblem(
+        p=eye(2),
+        q=np.zeros(2),
+        a=CSCMatrix.from_dense(
+            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ),
+        l=np.array([1.0, -OSQP_INFTY, -1.0]),
+        u=np.array([OSQP_INFTY, -1.0, 1.0]),
+    )
+
+
+def dual_infeasible_problem() -> QPProblem:
+    return QPProblem(
+        p=eye(2, 0.0),
+        q=np.array([1.0, 1.0]),
+        a=eye(2),
+        l=np.array([-OSQP_INFTY, -OSQP_INFTY]),
+        u=np.array([5.0, 5.0]),
+    )
+
+
+ADAPTING = Settings(rho=1e-3, eps_abs=1e-4, eps_rel=1e-4, max_iter=4000)
 
 
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: portfolio_problem(10),
-        lambda: mpc_problem(3, horizon=4),
-        lambda: svm_problem(5, n_samples=15),
+        lambda: (portfolio_problem(10), FAST),
+        lambda: (mpc_problem(3, horizon=4), FAST),
+        lambda: (svm_problem(5, n_samples=15), FAST),
+        lambda: (
+            mpc_problem(3, horizon=4),
+            Settings(eps_abs=1e-3, eps_rel=1e-3, check_interval=5),
+        ),
+        lambda: (portfolio_problem(10), ADAPTING),
+        lambda: (primal_infeasible_problem(), FAST),
+        lambda: (dual_infeasible_problem(), FAST),
     ],
 )
 def test_network_solve_matches_reference(factory):
-    problem = factory()
-    solver = MIBSolver(problem, variant="direct", c=16, settings=FAST)
-    net = solver.solve_on_network(max_iter=1000)
-    ref = solve(problem, variant="direct", settings=FAST)
-    assert net.status is SolverStatus.SOLVED
-    # Identical algorithm trajectory: same iterations, same rho updates,
-    # same solution to simulator round-off.
-    assert net.iterations == ref.iterations
-    assert net.rho_updates == ref.rho_updates
-    np.testing.assert_allclose(net.x, ref.x, atol=1e-9)
-    np.testing.assert_allclose(net.y, ref.y, atol=1e-9)
-    assert net.objective == pytest.approx(ref.objective, rel=1e-9)
+    """The independent oracle of the one network loop: the host
+    reference.  (The lane differentials compare the loop with itself
+    over two storages.)"""
+    problem, settings = factory()
+    ref = solve(problem, variant="direct", settings=settings)
+    for execution in ("replay", "fused", "interpret"):
+        solver = MIBSolver(
+            problem, variant="direct", c=16, settings=settings,
+            execution=execution,
+        )
+        net = solver.solve_on_network()
+        # Identical algorithm trajectory: same status, iterations and
+        # rho updates, same solution to simulator round-off.
+        assert net.status is ref.status, execution
+        assert net.iterations == ref.iterations, execution
+        assert net.rho_updates == ref.rho_updates, execution
+        np.testing.assert_allclose(net.x, ref.x, atol=1e-9)
+        np.testing.assert_allclose(net.y, ref.y, atol=1e-9)
+        assert net.objective == pytest.approx(ref.objective, rel=1e-9)
+        for got, want in (
+            (
+                net.primal_infeasibility_certificate,
+                ref.primal_infeasibility_certificate,
+            ),
+            (
+                net.dual_infeasibility_certificate,
+                ref.dual_infeasibility_certificate,
+            ),
+        ):
+            assert (got is None) == (want is None), execution
+            if want is not None:
+                np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_reference_cases_cover_every_exit():
+    """The widened matrix above means something only if its cases
+    reach a ρ update and both certificates on the reference."""
+    assert solve(portfolio_problem(10), settings=ADAPTING).rho_updates >= 1
+    assert (
+        solve(primal_infeasible_problem(), settings=FAST).status
+        is SolverStatus.PRIMAL_INFEASIBLE
+    )
+    assert (
+        solve(dual_infeasible_problem(), settings=FAST).status
+        is SolverStatus.DUAL_INFEASIBLE
+    )
 
 
 def test_network_solve_counts_cycles():

@@ -94,6 +94,20 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["solve", "--domain", "sudoku"])
 
+    def test_serve_offers_no_interpret_mode(self, capsys):
+        """No serving path runs the interpreter, so ``serve`` does not
+        offer it; ``solve`` keeps all three modes (the oracle lives
+        there)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--execution", "interpret"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'interpret'" in capsys.readouterr().err
+        rc = main(
+            ["solve", "--domain", "mpc", "--dimension", "3", "--backend",
+             "network", "--width", "16", "--execution", "interpret"]
+        )
+        assert rc == 0
+
     def test_solve_from_qps(self, capsys, tmp_path):
         from tests.test_io import QPS_SAMPLE
 

@@ -172,6 +172,61 @@ class TestPoolSolveBatch:
         assert sizes.get("4") == 1 and sizes.get("2") == 1
 
 
+# Per-lane pricing of one fan-out pass, RECORDED ON b21aac5 (when
+# ``SolverPool._wrap_lane`` still priced lanes by hand) with the batch
+# of tests/test_backends/test_solve_batch.py: harvests at different
+# iterations, ρ refactorizations, two infeasible lanes and one lane
+# stopped by ``max_iter`` between checks.  Floats are ``float.hex()``.
+RECORDED_SETTINGS = Settings(
+    max_iter=298, check_interval=5, adaptive_rho=True,
+    eps_abs=1e-8, eps_rel=1e-8,
+)
+RECORDED_KERNEL_CYCLES = {
+    "factor": 177, "kkt_solve": 183, "admm_vector": 71, "residuals": 33,
+    "iter_pre": 28, "iter_post": 81,
+}
+RECORDED_TRANSFER = "0x1.50c4e0e78353ep-16"
+RECORDED_LANES = [
+    # status, cycles, runtime_seconds, iterations, residuals, factor
+    ("SOLVED", 13628, "0x1.12b9bb4763912p-14", 45, 9, 1),
+    ("SOLVED", 19777, "0x1.68b1dc1c8cea8p-14", 65, 13, 2),
+    ("SOLVED", 28735, "0x1.e5efca69b20c4p-14", 95, 19, 2),
+    ("PRIMAL_INFEASIBLE", 88632, "0x1.4ad6e0436e8c2p-12", 295, 59, 3),
+    ("MAX_ITERATIONS", 89364, "0x1.4d65dbc96154dp-12", 298, 60, 2),
+    ("PRIMAL_INFEASIBLE", 34707, "0x1.1cb734a3e566cp-13", 115, 23, 2),
+]
+
+
+def test_scenario_lane_pricing_matches_recorded_parent():
+    """The lane → ``MIBSolveReport`` conversion moved behind
+    ``MIBSolver``; what a scenario lane is told it cost did not."""
+    from tests.test_backends.test_solve_batch import (
+        SEED_SCALES,
+        perturbed_full,
+    )
+
+    base = base_problem()
+    pool = SolverPool(
+        capacity=2, variant="direct", c=C, settings=RECORDED_SETTINGS
+    )
+    solves = pool.solve_batch(
+        [perturbed_full(base, seed, scale) for seed, scale in SEED_SCALES]
+    )
+    assert len(solves) == len(RECORDED_LANES)
+    for solved, recorded in zip(solves, RECORDED_LANES):
+        status, cycles, runtime, iters, checks, factors = recorded
+        report = solved.report
+        assert report.result.status.name == status
+        assert report.cycles == cycles
+        assert report.runtime_seconds.hex() == runtime
+        assert report.transfer_seconds.hex() == RECORDED_TRANSFER
+        assert report.kernel_cycles == RECORDED_KERNEL_CYCLES
+        assert list(report.kernel_invocations.items()) == [
+            ("iter_pre", iters), ("kkt_solve", iters), ("iter_post", iters),
+            ("residuals", checks), ("factor", factors),
+        ]
+
+
 def _post_concurrently(
     client: ServeClient,
     problems: list[QPProblem],

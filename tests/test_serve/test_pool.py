@@ -22,6 +22,20 @@ def _pool(**kwargs) -> SolverPool:
     return SolverPool(**kwargs)
 
 
+class TestConfiguration:
+    @pytest.mark.parametrize("execution", ["interpret", "Replay", "", None])
+    def test_unserved_execution_mode_fails_at_construction(self, execution):
+        """``interpret`` is the solver's cycle-stepped oracle; no
+        serving path runs it.  A bad mode used to surface inside
+        ``MIBSolver`` on the first request."""
+        with pytest.raises(ValueError, match="'replay' or 'fused'"):
+            _pool(execution=execution)
+
+    @pytest.mark.parametrize("execution", ["replay", "fused"])
+    def test_served_execution_modes_construct(self, execution):
+        assert _pool(execution=execution).execution == execution
+
+
 class TestHitMiss:
     def test_first_solve_is_cold_second_is_warm(self):
         pool = _pool()

@@ -9,6 +9,9 @@ stays flat while ``warm_solve_count`` increments).
 
 from __future__ import annotations
 
+import copy
+import http.client
+import json
 import threading
 
 import numpy as np
@@ -23,11 +26,37 @@ from repro.problems import (
     svm_problem,
 )
 from repro.serve import ServeClient, ServeServer
+from repro.serve.server import MAX_BODY_BYTES
 from repro.solver import Settings, solve as host_solve
 
 pytestmark = pytest.mark.serve_e2e
 
 FAST = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=4000)
+
+# The three POST endpoints with the least extra body each accepts.
+POST_ENDPOINTS = [
+    ("/v1/solve", {}),
+    ("/v1/sequence", {"steps": [{}], "session": "hostile"}),
+    ("/v1/scenarios", {"scenarios": [{}, {}]}),
+]
+
+
+def _corrupt(doc: dict, how: str) -> dict:
+    """One non-finite value planted in a valid problem document."""
+    doc = copy.deepcopy(doc)
+    if how == "q-inf-string":
+        doc["q"][-1] = "inf"
+    elif how == "q-infinity":
+        doc["q"][0] = float("-inf")
+    elif how == "P-nan":
+        doc["P"]["values"][0] = float("nan")
+    elif how == "A-inf":
+        doc["A"]["values"][0] = "inf"
+    elif how == "l-plus-inf":  # a true infinity, not the "inf" encoding
+        doc["l"][0] = doc["u"][0] = float("inf")
+    elif how == "u-minus-inf":
+        doc["l"][0] = doc["u"][0] = float("-inf")
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +161,94 @@ class TestSolveEndpoint:
         for timeout in ({}, {"timeout_s": None}, {"timeout_s": 60}):
             status, payload = client._request(path, body={**body, **timeout})
             assert status == 200, payload
+
+    @pytest.mark.parametrize(
+        "how",
+        ["q-inf-string", "q-infinity", "P-nan", "A-inf", "l-plus-inf",
+         "u-minus-inf"],
+    )
+    @pytest.mark.parametrize("path, extra", POST_ENDPOINTS)
+    def test_non_finite_problem_is_a_400(self, client, path, extra, how):
+        """A non-finite value used to be accepted, iterate on NaN to
+        ``max_iter`` and answer 200; it must stop at the decoder."""
+        doc = _corrupt(problem_to_dict(portfolio_problem(8, seed=0)), how)
+        before = client.metrics()["counters"]
+        status, payload = client._request(
+            path, body={"problem": doc, **extra}, retry=False
+        )
+        assert status == 400, payload
+        assert payload["status"] == "error" and payload["detail"]
+        after = client.metrics()["counters"]
+        assert after["responses_error"] == before["responses_error"] + 1
+        assert after["admm_iterations"] == before["admm_iterations"]
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"q": "inf"}, {"a_data": float("nan")}, {"p_data": "-inf"},
+         {"l": float("inf"), "u": float("inf")}],
+    )
+    @pytest.mark.parametrize(
+        "path, field", [("/v1/sequence", "steps"), ("/v1/scenarios", "scenarios")]
+    )
+    def test_non_finite_override_is_a_400(self, client, path, field, override):
+        base = portfolio_problem(8, seed=0)
+        sizes = {
+            "q": base.n, "l": base.m, "u": base.m,
+            "a_data": base.a.nnz, "p_data": base.p_upper.nnz,
+        }
+        bad = {k: [v] * sizes[k] for k, v in override.items()}
+        before = client.metrics()["counters"]
+        status, payload = client._request(
+            path,
+            body={"problem": problem_to_dict(base), field: [{}, bad]},
+            retry=False,
+        )
+        assert status == 400, payload
+        assert payload["status"] == "error" and payload["detail"]
+        after = client.metrics()["counters"]
+        assert after["responses_error"] == before["responses_error"] + 1
+        assert after["admm_iterations"] == before["admm_iterations"]
+
+    @pytest.mark.parametrize(
+        "claimed, expected",
+        [("-1", 400), ("abc", 400), ("1.5", 400),
+         (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    @pytest.mark.parametrize("path, extra", POST_ENDPOINTS)
+    def test_content_length_is_judged_before_the_read(
+        self, server, client, path, extra, claimed, expected
+    ):
+        """``Content-Length`` is the peer's claim: a negative one used
+        to park the handler in ``read(-1)`` until the peer hung up, a
+        huge one was read unbounded.  Both are refused with the body
+        unread — the 5 s socket timeout is the no-hang assertion."""
+        body = json.dumps(
+            {"problem": problem_to_dict(portfolio_problem(8, seed=0)), **extra}
+        ).encode()
+        before = client.metrics()["counters"]
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", claimed)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == expected
+        assert payload["status"] == "error" and "bad request" in payload["detail"]
+        after = client.metrics()["counters"]
+        assert after["responses_error"] == before["responses_error"] + 1
+        assert after["requests_total"] == before["requests_total"]
+
+    def test_body_at_the_limit_is_still_read(self, client):
+        assert MAX_BODY_BYTES == 64 << 20  # a constant, not a flag
+        status, _ = client._request(
+            "/v1/solve",
+            body={"problem": problem_to_dict(portfolio_problem(8, seed=0))},
+        )
+        assert status == 200
 
     def test_unknown_endpoint_is_a_404(self, client):
         assert client._request("/v1/nope")[0] == 404
