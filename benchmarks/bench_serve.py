@@ -13,9 +13,13 @@ serving economics of the paper's compile-once/solve-many argument:
 * **policy comparison** — the same concurrent same-pattern burst
   driven under each batching policy (``off`` — every request a solo
   warm solve; ``greedy`` — coalesce everything waiting; ``adaptive``
-  — the learned controller with per-pattern caps, value bucketing,
-  early per-lane responses and mid-flight bail-out), reporting p50
-  latency and burst throughput side by side.  Run on a separate
+  — the learned controller with per-pattern caps, value bucketing
+  and dispatch holds), reporting p50 latency and burst throughput
+  side by side.  A coalesced batch is its requests solved in order on
+  the resident solver, each answered as its own solve finishes, so
+  the policies differ in hold/window behaviour under a burst and in
+  how many requests one worker drains per dispatch, never in the
+  answers.  Run on a separate
   server with warm starting off so every policy solves from identical
   cold iterates; the controller warms up on unmeasured bursts first,
   the way a live service would have history.
@@ -141,7 +145,7 @@ def run_policy_comparison(burst: int = BATCH_BURST) -> dict:
     burst is driven under ``off`` (every request a solo warm solve —
     the unbatched baseline), ``greedy`` (coalesce everything waiting —
     the pre-controller behaviour) and ``adaptive`` (learned caps,
-    bucketing, early responses, bail-out), in rounds of one burst per
+    bucketing, holds), in rounds of one burst per
     policy so all three sample the same stretch of machine time (a
     shared runner drifts by more than the gate's margin between
     back-to-back phases).  The controller carries its learned state
@@ -151,17 +155,14 @@ def run_policy_comparison(burst: int = BATCH_BURST) -> dict:
     cap decisions settle; the latencies of the following
     ``MEASURED_BURSTS`` rounds are pooled per policy.
 
-    Patterns whose batched passes cost more than the solo solves they
-    replace (fixed pass cost never amortized within the cap, or lanes
-    that keep leaving lockstep for a rho refactorization) learn a solo
-    cap under ``adaptive`` — the honest outcome is a ~1x ratio over
-    ``off``, not a win.
+    A pass costs what its lanes cost solo, so ``adaptive`` has
+    nothing to win over ``off`` — the honest outcome is a ~1x ratio,
+    and the gate is that the hold/window machinery loses nothing.
     """
     per_pattern: dict[str, dict] = {}
     deltas = (
         ("batched_passes", "batched_solves"),
         ("batched_lanes", "batched_lanes"),
-        ("bailout_lanes", "bailout_lanes"),
         ("early_responses", "early_responses"),
     )
     with ServeServer(
@@ -391,8 +392,7 @@ def _print_policy(policy: dict) -> None:
             f"{p['adaptive_speedup_throughput']:.1f}x rps, "
             f"{adaptive['batched_lanes']} lanes / "
             f"{adaptive['batched_passes']} passes, "
-            f"{adaptive['early_responses']} early, "
-            f"{adaptive['bailout_lanes']} bailed)"
+            f"{adaptive['early_responses']} early)"
         )
     agg = policy["aggregate"]
     print(

@@ -269,8 +269,6 @@ def cmd_serve(args) -> int:
         settings=_settings(args),
         cache_dir=args.cache_dir,
         warm_start=args.warm_start,
-        execution=args.execution,
-        array_backend=args.array_backend,
         shards=args.shards,
         session_capacity=args.session_capacity,
         session_ttl_s=args.session_ttl,
@@ -428,15 +426,15 @@ def main(argv: list[str] | None = None) -> int:
         "--max-batch",
         type=int,
         default=16,
-        help="coalesced same-pattern requests solved per batched "
-        "replay pass (1 disables batching)",
+        help="coalesced same-pattern requests solved per dispatch "
+        "(1 disables coalescing)",
     )
     p.add_argument(
         "--batch-policy",
         choices=("adaptive", "greedy", "off"),
         default="adaptive",
         help="batching policy: 'adaptive' learns per-pattern batch "
-        "caps, value buckets and mid-flight bail-out online; "
+        "caps, value buckets and dispatch holds online; "
         "'greedy' always coalesces up to --max-batch; 'off' "
         "disables coalescing",
     )
@@ -473,19 +471,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--variant", choices=("direct", "indirect"), default="direct")
     p.add_argument("--width", type=int, default=16, help="network width C")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument(
-        "--execution",
-        choices=("replay", "fused"),
-        default="replay",
-        help="execution mode for every pooled solver (see 'solve'; "
-        "no serving path runs the 'interpret' oracle)",
-    )
-    p.add_argument(
-        "--array-backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="array namespace for every pooled solver (see 'solve')",
-    )
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("info", help="architecture summary")

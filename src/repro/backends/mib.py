@@ -60,7 +60,6 @@ from ..compiler import (
 from ..solver import (
     DirectKKTSolver,
     IndirectKKTSolver,
-    OpTrace,
     OSQPSolver,
     QPProblem,
     Settings,
@@ -74,7 +73,6 @@ from ..solver.admm import _RHO_LOOSE
 from ..solver.problem import OSQP_INFTY
 
 __all__ = [
-    "BatchProgress",
     "CHECK_KERNELS",
     "ITERATION_KERNELS",
     "MIBSolver",
@@ -154,12 +152,9 @@ class MIBNetworkSolveReport:
     objective: float
     primal_infeasibility_certificate: np.ndarray | None = None
     dual_infeasibility_certificate: np.ndarray | None = None
-    # Batch path only: the lane left the lockstep group (ρ
-    # refactorization or bail-out split) and finished solo.
+    # Batch path only: the lane left the lockstep group for a ρ
+    # refactorization and finished solo.
     solo: bool = False
-    # Batch path only: the lane was split out by a ``progress``
-    # callback's bail-out decision rather than by ρ adaptation.
-    bailed: bool = False
     # Host→numpy crossings of the whole solve (observability, not
     # priced in cycles).  Excluded from equality: execution modes are
     # bit-identical in results and cycles while differing exactly here.
@@ -180,34 +175,11 @@ class MIBBatchReport:
     solo_lanes: int  # lanes that finished outside the lockstep group
     total_cycles: int  # Σ per-lane cycles (sequential-equivalent work)
     max_cycles: int  # slowest lane (the batch's modeled wall time)
-    bailout_lanes: int = 0  # solo lanes split out by a bail-out decision
     rho0: float | None = None  # initial ρ the lanes started from
 
     @property
     def solved_lanes(self) -> int:
         return sum(r.solved for r in self.lanes)
-
-
-@dataclass(frozen=True)
-class BatchProgress:
-    """Live lockstep snapshot handed to the ``progress`` callback of
-    :meth:`MIBSolver.solve_batch` at every residual check of a
-    multi-lane group.
-
-    ``primal_ratio``/``dual_ratio`` are each live lane's residual over
-    its termination tolerance (``<= 1`` on both means the lane is about
-    to harvest); their spread across ``ids`` is the live convergence
-    heterogeneity a batching policy bails out on.  The callback returns
-    an iterable of lane ids (original batch indices) to split out of
-    lockstep into solo groups — each split lane continues from exactly
-    this iteration with unchanged state, so its results stay
-    bit-identical to a solo solve.
-    """
-
-    iteration: int
-    ids: np.ndarray
-    primal_ratio: np.ndarray
-    dual_ratio: np.ndarray
 
 
 @dataclass
@@ -316,14 +288,6 @@ class _LaneGroup:
     crossings: np.ndarray
     start_iteration: int = 0
     solo: bool = False
-    # Whether the group must run the factor kernel before its first
-    # KKT solve.  True for the root group (initial factorization)
-    # and ρ-split children (the spawner installed a new ρ); False
-    # for bail-out children, whose extracted streams already carry
-    # the lane's live L/Dinv rows — rerunning factor would charge
-    # cycles a solo solve never pays.
-    needs_refactor: bool = True
-    bailed: bool = False
 
     # -- storage, the one thing _BoundLane overrides: B rows of batch
     # state here, and kernels always replay traces ----------------------
@@ -357,14 +321,7 @@ class _LaneGroup:
         self.ctx.compact(keep)
         self.streams.compact(keep)
 
-    def extract(
-        self,
-        row: int,
-        *,
-        start_iteration: int,
-        needs_refactor: bool = True,
-        bailed: bool = False,
-    ) -> "_LaneGroup":
+    def extract(self, row: int, *, start_iteration: int) -> "_LaneGroup":
         return _LaneGroup(
             ids=self.ids[row : row + 1].copy(),
             ctx=self.ctx.extract(row),
@@ -378,8 +335,6 @@ class _LaneGroup:
             crossings=self.crossings[row : row + 1].copy(),
             start_iteration=start_iteration,
             solo=True,
-            needs_refactor=needs_refactor,
-            bailed=bailed or self.bailed,
         )
 
 
@@ -413,12 +368,11 @@ class _BoundLane(_LaneGroup):
 
     def rho_installed(self, solver: "MIBSolver", rho, rho_vec) -> None:
         """Write an adapted ρ through to the bound instance: the
-        solver's ρ and host factorization follow the network's, as they
-        always have.  ``reference.rho_vec`` is *not* refreshed — it
-        never was, so a host ``solve()`` straight after an adapting
-        network solve pairs a stale vector with the new factor (ROADMAP
-        records it; rebinding resets all three)."""
+        solver's ρ, its per-constraint vector and the host
+        factorization follow the network's, so a ``solve()`` straight
+        after equals ``bind_rho(<adapted ρ>)`` + ``solve()``."""
         solver.reference.rho = rho
+        solver.reference.rho_vec = rho_vec
         solver.reference.kkt_solver.update_rho(rho_vec)
 
     def compact(self, keep: np.ndarray) -> None:
@@ -1117,14 +1071,8 @@ class MIBSolver:
             count * self.kernels.cycles(name)
             for name, count in invocations.items()
         )
-        return self._priced(result, cycles, invocations)
-
-    def _priced(
-        self, result: SolveResult, cycles: int, invocations: dict[str, int]
-    ) -> MIBSolveReport:
-        """The pricing model's last step, shared by every priced
-        solve: device cycles at the clock plus the PCIe transfer of the
-        instance in and the solution out."""
+        # Device cycles at the clock plus the PCIe transfer of the
+        # instance in and the solution out.
         transfer_bytes = 4 * (
             self.problem.nnz + 2 * self.problem.n + 4 * self.problem.m
         )
@@ -1140,38 +1088,6 @@ class MIBSolver:
             kernel_invocations=invocations,
             transfer_seconds=transfer,
         )
-
-    def lane_report(self, lane: "MIBNetworkSolveReport") -> MIBSolveReport:
-        """A network-executed lane (of :meth:`solve_batch`, or a
-        :meth:`solve_on_network` run) as a priced :class:`MIBSolveReport`:
-        its executed cycles, and the kernel invocations the loop made —
-        one residual check per ``check_interval`` iterations plus the
-        forced one when the lane stopped between checks."""
-        iters = lane.iterations
-        result = SolveResult(
-            status=lane.status,
-            x=lane.x,
-            y=lane.y,
-            z=lane.z,
-            iterations=iters,
-            objective=lane.objective,
-            primal_residual=lane.primal_residual,
-            dual_residual=lane.dual_residual,
-            rho_updates=lane.rho_updates,
-            trace=OpTrace(),
-            primal_infeasibility_certificate=(
-                lane.primal_infeasibility_certificate
-            ),
-            dual_infeasibility_certificate=(
-                lane.dual_infeasibility_certificate
-            ),
-        )
-        invocations = dict.fromkeys(ITERATION_KERNELS, iters)
-        invocations["residuals"] = -(
-            -iters // self.reference.settings.check_interval
-        )
-        invocations["factor"] = 1 + lane.rho_updates
-        return self._priced(result, lane.cycles, invocations)
 
     # ------------------------------------------------------------------
     # network-executed validation paths
@@ -1390,8 +1306,6 @@ class MIBSolver:
         *,
         max_iter: int | None = None,
         rho0: float | None = None,
-        progress=None,
-        on_lane=None,
     ) -> MIBBatchReport:
         """Solve B same-pattern instances in one lockstep batched pass.
 
@@ -1407,27 +1321,11 @@ class MIBSolver:
         a lane's answer for batch shape ("no silent wrong answers").
 
         ``rho0`` is the ρ every lane starts from (default
-        ``settings.rho``).  A serving layer passes its warm solver's
-        adapted ρ here: the default initial ρ is usually wrong for a
-        pattern and forces one adaptation — and therefore one solo
-        extraction — per lane, while the adapted value lets lanes
-        terminate before the ρ check ever fires, exactly like the warm
-        solo path whose ρ persists across ``update_values``.  The
-        differential oracle is :meth:`bind_instance` with the same
-        ``rho0``.
-
-        ``progress``, when given, is called with a
-        :class:`BatchProgress` snapshot at every residual check of a
-        multi-lane group (after harvest and ρ handling, so splits land
-        at an iteration boundary); it may return lane ids to bail out
-        of lockstep into solo groups.  Because the split happens at the
-        same point a ρ extraction would, and carries the lane's live
-        factorization streams, a bailed lane's iterates *and cycles*
-        remain bit-identical to its solo solve.  ``on_lane`` is called
-        as ``on_lane(lane_index, report)`` the moment each lane's
-        :class:`MIBNetworkSolveReport` is finalized — before slower
-        lanes finish — so a serving layer can answer early lanes
-        without waiting for the whole pass.
+        ``settings.rho``).  The default initial ρ is usually wrong for
+        a pattern and forces one adaptation — and therefore one solo
+        extraction — per lane, while an adapted value lets lanes
+        terminate before the ρ check ever fires.  The differential
+        oracle is :meth:`bind_instance` with the same ``rho0``.
         """
         if self.variant != "direct":
             raise ValueError("solve_batch supports the direct variant")
@@ -1499,13 +1397,7 @@ class MIBSolver:
         pending = [group]
         while pending:
             self._run_batch_group(
-                pending.pop(),
-                problems,
-                reports,
-                pending,
-                max_iter,
-                progress=progress,
-                on_lane=on_lane,
+                pending.pop(), problems, reports, pending, max_iter
             )
         lanes = [reports[i] for i in range(b)]
         cycles = [r.cycles for r in lanes]
@@ -1516,7 +1408,6 @@ class MIBSolver:
             solo_lanes=sum(r.solo for r in lanes),
             total_cycles=int(sum(cycles)),
             max_cycles=int(max(cycles)),
-            bailout_lanes=sum(r.bailed for r in lanes),
             rho0=st.rho if rho0 is None else float(rho0),
         )
 
@@ -1527,9 +1418,6 @@ class MIBSolver:
         reports: dict[int, MIBNetworkSolveReport],
         pending: list[_LaneGroup],
         max_iter: int,
-        *,
-        progress=None,
-        on_lane=None,
     ) -> None:
         """Advance one lockstep group to completion: the network ADMM
         loop, for :meth:`solve_batch` groups and for the one-lane group
@@ -1572,7 +1460,7 @@ class MIBSolver:
         def finish(r: int, status, cert_p=None, cert_d=None) -> None:
             lane = int(g.ids[r])
             xr = sc.unscale_x(x_now[r])
-            report = MIBNetworkSolveReport(
+            reports[lane] = MIBNetworkSolveReport(
                 status=status,
                 x=xr,
                 z=sc.unscale_z(z[r]),
@@ -1586,15 +1474,11 @@ class MIBSolver:
                 primal_infeasibility_certificate=cert_p,
                 dual_infeasibility_certificate=cert_d,
                 solo=g.solo,
-                bailed=g.bailed,
                 host_crossings=int(g.crossings[r]),
             )
-            reports[lane] = report
-            if on_lane is not None:
-                on_lane(lane, report)
 
         def leave(
-            gone: np.ndarray, *, extract: bool = False, **child
+            gone: np.ndarray, *, extract: bool = False
         ) -> list[_LaneGroup]:
             """Take the ``gone`` lanes out of the group: harvested, or
             extracted into solo groups that resume at this iteration.
@@ -1603,7 +1487,7 @@ class MIBSolver:
             nonlocal prim, dual, ep, ed, x_now, y_now, z
             engine.flush()
             children = [
-                g.extract(int(r), start_iteration=iteration, **child)
+                g.extract(int(r), start_iteration=iteration)
                 for r in (np.flatnonzero(gone) if extract else ())
             ]
             pending.extend(children)
@@ -1617,10 +1501,8 @@ class MIBSolver:
 
         # Covers both the initial factorization (root group) and the
         # post-split ρ refactorization (solo groups: the spawner already
-        # installed the new ρ in the value arrays).  Bail-out children
-        # skip it: their extracted streams carry the live L/Dinv rows.
-        if g.needs_refactor:
-            refactor()
+        # installed the new ρ in the value arrays).
+        refactor()
 
         while g.ids.size and iteration < max_iter:
             iteration += 1
@@ -1707,35 +1589,6 @@ class MIBSolver:
                         new_rho[trigger].tolist(),
                     ):
                         self._apply_batch_rho(child, 0, rho)
-            if (
-                progress is not None
-                and g.ids.size > 1
-                and iteration < max_iter
-            ):
-                # Bail-out decision point: after harvest and ρ handling
-                # so a split lane resumes at a clean iteration boundary
-                # with the exact control flow a solo solve would run
-                # (splitting before the ρ block would skip this
-                # iteration's adaptation check and diverge bitwise).
-                tiny = 1e-300
-                requested = progress(BatchProgress(
-                    iteration=iteration,
-                    ids=g.ids.copy(),
-                    primal_ratio=prim / np.maximum(ep, tiny),
-                    dual_ratio=dual / np.maximum(ed, tiny),
-                ))
-                if requested:
-                    wanted = {int(i) for i in requested}
-                    split = np.array(
-                        [int(i) in wanted for i in g.ids], dtype=bool
-                    )
-                    if split.any():
-                        leave(
-                            split,
-                            extract=True,
-                            needs_refactor=False,
-                            bailed=True,
-                        )
         # MAX_ITERATIONS leftovers; the forced final check read the
         # iterates and residuals of every lane still in the group.
         for r in range(g.ids.size):

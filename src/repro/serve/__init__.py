@@ -12,8 +12,8 @@ and the cheap ``update_values`` rebind — into a long-running service:
   request coalescing and per-request deadlines;
 * :mod:`~repro.serve.controller` — the adaptive batching policy: a
   per-pattern cost model learned online decides batch caps, who rides
-  together (value bucketing), whether a batch is held open for
-  arrivals, and mid-flight bail-out;
+  together (value bucketing) and whether a batch is held open for
+  arrivals;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the
   stdlib HTTP/JSON front-end and its Python client;
 * :mod:`~repro.serve.metrics` — live counters and latency histograms

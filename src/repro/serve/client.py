@@ -265,7 +265,7 @@ class ServeClient:
         *,
         timeout_s: float | None = None,
     ) -> StreamResponse:
-        """Fan N same-pattern variants onto the server's batch lanes."""
+        """Solve N same-pattern variants in order, one response."""
         return self._stream(
             "/v1/scenarios", "scenarios", base, variants,
             session=None, timeout_s=timeout_s,

@@ -1,13 +1,11 @@
-"""Adaptive batching controller: policy over the batching mechanism.
+"""Adaptive batching controller: policy over the coalescing mechanism.
 
-Offline, batched trace replay wins ~10x aggregate throughput; at the
-serve tier a greedy "coalesce whatever is waiting" policy loses at p50
-on most patterns, because lockstep ADMM runs every lane to the slowest
-lane's convergence and per-instance iteration counts vary widely
-(warm-start distance, rho adaptation).  The controller closes that
-policy gap.  It never touches results: batching stays bit-identical
-per lane, the controller only chooses *which* lanes share a batch and
-when a batch gives up on lockstep.
+A coalesced batch is its requests solved one after the other on the
+pattern's resident solver (:meth:`SolverPool.iter_batch`), so the
+controller never touches results: it only chooses *which* requests
+share a dispatch.  The cost model below was built to price a lockstep
+batch engine that no longer serves (DESIGN.md §5.2); it stays, fed the
+sequential pass's cost, until the benchmark stops configuring it.
 
 Decisions, all learned online per pattern fingerprint from served
 traffic (no offline profiles):
@@ -37,15 +35,6 @@ traffic (no offline profiles):
   arrivals pause.  The queue reports every hold's outcome back through
   :meth:`BatchController.observe_hold`, so the window is one more
   learned series beside the cost model.
-* **bail out mid-flight** — :meth:`BatchController.make_progress`
-  builds the ``progress`` callback for
-  :meth:`~repro.backends.mib.MIBSolver.solve_batch`: once a pass runs
-  past its iteration budget (learned expectation times a headroom
-  factor, tightened by the slowest lane's deadline) and the live
-  convergence spread says stragglers are holding the group, the
-  stragglers are split back to solo lanes.  Splits reuse the lockstep
-  loop's extraction mechanism, so bailed lanes stay bit-identical to
-  solo solves.
 """
 
 from __future__ import annotations
@@ -111,7 +100,6 @@ class PatternStats:
     ewma_solo_seconds: float | None = None  # warm solo solve cost
     ewma_lane_seconds: float | None = None  # pass cost / lanes
     ewma_pass_seconds: float | None = None  # batched pass cost
-    ewma_pass_iterations: float | None = None  # slowest-lane iterations
     solo_fallback_rate: float | None = None  # lanes leaving lockstep via rho
     # Decayed first/second moments of (lanes, pass seconds) pairs, for
     # the affine pass-cost fit ``seconds ~= fixed + marginal * lanes``.
@@ -126,7 +114,6 @@ class PatternStats:
     solo_solves: int = 0
     passes: int = 0
     lanes: int = 0
-    bailed_lanes: int = 0
     # Exploration pressure: solo solves since the last batched pass.
     # A pattern parked at a solo cap stops producing passes, so its
     # cost model would never see fresher evidence without this.
@@ -142,13 +129,6 @@ class PatternStats:
     holds: int = 0
     # Solo solves that priced a pattern whose history was all passes.
     solo_probes: int = 0
-
-    @property
-    def seconds_per_iteration(self) -> float | None:
-        """Observed wall seconds per lockstep iteration of one pass."""
-        if not self.ewma_pass_seconds or not self.ewma_pass_iterations:
-            return None
-        return self.ewma_pass_seconds / self.ewma_pass_iterations
 
     @property
     def marginal_lane_seconds(self) -> float | None:
@@ -200,7 +180,6 @@ class PatternStats:
             "solo_solves": self.solo_solves,
             "passes": self.passes,
             "lanes": self.lanes,
-            "bailed_lanes": self.bailed_lanes,
             "solo_since_pass": self.solo_since_pass,
             "explore_losses": self.explore_losses,
             "holds": self.holds,
@@ -239,7 +218,7 @@ class BatchController:
     Parameters
     ----------
     policy:
-        ``"adaptive"`` (learned caps, bucketing, bail-out),
+        ``"adaptive"`` (learned caps, bucketing, holds),
         ``"greedy"`` (coalesce up to the server's max batch — the
         pre-controller behaviour) or ``"off"`` (never coalesce).
         Mutable at runtime; the policy-comparison benchmark flips it
@@ -250,9 +229,9 @@ class BatchController:
         ``(latency_budget * solo_seconds - fixed) / marginal`` — "batch
         no more lanes than the latency budget buys at the fitted
         pass-cost rate".  The budget bounds the *pass*, which is an
-        upper bound on any lane's latency: early publication harvests
-        each lane at its own convergence, so the typical lane pays
-        well under the budget.
+        upper bound on any lane's latency: each lane is answered when
+        its own solve finishes, so the typical lane pays well under
+        the budget.
     bucket_width:
         Maximum :func:`value_distance` between a batch head and a
         rider under the adaptive policy.
@@ -260,14 +239,6 @@ class BatchController:
         Solo-fallback rate above which a pattern stops batching
         entirely (its lanes keep leaving lockstep for rho
         refactorizations, so lockstep only adds overhead).
-    bailout_headroom:
-        Iteration budget of a pass, as a multiple of the learned
-        expected iterations; past it the progress callback starts
-        splitting stragglers.
-    spread_threshold:
-        How many times worse than the group's best lane a lane's
-        convergence ratio must be (log-scaled residual ratio) to count
-        as a straggler at bail-out time.
     explore_interval:
         Solo solves of a pattern tolerated without a single batched
         pass before the cap decision forces an exploration pass at
@@ -288,8 +259,6 @@ class BatchController:
         latency_budget: float = 6.0,
         bucket_width: float = 0.35,
         fallback_threshold: float = 0.4,
-        bailout_headroom: float = 3.0,
-        spread_threshold: float = 10.0,
         min_explore_passes: int = 2,
         explore_interval: int = 16,
         max_window: float = 0.05,
@@ -304,8 +273,6 @@ class BatchController:
         self.latency_budget = latency_budget
         self.bucket_width = bucket_width
         self.fallback_threshold = fallback_threshold
-        self.bailout_headroom = bailout_headroom
-        self.spread_threshold = spread_threshold
         self.min_explore_passes = min_explore_passes
         self.explore_interval = explore_interval
         self.max_window = max_window
@@ -348,21 +315,15 @@ class BatchController:
         seconds: float,
         lane_iterations: list[int],
         solo_lanes: int,
-        bailed_lanes: int = 0,
     ) -> None:
-        """Account one batched pass: timing, spread, fallback rate.
-
-        ``solo_lanes`` counts lanes that left lockstep for a rho
-        refactorization (the mechanism's correctness fallback);
-        bail-out splits are tracked separately and do *not* raise the
-        fallback rate — they are the controller's own doing.
-        """
+        """Account one batched pass: timing, spread, fallback rate
+        (``solo_lanes``: lanes that left lockstep for a rho
+        refactorization)."""
         if lanes < 1:
             return
         iters = [int(i) for i in lane_iterations]
         top = max(iters)
         spread = (top - min(iters)) / top if top else 0.0
-        rho_solo = max(0, int(solo_lanes) - int(bailed_lanes))
         with self._lock:
             s = self._stats.setdefault(fingerprint, PatternStats())
             s.ewma_pass_seconds = _ewma(
@@ -370,9 +331,6 @@ class BatchController:
             )
             s.ewma_lane_seconds = _ewma(
                 s.ewma_lane_seconds, float(seconds) / lanes, self.alpha
-            )
-            s.ewma_pass_iterations = _ewma(
-                s.ewma_pass_iterations, float(top), self.alpha
             )
             s.ewma_iterations = _ewma(
                 s.ewma_iterations, float(np.mean(iters)), self.alpha
@@ -386,11 +344,10 @@ class BatchController:
                 s.m_cross, float(lanes) * float(seconds), self.alpha
             )
             s.solo_fallback_rate = _ewma(
-                s.solo_fallback_rate, rho_solo / lanes, self.alpha
+                s.solo_fallback_rate, int(solo_lanes) / lanes, self.alpha
             )
             s.passes += 1
             s.lanes += lanes
-            s.bailed_lanes += int(bailed_lanes)
             explored = s.solo_since_pass >= self._explore_after(s)
             s.solo_since_pass = 0
             if self._priced_cap(s, lanes) > 1:
@@ -466,11 +423,9 @@ class BatchController:
            ``cap = (latency_budget * solo - fixed) / marginal`` (or
            ``latency_budget * solo / lane`` under the average-cost
            fallback).  Iteration spread deliberately does *not* shrink
-           the cap: lanes publish at their own harvest boundary (early
-           publication), so a fast lane in a heterogeneous pass pays
-           its own convergence time, not the slowest lane's — spread
-           is handled mid-flight by the bail-out split instead
-           (:meth:`make_progress`).
+           the cap: every lane is answered when its own solve
+           finishes, so a fast lane in a heterogeneous pass never pays
+           for a slower one behind it.
         """
         if hard_cap < 1:
             return 1
@@ -601,59 +556,6 @@ class BatchController:
                 self.metrics.inc("rider_rejects_distance")
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # mid-flight bail-out
-    # ------------------------------------------------------------------
-    def make_progress(
-        self,
-        fingerprint: str,
-        *,
-        deadline_remaining: float | None = None,
-    ):
-        """The ``progress`` callback for one batched pass, or ``None``.
-
-        The returned closure splits stragglers out of lockstep once
-        the pass runs past its iteration budget: the learned expected
-        iteration count times ``bailout_headroom``, tightened to what
-        the slowest lane's remaining deadline can still afford at the
-        observed per-iteration rate.  A lane counts as a straggler
-        when its convergence ratio is ``spread_threshold`` times the
-        group's best on a log scale — the "live convergence spread"
-        signal.  Greedy/off policies run without a callback.
-        """
-        if self.policy != "adaptive":
-            return None
-        s = self.stats_for(fingerprint)
-        with self._lock:
-            expected = s.ewma_iterations
-            sec_per_iter = s.seconds_per_iteration
-        if expected is None:
-            return None  # nothing learned yet; let the pass run
-        budget = self.bailout_headroom * expected
-        if deadline_remaining is not None and sec_per_iter:
-            budget = min(budget, deadline_remaining / sec_per_iter)
-        budget = max(budget, 1.0)
-        metrics = self.metrics
-        threshold = self.spread_threshold
-
-        def progress(p) -> list[int]:
-            if p.iteration <= budget:
-                return []
-            conv = np.maximum(p.primal_ratio, p.dual_ratio)
-            best = float(conv.min())
-            stragglers = conv > threshold * max(best, 1e-12)
-            if not stragglers.any() or stragglers.all():
-                # No spread to exploit: either the group converges
-                # together (keep lockstep) or *everyone* is a
-                # straggler (splitting buys nothing but overhead).
-                return []
-            ids = [int(i) for i in p.ids[stragglers]]
-            if metrics is not None:
-                metrics.inc("bailout_lanes", len(ids))
-            return ids
-
-        return progress
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

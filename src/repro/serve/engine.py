@@ -5,15 +5,16 @@ admitted" and "its response was published" lives here — worker
 threads draining the :class:`~repro.serve.queue.RequestQueue` through
 the :class:`~repro.serve.pool.SolverPool` under the
 :class:`~repro.serve.controller.BatchController`'s policy, with
-per-request deadlines, batched dispatch, early per-lane publication
-and the write-once response discipline.
+per-request deadlines, coalesced dispatch, per-lane publication and
+the write-once response discipline.  Every path runs the host
+reference (``MIBSolver.solve()``); cycles are priced from its counts.
 
 The engine is transport-agnostic: the HTTP front-end
 (:class:`~repro.serve.server.ServeServer`) feeds it requests parsed
 from sockets, and a shard worker process (:mod:`repro.shard.worker`)
 feeds it requests decoded from shared-memory slabs.  Both see the
-same execution stack — warm pool, adaptive batching, fused replay —
-because it *is* the same object.
+same execution stack — warm pool, adaptive coalescing — because it
+*is* the same object.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class SolveEngine:
         self.queue = RequestQueue(maxsize=queue_size)
         self.max_batch = max_batch
         # The batching policy layer: decides which lanes share a batch
-        # (``max_batch`` stays the hard cap) and when a pass bails out
-        # of lockstep.  ``batch_policy="greedy"`` is the pre-controller
-        # behaviour: coalesce whatever is waiting, never hold.
+        # (``max_batch`` stays the hard cap).  ``batch_policy="greedy"``
+        # is the pre-controller behaviour: coalesce whatever is
+        # waiting, never hold.
         self.controller = (
             controller
             if controller is not None
@@ -293,7 +294,7 @@ class SolveEngine:
         )
 
     def _process_scenarios(self, request: SolveRequest, queue_wait: float) -> None:
-        """Fan N perturbed variants of one pattern onto batch lanes."""
+        """Solve N perturbed variants of one pattern in payload order."""
         self.metrics.inc("scenario_requests")
         try:
             solves = self.pool.solve_batch(
@@ -320,13 +321,14 @@ class SolveEngine:
         )
 
     def _process_batch(self, batch: DispatchBatch) -> None:
-        """Dispatch a coalesced batch as one batched pool solve.
+        """Dispatch a coalesced batch: its live requests solved in FIFO
+        order on the pattern's resident solver, each answered the
+        moment its own solve finishes.
 
         Per-request deadlines hold inside the batch: lanes already
         expired at dispatch are answered 504 and dropped before the
         solve, so they never displace or poison their siblings, and a
-        failure answers only the live lanes that were actually in the
-        pass.
+        failure answers only the live lanes not yet answered.
         """
         now = time.monotonic()
         live: list[SolveRequest] = []
@@ -355,66 +357,17 @@ class SolveEngine:
                 request, waits[request.request_id], batch.held_seconds
             )
             return
-        # Bail-out budget: the tightest live deadline bounds how long a
-        # pass may chase stragglers before splitting them out.
-        remaining = [
-            r for r in (req.remaining(now) for req in live) if r is not None
-        ]
-        progress = self.controller.make_progress(
-            batch.fingerprint,
-            deadline_remaining=min(remaining) if remaining else None,
-        )
-        published: set[int] = set()
         pass_cpu_t0 = time.thread_time()
-
-        def lane_done(index: int, solved) -> None:
-            # Called at harvest time (fast lanes before slow ones, under
-            # the pool entry's lock): answer the request now instead of
-            # at the end of the pass — the controller's p50 lever.
-            published.add(index)
-            request = live[index]
-            self._finish(
-                request,
-                200,
-                self._ok_payload(
-                    solved,
-                    waits[request.request_id],
-                    batch.held_seconds,
-                    batched=True,
-                    batch_lanes=len(live),
-                ),
-            )
-
+        solves = []
         try:
-            solves = self.pool.solve_batch(
-                [r.problem for r in live],
-                fingerprint=batch.fingerprint,
-                progress=progress,
-                on_lane=lane_done,
-            )
-        except Exception as exc:
-            for index, request in enumerate(live):
-                if index not in published:
-                    self._finish(
-                        request,
-                        500,
-                        {
-                            "status": "error",
-                            "detail": f"{type(exc).__name__}: {exc}",
-                        },
-                    )
-            return
-        pass_cpu = time.thread_time() - pass_cpu_t0
-        # Lanes answered before the slowest lane finished — the wait
-        # the old publish-at-pass-end behaviour would have added.
-        slowest = max(s.solve_seconds for s in solves)
-        early = sum(1 for s in solves if s.solve_seconds < slowest)
-        if early:
-            self.metrics.inc("early_responses", early)
-        # Backstop: publish any lane the callback missed (sequential
-        # fallback paths always invoke it, but stay defensive).
-        for index, (request, solved) in enumerate(zip(live, solves)):
-            if index not in published:
+            for solved in self.pool.iter_batch(
+                [r.problem for r in live], fingerprint=batch.fingerprint
+            ):
+                # Answered now, under the pool entry's lock, not at the
+                # end of the pass: a request waits for the lanes ahead
+                # of it and never for the ones behind.
+                request = live[len(solves)]
+                solves.append(solved)
                 self._finish(
                     request,
                     200,
@@ -426,22 +379,29 @@ class SolveEngine:
                         batch_lanes=len(live),
                     ),
                 )
-        if self.pool.variant == "direct":
-            # Feed the cost model: per-lane iterations, pass cost in
-            # this worker's CPU time (comparable to the solo pricing —
-            # wall time would bill the pass for the handler threads it
-            # wakes with its own early responses), rho fallbacks vs
-            # controller bail-outs.
-            self.controller.observe_pass(
-                batch.fingerprint,
-                lanes=len(live),
-                seconds=pass_cpu,
-                lane_iterations=[
-                    s.report.result.iterations for s in solves
-                ],
-                solo_lanes=sum(s.solo_lane for s in solves),
-                bailed_lanes=sum(s.bailed_lane for s in solves),
-            )
+        except Exception as exc:
+            for request in live[len(solves):]:
+                self._finish(
+                    request,
+                    500,
+                    {
+                        "status": "error",
+                        "detail": f"{type(exc).__name__}: {exc}",
+                    },
+                )
+            return
+        self.metrics.inc("early_responses", len(solves) - 1)
+        # Feed the cost model: per-lane iterations, pass cost in this
+        # worker's CPU time (comparable to the solo pricing — wall time
+        # would bill the pass for the handler threads it wakes with its
+        # own early responses).
+        self.controller.observe_pass(
+            batch.fingerprint,
+            lanes=len(live),
+            seconds=time.thread_time() - pass_cpu_t0,
+            lane_iterations=[s.report.result.iterations for s in solves],
+            solo_lanes=0,
+        )
 
     def _finish(
         self, request: SolveRequest, status_code: int, payload: dict

@@ -36,18 +36,17 @@ COUNTERS = (
     "warm_solve_count",  # solves on a pooled solver via update_values
     "coalesced_batches",   # batches with >1 same-pattern request
     "coalesced_requests",  # requests that rode along in such batches
-    "batched_solves",      # replay_batch passes (one per multi-lane batch)
-    "batched_lanes",       # lanes executed inside those passes
+    "batched_solves",      # multi-lane passes (coalesced batch or fan-out)
+    "batched_lanes",       # lanes solved inside those passes
     "expired_at_pop",      # requests already dead when dequeued (no lane)
     "admm_iterations",
-    # Host→numpy dispatch crossings attributed to solves: recorded
-    # crossings on the batched replay path, per-iteration crossings of
-    # the pool's execution mode x iterations on the modeled solo path.
+    # Modelled host→numpy dispatch crossings: the pattern's
+    # per-iteration crossings under trace replay x iterations solved.
     "host_crossings",
     # Adaptive batching controller (see repro.serve.controller):
     "rider_rejects_cap",       # ride-alongs refused by the learned cap
     "rider_rejects_distance",  # ride-alongs refused by value bucketing
-    "bailout_lanes",           # lanes split out of lockstep mid-flight
+    "bailout_lanes",           # always 0; read by benchmarks/e2e
     "early_responses",         # lanes answered before their pass ended
     "window_holds",            # dispatch-window holds opened
     "window_riders",           # requests that joined a batch during a hold

@@ -28,13 +28,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..backends.mib import MIBSolveReport, MIBSolver
 from ..backends.session import SolveSession
 from ..compiler import ScheduleCache, ScheduleOptions
 from ..solver import QPProblem, Settings
-from ..xp import BackendPolicy
 from .metrics import ServeMetrics
 from .session import SessionStore
 
@@ -48,12 +48,12 @@ class _PoolEntry:
     solves: int = 0
     # Last iterate of this pattern, for warm starting: (x, y, rho).
     # rho rides along so a pool-level warm start resumes the adapted
-    # penalty even when interleaved sessions or batch passes moved the
-    # resident solver's rho in between (it used to re-learn it).
+    # penalty even when interleaved sessions moved the resident
+    # solver's rho in between (it used to re-learn it).
     last_iterate: tuple | None = None
-    # Per-iteration host→numpy crossings of this pattern under the
-    # pool's execution mode; computed once on first use (forces trace
-    # lowering, a one-time per-pattern cost).
+    # Per-iteration host→numpy crossings of this pattern's replayed
+    # traces; computed once on first use (forces trace lowering, a
+    # one-time per-pattern cost).
     crossings_per_iter: int | None = None
 
 
@@ -67,10 +67,9 @@ class PoolSolve:
     cache_hit: bool  # construction (if any) restored from the cache
     compile_seconds: float  # 0.0 on the warm path
     solve_seconds: float
-    # Batched path only: the lane left lockstep (rho refactorization
-    # or controller bail-out); ``bailed_lane`` isolates the latter.
+    # Always False: no serving path runs a lockstep pass a lane could
+    # leave.  Kept until benchmarks/e2e stops reading it.
     solo_lane: bool = False
-    bailed_lane: bool = False
     # Streaming path only: the rebind skipped matrix work (vectors-only
     # delta), and the session key whose carried state seeded the solve.
     delta_bind: bool = False
@@ -86,7 +85,7 @@ class SolverPool:
         Resident solver budget (patterns, not bytes).  Evicting an
         entry only drops the warm solver; its compiled artifact stays
         in the schedule cache, so re-admission skips scheduling.
-    variant / c / settings / execution:
+    variant / c / settings:
         Solver configuration shared by every entry; part of the
         pattern fingerprint, so one pool serves exactly one
         configuration (run several pools for several).
@@ -111,12 +110,10 @@ class SolverPool:
         variant: str = "direct",
         c: int = 16,
         settings: Settings | None = None,
-        execution: str = "replay",
         cache: ScheduleCache | None = None,
         cache_dir: str | None = None,
         metrics: ServeMetrics | None = None,
         warm_start: bool = False,
-        array_backend: str = "auto",
         session_capacity: int = 256,
         session_ttl_s: float = 300.0,
     ) -> None:
@@ -126,17 +123,6 @@ class SolverPool:
         self.variant = variant
         self.c = c
         self.settings = settings if settings is not None else Settings()
-        # Checked and resolved eagerly so a bad mode or a forced-but-
-        # missing accelerator fails at pool construction, not on the
-        # first request.  'interpret' is the solver's cycle-stepped
-        # oracle; no serving path runs it.
-        if execution not in ("replay", "fused"):
-            raise ValueError(
-                f"execution must be 'replay' or 'fused', got {execution!r}"
-            )
-        self.execution = execution
-        self.array_backend = array_backend
-        self.backend_policy = BackendPolicy.resolve(array_backend)
         self.cache = cache if cache is not None else ScheduleCache(cache_dir)
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.warm_start = warm_start
@@ -176,16 +162,14 @@ class SolverPool:
 
     def entries_info(self) -> list[dict]:
         """Per-entry observability for ``/v1/metrics``: fingerprint,
-        solve count, the entry's resolved array-backend selection, and
-        the per-iteration crossing count (``None`` until the first
-        solve lowers the traces)."""
+        solve count and the per-iteration crossing count (``None``
+        until the first solve lowers the traces)."""
         with self._lock:
             items = list(self._entries.items())
         return [
             {
                 "fingerprint": key,
                 "solves": entry.solves,
-                "array_backend": entry.solver.backend_policy.describe(),
                 "crossings_per_iter": entry.crossings_per_iter,
             }
             for key, entry in items
@@ -211,49 +195,7 @@ class SolverPool:
             return self.solve_sequence(
                 [problem], fingerprint=fingerprint, session=session
             )[0]
-        key = fingerprint or self.fingerprint(problem)
-        entry, warm, cache_hit, compile_seconds = self._get_or_create(
-            key, problem
-        )
-        metrics = self.metrics
-        with entry.lock:
-            t0 = time.perf_counter()
-            if warm:
-                entry.solver.update_values(problem)
-            x0 = y0 = None
-            if self.warm_start and entry.last_iterate is not None:
-                x0, y0, rho0 = entry.last_iterate
-                # Resume the adapted penalty too: sessions and batch
-                # passes may have moved the resident solver's rho since
-                # this pattern's last anonymous solve.
-                entry.solver.bind_rho(rho0)
-            report = entry.solver.solve(x0=x0, y0=y0)
-            solve_seconds = time.perf_counter() - t0
-            entry.solves += 1
-            if self.warm_start:
-                entry.last_iterate = (
-                    report.result.x,
-                    report.result.y,
-                    float(entry.solver.reference.rho),
-                )
-            compile_seconds += self._count_crossings(entry)
-        metrics.observe("solve", solve_seconds)
-        if warm:
-            metrics.inc("warm_solve_count")
-            metrics.observe("warm_solve", solve_seconds)
-        metrics.inc("admm_iterations", report.result.iterations)
-        metrics.inc(
-            "host_crossings",
-            report.result.iterations * entry.crossings_per_iter,
-        )
-        return PoolSolve(
-            fingerprint=key,
-            report=report,
-            warm=warm,
-            cache_hit=cache_hit,
-            compile_seconds=compile_seconds,
-            solve_seconds=solve_seconds,
-        )
+        return self.solve_batch([problem], fingerprint=fingerprint)[0]
 
     @staticmethod
     def _count_crossings(entry: _PoolEntry) -> float:
@@ -357,17 +299,7 @@ class SolverPool:
                 state.lock.release()
                 self.sessions.touch(session)
         for solved in solves:
-            metrics.observe("solve", solved.solve_seconds)
-            if solved.warm:
-                metrics.inc("warm_solve_count")
-                metrics.observe("warm_solve", solved.solve_seconds)
-            metrics.inc(
-                "admm_iterations", solved.report.result.iterations
-            )
-            metrics.inc(
-                "host_crossings",
-                solved.report.result.iterations * crossings,
-            )
+            self._account(solved, crossings)
         delta = sum(s.delta_bind for s in solves)
         if delta:
             metrics.inc("delta_binds", delta)
@@ -381,92 +313,88 @@ class SolverPool:
         problems: list[QPProblem],
         *,
         fingerprint: str | None = None,
-        progress=None,
-        on_lane=None,
     ) -> list[PoolSolve]:
-        """Solve B same-pattern instances in one batched replay pass.
+        """Solve same-pattern instances in payload order as anonymous
+        solo solves (:meth:`iter_batch`, collected)."""
+        return list(self.iter_batch(problems, fingerprint=fingerprint))
 
-        One warm solver executes all lanes through
-        :meth:`MIBSolver.solve_batch` — a single lockstep pass of the
-        compiled traces, per-lane results bit-identical to solo solves.
-        Falls back to sequential :meth:`solve` calls when batching does
-        not apply (a single problem, or the indirect variant).
+    def iter_batch(
+        self,
+        problems: list[QPProblem],
+        *,
+        fingerprint: str | None = None,
+    ) -> Iterator[PoolSolve]:
+        """The anonymous solve, one instance after the other on the
+        pattern's resident solver under one hold of its entry lock.
 
-        ``progress`` is forwarded to the lockstep loop (the adaptive
-        controller's bail-out hook).  ``on_lane`` is called as
-        ``on_lane(index, PoolSolve)`` the moment each lane finishes —
-        early lanes before slow ones — so the server can answer a
-        request without waiting for the whole pass.  The callback runs
-        with the pool entry's lock held: it must not re-enter the
-        pool.  Each lane's ``solve_seconds`` is its own elapsed time
-        in the pass — what that request actually waited.
-
-        The pass starts every lane from the warm solver's current ρ
-        (``rho0``), matching the solo path whose adapted ρ persists
-        across ``update_values``: without it every lane re-learns ρ
-        from the configured default, and the resulting refactorization
-        extracts the whole batch out of lockstep one lane at a time.
-        Lane results stay bit-identical to
-        ``bind_instance(problem, rho0=...)`` + ``solve_on_network()``
-        at that ρ.
+        Every lane is ``update_values`` + ``solve()``, so the adapted ρ
+        (and ``last_iterate`` under ``warm_start``) carries from lane
+        to lane and from pass to pass exactly as between consecutive
+        :meth:`solve` calls — which are the one-lane case.  Each
+        :class:`PoolSolve` is yielded the moment its solve finishes,
+        with the entry lock held: the consumer may answer a request
+        before the later lanes run, and must not re-enter the pool.
+        A lane's ``solve_seconds`` is its elapsed time since the pass
+        began — what that request actually waited.
         """
         if not problems:
-            return []
+            return
         key = fingerprint or self.fingerprint(problems[0])
-        if len(problems) == 1 or self.variant != "direct":
-            solves = [self.solve(p, fingerprint=key) for p in problems]
-            if on_lane is not None:
-                for i, solved in enumerate(solves):
-                    on_lane(i, solved)
-            return solves
         entry, warm, cache_hit, compile_seconds = self._get_or_create(
             key, problems[0]
         )
-        metrics = self.metrics
         solver = entry.solver
-        built: dict[int, PoolSolve] = {}
         with entry.lock:
             t0 = time.perf_counter()
-
-            def lane_done(index: int, lane) -> None:
+            for problem in problems:
+                if warm:
+                    solver.update_values(problem)
+                x0 = y0 = None
+                if self.warm_start and entry.last_iterate is not None:
+                    x0, y0, rho0 = entry.last_iterate
+                    # Resume the adapted penalty too: sessions may have
+                    # moved the resident solver's rho since this
+                    # pattern's last anonymous solve.
+                    solver.bind_rho(rho0)
+                report = solver.solve(x0=x0, y0=y0)
+                solve_seconds = time.perf_counter() - t0
+                entry.solves += 1
+                if self.warm_start:
+                    entry.last_iterate = (
+                        report.result.x,
+                        report.result.y,
+                        float(solver.reference.rho),
+                    )
                 solved = PoolSolve(
                     fingerprint=key,
-                    report=solver.lane_report(lane),
+                    report=report,
                     warm=warm,
                     cache_hit=cache_hit,
-                    compile_seconds=compile_seconds,
-                    solve_seconds=time.perf_counter() - t0,
-                    solo_lane=lane.solo,
-                    bailed_lane=lane.bailed,
+                    compile_seconds=(
+                        compile_seconds + self._count_crossings(entry)
+                    ),
+                    solve_seconds=solve_seconds,
                 )
-                built[index] = solved
-                if on_lane is not None:
-                    on_lane(index, solved)
+                self._account(solved, entry.crossings_per_iter)
+                yield solved
+                # The first lane paid any construction; later lanes
+                # ride the now-resident solver.
+                warm, compile_seconds = True, 0.0
+        if len(problems) > 1:
+            self.metrics.inc("batched_solves")
+            self.metrics.inc("batched_lanes", len(problems))
+            self.metrics.observe_batch(len(problems))
 
-            batch = entry.solver.solve_batch(
-                list(problems),
-                rho0=float(solver.reference.rho),
-                progress=progress,
-                on_lane=lane_done,
-            )
-            entry.solves += len(problems)
-        metrics.inc("batched_solves")
-        metrics.inc("batched_lanes", len(problems))
-        metrics.observe_batch(len(problems))
-        warm_lanes = len(problems) if warm else len(problems) - 1
-        metrics.inc("warm_solve_count", warm_lanes)
-        solves = [built[i] for i in range(len(problems))]
-        for i, solved in enumerate(solves):
-            metrics.observe("solve", solved.solve_seconds)
-            if i < warm_lanes:
-                metrics.observe("warm_solve", solved.solve_seconds)
-        metrics.inc(
-            "admm_iterations", sum(r.iterations for r in batch.lanes)
-        )
-        metrics.inc(
-            "host_crossings", sum(r.host_crossings for r in batch.lanes)
-        )
-        return solves
+    def _account(self, solved: PoolSolve, crossings_per_iter: int) -> None:
+        """Count one finished solve of any path in the shared series."""
+        metrics = self.metrics
+        metrics.observe("solve", solved.solve_seconds)
+        if solved.warm:
+            metrics.inc("warm_solve_count")
+            metrics.observe("warm_solve", solved.solve_seconds)
+        iterations = solved.report.result.iterations
+        metrics.inc("admm_iterations", iterations)
+        metrics.inc("host_crossings", iterations * crossings_per_iter)
 
     # ------------------------------------------------------------------
     def _get_or_create(
@@ -499,8 +427,6 @@ class SolverPool:
                 c=self.c,
                 settings=self.settings,
                 cache=self.cache,
-                execution=self.execution,
-                array_backend=self.backend_policy,
             )
             compile_seconds = time.perf_counter() - t0
             if solver.cache_key != key:

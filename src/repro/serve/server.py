@@ -44,9 +44,9 @@ API (all JSON):
   mid-sequence carries ``steps_completed`` so the client replays only
   the tail.
 * ``POST /v1/scenarios`` — body ``{"problem": <doc>, "scenarios":
-  [<override>, ...], "timeout_s": <float, optional>}``; fans N
-  perturbed variants of one pattern onto the pool's batch lanes and
-  answers once with per-lane payloads.
+  [<override>, ...], "timeout_s": <float, optional>}``; solves N
+  perturbed variants of one pattern in payload order on its resident
+  solver and answers once with per-lane payloads.
 * ``GET /v1/health`` — liveness + pool occupancy (per-shard liveness
   and pattern residency when sharded; HTTP 207 while degraded).
 * ``GET /v1/metrics`` — the :class:`~repro.serve.metrics.ServeMetrics`
@@ -79,9 +79,9 @@ __all__ = ["ServeServer"]
 _WAIT_GRACE_S = 0.05
 
 # Streaming caps: a sequence holds a session lock for its whole span
-# and a scenario fan-out occupies a full batched pass, so both are
-# bounded per request (clients chunk longer streams across requests —
-# the session carries the state over).
+# and a scenario fan-out holds its pattern's solver for every lane, so
+# both are bounded per request (clients chunk longer streams across
+# requests — the session carries the state over).
 MAX_SEQUENCE_STEPS = 512
 MAX_SCENARIO_LANES = 64
 
@@ -387,7 +387,7 @@ class ServeServer:
         return self._admit_and_wait(request, timeout_s)
 
     def handle_scenarios(self, body: dict) -> tuple[int, dict]:
-        """Admit a scenario fan-out (N variants, one batched pass)."""
+        """Admit a scenario fan-out (N variants, solved in order)."""
         self.metrics.inc("requests_total")
         try:
             timeout_s = self._parse_timeout(body)

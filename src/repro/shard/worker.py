@@ -2,8 +2,8 @@
 
 Each worker owns a full serve execution stack — warm
 :class:`~repro.serve.pool.SolverPool`, bounded queue, adaptive
-:class:`~repro.serve.controller.BatchController`, fused/replay
-execution, optionally an on-disk schedule cache shared read-mostly
+:class:`~repro.serve.controller.BatchController`,
+optionally an on-disk schedule cache shared read-mostly
 with its siblings — wrapped in a
 :class:`~repro.serve.engine.SolveEngine`.  Nothing here knows about
 HTTP: the worker speaks the shard protocol over one duplex pipe.

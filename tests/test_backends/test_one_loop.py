@@ -10,11 +10,13 @@ storage.  Two guards:
 * **same numbers** — ``golden_network_solves.json`` pins a fresh
   (never rebound) solver's ``solve_on_network()`` on the five
   ``bench_serve`` domains at C = 8, and the solver state a mid-solve ρ
-  update leaves behind.  The file was GENERATED ON b21aac5, before the
-  scalar loop was removed; the fresh-solver half is what proves the
+  update leaves behind.  The fresh-solver half was GENERATED ON
+  b21aac5, before the scalar loop was removed; it is what proves the
   one-lane group is built from the bound instance's scaled values and
-  not re-scaled from the raw problem.  Regenerate only together with a
-  change that is meant to move a network solve:
+  not re-scaled from the raw problem.  The write-through record was
+  re-recorded once, when the ρ write-through started refreshing
+  ``reference.rho_vec`` (see its test).  Regenerate only together with
+  a change that is meant to move a network solve:
 
       PYTHONPATH=src:. python tests/test_backends/test_one_loop.py
 """
@@ -104,18 +106,35 @@ def test_fresh_solver_matches_parent_digest(pattern):
     assert fresh_solve_digest(pattern) == golden["fresh"][pattern]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_rho_write_through_matches_parent():
-    """What an adapting network solve leaves on the solver is the
-    parent's, bit for bit — including what the parent got wrong: it
-    writes ``reference.rho`` and the host factorization through but
-    never ``reference.rho_vec``, so the host ``solve()`` that follows
-    pairs a stale vector with the new factor and runs to ``max_iter``
-    (the recorded 4000 iterations).  This PR moves no number; ROADMAP
-    carries the finding."""
+    """What an adapting network solve leaves on the solver, pinned.
+
+    RE-RECORDED with the fix it pins: the write-through used to set
+    ``reference.rho`` and the host factorization but not
+    ``reference.rho_vec``, so the ``solve()`` that followed paired a
+    stale vector with the new factor and ran all 4 000 iterations into
+    overflow warnings (the previous record).  ρ, ``net_rho_updates``
+    and the network solve itself did not move; ``rho_vec`` and the
+    ``next_*`` fields did.  The following ``solve()`` now equals
+    ``bind_rho(<adapted ρ>)`` + ``solve()`` on a twin, bitwise."""
     golden = json.loads(GOLDEN.read_text())["write_through"]
     assert golden["net_rho_updates"] >= 1, "needs a mid-solve ρ update"
     assert write_through_digest() == golden
+
+    solver = MIBSolver(portfolio_problem(10), c=C, settings=ADAPTING)
+    solver.solve_on_network()
+    after = solver.solve()
+    twin = MIBSolver(portfolio_problem(10), c=C, settings=ADAPTING)
+    assert twin.bind_rho(float(solver.reference.rho))
+    expected = twin.solve()
+    assert after.result.status is expected.result.status
+    assert after.result.iterations == expected.result.iterations < 4000
+    assert after.result.rho_updates == expected.result.rho_updates
+    for name in "xyz":
+        assert np.array_equal(
+            getattr(after.result, name), getattr(expected.result, name)
+        ), name
+    assert after.cycles == expected.cycles
 
 
 def _perturbed(base: QPProblem, seed: int) -> QPProblem:

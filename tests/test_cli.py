@@ -95,13 +95,19 @@ class TestCLI:
             main(["solve", "--domain", "sudoku"])
 
     def test_serve_offers_no_interpret_mode(self, capsys):
-        """No serving path runs the interpreter, so ``serve`` does not
-        offer it; ``solve`` keeps all three modes (the oracle lives
+        """Every endpoint runs the host reference, so ``serve`` takes
+        neither ``--execution`` nor ``--array-backend``; ``solve``
+        keeps both, all three modes included (the oracle lives
         there)."""
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--port", "0", "--execution", "interpret"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'interpret'" in capsys.readouterr().err
+        for flag, value in (
+            ("--execution", "interpret"),
+            ("--execution", "replay"),
+            ("--array-backend", "numpy"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--port", "0", flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
         rc = main(
             ["solve", "--domain", "mpc", "--dimension", "3", "--backend",
              "network", "--width", "16", "--execution", "interpret"]

@@ -5,13 +5,13 @@ Covers the serve-layer half of the batched-replay contract:
 * :meth:`RequestQueue.next_batch` exposes the batch's common
   fingerprint and sweeps already-expired requests into
   ``batch.expired`` instead of handing them a solve lane;
-* :meth:`SolverPool.solve_batch` answers a coalesced batch from one
-  ``replay_batch`` pass with per-lane results bit-identical to solo
-  pool solves;
+* :meth:`SolverPool.solve_batch` answers a coalesced batch as its
+  instances in order on the resident solver, every lane bit-identical
+  to the solo pool solve at that point of the stream;
 * a live server answers 16 coalesced same-pattern HTTP requests from
-  a single batched pass (one ``batched_solves``, 16 ``batched_lanes``)
-  and honors per-request deadlines inside the batch — an expired lane
-  is answered 504 without poisoning its siblings.
+  a single pass (one ``batched_solves``, 16 ``batched_lanes``) and
+  honors per-request deadlines inside the batch — an expired lane is
+  answered 504 without poisoning its siblings.
 
 The server tests use ``workers=0`` (no drain loop) so the test can
 deterministically accumulate a full queue and dispatch it as exactly
@@ -57,6 +57,26 @@ def perturbed(base: QPProblem, seed: int) -> QPProblem:
     return QPProblem(
         p=base.p, q=q, a=base.a, l=base.l, u=base.u, name=base.name
     )
+
+
+def assert_same_solve(report, expected) -> None:
+    """Two ``MIBSolveReport``s of one answer: bitwise, price included."""
+    got, want = report.result, expected.result
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.rho_updates == want.rho_updates
+    for name in "xyz":
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert report.cycles == expected.cycles
+    assert report.kernel_invocations == expected.kernel_invocations
+
+
+def assert_response_is(response, report) -> None:
+    """An HTTP reply carries exactly ``report``'s answer and price."""
+    assert response.result.x.tobytes() == report.result.x.tobytes()
+    assert response.result.y.tobytes() == report.result.y.tobytes()
+    assert response.result.iterations == report.result.iterations
+    assert response.raw["cycles"] == report.cycles
 
 
 class TestExpiredAtPop:
@@ -127,31 +147,26 @@ class TestPoolSolveBatch:
         assert after["batched_lanes"] == before["batched_lanes"] + 4
         assert len(solves) == 4
         fingerprint = pool.fingerprint(base)
-        # Bitwise oracle: a solver built from the same seed instance the
-        # pool entry was (problems[0] on the cold path), run through the
-        # network executor — the machine solve_batch lanes execute on.
-        oracle = MIBSolver(
+        # A lane is the solo solve at that point of the stream: the
+        # same instances as consecutive ``solve`` calls on a second
+        # cold pool, and as ``update_values`` + ``solve()`` on a solver
+        # built, like the pool entry, from problems[0].
+        solo_pool = SolverPool(
+            capacity=2, variant="direct", c=C, settings=SETTINGS
+        )
+        twin = MIBSolver(
             problems[0], variant="direct", c=C, settings=SETTINGS
         )
-        for lane, problem in zip(solves, problems):
+        for i, (lane, problem) in enumerate(zip(solves, problems)):
             assert lane.fingerprint == fingerprint
-            oracle.bind_instance(problem)
-            net = oracle.solve_on_network()
-            lane_r = lane.report.result
-            assert lane_r.status is net.status
-            assert lane_r.iterations == net.iterations
-            assert lane_r.x.tobytes() == net.x.tobytes()
-            assert lane_r.y.tobytes() == net.y.tobytes()
-            assert lane_r.z.tobytes() == net.z.tobytes()
-            assert lane.report.cycles == net.cycles
-            # The pool's solo path runs the host algorithmic reference:
-            # the same algorithm, identical up to float rounding.
-            solo_r = pool.solve(problem).report.result
-            assert lane_r.status is solo_r.status
-            assert lane_r.iterations == solo_r.iterations
-            np.testing.assert_allclose(
-                lane_r.x, solo_r.x, rtol=1e-9, atol=1e-12
-            )
+            assert lane.warm is (i > 0) and not lane.solo_lane
+            assert_same_solve(lane.report, solo_pool.solve(problem).report)
+            if i:
+                twin.update_values(problem)
+            assert_same_solve(lane.report, twin.solve())
+        # Lanes report their elapsed time since the pass began.
+        waits = [lane.solve_seconds for lane in solves]
+        assert waits == sorted(waits) and waits[0] > 0.0
 
     def test_single_problem_batch_falls_back_to_solo_path(self, pool):
         base = base_problem()
@@ -172,11 +187,11 @@ class TestPoolSolveBatch:
         assert sizes.get("4") == 1 and sizes.get("2") == 1
 
 
-# Per-lane pricing of one fan-out pass, RECORDED ON b21aac5 (when
-# ``SolverPool._wrap_lane`` still priced lanes by hand) with the batch
-# of tests/test_backends/test_solve_batch.py: harvests at different
-# iterations, ρ refactorizations, two infeasible lanes and one lane
-# stopped by ``max_iter`` between checks.  Floats are ``float.hex()``.
+# Per-lane pricing of one fan-out pass with the batch of
+# tests/test_backends/test_solve_batch.py (ρ refactorizations, an
+# infeasible lane, lanes stopped by ``max_iter`` between checks),
+# RE-RECORDED when a lane became the solo solve at that point of the
+# stream.  Floats are ``float.hex()``.
 RECORDED_SETTINGS = Settings(
     max_iter=298, check_interval=5, adaptive_rho=True,
     eps_abs=1e-8, eps_rel=1e-8,
@@ -188,18 +203,29 @@ RECORDED_KERNEL_CYCLES = {
 RECORDED_TRANSFER = "0x1.50c4e0e78353ep-16"
 RECORDED_LANES = [
     # status, cycles, runtime_seconds, iterations, residuals, factor
-    ("SOLVED", 13628, "0x1.12b9bb4763912p-14", 45, 9, 1),
-    ("SOLVED", 19777, "0x1.68b1dc1c8cea8p-14", 65, 13, 2),
-    ("SOLVED", 28735, "0x1.e5efca69b20c4p-14", 95, 19, 2),
-    ("PRIMAL_INFEASIBLE", 88632, "0x1.4ad6e0436e8c2p-12", 295, 59, 3),
-    ("MAX_ITERATIONS", 89364, "0x1.4d65dbc96154dp-12", 298, 60, 2),
-    ("PRIMAL_INFEASIBLE", 34707, "0x1.1cb734a3e566cp-13", 115, 23, 2),
+    ("SOLVED", 11951, "0x1.f68f078edf200p-15", 45, 10, 1),
+    ("SOLVED", 17340, "0x1.469f7f3f58e40p-14", 65, 14, 2),
+    ("SOLVED", 49915, "0x1.8706fb5251bcfp-13", 190, 39, 2),
+    ("PRIMAL_INFEASIBLE", 76152, "0x1.1f37f607fbef5p-12", 290, 59, 3),
+    ("MAX_ITERATIONS", 77863, "0x1.2532f01d0eb45p-12", 298, 60, 1),
+    ("MAX_ITERATIONS", 77863, "0x1.2532f01d0eb45p-12", 298, 60, 1),
 ]
 
 
 def test_scenario_lane_pricing_matches_recorded_parent():
-    """The lane → ``MIBSolveReport`` conversion moved behind
-    ``MIBSolver``; what a scenario lane is told it cost did not."""
+    """What a scenario lane is told it cost: the solo pricing of
+    ``MIBSolver.solve()``, kernel counts x scheduled cycles.
+
+    Against the executed batch lane recorded before (13 628 and 19 777
+    cycles for lanes 0 and 1), at equal iterations and factorizations
+    a lane now reads 1 677 and 2 437 cycles less: the priced iteration
+    is one ``admm_vector`` (71) where the executed one ran ``iter_pre``
+    + ``iter_post`` (28 + 81), 38 cycles per iteration, less the one
+    extra ``residuals`` check (33) the pricing counts when a solve
+    stops on a check iteration.  From lane 2 on the iterations differ
+    too: ρ carries from lane to lane as between consecutive
+    ``/v1/solve`` requests, where the batch engine started every lane
+    from the resident ρ."""
     from tests.test_backends.test_solve_batch import (
         SEED_SCALES,
         perturbed_full,
@@ -221,10 +247,10 @@ def test_scenario_lane_pricing_matches_recorded_parent():
         assert report.runtime_seconds.hex() == runtime
         assert report.transfer_seconds.hex() == RECORDED_TRANSFER
         assert report.kernel_cycles == RECORDED_KERNEL_CYCLES
-        assert list(report.kernel_invocations.items()) == [
-            ("iter_pre", iters), ("kkt_solve", iters), ("iter_post", iters),
-            ("residuals", checks), ("factor", factors),
-        ]
+        assert report.kernel_invocations == {
+            "admm_vector": iters, "residuals": checks,
+            "kkt_solve": iters, "factor": factors,
+        }
 
 
 def _post_concurrently(
@@ -275,8 +301,9 @@ def _drain_once(server: ServeServer, max_batch: int) -> None:
 @pytest.mark.serve_e2e
 class TestServerBatchedEndToEnd:
     def test_sixteen_requests_one_replay_pass(self):
-        """16 coalesced same-pattern requests → one batched solve with
-        16 lanes, every response equal to its solo pool solve."""
+        """16 coalesced same-pattern requests → one pass of 16 lanes,
+        answered in queue order, every response equal to the solo
+        solve at that point of the stream."""
         burst = 16
         base = base_problem()
         with ServeServer(
@@ -311,22 +338,23 @@ class TestServerBatchedEndToEnd:
             assert after["coalesced_requests"] == burst - 1
             assert snap["batch_sizes"].get(str(burst)) == 1
 
-            # Bitwise oracle: the pool entry was built from ``base``;
-            # an identically constructed solver re-binds each lane's
-            # instance and executes on the network, like the batch did.
-            oracle = MIBSolver(
-                base, variant="direct", c=C, settings=SETTINGS
-            )
-            for response, problem in zip(responses, problems):
+            # Bitwise oracle: a solver with the pool entry's history
+            # (built from ``base``, solved once) takes the instances
+            # in the order the queue dispatched them — the order the
+            # lanes finished in.
+            for response in responses:
                 assert response.ok and response.solved, response.raw
                 assert response.raw["batched"] is True
                 assert response.raw["batch_lanes"] == burst
                 assert response.warm
-                oracle.bind_instance(problem)
-                net = oracle.solve_on_network()
-                assert response.result.x.tobytes() == net.x.tobytes()
-                assert response.result.iterations == net.iterations
-                assert response.raw["cycles"] == net.cycles
+            order = sorted(
+                range(burst), key=lambda i: responses[i].raw["solve_seconds"]
+            )
+            twin = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
+            twin.solve()
+            for i in order:
+                twin.update_values(problems[i])
+                assert_response_is(responses[i], twin.solve())
 
     def test_expired_lane_gets_504_without_poisoning_siblings(self):
         """One lane's deadline passes while queued; it is answered

@@ -7,22 +7,19 @@ Two layers:
   the affine pass-cost fit (fixed + marginal * lanes), cap decisions in
   their documented order (explore, fallback-parking, marginal-vs-solo,
   latency budget, whole-pass-vs-solos), the solo-arm probe, the
-  explore escape and its back-off, the evidence-gated dispatch window and its hold series, bucketing
-  distance and the bail-out closure over a synthetic progress state.
+  explore escape and its back-off, the evidence-gated dispatch window
+  and its hold series, and bucketing distance.
 
 * **Differential** — the controller's one hard contract: it only
-  chooses *which* lanes share a batch and when a pass gives up on
-  lockstep; every lane's result stays bit-identical to a solo
-  ``bind_instance(problem, rho0) + solve_on_network()`` at the warm
-  solver's rho — including lanes the bail-out split back out of
-  lockstep mid-pass.
+  chooses *which* requests share a dispatch; every lane's result stays
+  bit-identical to the solo solve at that point of the stream
+  (``update_values`` + ``solve()`` on a twin with the same history).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,11 +112,9 @@ class TestCostModel:
             seconds=0.1,
             lane_iterations=[30] * 8,
             solo_lanes=4,
-            bailed_lanes=3,  # controller's own splits are not fallback
         )
         s = ctrl.stats_for("fp")
-        assert s.solo_fallback_rate == pytest.approx(1 / 8)
-        assert s.bailed_lanes == 3
+        assert s.solo_fallback_rate == pytest.approx(4 / 8)
 
     def test_pass_resets_the_explore_pressure_counter(self):
         ctrl = BatchController()
@@ -522,69 +517,7 @@ class TestValueDistance:
             assert value_distance(base, other) == math.inf
 
 
-# ----------------------------------------------------------------------
-# bail-out closure over a synthetic progress state
-# ----------------------------------------------------------------------
-def _progress_state(iteration, primal, dual, ids=None):
-    primal = np.asarray(primal, dtype=np.float64)
-    return SimpleNamespace(
-        iteration=iteration,
-        primal_ratio=primal,
-        dual_ratio=np.asarray(dual, dtype=np.float64),
-        ids=np.asarray(
-            ids if ids is not None else np.arange(primal.size)
-        ),
-    )
-
-
-class TestMakeProgress:
-    def test_non_adaptive_and_unlearned_patterns_run_uninstrumented(self):
-        assert BatchController(policy="greedy").make_progress("fp") is None
-        assert BatchController().make_progress("never-seen") is None
-
-    def test_within_budget_keeps_lockstep(self):
-        ctrl = BatchController(bailout_headroom=3.0)
-        _learned(ctrl, iterations=30)
-        progress = ctrl.make_progress("fp")
-        state = _progress_state(50, [1.0, 1e4], [1.0, 1e4])
-        assert progress(state) == []  # 50 <= 3 * 30
-
-    def test_past_budget_splits_stragglers_only(self):
-        metrics = ServeMetrics()
-        ctrl = BatchController(
-            bailout_headroom=1.0, spread_threshold=10.0, metrics=metrics
-        )
-        _learned(ctrl, iterations=30)
-        progress = ctrl.make_progress("fp")
-        state = _progress_state(
-            40,
-            primal=[1.0, 1.0, 5e3],
-            dual=[1.0, 1.0, 1e3],
-            ids=[7, 8, 9],
-        )
-        assert progress(state) == [9]
-        assert metrics.count("bailout_lanes") == 1
-
-    def test_group_converging_together_never_splits(self):
-        ctrl = BatchController(bailout_headroom=1.0, spread_threshold=10.0)
-        _learned(ctrl, iterations=30)
-        progress = ctrl.make_progress("fp")
-        # No lane is spread_threshold times worse than the best: the
-        # group is converging together, keep lockstep.
-        assert progress(_progress_state(40, [1.0, 1.1], [1.0, 1.1])) == []
-        assert progress(_progress_state(40, [1.0, 9.0], [1.0, 2.0])) == []
-
-    def test_deadline_tightens_the_iteration_budget(self):
-        ctrl = BatchController(bailout_headroom=3.0, spread_threshold=2.0)
-        _learned(ctrl, iterations=30, fixed=0.0, marginal=0.001)
-        # seconds_per_iteration is learned from pass observations; a
-        # short deadline shrinks the budget below headroom * expected.
-        tight = ctrl.make_progress("fp", deadline_remaining=1e-6)
-        state = _progress_state(5, [1.0, 1e4], [1.0, 1.0])
-        assert tight(state) == [1]
-        relaxed = ctrl.make_progress("fp", deadline_remaining=1e3)
-        assert relaxed(state) == []
-
+class TestSnapshot:
     def test_snapshot_is_json_ready(self):
         import json
 
@@ -641,14 +574,14 @@ class TestConcurrency:
 
 
 # ----------------------------------------------------------------------
-# differential: adaptive batching is bit-identical to solo solves
+# differential: coalesced dispatch is bit-identical to solo solves
 # ----------------------------------------------------------------------
 class TestDifferentialBitwise:
     def test_randomized_mix_with_forced_bailouts_stays_bitwise(self):
-        """A heterogeneous batch under an aggressive bail-out policy:
-        every lane — including the ones split back to solo mid-pass —
-        equals ``bind_instance(problem, rho0) + solve_on_network()``
-        on a twin solver with the same warm history."""
+        """A heterogeneous batch (the mix that used to force mid-pass
+        bail-outs; there is no lockstep to bail out of now): every
+        lane equals ``update_values`` + ``solve()`` on a twin solver
+        with the same warm history, rho carried from lane to lane."""
         base = lasso_problem(6, n_samples=16, seed=0)
         pool = SolverPool(capacity=2, variant="direct", c=C, settings=SETTINGS)
         twin = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
@@ -662,61 +595,46 @@ class TestDifferentialBitwise:
             pool.solve(p)
             twin.update_values(p)
             twin.solve()
-        rho0 = float(twin.reference.rho)
 
-        fp = pool.fingerprint(base)
-        ctrl = BatchController(
-            policy="adaptive",
-            bailout_headroom=1.0,
-            spread_threshold=1.2,
-            metrics=ServeMetrics(),
-        )
-        # Learn a deliberately low iteration expectation so the pass
-        # overruns its budget and the bail-out actually fires.
-        ctrl.observe_solo(fp, seconds=0.01, iterations=4)
-
-        # Small scales stay near the warm start; the huge ones are
-        # semantically different instances whose lanes converge on a
-        # different schedule — the iteration spread the bail-out needs.
+        # Small scales stay near the previous instance; the huge ones
+        # are semantically different instances that converge on a
+        # different schedule and move rho for the lanes behind them.
         rng_scales = [0.01, 0.02, 50.0, 0.01, 200.0, 0.02, 100.0, 0.01]
         problems = [
             perturbed(base, 100 + i, scale=s)
             for i, s in enumerate(rng_scales)
         ]
-        solves = pool.solve_batch(
-            problems, progress=ctrl.make_progress(fp)
-        )
+        solves = pool.solve_batch(problems)
 
-        assert any(s.bailed_lane for s in solves), (
-            "bail-out policy was tuned to fire; no lane split"
-        )
+        assert len({s.report.result.iterations for s in solves}) > 1
+        assert any(s.report.result.rho_updates for s in solves)
         for lane, problem in zip(solves, problems):
-            twin.bind_instance(problem, rho0=rho0)
-            net = twin.solve_on_network()
+            twin.update_values(problem)
+            report = twin.solve()
             lane_r = lane.report.result
-            assert lane_r.iterations == net.iterations
-            assert lane_r.x.tobytes() == net.x.tobytes()
-            assert lane_r.y.tobytes() == net.y.tobytes()
-            assert lane.report.cycles == net.cycles
+            assert lane_r.iterations == report.result.iterations
+            assert lane_r.rho_updates == report.result.rho_updates
+            assert lane_r.x.tobytes() == report.result.x.tobytes()
+            assert lane_r.y.tobytes() == report.result.y.tobytes()
+            assert lane.report.cycles == report.cycles
 
     @pytest.mark.serve_e2e
     def test_adaptive_server_burst_is_bitwise_incl_bailouts(self):
         """Full stack: 8 concurrent requests with mixed warm-start
         distance, drained through the controller's rider/window/cap
-        hooks under the adaptive policy, answered bit-identically to
-        the solo network oracle."""
+        hooks under the adaptive policy, each answered bit-identically
+        to the solo solve at its place in the dispatch order."""
         from tests.test_serve.test_batch_serve import (
             _post_concurrently,
             _wait_for_queue,
+            assert_response_is,
         )
 
         burst = 8
-        base = mpc_problem(2, horizon=3, seed=5)  # rho-stable pattern
+        base = mpc_problem(2, horizon=3, seed=5)
         controller = BatchController(
             policy="adaptive",
-            bailout_headroom=1.0,
-            spread_threshold=1.2,
-            bucket_width=1e9,  # isolate bail-out: admit every rider
+            bucket_width=1e9,  # admit every rider
             metrics=ServeMetrics(),
         )
         with ServeServer(
@@ -731,8 +649,6 @@ class TestDifferentialBitwise:
             controller=controller,
         ) as server:
             server.pool.solve(base)
-            fp = server.pool.fingerprint(base)
-            controller.observe_solo(fp, seconds=0.01, iterations=4)
             client = ServeClient(port=server.port)
             scales = [0.01, 50.0, 0.01, 200.0, 0.02, 100.0, 0.01, 50.0]
             problems = [
@@ -757,17 +673,20 @@ class TestDifferentialBitwise:
             for t in threads:
                 t.join(timeout=10.0)
             assert not any(t.is_alive() for t in threads)
-            assert controller.metrics.count("bailout_lanes") >= 1
 
-            oracle = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
-            for response, problem in zip(responses, problems):
+            for response in responses:
                 assert response.ok and response.solved, response.raw
                 assert response.raw["batched"] is True
-                oracle.bind_instance(problem)
-                net = oracle.solve_on_network()
-                assert response.result.x.tobytes() == net.x.tobytes()
-                assert response.result.iterations == net.iterations
-                assert response.raw["cycles"] == net.cycles
+            # Lanes finish in dispatch order; a twin with the pool
+            # entry's history takes the instances in that order.
+            order = sorted(
+                range(burst), key=lambda i: responses[i].raw["solve_seconds"]
+            )
+            twin = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
+            twin.solve()
+            for i in order:
+                twin.update_values(problems[i])
+                assert_response_is(responses[i], twin.solve())
 
     @pytest.mark.serve_e2e
     def test_lone_client_never_waits_and_a_burst_is_still_bitwise(self):
@@ -776,10 +695,15 @@ class TestDifferentialBitwise:
         worker pops it, from the first request on — no window opens on
         concurrency nobody has shown.  A 4-client same-pattern burst is
         then answered 200 whichever way the dispatcher splits it, each
-        lane bit-equal to the oracle of the path it took."""
-        from tests.test_serve.test_batch_serve import _post_concurrently
+        answer bit-equal to the solo solve of its instance."""
+        from tests.test_serve.test_batch_serve import (
+            _post_concurrently,
+            assert_response_is,
+        )
 
-        base = mpc_problem(2, horizon=3, seed=5)  # rho-stable pattern
+        # rho never adapts on this pattern, so a cold-iterate solve
+        # does not depend on where in the stream it ran.
+        base = mpc_problem(2, horizon=3, seed=5)
         patterns = [
             base,
             lasso_problem(6, n_samples=16, seed=0),
@@ -816,21 +740,11 @@ class TestDifferentialBitwise:
             assert not any(t.is_alive() for t in threads)
 
             solo = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
-            net = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
             for response, problem in zip(responses, problems):
                 assert response.ok and response.solved, response.raw
                 raw = response.raw
                 assert 0.0 <= raw["window_seconds"] <= raw["queue_seconds"]
-                if raw["batched"]:
-                    net.bind_instance(problem)
-                    lane = net.solve_on_network()
-                    x, iterations, cycles = lane.x, lane.iterations, lane.cycles
-                else:
-                    solo.update_values(problem)
-                    report = solo.solve()
-                    x = report.result.x
-                    iterations = report.result.iterations
-                    cycles = report.cycles
-                assert response.result.x.tobytes() == x.tobytes()
-                assert response.result.iterations == iterations
-                assert raw["cycles"] == cycles
+                solo.update_values(problem)
+                report = solo.solve()
+                assert report.result.rho_updates == 0
+                assert_response_is(response, report)

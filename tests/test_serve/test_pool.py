@@ -23,17 +23,23 @@ def _pool(**kwargs) -> SolverPool:
 
 
 class TestConfiguration:
+    """Every endpoint runs the host reference, so the pool has no
+    execution mode or array backend to choose: both knobs are gone."""
+
     @pytest.mark.parametrize("execution", ["interpret", "Replay", "", None])
     def test_unserved_execution_mode_fails_at_construction(self, execution):
-        """``interpret`` is the solver's cycle-stepped oracle; no
-        serving path runs it.  A bad mode used to surface inside
-        ``MIBSolver`` on the first request."""
-        with pytest.raises(ValueError, match="'replay' or 'fused'"):
+        with pytest.raises(TypeError, match="execution"):
             _pool(execution=execution)
 
     @pytest.mark.parametrize("execution", ["replay", "fused"])
     def test_served_execution_modes_construct(self, execution):
-        assert _pool(execution=execution).execution == execution
+        with pytest.raises(TypeError, match="execution"):
+            _pool(execution=execution)
+        with pytest.raises(TypeError, match="array_backend"):
+            _pool(array_backend="numpy")
+        pool = _pool()
+        assert not hasattr(pool, "execution")
+        assert not hasattr(pool, "array_backend")
 
 
 class TestHitMiss:
