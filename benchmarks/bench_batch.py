@@ -44,7 +44,6 @@ from repro.problems import (
     svm_problem,
 )
 from repro.solver import QPProblem, Settings
-from repro.xp import BackendPolicy
 
 from benchmarks.common import perturbed, print_check_failures, write_json
 
@@ -131,7 +130,6 @@ def run_benchmark(*, quick: bool = False) -> dict:
             wall, iterations = _time_batch(solver, lanes[:b], reps)
             batches[str(b)] = {
                 "lanes": b,
-                "backend": solver.backend_policy.for_batch(b).name,
                 "iterations": iterations,
                 "wall_s": wall,
                 "agg_iters_per_s": iterations / wall,
@@ -159,7 +157,7 @@ def run_benchmark(*, quick: bool = False) -> dict:
         "benchmark": "batched_trace_replay_throughput",
         "c": C,
         "variant": "direct",
-        "array_backend": BackendPolicy.resolve("auto").describe(),
+        "array_backend": solver.xp.name,
         "iterations_per_lane": ITERS,
         "quick": quick,
         "batch_sweep": list(sweep),
@@ -210,7 +208,7 @@ def main(argv: list[str]) -> int:
     write_json("BENCH_batch.json", doc)
     for name, d in doc["domains"].items():
         per_b = " | ".join(
-            f"B={b['lanes']}[{b['backend']}]: "
+            f"B={b['lanes']}: "
             f"{b['agg_iters_per_s']:.0f} it/s"
             for b in d["batch"].values()
         )

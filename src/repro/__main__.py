@@ -44,7 +44,6 @@ from .compiler import (
 from .problems import DOMAINS, benchmark_suite, domain_scales
 from .problems.suite import _GENERATORS
 from .solver import Settings, solve as host_solve
-from .xp import BACKEND_CHOICES
 
 
 def _make_problem(args) -> object:
@@ -82,7 +81,6 @@ def cmd_solve(args) -> int:
             c=args.width,
             settings=settings,
             execution=args.execution,
-            array_backend=args.array_backend,
         )
         if args.backend == "network":
             net = solver.solve_on_network()
@@ -199,39 +197,12 @@ def cmd_suite(args) -> int:
         settings=_settings(args),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        execution=args.execution,
-        batch=args.batch,
-        array_backend=args.array_backend,
     )
     wall = time.perf_counter() - t0
     headers, rows = suite_rows(specs, evaluations)
     print(ascii_table(headers, rows, title=f"suite sweep ({args.variant}, C={args.width})"))
     cache_hits = sum(ev.cache_hit for ev in evaluations)
     cache = process_cache(args.cache_dir) if args.jobs <= 1 else None
-    batch_rows: list[tuple[str, object]] = []
-    if args.batch > 1 and evaluations and evaluations[0].batch > 1:
-        solo = sum(ev.solve_seconds for ev in evaluations)
-        amortized = sum(
-            ev.batch_amortized_seconds for ev in evaluations
-        )
-        batch_rows = [
-            (
-                f"batched solve (B={args.batch}, amortized/lane)",
-                f"{amortized:.2f} s",
-            ),
-            (
-                "batch amortization vs solo",
-                f"{solo / amortized:.2f}x" if amortized > 0 else "n/a",
-            ),
-        ]
-    crossing_rows: list[tuple[str, object]] = []
-    if evaluations:
-        crossing_rows = [
-            (
-                f"host crossings / iteration ({args.execution}, suite total)",
-                f"{sum(ev.iteration_crossings for ev in evaluations):,}",
-            )
-        ]
     print()
     print(
         suite_summary_block(
@@ -244,9 +215,7 @@ def cmd_suite(args) -> int:
             cache_misses=(
                 len(evaluations) - cache_hits if args.cache_dir else None
             ),
-            extra_rows=crossing_rows
-            + batch_rows
-            + (cache.stats.rows() if cache is not None else []),
+            extra_rows=cache.stats.rows() if cache is not None else [],
         )
     )
     return 0
@@ -332,29 +301,20 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--variant", choices=("direct", "indirect"), default="direct")
         p.add_argument("--width", type=int, default=16, help="network width C")
         p.add_argument("--eps", type=float, default=1e-3)
-        p.add_argument(
-            "--execution",
-            choices=("interpret", "replay", "fused"),
-            default="replay",
-            help="how simulator-executed kernels run: 'interpret' "
-            "(cycle-stepped oracle), 'replay' (per-kernel compiled "
-            "traces), 'fused' (one whole-iteration trace per ADMM "
-            "iteration; bit-identical, fewest host dispatches)",
-        )
-        p.add_argument(
-            "--array-backend",
-            choices=BACKEND_CHOICES,
-            default="auto",
-            help="array namespace executing replay/fused traces: "
-            "'numpy' (reference), 'torch'/'cupy' (device batch path; "
-            "must be installed), 'auto' (numpy sequentially, an "
-            "available accelerator for large batches)",
-        )
 
     p = sub.add_parser("solve", help="solve one benchmark problem")
     add_problem_args(p)
     p.add_argument(
         "--backend", choices=("host", "mib", "network"), default="mib"
+    )
+    p.add_argument(
+        "--execution",
+        choices=("interpret", "replay", "fused"),
+        default="replay",
+        help="how '--backend network' runs kernels: 'interpret' "
+        "(cycle-stepped oracle), 'replay' (per-kernel compiled "
+        "traces), 'fused' (one whole-iteration trace per ADMM "
+        "iteration; bit-identical, fewest host dispatches)",
     )
     p.set_defaults(fn=cmd_solve)
 
@@ -389,13 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--domains",
         help=f"comma-separated subset of {DOMAINS} (default: all)",
-    )
-    p.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="also time one batched replay pass over this many lanes "
-        "per problem (direct variant; 1 = off)",
     )
     p.set_defaults(fn=cmd_suite)
 

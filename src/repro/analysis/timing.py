@@ -96,23 +96,6 @@ class ProblemEvaluation:
     compile_seconds: float = field(default=0.0, compare=False)
     solve_seconds: float = field(default=0.0, compare=False)
     cache_hit: bool = field(default=False, compare=False)
-    # Batched-replay observability (``batch > 1``): wall time of one
-    # ``solve_batch`` pass over ``batch`` lanes of this pattern.
-    batch: int = field(default=1, compare=False)
-    batch_solve_seconds: float = field(default=0.0, compare=False)
-    # Host-dispatch observability: how the simulator-executed kernels
-    # would run and what each iteration costs the host in numpy
-    # dispatches under that mode.  Crossings are overhead bookkeeping,
-    # not simulated time, so they never participate in equality.
-    execution: str = field(default="replay", compare=False)
-    iteration_crossings: int = field(default=0, compare=False)
-
-    @property
-    def batch_amortized_seconds(self) -> float:
-        """Host wall seconds per solve inside the batched pass."""
-        if self.batch <= 1:
-            return self.solve_seconds
-        return self.batch_solve_seconds / self.batch
 
     def speedup_over(self, baseline: str, target: str = "mib") -> float:
         return (
@@ -148,9 +131,6 @@ def evaluate_problem(
     platforms: dict[str, Platform] | None = None,
     baselines: tuple[str, ...] | None = None,
     cache: ScheduleCache | None = None,
-    execution: str = "replay",
-    batch: int = 1,
-    array_backend: str = "auto",
 ) -> ProblemEvaluation:
     """Evaluate one problem across the MIB prototype and baselines.
 
@@ -158,18 +138,9 @@ def evaluate_problem(
     OSQP offers no GPU direct backend, and RSQP supports only the
     indirect variant).  With ``cache``, compilation is served from the
     pattern-keyed cache when possible; the evaluation records the
-    compile/solve stage wall times and whether the cache hit.
-    ``execution`` selects how any simulator-executed kernels run:
-    ``"replay"`` per-kernel traces, the ``"interpret"`` oracle, or
-    ``"fused"`` whole-iteration traces; the evaluation records the
-    mode and its per-iteration host→numpy crossing cost.
-
-    ``batch > 1`` (direct variant only) additionally times one
-    :meth:`~repro.backends.MIBSolver.solve_batch` pass over ``batch``
-    lanes of this pattern, recording the amortized host wall time per
-    solve — the serve layer's coalesced-batch economics measured on
-    the suite grid.  The modeled platform measurements are untouched
-    (they price one solve).
+    compile/solve stage wall times and whether the cache hit.  The
+    MIB price comes from :meth:`~repro.backends.MIBSolver.solve`, the
+    host reference priced from kernel counts, which executes no kernel.
     """
     platforms = platforms or PLATFORMS
     if baselines is None:
@@ -180,17 +151,10 @@ def evaluate_problem(
         c=c,
         settings=settings,
         cache=cache,
-        execution=execution,
-        array_backend=array_backend,
     )
     t_solve = time.perf_counter()
     report = mib.solve()
     solve_seconds = time.perf_counter() - t_solve
-    batch_solve_seconds = 0.0
-    if batch > 1 and variant == "direct":
-        t_batch = time.perf_counter()
-        mib.solve_batch([problem] * batch)
-        batch_solve_seconds = time.perf_counter() - t_batch
     result = report.result
     total_flops = result.trace.total_flops
     measurements: dict[str, PlatformMeasurement] = {}
@@ -234,10 +198,6 @@ def evaluate_problem(
         compile_seconds=mib.compile_seconds,
         solve_seconds=solve_seconds,
         cache_hit=mib.cache_hit,
-        batch=batch if variant == "direct" else 1,
-        batch_solve_seconds=batch_solve_seconds,
-        execution=execution,
-        iteration_crossings=mib.iteration_crossings(),
     )
 
 
@@ -260,8 +220,7 @@ def process_cache(cache_dir: str | Path | None) -> ScheduleCache | None:
 
 def _evaluate_spec(task) -> ProblemEvaluation:
     """Top-level worker (picklable) for the parallel suite driver."""
-    (spec, variant, c, settings, seed, cache_dir, execution, batch,
-     array_backend) = task
+    spec, variant, c, settings, seed, cache_dir = task
     return evaluate_problem(
         spec.generate(seed),
         domain=spec.domain,
@@ -270,9 +229,6 @@ def _evaluate_spec(task) -> ProblemEvaluation:
         c=c,
         settings=settings,
         cache=process_cache(cache_dir),
-        execution=execution,
-        batch=batch,
-        array_backend=array_backend,
     )
 
 
@@ -285,9 +241,6 @@ def evaluate_suite(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    execution: str = "replay",
-    batch: int = 1,
-    array_backend: str = "auto",
 ) -> list[ProblemEvaluation]:
     """Evaluate a set of benchmark specs under one variant.
 
@@ -299,8 +252,6 @@ def evaluate_suite(
     sibling workers through a session-scoped temporary directory
     (worker processes have no shared memory, so without a disk cache
     every worker would recompile patterns its siblings already built).
-    ``batch`` forwards to :func:`evaluate_problem`: each cell also
-    times one batched replay pass over that many lanes.
     """
     if jobs > 1 and cache_dir is None:
         with tempfile.TemporaryDirectory(prefix="repro-suite-cache-") as tmp:
@@ -312,14 +263,10 @@ def evaluate_suite(
                 seed=seed,
                 jobs=jobs,
                 cache_dir=tmp,
-                execution=execution,
-                batch=batch,
-                array_backend=array_backend,
             )
     tasks = [
         (spec, variant, c, settings, seed,
-         str(cache_dir) if cache_dir is not None else None, execution,
-         batch, array_backend)
+         str(cache_dir) if cache_dir is not None else None)
         for spec in specs
     ]
     return parallel_map(_evaluate_spec, tasks, jobs=jobs)

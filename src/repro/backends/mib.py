@@ -45,7 +45,7 @@ from ..arch import (
 )
 from ..arch.resources import clock_frequency_hz
 from ..linalg import CSCMatrix
-from ..xp import BackendPolicy
+from ..xp import ArrayBackend, get_backend
 from ..compiler import (
     CompiledArtifact,
     KernelBuilder,
@@ -354,7 +354,7 @@ class _BoundLane(_LaneGroup):
         return solver._run_kernel(self.ctx, name, self.streams)
 
     def fused_run(self, solver: "MIBSolver", trace: FusedTrace):
-        return FusedRun(trace, solver._xp_seq)
+        return FusedRun(trace, solver.xp)
 
     def read_vector(self, view) -> np.ndarray:
         return self.ctx.rf.read_vector(view)[None]
@@ -468,6 +468,10 @@ class MIBSolver:
         entire iteration per host dispatch.  All three are
         bit-identical; non-iteration kernels run as ``"replay"`` under
         ``"fused"``.
+    array_backend:
+        The :mod:`repro.xp` backend (a name or an instance) that
+        replay and fused traces execute on — solo, fused and batch
+        passes alike.
     """
 
     # Super-pipelining model (paper future work): one extra register
@@ -493,7 +497,7 @@ class MIBSolver:
         super_pipelined: bool = False,
         cache: ScheduleCache | None = None,
         execution: str = "replay",
-        array_backend="auto",
+        array_backend: str | ArrayBackend = "numpy",
     ) -> None:
         if execution not in ("replay", "interpret", "fused"):
             raise ValueError(
@@ -510,10 +514,13 @@ class MIBSolver:
         # only skip matrix work once the scaled state has
         # update_values provenance.
         self._delta_bindable = False
-        # Resolved once: forcing an unavailable accelerator fails here,
-        # at configuration time, not mid-solve.
-        self.backend_policy = BackendPolicy.resolve(array_backend)
-        self._xp_seq = self.backend_policy.sequential()
+        # Resolved once: a name that is not a backend (or whose runtime
+        # is missing) fails here, at construction, not mid-solve.
+        self.xp = (
+            array_backend
+            if isinstance(array_backend, ArrayBackend)
+            else get_backend(array_backend)
+        )
         self._sim: NetworkSimulator | None = None
         self._traces: dict[str, CompiledTrace] = {}
         self._trace_stamps: dict[str, dict] = {}
@@ -686,7 +693,7 @@ class MIBSolver:
         """
         if self.execution == "interpret":
             return sim.run(self.kernels.schedules[name].slots, streams)
-        return self._trace(name, sim).replay(sim, streams, xp=self._xp_seq)
+        return self._trace(name, sim).replay(sim, streams, xp=self.xp)
 
     def _fused_trace(self, sim: NetworkSimulator) -> FusedTrace:
         """The whole-iteration fused trace (fuse on first use).
@@ -742,14 +749,14 @@ class MIBSolver:
         The observability counterpart of :meth:`iteration_cycles`:
         crossings are host dispatch overhead, not simulated time, and
         are what ``execution="fused"`` collapses.  ``xp`` selects the
-        backend accounted for (default: the sequential backend the
-        policy resolved) — host backends count numpy call dispatches,
-        device backends count genuine host→device transfers.  A
-        read-only probe: any stamps recorded while lowering stay in
-        memory until the next solve/compile entry point flushes them.
+        backend accounted for (default: the solver's own) — host
+        backends count numpy call dispatches, device backends count
+        genuine host→device transfers.  A read-only probe: any stamps
+        recorded while lowering stay in memory until the next
+        solve/compile entry point flushes them.
         """
         if xp is None:
-            xp = self._xp_seq
+            xp = self.xp
         names = ITERATION_KERNELS + (CHECK_KERNELS if check else ())
         if self.variant != "direct":
             names = ("admm_vector",)
@@ -1370,18 +1377,17 @@ class MIBSolver:
         kdata[:, maps.rho_positions] = -1.0 / rho_vec
 
         sim = self._network_sim(reset=False)
-        xp = self.backend_policy.for_batch(b)
         ctx = BatchSimState(
             b,
             c=self.c,
             depth=sim.rf.depth,
             latency=sim.bf.latency + sim.extra_latency,
-            xp=xp,
+            xp=self.xp,
         )
         group = self._root_group(
             _LaneGroup,
             ctx,
-            BatchStreamBuffers(b, xp),
+            BatchStreamBuffers(b, self.xp),
             rho,
             {
                 "q": q_s,

@@ -5,37 +5,27 @@ The replay stack executes compiled phase programs against an injected
 
 * :data:`NUMPY` — the reference backend, bit-identical to the
   historical numpy execution (the default everywhere);
-* ``torch`` / ``cupy`` — opt-in accelerator backends (import-gated),
-  selected for large batches by :class:`BackendPolicy`;
-* ``strict`` — an array-api-strict wrapper used by CI to catch
-  numpy-isms in the phase arithmetic;
 * ``mock`` — a numpy-backed simulated device used by the test suite
-  to exercise the device code paths (prepared phases, reduce-plan
-  commits, transfer-crossing accounting) on CPU-only boxes.
+  to exercise the device code path (prepared phases, reduce-plan
+  commits, transfer-crossing accounting) on CPU-only boxes;
+* ``strict`` — an array-api-strict wrapper used by CI to catch
+  numpy-isms in the phase arithmetic.
 
-See DESIGN.md §5.7 for the backend selection matrix and the
-determinism contract.
+See DESIGN.md §5.7 for the backend matrix and the determinism
+contract.
 """
 
 from .base import ArrayBackend, BackendUnavailable
 from .numpy_backend import NumpyBackend
 from .plans import ReducePlan, compile_reduce_plan
-from .policy import (
-    BACKEND_CHOICES,
-    BackendPolicy,
-    available_backends,
-    get_backend,
-)
+from .policy import get_backend
 
 __all__ = [
     "ArrayBackend",
     "BackendUnavailable",
-    "BackendPolicy",
-    "BACKEND_CHOICES",
     "NumpyBackend",
     "NUMPY",
     "ReducePlan",
-    "available_backends",
     "compile_reduce_plan",
     "get_backend",
 ]

@@ -6,8 +6,9 @@ element-wise arithmetic, segmented left-fold sums and ordered
 scatter-adds over flat ``float64`` buffers.  :class:`ArrayBackend`
 names exactly the operations that program needs beyond standard
 array-API arithmetic/indexing, so the same phase programs execute
-against numpy, torch, cupy, or the array-api-strict test namespace by
-injecting a different backend object — never by editing the programs.
+against numpy, a simulated device, or the array-api-strict test
+namespace by injecting a different backend object — never by editing
+the programs.
 
 Two operations carry ordering semantics the array API does not
 standardize, and are therefore explicit executor ops:
@@ -84,7 +85,7 @@ class _IdMemo:
 class ArrayBackend:
     """Abstract executor backend (see module docstring).
 
-    Subclasses set ``name`` (the ``--array-backend`` spelling) and
+    Subclasses set ``name`` (the :func:`~repro.xp.get_backend` key) and
     ``is_host`` and implement the conversion + executor ops.  All
     float buffers are float64; all index buffers are int64.
     """

@@ -10,10 +10,10 @@ device-transfer model.
 
 Because the reduce plan reproduces the ``np.add.at`` left fold
 exactly, every solve through this backend must stay bit-identical to
-the numpy path — which is precisely what makes it useful: the torch
-and cupy code paths (prepared phases, plan scatters, backend-keyed
-scratch, transfer crossings) get exercised in CI on a box with no
-accelerator installed, with bitwise assertions intact.
+the numpy path — which is precisely what makes it useful: the device
+code path of the replay stack (prepared phases, plan scatters,
+backend-keyed scratch, transfer crossings) is exercised with bitwise
+assertions intact, with no device to run on.
 """
 
 from __future__ import annotations

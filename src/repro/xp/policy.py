@@ -1,41 +1,20 @@
-"""Backend registry and batch-size-driven selection policy.
+"""Backend registry.
 
-``get_backend(name)`` returns the process-wide singleton for a
-backend (constructing it lazily; accelerator backends raise
-:class:`~repro.xp.base.BackendUnavailable` when their runtime is not
-importable).  :class:`BackendPolicy` is the selection rule the solver
-and the serve pool share, resolved once from the ``--array-backend``
-CLI spelling:
-
-* ``numpy`` / ``torch`` / ``cupy`` — force that backend everywhere
-  (forcing an unimportable accelerator raises immediately, at
-  configuration time, not mid-solve);
-* ``auto`` (the default) — numpy for sequential solves and small
-  batches, the best available accelerator at and above
-  ``batch_threshold`` lanes (where the per-pass transfer cost
-  amortizes), numpy everywhere when no accelerator is importable.
-  On a CPU-only box ``auto`` is therefore exactly the numpy path,
-  bit for bit.
+``get_backend(name)`` returns the process-wide singleton for one of
+the three array backends, constructing it lazily: ``numpy`` (the
+reference), ``mock`` (device semantics on numpy storage) or
+``strict`` (the array-api-strict shim, which raises
+:class:`~repro.xp.base.BackendUnavailable` when that package is not
+importable).  There is no automatic selection: an array backend is
+named or is numpy.
 """
 
 from __future__ import annotations
 
-from .base import ArrayBackend, BackendUnavailable
+from .base import ArrayBackend
 from .numpy_backend import NumpyBackend
 
-__all__ = [
-    "BackendPolicy",
-    "available_backends",
-    "get_backend",
-    "BACKEND_CHOICES",
-]
-
-# CLI-selectable spellings (strict/mock are test backends, selectable
-# programmatically and via tests but not advertised on the CLI).
-BACKEND_CHOICES = ("auto", "numpy", "torch", "cupy")
-
-# Accelerators in preference order for "auto".
-_ACCELERATORS = ("cupy", "torch")
+__all__ = ["get_backend"]
 
 _instances: dict[str, ArrayBackend] = {}
 
@@ -43,14 +22,6 @@ _instances: dict[str, ArrayBackend] = {}
 def _construct(name: str) -> ArrayBackend:
     if name == "numpy":
         return NumpyBackend()
-    if name == "torch":
-        from .torch_backend import TorchBackend
-
-        return TorchBackend()
-    if name == "cupy":
-        from .cupy_backend import CupyBackend
-
-        return CupyBackend()
     if name == "strict":
         from .strict_backend import StrictBackend
 
@@ -60,113 +31,18 @@ def _construct(name: str) -> ArrayBackend:
 
         return MockDeviceBackend()
     raise ValueError(
-        f"unknown array backend {name!r} "
-        f"(expected one of numpy, torch, cupy, strict, mock)"
+        f"unknown array backend {name!r} (expected one of numpy, mock, strict)"
     )
 
 
 def get_backend(name: str) -> ArrayBackend:
     """The singleton backend instance for ``name`` (lazy, memoized).
 
-    Raises :class:`BackendUnavailable` when the backend's runtime is
-    not importable and :class:`ValueError` for unknown names.
+    Raises :class:`ValueError` for a name that is not a backend and
+    :class:`BackendUnavailable` when ``strict``'s runtime is missing.
     """
     backend = _instances.get(name)
     if backend is None:
         backend = _construct(name)
         _instances[name] = backend
     return backend
-
-
-def available_backends() -> list[str]:
-    """Names of backends whose runtime imports in this process."""
-    out = ["numpy"]
-    for name in ("torch", "cupy", "strict", "mock"):
-        try:
-            get_backend(name)
-        except (BackendUnavailable, Exception):
-            continue
-        out.append(name)
-    return out
-
-
-class BackendPolicy:
-    """Resolved backend selection for one solver/pool configuration.
-
-    ``mode`` is a CLI spelling (``auto``/``numpy``/``torch``/``cupy``,
-    plus ``strict``/``mock`` for tests).  ``batch_threshold`` is the
-    smallest lane count at which ``auto`` prefers an accelerator; the
-    default 64 sits where the BENCH_batch sweep shows per-pass overhead
-    amortized (see EXPERIMENTS.md).
-    """
-
-    DEFAULT_BATCH_THRESHOLD = 64
-
-    def __init__(
-        self, mode: str = "auto", *, batch_threshold: int | None = None
-    ) -> None:
-        self.mode = mode
-        self.batch_threshold = (
-            self.DEFAULT_BATCH_THRESHOLD
-            if batch_threshold is None
-            else int(batch_threshold)
-        )
-        self._numpy = get_backend("numpy")
-        if mode == "auto":
-            self._forced = None
-            self._accelerator = None
-            for name in _ACCELERATORS:
-                try:
-                    self._accelerator = get_backend(name)
-                    break
-                except (BackendUnavailable, Exception):
-                    continue
-        else:
-            # Forcing resolves (and therefore import-checks) eagerly:
-            # a missing runtime fails at configuration time.
-            self._forced = get_backend(mode)
-            self._accelerator = self._forced if not self._forced.is_host else None
-
-    @classmethod
-    def resolve(cls, spec) -> "BackendPolicy":
-        """Coerce a CLI string / backend / policy into a policy."""
-        if isinstance(spec, BackendPolicy):
-            return spec
-        if isinstance(spec, ArrayBackend):
-            policy = cls.__new__(cls)
-            policy.mode = spec.name
-            policy.batch_threshold = cls.DEFAULT_BATCH_THRESHOLD
-            policy._numpy = get_backend("numpy")
-            policy._forced = spec
-            policy._accelerator = spec if not spec.is_host else None
-            return policy
-        return cls(str(spec))
-
-    # ------------------------------------------------------------------
-    def sequential(self) -> ArrayBackend:
-        """Backend for sequential (single-instance) solves.
-
-        ``auto`` always answers numpy here: a solo solve syncs the
-        simulator image around every kernel, so device execution pays
-        transfers it can never amortize.
-        """
-        return self._forced if self._forced is not None else self._numpy
-
-    def for_batch(self, b: int) -> ArrayBackend:
-        """Backend for a ``b``-lane batched pass."""
-        if self._forced is not None:
-            return self._forced
-        if self._accelerator is not None and b >= self.batch_threshold:
-            return self._accelerator
-        return self._numpy
-
-    def describe(self) -> str:
-        """Human/metrics-facing summary of the active selection."""
-        if self._forced is not None:
-            return self._forced.name
-        if self._accelerator is None:
-            return "auto(numpy)"
-        return (
-            f"auto(numpy<{self.batch_threshold}"
-            f"<={self._accelerator.name})"
-        )

@@ -13,15 +13,15 @@ from repro.xp import BackendUnavailable, get_backend
 # Array backends the differential tests run against.  numpy is the
 # reference; "mock" is a device-semantics backend on numpy storage, so
 # the device code paths (prepared phases, crossing accounting, ReducePlan
-# commits) are exercised on every box.  Real accelerators and the
-# array-api-strict shim join when installed — or force the set with
-# REPRO_TEST_BACKENDS=numpy,torch (unavailable names then fail loudly
-# instead of skipping, which is what CI wants).
+# commits) are exercised on every box.  The array-api-strict shim joins
+# when installed — or force the set with
+# REPRO_TEST_BACKENDS=numpy,mock,strict (unavailable names then fail
+# loudly instead of skipping, which is what CI wants).
 _BACKEND_ENV = os.environ.get("REPRO_TEST_BACKENDS")
 TEST_BACKENDS = (
     tuple(b.strip() for b in _BACKEND_ENV.split(",") if b.strip())
     if _BACKEND_ENV
-    else ("numpy", "mock", "strict", "torch", "cupy")
+    else ("numpy", "mock", "strict")
 )
 
 

@@ -6,8 +6,9 @@ duplicate-index left fold *bit for bit* on any backend, including the
 IEEE-754 corner cases where float addition is not associative (±inf
 cancelling to NaN, signed-zero results, NaN propagation).  Hypothesis
 drives that equivalence under adversarial float64 streams.  The rest
-pins the registry/policy behaviour and the backend-keyed scratch
-isolation the replay stack relies on.
+pins the registry (three backends; a solver's backend is named or is
+numpy) and the backend-keyed scratch isolation the replay stack
+relies on.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import MIBSolver
+from repro.problems import mpc_problem
 from repro.xp import (
-    BACKEND_CHOICES,
-    BackendPolicy,
     NUMPY,
-    available_backends,
+    BackendUnavailable,
     compile_reduce_plan,
     get_backend,
 )
@@ -171,17 +172,48 @@ class TestReducePlanUnits:
         assert np.signbit(state[0])
 
 
+@pytest.fixture(scope="module")
+def tiny():
+    return mpc_problem(2, horizon=3, seed=5)
+
+
+def replayed_on(solver) -> set[str]:
+    """Names of the backends any of the solver's traces replayed on
+    (every trace scratch key ends in the backend name)."""
+    return {
+        key[-1]
+        for trace in solver._traces.values()
+        for key in trace._scratch
+    }
+
+
 class TestBackendRegistry:
     def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
         assert get_backend("numpy") is NUMPY
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown array backend"):
             get_backend("tpu")
 
-    def test_cli_choices_exclude_test_backends(self):
-        assert BACKEND_CHOICES == ("auto", "numpy", "torch", "cupy")
+    def test_registry_resolves_exactly_numpy_mock_strict(self):
+        assert get_backend("mock").name == "mock"
+        try:
+            assert get_backend("strict").name == "strict"
+        except BackendUnavailable:
+            pass  # registered, but array-api-strict is not installed
+
+    @pytest.mark.parametrize("name", ["auto", "torch", "cupy"])
+    def test_removed_names_rejected_naming_the_three(self, name):
+        with pytest.raises(
+            ValueError,
+            match=rf"unknown array backend '{name}' "
+            r"\(expected one of numpy, mock, strict\)",
+        ):
+            get_backend(name)
+
+    def test_unknown_backend_fails_at_solver_construction(self, tiny):
+        with pytest.raises(ValueError, match="unknown array backend 'auto'"):
+            MIBSolver(tiny, c=8, array_backend="auto")
 
     def test_backend_contract(self, backend):
         """Every available backend round-trips values bit-exactly and
@@ -209,40 +241,45 @@ class TestBackendRegistry:
 
 
 class TestBackendPolicy:
-    def test_auto_sequential_is_numpy(self):
-        policy = BackendPolicy("auto")
-        assert policy.sequential() is get_backend("numpy")
+    """A solver's backend is named or is numpy, fixed at construction:
+    every pass — solo or batch, whatever the lane count — replays on it."""
 
-    def test_forced_numpy_everywhere(self):
-        policy = BackendPolicy.resolve("numpy")
-        assert policy.sequential() is get_backend("numpy")
-        assert policy.for_batch(4096) is get_backend("numpy")
-        assert policy.describe() == "numpy"
+    def test_auto_sequential_is_numpy(self, tiny):
+        solver = MIBSolver(tiny, c=8)
+        assert solver.xp is NUMPY
+        solver.solve_on_network()
+        assert replayed_on(solver) == {"numpy"}
 
-    def test_forced_device_backend_everywhere(self):
+    def test_forced_numpy_everywhere(self, tiny):
+        solver = MIBSolver(tiny, c=8, array_backend="numpy")
+        assert solver.xp is NUMPY
+        solver.solve_on_network()
+        solver.solve_batch([tiny] * 4)
+        assert replayed_on(solver) == {"numpy"}
+        kkt = solver._traces["kkt_solve"]._scratch
+        assert ("seq", "numpy") in kkt and ("batch", 4, "numpy") in kkt
+
+    def test_forced_device_backend_everywhere(self, tiny):
         mock = get_backend("mock")
-        policy = BackendPolicy.resolve(mock)
-        assert policy.sequential() is mock
-        assert policy.for_batch(1) is mock
-        assert policy.describe() == "mock"
+        solver = MIBSolver(tiny, c=8, array_backend="mock")
+        assert solver.xp is mock
+        solver.solve_on_network()
+        assert replayed_on(solver) == {"mock"}
+        solver.solve_batch([tiny])
+        solver.solve_batch([tiny, tiny])
+        assert replayed_on(solver) == {"mock"}
+        kkt = solver._traces["kkt_solve"]._scratch
+        assert ("seq", "mock") in kkt
+        assert ("batch", 1, "mock") in kkt and ("batch", 2, "mock") in kkt
 
-    def test_resolve_is_idempotent(self):
-        policy = BackendPolicy("auto")
-        assert BackendPolicy.resolve(policy) is policy
-
-    def test_forcing_unavailable_backend_fails_eagerly(self):
-        pytest.importorskip_absent = None  # readability no-op
-        try:
-            get_backend("cupy")
-        except Exception:
-            with pytest.raises(Exception):
-                BackendPolicy("cupy")
-        else:
-            pytest.skip("cupy importable here; eager failure not testable")
-
-    def test_auto_describe_names_threshold_or_numpy(self):
-        desc = BackendPolicy("auto").describe()
-        assert desc == "auto(numpy)" or desc.startswith("auto(numpy<")
+    def test_resolve_is_idempotent(self, tiny):
+        """A backend instance passes through unchanged, and a name
+        resolves to the same singleton every time."""
+        mock = get_backend("mock")
+        assert get_backend("mock") is mock
+        solver = MIBSolver(tiny, c=8, array_backend=mock)
+        assert solver.xp is mock
+        assert MIBSolver(tiny, c=8, array_backend=solver.xp).xp is mock
 
 
 class TestScratchIsolation:

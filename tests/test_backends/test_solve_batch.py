@@ -175,18 +175,23 @@ class TestBackendLaneEquality:
     ):
         """The full lockstep gauntlet (early harvest, solo fallback,
         infeasible lane) re-run through each available array backend
-        must reproduce the numpy solo oracles bytes-exactly."""
+        must reproduce the numpy solo oracles bytes-exactly — once as
+        given, once cycled to 64 lanes, the width at which a backend
+        used to be chosen by lane count."""
         problems, _, solos = batch_and_solo
         solver = MIBSolver(
             base, variant="direct", c=C, settings=SETTINGS,
             array_backend=backend,
         )
-        batch = solver.solve_batch(problems)
-        for i, (lane, solo) in enumerate(zip(batch.lanes, solos)):
-            assert report_key(lane) == report_key(solo), f"lane {i}"
-            assert cert_bytes(lane.primal_infeasibility_certificate) == (
-                cert_bytes(solo.primal_infeasibility_certificate)
-            ), f"lane {i}"
+        for width in (len(problems), 64):
+            which = [k % len(problems) for k in range(width)]
+            batch = solver.solve_batch([problems[k] for k in which])
+            for i, (lane, k) in enumerate(zip(batch.lanes, which)):
+                solo = solos[k]
+                assert report_key(lane) == report_key(solo), f"lane {i}"
+                assert cert_bytes(lane.primal_infeasibility_certificate) == (
+                    cert_bytes(solo.primal_infeasibility_certificate)
+                ), f"lane {i}"
 
 
 class TestAgainstHostReference:

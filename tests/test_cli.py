@@ -95,24 +95,34 @@ class TestCLI:
             main(["solve", "--domain", "sudoku"])
 
     def test_serve_offers_no_interpret_mode(self, capsys):
-        """Every endpoint runs the host reference, so ``serve`` takes
-        neither ``--execution`` nor ``--array-backend``; ``solve``
-        keeps both, all three modes included (the oracle lives
-        there)."""
-        for flag, value in (
-            ("--execution", "interpret"),
-            ("--execution", "replay"),
-            ("--array-backend", "numpy"),
-        ):
+        """A command accepts only flags it reads.  ``--execution`` is
+        read by ``solve --backend network`` alone (``serve`` runs the
+        host reference; ``compile``, ``schedule`` and ``suite`` run no
+        kernel); no command selects an array backend; ``suite`` times
+        no batched pass.  Every rejection is argparse's exit 2."""
+        rejected = [
+            [cmd, "--execution", "replay"]
+            for cmd in ("serve", "compile", "schedule", "suite")
+        ]
+        rejected += [
+            [cmd, "--array-backend", "numpy"]
+            for cmd in ("solve", "compile", "schedule", "suite", "serve",
+                        "info")
+        ]
+        rejected.append(["suite", "--batch", "4"])
+        for argv in rejected:
             with pytest.raises(SystemExit) as exc:
-                main(["serve", "--port", "0", flag, value])
-            assert exc.value.code == 2
+                main(argv)
+            assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-        rc = main(
-            ["solve", "--domain", "mpc", "--dimension", "3", "--backend",
-             "network", "--width", "16", "--execution", "interpret"]
-        )
-        assert rc == 0
+        for mode in ("interpret", "replay", "fused"):
+            rc = main(
+                ["solve", "--domain", "mpc", "--dimension", "3",
+                 "--backend", "network", "--width", "16",
+                 "--execution", mode]
+            )
+            assert rc == 0, mode
+            assert f"host crossings ({mode})" in capsys.readouterr().out
 
     def test_solve_from_qps(self, capsys, tmp_path):
         from tests.test_io import QPS_SAMPLE
