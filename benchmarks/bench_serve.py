@@ -9,7 +9,8 @@ serving economics of the paper's compile-once/solve-many argument:
 * **cold** — the first request of each pattern pays solver
   construction (lowering + scheduling) on top of the solve;
 * **warm** — every later request of that pattern rides a resident
-  solver via ``update_values``;
+  solver via ``bind_values`` (only ``q`` moves, so after the first
+  rebind each one is a vectors-only delta bind);
 * **policy comparison** — the same concurrent same-pattern burst
   driven under each batching policy (``off`` — every request a solo
   warm solve; ``greedy`` — coalesce everything waiting; ``adaptive``

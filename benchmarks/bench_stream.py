@@ -4,16 +4,21 @@ Drives the three parametric-stream workloads from ``examples/`` through
 a live :class:`~repro.serve.ServeServer` (real HTTP) twice per domain:
 
 * **cold** — every step an anonymous ``POST /v1/solve`` on a server
-  with pool warm starting off: each request solves from scratch (the
-  pre-session serving behaviour for a parametric stream);
+  with pool warm starting off: each request starts from a zero iterate
+  (the pre-session serving behaviour for a parametric stream), though
+  its rebind rides the pool's delta bind whenever only vectors moved;
 * **warm** — the same stream through the session machinery: the open
   loops (lasso λ path, portfolio backtest) as one ``POST /v1/sequence``
   each, the closed loop (MPC) as session-keyed ``POST /v1/solve`` per
   period (the next QP depends on the returned state, so it cannot be
   batched ahead).
 
-The cold phase runs first, so it also pins the pool entry each
-pattern's session rides — warm-phase timings never pay construction.
+Each domain runs ``ROUNDS`` cold/warm phase pairs, the order
+alternating from round to round, and every timing below is taken over
+all of them.  Round 0 runs the cold phase first, so it also pins the
+pool entry each pattern's session rides — warm-phase timings never pay
+construction.  Every warm phase opens a fresh session key, so every
+round replays the same session trajectory.
 
 Alongside the timings the benchmark enforces the determinism contract
 of DESIGN.md §5.8: every warm step must be **bit-identical** to a solo
@@ -36,16 +41,32 @@ Runnable two ways:
 * ``python benchmarks/bench_stream.py [--check]`` — CI smoke entry
   point; ``--check`` exits non-zero unless every step solved, every
   warm step is bit-identical to its twin-oracle solve, the lasso
-  sequence rode the delta bind on all steps after the first, and warm
-  p50 per-step wall time is <= 0.6x cold on at least 2 of the 3
-  domains (the closed MPC loop still pays one HTTP round trip per
-  step, so one domain is allowed to fall short on a noisy host).
+  sequence rode the delta bind on all steps after the first, the warm
+  steps took <= 0.75x the cold steps' ADMM iterations on every domain,
+  and warm p50 per-step wall time is below cold on every domain.
+
+Why the gate counts iterations: both phases skip the refactorization
+(sessions through their continuation, anonymous requests through the
+pool's delta bind), so what a session buys over an anonymous request
+is the carried iterate and ρ — fewer iterations, an exact count
+(0.64 / 0.61 / 0.72 of cold on lasso / portfolio / mpc over five
+rounds; later cold rounds start from the ρ the phase before them left
+on the resident solver, so round 0 alone reads 0.64 / 0.62 / 0.69).
+The earlier
+wall-ratio gate (<= 0.6x on 2 of 3 domains) priced the refactorization
+the cold phase no longer pays and failed one run in five on a shared
+2-vCPU host.  Wall time has to be lower on every domain.  One phase
+lasts under a second, so a single slow stretch of such a host can
+cover it and put one domain's ratio above 1 (mpc 1.10 once in ten
+single-round runs); over five alternating rounds that stretch moves
+one of five samples, not the median.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +84,8 @@ MPC_PERIODS = 25
 PORTFOLIO_DAYS = 4
 REQUEST_TIMEOUT_S = 120.0
 SEQUENCE_TIMEOUT_S = 600.0
-RATIO_THRESHOLD = 0.6  # warm p50 per-step wall vs cold
-MIN_DOMAINS_PASSING = 2
+ROUNDS = 5  # cold/warm phase pairs per domain, order alternating
+ITERATION_RATIO = 0.75  # warm ADMM iterations vs cold, every domain
 
 # Paper-default tolerances with a responsive termination check: warm
 # re-solves converge in a handful of iterations and must not be rounded
@@ -148,24 +169,92 @@ def twin_oracle_mismatches(problems, served_results) -> int:
     return mismatches
 
 
-def _domain_doc(
-    name, mode, cold_latencies, cold_results, warm_doc, problems, warm_results
-):
-    cold = percentiles(cold_latencies)
-    ratio = warm_doc["per_step_wall_p50_s"] / cold["p50_s"]
-    mismatches = twin_oracle_mismatches(problems, warm_results)
+@dataclass
+class _Domain:
+    """One stream's phases, pooled over the rounds."""
+
+    mode: str
+    steps: list | None  # None: the MPC closed loop builds its own
+    cold_latencies: list = field(default_factory=list)
+    cold_results: list = field(default_factory=list)
+    warm_walls: list = field(default_factory=list)  # per-step walls
+    warm_wall_s: float = 0.0
+    warm_runs: list = field(default_factory=list)  # (problems, results)
+    warm_blocks: list = field(default_factory=list)
+
+
+def _cold_phase(client: ServeClient, d: _Domain, mpc_periods: int) -> None:
+    """One anonymous pass over the stream, one request per step."""
+    if d.steps is None:
+        _, results, _, latencies = _closed_loop_phase(client, mpc_periods)
+    else:
+        latencies, results, _ = _timed_solo(client, d.steps)
+    d.cold_latencies += latencies
+    d.cold_results += results
+
+
+def _warm_phase(
+    client: ServeClient, d: _Domain, mpc_periods: int, session: str
+) -> None:
+    """One session pass over the stream under a fresh key.
+
+    A sequence is one request, so it adds one per-step wall (its wall
+    over its steps); the closed loop adds every request's latency.
+    """
+    if d.steps is None:
+        problems, results, blocks, latencies = _closed_loop_phase(
+            client, mpc_periods, session=session
+        )
+        walls, wall = latencies, float(sum(latencies))
+    else:
+        problems = d.steps
+        t0 = time.perf_counter()
+        response = client.sequence(
+            problems[0], problems, session=session,
+            timeout_s=SEQUENCE_TIMEOUT_S,
+        )
+        wall = time.perf_counter() - t0
+        assert response.ok, f"{session} sequence failed: {response.raw}"
+        assert len(response.results) == len(problems)
+        assert all(b["solved"] for b in response.steps)
+        results, blocks = response.results, response.steps
+        walls = [wall / len(problems)]
+    d.warm_walls += walls
+    d.warm_wall_s += wall
+    d.warm_runs.append((problems, results))
+    d.warm_blocks += blocks
+
+
+def _domain_doc(d: _Domain, rounds: int) -> dict:
+    cold = percentiles(d.cold_latencies)
+    blocks = d.warm_blocks
+    warm_p50 = float(np.percentile(d.warm_walls, 50))
+    mismatches = sum(
+        twin_oracle_mismatches(problems, results)
+        for problems, results in d.warm_runs
+    )
+    cold_iters = int(sum(r.iterations for r in d.cold_results))
+    warm_iters = int(
+        sum(r.iterations for _, results in d.warm_runs for r in results)
+    )
     return {
-        "mode": mode,
-        "steps": len(problems),
-        "cold": {
-            **cold,
-            "iterations": int(sum(r.iterations for r in cold_results)),
-        },
+        "mode": d.mode,
+        "rounds": rounds,
+        "steps": len(blocks) // rounds,  # per round
+        "cold": {**cold, "iterations": cold_iters},
         "warm": {
-            **warm_doc,
-            "iterations": int(sum(r.iterations for r in warm_results)),
+            "wall_s": d.warm_wall_s,
+            "count": len(blocks),
+            "per_step_wall_p50_s": warm_p50,
+            "solve_p50_s": float(
+                np.percentile([b["solve_seconds"] for b in blocks], 50)
+            ),
+            "delta_binds": sum(1 for b in blocks if b["delta_bind"]),
+            "warm_requests": sum(1 for b in blocks if b["warm"]),
+            "iterations": warm_iters,
         },
-        "warm_over_cold_p50": ratio,
+        "warm_over_cold_p50": warm_p50 / cold["p50_s"],
+        "warm_over_cold_iterations": warm_iters / cold_iters,
         "oracle_mismatches": mismatches,
         "bitwise_identical": mismatches == 0,
     }
@@ -174,8 +263,17 @@ def _domain_doc(
 def run_benchmark(
     mpc_periods: int = MPC_PERIODS,
     portfolio_days: int = PORTFOLIO_DAYS,
+    rounds: int = ROUNDS,
 ) -> dict:
-    domains: dict[str, dict] = {}
+    streams = {
+        "lasso": _Domain("sequence", lambda_steps()),
+        "portfolio": _Domain(
+            "sequence", backtest_steps(n_days=portfolio_days)
+        ),
+        # One session-keyed solve per period: the next QP depends on
+        # the returned state, so it cannot be batched ahead.
+        "mpc": _Domain("session_solo", None),
+    }
     with ServeServer(
         port=0,
         workers=2,
@@ -186,70 +284,15 @@ def run_benchmark(
         warm_start=False,
     ) as server:
         client = ServeClient(port=server.port)
-
-        # ---- open-loop sequences: lasso path, portfolio backtest ----
-        for name, steps, session in (
-            ("lasso", lambda_steps(), "bench-lasso"),
-            (
-                "portfolio",
-                backtest_steps(n_days=portfolio_days),
-                "bench-portfolio",
-            ),
-        ):
-            cold_latencies, cold_results, _ = _timed_solo(client, steps)
-            t0 = time.perf_counter()
-            response = client.sequence(
-                steps[0], steps, session=session,
-                timeout_s=SEQUENCE_TIMEOUT_S,
-            )
-            wall = time.perf_counter() - t0
-            assert response.ok, f"{name} sequence failed: {response.raw}"
-            assert len(response.results) == len(steps)
-            assert all(b["solved"] for b in response.steps)
-            warm_doc = {
-                "wall_s": wall,
-                "count": len(steps),
-                "per_step_wall_p50_s": wall / len(steps),
-                "solve_p50_s": float(
-                    np.percentile(
-                        [b["solve_seconds"] for b in response.steps], 50
-                    )
-                ),
-                "delta_binds": sum(
-                    1 for b in response.steps if b["delta_bind"]
-                ),
-            }
-            domains[name] = _domain_doc(
-                name, "sequence", cold_latencies, cold_results,
-                warm_doc, steps, response.results,
-            )
-
-        # ---- closed loop: MPC, one session-keyed solve per period ----
-        _, cold_results, _, cold_latencies = _closed_loop_phase(
-            client, mpc_periods
-        )
-        problems, warm_results, blocks, warm_latencies = _closed_loop_phase(
-            client, mpc_periods, session="bench-mpc"
-        )
-        warm_doc = {
-            **{
-                f"per_step_wall_{k.split('_')[0]}_s": v
-                for k, v in percentiles(warm_latencies).items()
-                if k.endswith("_s")
-            },
-            "wall_s": float(sum(warm_latencies)),
-            "count": len(warm_latencies),
-            "solve_p50_s": float(
-                np.percentile([b["solve_seconds"] for b in blocks], 50)
-            ),
-            "delta_binds": sum(1 for b in blocks if b["delta_bind"]),
-            "warm_requests": sum(1 for b in blocks if b["warm"]),
-        }
-        domains["mpc"] = _domain_doc(
-            "mpc", "session_solo", cold_latencies, cold_results,
-            warm_doc, problems, warm_results,
-        )
-
+        for r in range(rounds):
+            for name, d in streams.items():
+                session = f"bench-{name}-{r}"
+                warm_first = r % 2 == 1
+                if warm_first:
+                    _warm_phase(client, d, mpc_periods, session)
+                _cold_phase(client, d, mpc_periods)
+                if not warm_first:
+                    _warm_phase(client, d, mpc_periods, session)
         metrics = client.metrics()
 
     return {
@@ -257,13 +300,10 @@ def run_benchmark(
         "c": C,
         "variant": "direct",
         "settings": {"eps_abs": 1e-3, "eps_rel": 1e-3, "check_interval": 5},
-        "ratio_threshold": RATIO_THRESHOLD,
-        "min_domains_passing": MIN_DOMAINS_PASSING,
-        "domains": domains,
-        "domains_passing": sum(
-            d["warm_over_cold_p50"] <= RATIO_THRESHOLD
-            for d in domains.values()
-        ),
+        "iteration_ratio_threshold": ITERATION_RATIO,
+        "domains": {
+            name: _domain_doc(d, rounds) for name, d in streams.items()
+        },
         "sessions": metrics["sessions"],
         "counters": {
             k: v
@@ -276,30 +316,31 @@ def run_benchmark(
 def check(doc: dict) -> list[str]:
     """CI gate: sessions must be faster than cold serving *and* exact."""
     failures = []
+    threshold = doc["iteration_ratio_threshold"]
     for name, d in doc["domains"].items():
         if not d["bitwise_identical"]:
             failures.append(
-                f"{name}: {d['oracle_mismatches']}/{d['steps']} warm steps "
-                "diverge bitwise from the twin-oracle solo solves "
-                "(DESIGN.md §5.8 contract)"
+                f"{name}: {d['oracle_mismatches']}/{d['warm']['count']} "
+                "warm steps diverge bitwise from the twin-oracle solo "
+                "solves (DESIGN.md §5.8 contract)"
+            )
+        if d["warm_over_cold_iterations"] > threshold:
+            failures.append(
+                f"{name}: warm steps took {d['warm_over_cold_iterations']:.3f}x "
+                f"the cold iterations; must be <= {threshold}x"
+            )
+        if d["warm_over_cold_p50"] >= 1.0:
+            failures.append(
+                f"{name}: warm p50 per-step wall is "
+                f"{d['warm_over_cold_p50']:.3f}x cold; must be below it"
             )
     lasso = doc["domains"]["lasso"]
-    if lasso["warm"]["delta_binds"] < lasso["steps"] - 1:
+    want = lasso["rounds"] * (lasso["steps"] - 1)
+    if lasso["warm"]["delta_binds"] < want:
         failures.append(
             "lasso: a λ path changes only q, so every step after the "
             f"first must delta-bind; got {lasso['warm']['delta_binds']}"
-            f"/{lasso['steps']}"
-        )
-    passing = doc["domains_passing"]
-    if passing < doc["min_domains_passing"]:
-        ratios = {
-            name: round(d["warm_over_cold_p50"], 3)
-            for name, d in doc["domains"].items()
-        }
-        failures.append(
-            f"warm p50 per-step wall must be <= {doc['ratio_threshold']}x "
-            f"cold on >= {doc['min_domains_passing']} domains; "
-            f"only {passing} pass ({ratios})"
+            f"/{lasso['warm']['count']}, want >= {want}"
         )
     return failures
 
@@ -319,18 +360,19 @@ def _print(doc: dict) -> None:
     for name, d in doc["domains"].items():
         warm = d["warm"]
         print(
-            f"{name:<10} {d['mode']:<12} {d['steps']:>3} steps | "
+            f"{name:<10} {d['mode']:<12} {d['steps']:>3} steps "
+            f"x {d['rounds']} | "
             f"cold p50 {d['cold']['p50_s'] * 1e3:6.1f} ms/step | "
             f"warm p50 {warm['per_step_wall_p50_s'] * 1e3:6.1f} ms/step "
             f"({d['warm_over_cold_p50']:.2f}x) | "
-            f"{warm['delta_binds']}/{d['steps']} delta binds | "
-            f"iters {d['cold']['iterations']} -> {warm['iterations']} | "
+            f"{warm['delta_binds']}/{warm['count']} delta binds | "
+            f"iters {d['cold']['iterations']} -> {warm['iterations']} "
+            f"({d['warm_over_cold_iterations']:.2f}x) | "
             f"bitwise {'OK' if d['bitwise_identical'] else 'DIVERGED'}"
         )
     print(
-        f"domains passing <= {doc['ratio_threshold']}x: "
-        f"{doc['domains_passing']}/{len(doc['domains'])} "
-        f"(gate: >= {doc['min_domains_passing']})"
+        f"gate: warm iterations <= {doc['iteration_ratio_threshold']}x cold "
+        "and warm p50 wall < cold, on every domain"
     )
 
 

@@ -1065,6 +1065,8 @@ class MIBSolver:
         invocations: dict[str, int] = {"admm_vector": iters, "residuals": checks}
         if self.variant == "direct":
             invocations["kkt_solve"] = iters
+            # One bind refactor per solve, charged even after a delta
+            # bind the host did not refactor for (DESIGN.md §5.8).
             invocations["factor"] = 1 + result.rho_updates
         else:
             kkt = self.reference.kkt_solver

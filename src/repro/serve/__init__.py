@@ -4,7 +4,7 @@ The paper's workload is compile-once/solve-many: one sparsity pattern,
 a stream of numeric instances (MPC loops, portfolio rebalancing,
 per-request model fits).  This package turns the repo's batch
 machinery — the pattern-keyed :class:`~repro.compiler.ScheduleCache`
-and the cheap ``update_values`` rebind — into a long-running service:
+and the cheap ``bind_values`` rebind — into a long-running service:
 
 * :mod:`~repro.serve.pool` — warm :class:`~repro.backends.MIBSolver`
   instances keyed by pattern fingerprint (LRU, thread-safe);

@@ -4,7 +4,7 @@ The serve layer's observability surface — exposed as JSON on
 ``GET /v1/metrics`` while the server runs and rendered as a report
 block on shutdown.  The headline split mirrors the paper's economics:
 *compile* latency (cold pattern, full lowering + scheduling) against
-*warm-solve* latency (pattern already resident, ``update_values``
+*warm-solve* latency (pattern already resident, ``bind_values``
 rebind only), plus the queue/coalescing behaviour that keeps the warm
 path hot.
 
@@ -33,7 +33,7 @@ COUNTERS = (
     "pool_misses",     # solver constructed (cache may still have helped)
     "pool_evictions",
     "compile_count",   # full lowering+scheduling runs (cold compiles)
-    "warm_solve_count",  # solves on a pooled solver via update_values
+    "warm_solve_count",  # solves on a pooled solver via bind_values
     "coalesced_batches",   # batches with >1 same-pattern request
     "coalesced_requests",  # requests that rode along in such batches
     "batched_solves",      # multi-lane passes (coalesced batch or fan-out)
@@ -63,7 +63,9 @@ COUNTERS = (
     "session_503",             # session requests failed fast (shard down)
     "sequence_requests",       # POST /v1/sequence bodies admitted
     "sequence_steps",          # steps solved inside those sequences
-    "delta_binds",             # vector-only rebinds (matrix work skipped)
+    # Replies with delta_bind set: anonymous binds that skipped the
+    # refactor, and session continuations (which may still refactor).
+    "delta_binds",
     "scenario_requests",       # POST /v1/scenarios bodies admitted
     "scenario_lanes",          # perturbed variants fanned onto batch lanes
 )
@@ -71,7 +73,7 @@ COUNTERS = (
 HISTOGRAMS = (
     "queue_wait",   # submit -> worker pickup
     "compile",      # solver construction on the miss path
-    "warm_solve",   # update_values + solve on the hit path
+    "warm_solve",   # bind_values + solve on the hit path
     "solve",        # solver.solve() wall time, both paths
     "total",        # submit -> response
 )

@@ -3,13 +3,15 @@
 The serve layer's core amortization structure.  A
 :class:`~repro.backends.mib.MIBSolver` is expensive to construct (full
 lowering + multi-issue scheduling of every kernel) and nearly free to
-*rebind* (``update_values`` refreshes numbers only — the paper's
+*rebind* (``bind_values`` refreshes numbers only — the paper's
 compile-once/solve-many mechanism).  The pool therefore keeps one warm
 solver per resident pattern:
 
 * **hit** — the request's fingerprint matches a resident solver; the
-  new numeric instance is bound with ``update_values`` and solved.
-  Lowering and scheduling never run.
+  new numeric instance is bound with ``bind_values`` and solved.
+  Lowering and scheduling never run, and when ``P`` and ``A`` are
+  bitwise the bound instance's (a parametric stream moving only
+  ``q``/``l``/``u``) neither does the numeric refactorization.
 * **miss** — a solver is constructed through the shared
   :class:`~repro.compiler.ScheduleCache`, so even a cold pool entry
   skips scheduling when the pattern was ever compiled before (by this
@@ -70,9 +72,13 @@ class PoolSolve:
     # Always False: no serving path runs a lockstep pass a lane could
     # leave.  Kept until benchmarks/e2e stops reading it.
     solo_lane: bool = False
-    # Streaming path only: the rebind skipped matrix work (vectors-only
-    # delta), and the session key whose carried state seeded the solve.
+    # Anonymous path: bind_values took the vectors-only delta (no
+    # matrix rescale, no refactorization).  Session path: the step
+    # continued the session's own stream (SessionStep.delta_bind), which
+    # may still have refactored — the shared solver was rebound by
+    # another request, or the carried ρ changed the KKT system.
     delta_bind: bool = False
+    # Session path only: the key whose carried state seeded the solve.
     session_key: str | None = None
 
 
@@ -300,9 +306,6 @@ class SolverPool:
                 self.sessions.touch(session)
         for solved in solves:
             self._account(solved, crossings)
-        delta = sum(s.delta_bind for s in solves)
-        if delta:
-            metrics.inc("delta_binds", delta)
         if session is not None and solves:
             metrics.inc("session_solves", len(solves))
         return solves
@@ -327,10 +330,14 @@ class SolverPool:
         """The anonymous solve, one instance after the other on the
         pattern's resident solver under one hold of its entry lock.
 
-        Every lane is ``update_values`` + ``solve()``, so the adapted ρ
+        Every lane is ``bind_values`` + ``solve()``, so the adapted ρ
         (and ``last_iterate`` under ``warm_start``) carries from lane
         to lane and from pass to pass exactly as between consecutive
-        :meth:`solve` calls — which are the one-lane case.  Each
+        :meth:`solve` calls — which are the one-lane case.  A lane
+        whose ``P``/``A`` values are bitwise the bound instance's takes
+        the delta bind (no matrix rescale, no refactorization), which
+        answers bitwise as the full rebind would; the first rebind
+        after construction is always full.  Each
         :class:`PoolSolve` is yielded the moment its solve finishes,
         with the entry lock held: the consumer may answer a request
         before the later lanes run, and must not re-enter the pool.
@@ -347,8 +354,7 @@ class SolverPool:
         with entry.lock:
             t0 = time.perf_counter()
             for problem in problems:
-                if warm:
-                    solver.update_values(problem)
+                delta_bind = warm and solver.bind_values(problem) == "delta"
                 x0 = y0 = None
                 if self.warm_start and entry.last_iterate is not None:
                     x0, y0, rho0 = entry.last_iterate
@@ -374,6 +380,7 @@ class SolverPool:
                         compile_seconds + self._count_crossings(entry)
                     ),
                     solve_seconds=solve_seconds,
+                    delta_bind=delta_bind,
                 )
                 self._account(solved, entry.crossings_per_iter)
                 yield solved
@@ -392,6 +399,8 @@ class SolverPool:
         if solved.warm:
             metrics.inc("warm_solve_count")
             metrics.observe("warm_solve", solved.solve_seconds)
+        if solved.delta_bind:
+            metrics.inc("delta_binds")
         iterations = solved.report.result.iterations
         metrics.inc("admm_iterations", iterations)
         metrics.inc("host_crossings", iterations * crossings_per_iter)

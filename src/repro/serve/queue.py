@@ -12,7 +12,7 @@ workers:
   (up to ``max_batch``) into the same batch.  The worker dispatches
   the batch consecutively to one warm solver, so a burst of
   same-pattern traffic pays construction at most once and every
-  follow-up rides the ``update_values`` rebind.  Requests that are not
+  follow-up rides the ``bind_values`` rebind.  Requests that are not
   coalesced keep strict FIFO
   order.  An optional ``rider`` hook (the adaptive batching
   controller's bucketing policy) can veto individual ride-alongs;

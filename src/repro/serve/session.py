@@ -19,7 +19,7 @@ the shard respawns) and the stream re-warms.
 Locking: :meth:`SessionStore.acquire` returns the state object; the
 caller holds ``state.lock`` for the whole read-state → solve →
 write-state span, serializing concurrent requests on one session key
-(no interleaved ``update_values`` between restore and save).  The
+(no interleaved ``bind_values`` between restore and save).  The
 session lock is taken strictly *outside* the pool's entry lock.
 """
 

@@ -12,9 +12,12 @@ adapts ρ, then four probes — sent
       ``adaptive``, whether or not the queue coalesced a pair,
 (iv)  through a 2-shard server,
 
-gives the same per-instance answers; and a guard that there is one
-serving engine: with the network entry points patched to raise, every
-endpoint and a coalesced burst still answer 200.
+gives the same per-instance answers; every anonymous path takes the
+vectors-only delta bind when P and A did not move, and still answers
+bitwise as a full ``update_values`` rebind, also after a session moved
+the shared solver's matrices; and a guard that there is one serving
+engine: with the network entry points patched to raise, every endpoint
+and a coalesced burst still answer 200.
 
 Compared per instance: status, iterations, ``rho_updates``, ``cycles``
 and x / y / z.  ``kernel_invocations`` is not on the wire; the pool
@@ -73,6 +76,10 @@ class Answer(NamedTuple):
             result.status, result.iterations, result.rho_updates,
             block["cycles"], result.x, result.y, result.z,
         )
+
+    @classmethod
+    def of_report(cls, report) -> "Answer":
+        return cls.of(report.result, {"cycles": report.cycles})
 
     def same(self, other: "Answer") -> bool:
         return self[:4] == other[:4] and all(
@@ -232,6 +239,72 @@ def test_sequence_and_session_start_from_the_configured_rho(serve):
     assert sequence[:4] == anonymous[:4]
     for got, want in zip(sequence[4:], anonymous[4:]):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("way", ["solve", "scenarios", "shards"])
+def test_anonymous_paths_ride_the_delta_bind(serve, way):
+    """After the first touch, a q-only stream takes the delta bind on
+    every anonymous path — consecutive ``/v1/solve``, one
+    ``/v1/scenarios`` fan-out, a 2-shard server — except the first
+    rebind after construction, which is full.  Each reply says which
+    bind it took, ``delta_binds`` counts them, and every answer is
+    bitwise ``update_values`` + ``solve()`` on a twin built from the
+    first touch."""
+    base = PATTERNS["portfolio"]()
+    stream = [base] + [perturbed(base, seed, 1.0) for seed in range(1, 6)]
+    twin = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
+    want = []
+    for i, problem in enumerate(stream):
+        if i:
+            twin.update_values(problem)
+        want.append(Answer.of_report(twin.solve()))
+
+    kwargs = {"shards": 2, "workers": 1} if way == "shards" else {}
+    with serve(**kwargs) as server:
+        client = ServeClient(port=server.port)
+        if way == "scenarios":
+            reply = client.scenarios(stream[0], stream, timeout_s=TIMEOUT_S)
+            assert reply.ok, reply.raw
+            got = list(zip(reply.results, reply.steps))
+        else:
+            replies = [client.solve(p, timeout_s=TIMEOUT_S) for p in stream]
+            assert all(r.ok for r in replies)
+            got = [(r.result, r.raw) for r in replies]
+        counters = client.metrics()["counters"]
+    # The first touch binds nothing, the first rebind is full.
+    delta = [False, False] + [True] * (len(stream) - 2)
+    assert [block["delta_bind"] for _, block in got] == delta
+    assert counters["delta_binds"] == sum(delta)
+    for (result, block), expected in zip(got, want):
+        assert Answer.of(result, block).same(expected)
+
+
+def test_anonymous_after_a_session_regime_change_takes_the_full_bind(serve):
+    """A session step with new matrix values rebinds the shared solver,
+    so the next anonymous request — base's matrices again — is a full
+    bind, and equals the twin given the same history (the session step
+    is ``update_values`` + ``bind_rho(settings.rho)`` + ``solve()``)."""
+    base = PATTERNS["portfolio"]()
+    regime = perturbed_full(base, 3, 1.0)
+    probes = [perturbed(base, seed, 1.0) for seed in (1, 2, 4, 5)]
+    twin = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
+    with serve() as server:
+        client = ServeClient(port=server.port)
+        assert solve_one(client, base).same(Answer.of_report(twin.solve()))
+        for i, problem in enumerate(probes):
+            if i == 2:
+                twin.update_values(regime)
+                twin.bind_rho(SETTINGS.rho)
+                assert solve_one(client, regime, session="s").same(
+                    Answer.of_report(twin.solve())
+                )
+            response = client.solve(problem, timeout_s=TIMEOUT_S)
+            assert response.ok, response.raw
+            assert response.raw["delta_bind"] is (i in (1, 3))
+            twin.update_values(problem)
+            assert Answer.of(response.result, response.raw).same(
+                Answer.of_report(twin.solve())
+            )
 
 
 def test_no_endpoint_enters_a_network_engine(serve, monkeypatch):

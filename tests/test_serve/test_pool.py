@@ -1,19 +1,26 @@
 """Tests for the warm solver pool: hit/miss economics, LRU eviction,
-fingerprint stability and thread-safety under concurrent misses."""
+fingerprint stability, thread-safety under concurrent misses, and the
+delta bind an anonymous rebind takes when only vectors moved."""
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.backends.mib import MIBSolver
 from repro.compiler import ScheduleCache
 from repro.problems import lasso_problem, portfolio_problem
 from repro.serve import SolverPool
-from repro.solver import Settings
+from repro.solver import QPProblem, Settings
+from tests.test_backends.test_solve_batch import perturbed_full
+from tests.test_serve.test_batch_serve import assert_same_solve
 
 FAST = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=4000)
+# A responsive check interval, so ρ adapts inside short solves.
+ADAPTIVE = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=2000, check_interval=5)
 
 
 def _pool(**kwargs) -> SolverPool:
@@ -88,7 +95,7 @@ class TestHitMiss:
             assert wall - accounted < 2e-3
 
     def test_warm_solve_matches_fresh_solve(self):
-        """The update_values rebind must not change the answer."""
+        """The rebind must not change the answer."""
         problem = portfolio_problem(8, seed=3)
         pool = _pool()
         pool.solve(portfolio_problem(8, seed=0))  # make the pattern resident
@@ -216,3 +223,104 @@ class TestWarmStart:
         assert again.report.result.objective == pytest.approx(
             first.report.result.objective, rel=1e-3
         )
+
+
+def moved(base: QPProblem, seed: int, *families: str) -> QPProblem:
+    """``base`` with only the named value families (of ``q l u a p``)
+    perturbed; every other family is the very array ``base`` holds."""
+    full = perturbed_full(base, seed, 1.0)
+    return replace(base, **{name: getattr(full, name) for name in families})
+
+
+def resident_kkt(pool: SolverPool, problem: QPProblem):
+    return pool._entries[pool.fingerprint(problem)].solver.reference.kkt_solver
+
+
+class TestDeltaBind:
+    """An anonymous rebind whose ``P`` / ``A`` are bitwise the bound
+    instance's skips the matrix rescale and the LDLᵀ refactorization.
+    The oracle for every lane is a twin built from the first touch and
+    driven by ``update_values`` + ``solve()`` over the same history:
+    x / y / z bitwise, iterations, ρ updates, cycles and kernel counts
+    equal.  A delta lane runs one numeric factorization per ρ update, a
+    full lane one more."""
+
+    @staticmethod
+    def start() -> tuple[QPProblem, SolverPool, MIBSolver]:
+        """A first touch of ``base``, on the pool and on the twin."""
+        base = portfolio_problem(8, seed=0)
+        pool = _pool(settings=ADAPTIVE)
+        twin = MIBSolver(base, variant="direct", c=8, settings=ADAPTIVE)
+        first = pool.solve(base)
+        assert not first.delta_bind
+        assert_same_solve(first.report, twin.solve())
+        return base, pool, twin
+
+    @staticmethod
+    def lane(pool, twin, problem: QPProblem, *, session=None):
+        """One ``pool.solve`` checked against the twin."""
+        kkt = resident_kkt(pool, problem)
+        before = kkt.num_factorizations
+        solved = pool.solve(problem, session=session)
+        twin.update_values(problem)
+        if session is not None:  # a fresh session starts from settings.rho
+            twin.bind_rho(ADAPTIVE.rho)
+        assert_same_solve(solved.report, twin.solve())
+        if session is None:
+            binds = 0 if solved.delta_bind else 1
+            assert kkt.num_factorizations - before == (
+                binds + solved.report.result.rho_updates
+            )
+        return solved
+
+    @pytest.mark.parametrize(
+        "families", [("q",), ("l", "u")], ids=["q", "bounds"]
+    )
+    def test_vectors_only_stream_rides_the_delta_bind(self, families):
+        base, pool, twin = self.start()
+        lanes = [
+            self.lane(pool, twin, moved(base, seed, *families))
+            for seed in range(1, 7)
+        ]
+        assert [s.delta_bind for s in lanes] == [False] + [True] * 5
+        assert pool.metrics.count("delta_binds") == 5
+
+    def test_a_delta_lane_refactors_only_for_its_rho_updates(self):
+        """``q`` across decades, so ρ re-adapts on delta lanes too: each
+        such update is the lane's only refactorization."""
+        base, pool, twin = self.start()
+        lanes = [
+            self.lane(pool, twin, replace(base, q=base.q * factor))
+            for factor in (1.0, 10.0, 0.1, 30.0, 0.03, 3.0)
+        ]
+        assert [s.delta_bind for s in lanes] == [False] + [True] * 5
+        assert sum(s.report.result.rho_updates for s in lanes[1:]) >= 2
+
+    def test_changed_matrix_values_take_the_full_bind(self):
+        base, pool, twin = self.start()
+        stream = ["q", "q", "a", "q", "q", "p", "p", "q"]
+        binds = [
+            self.lane(pool, twin, moved(base, seed, family)).delta_bind
+            for seed, family in enumerate(stream, start=1)
+        ]
+        # A moved, then back to base's A: two full binds; each new P:
+        # a full bind; q after a moved P: full (P differs from base's).
+        assert binds == [False, True, False, False, True, False, False, False]
+        assert pool.metrics.count("delta_binds") == 2
+
+    def test_first_rebind_after_construction_is_full(self):
+        """Even the very instance the solver was built from: the
+        construction-time equilibration is not the rebind's rescale."""
+        base, pool, twin = self.start()
+        assert not self.lane(pool, twin, base).delta_bind
+        assert self.lane(pool, twin, base).delta_bind
+
+    def test_anonymous_after_a_session_regime_change_is_full(self):
+        base, pool, twin = self.start()
+        assert not self.lane(pool, twin, moved(base, 1, "q")).delta_bind
+        assert self.lane(pool, twin, moved(base, 2, "q")).delta_bind
+        # A session binds new matrix values to the shared solver...
+        self.lane(pool, twin, moved(base, 3, "a", "q"), session="s")
+        # ...so base's matrices are a change again for the next request.
+        assert not self.lane(pool, twin, moved(base, 4, "q")).delta_bind
+        assert self.lane(pool, twin, moved(base, 5, "q")).delta_bind
