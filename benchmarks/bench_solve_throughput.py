@@ -1,11 +1,10 @@
-"""ADMM iteration-loop throughput: interpret vs replay vs fused.
+"""ADMM iteration-loop throughput: interpret vs replay.
 
-The motivating profile for trace compilation and whole-iteration
-fusion: a fully network-executed solve spends essentially all of its
-wall time inside the per-iteration kernel loop of
-:meth:`MIBSolver.solve_on_network`.  This benchmark times that loop
-under all three execution modes on one representative of each of the
-five problem domains, verifies replay and fused results are
+The motivating profile for trace compilation: a fully network-executed
+solve spends essentially all of its wall time inside the per-iteration
+kernel loop of :meth:`MIBSolver.solve_on_network`.  This benchmark
+times that loop under both execution modes on one representative of
+each of the five problem domains, verifies replay results are
 bit-identical to the interpretive oracle, and writes
 ``benchmarks/results/BENCH_solve.json``.
 
@@ -14,17 +13,15 @@ Runnable two ways:
 * ``pytest benchmarks/bench_solve_throughput.py`` — harness run;
 * ``python benchmarks/bench_solve_throughput.py [--check]`` — CI
   perf-smoke entry point; ``--check`` exits non-zero unless replay
-  beats the interpreter everywhere, fused replays at least
-  ``FUSED_GATE``x fewer seconds/iteration than per-kernel replay on at
-  least ``FUSED_GATE_DOMAINS`` of the five domains, and all three
-  modes agree bit for bit on every domain.
+  beats the interpreter on every domain and both modes agree bit for
+  bit on every domain.
 
 Timing protocol (see :func:`benchmarks.common.seconds_per_iteration`):
 fixed-length runs with checks deferred past the horizon, per-iteration
-cost isolated as ``(t(N) - t(1)) / (N - 1)``, endpoints min-of-repeats
-and interleaved across modes.  The replay/fused loops cost hundreds of
-*micro*seconds per iteration, so they are timed over long runs; the
-interpreter costs three orders of magnitude more and gets a short one.
+cost isolated as ``(t(N) - t(1)) / (N - 1)``, endpoints min-of-repeats.
+The replay loop costs hundreds of *micro*seconds per iteration, so it
+is timed over long runs; the interpreter costs one to two orders of
+magnitude more and gets a short one.
 """
 
 from __future__ import annotations
@@ -48,15 +45,12 @@ from benchmarks.common import (
 )
 
 C = 8
-FUSED_GATE = 1.5    # fused must beat replay sec/iter by this factor...
-FUSED_GATE_DOMAINS = 3  # ...on at least this many of the 5 domains
 
 # (timed iterations, min-of repeats) per mode: the differential
 # estimator needs long runs where per-iteration cost is micro-scale.
 MODE_PLAN = {
     "interpret": (12, 3),
     "replay": (400, 7),
-    "fused": (400, 7),
 }
 
 # Fixed-length runs: residual checks deferred past the horizon, no rho
@@ -79,8 +73,8 @@ DOMAINS = {
 }
 
 # Bit-identity runs use realistic solver behaviour (termination checks,
-# rho adaptation) so the fused path is exercised through residual
-# checks and mid-solve refactorizations, not just the steady loop.
+# rho adaptation) so replay is exercised through residual checks and
+# mid-solve refactorizations, not just the steady loop.
 VERIFY_SETTINGS = Settings(max_iter=500, check_interval=25)
 
 
@@ -108,28 +102,20 @@ def bench_domain(name: str, plan: dict[str, tuple[int, int]]) -> dict:
             settings=VERIFY_SETTINGS, execution=mode,
         )
         keys[mode] = _report_key(solver.solve_on_network())
-    oracle = keys.get("interpret", keys["replay"])
-    bit_identical = all(k == oracle for k in keys.values())
+    bit_identical = keys["replay"] == keys["interpret"]
 
-    # One timing group per (iters, repeats) flavour; modes sharing a
-    # flavour are interleaved against each other.
     per_iter: dict[str, float] = {}
-    for timed_iters, repeats in sorted(set(plan.values())):
-        solvers = {}
-        for mode, (ti, rep) in plan.items():
-            if (ti, rep) != (timed_iters, repeats):
-                continue
-            solver = MIBSolver(
-                problem, variant="direct", c=C,
-                settings=BENCH_SETTINGS, execution=mode,
-            )
-            # Warm-up: trace compilation/fusion and allocator effects
-            # stay out of the timed runs.
-            solver.solve_on_network(max_iter=1)
-            solvers[mode] = solver
+    for mode, (timed_iters, repeats) in plan.items():
+        solver = MIBSolver(
+            problem, variant="direct", c=C,
+            settings=BENCH_SETTINGS, execution=mode,
+        )
+        # Warm-up: trace compilation and allocator effects stay out of
+        # the timed runs.
+        solver.solve_on_network(max_iter=1)
         per_iter.update(
             seconds_per_iteration(
-                solvers, timed_iters=timed_iters, repeats=repeats
+                {mode: solver}, timed_iters=timed_iters, repeats=repeats
             )
         )
 
@@ -138,9 +124,7 @@ def bench_domain(name: str, plan: dict[str, tuple[int, int]]) -> dict:
             "seconds_per_iteration": cost,
             "iterations_per_second": 1.0 / cost,
         }
-    if "interpret" in per_iter:
-        row["speedup"] = per_iter["interpret"] / per_iter["replay"]
-    row["fused_speedup"] = per_iter["replay"] / per_iter["fused"]
+    row["speedup"] = per_iter["interpret"] / per_iter["replay"]
     row["bit_identical"] = bit_identical
     return row
 
@@ -148,9 +132,6 @@ def bench_domain(name: str, plan: dict[str, tuple[int, int]]) -> dict:
 def run_benchmark(plan: dict[str, tuple[int, int]] | None = None) -> dict:
     plan = dict(MODE_PLAN) if plan is None else plan
     domains = {name: bench_domain(name, plan) for name in DOMAINS}
-    fused_passing = sum(
-        1 for d in domains.values() if d["fused_speedup"] >= FUSED_GATE
-    )
     doc = {
         "benchmark": "admm_iteration_loop_throughput",
         "c": C,
@@ -160,15 +141,8 @@ def run_benchmark(plan: dict[str, tuple[int, int]] | None = None) -> dict:
         "all_bit_identical": all(
             d["bit_identical"] for d in domains.values()
         ),
-        "fused_gate": {
-            "threshold": FUSED_GATE,
-            "min_domains": FUSED_GATE_DOMAINS,
-            "domains_passing": fused_passing,
-            "pass": fused_passing >= FUSED_GATE_DOMAINS,
-        },
+        "min_speedup": min(d["speedup"] for d in domains.values()),
     }
-    if all("speedup" in d for d in domains.values()):
-        doc["min_speedup"] = min(d["speedup"] for d in domains.values())
     return doc
 
 
@@ -183,22 +157,10 @@ def check(doc: dict) -> list[str]:
             if not d["bit_identical"]
         ]
         failures.append(f"execution modes diverge bitwise on: {bad}")
-    if "min_speedup" in doc and doc["min_speedup"] <= 1.0:
+    if doc["min_speedup"] <= 1.0:
         failures.append(
             "replay slower than interpretive execution "
             f"(min speedup {doc['min_speedup']:.2f}x)"
-        )
-    gate = doc["fused_gate"]
-    if not gate["pass"]:
-        slow = {
-            name: f"{d['fused_speedup']:.2f}x"
-            for name, d in doc["domains"].items()
-            if d["fused_speedup"] < gate["threshold"]
-        }
-        failures.append(
-            f"fused must reach {gate['threshold']}x replay sec/iter on "
-            f">= {gate['min_domains']} of {len(doc['domains'])} domains, "
-            f"got {gate['domains_passing']}; below gate: {slow}"
         )
     return failures
 
@@ -210,17 +172,9 @@ def _print_summary(doc: dict) -> None:
             cols.append(
                 f"{mode} {d[mode]['iterations_per_second']:9.0f} it/s"
             )
-        if "speedup" in d:
-            cols.append(f"replay {d['speedup']:6.1f}x")
-        cols.append(f"fused {d['fused_speedup']:5.2f}x")
+        cols.append(f"replay {d['speedup']:6.1f}x")
         cols.append(f"bit-identical: {d['bit_identical']}")
         print(" | ".join(cols))
-    gate = doc["fused_gate"]
-    print(
-        f"fused gate: {gate['domains_passing']}/{len(doc['domains'])} "
-        f"domains >= {gate['threshold']}x -> "
-        f"{'pass' if gate['pass'] else 'FAIL'}"
-    )
 
 
 def test_solve_throughput():
@@ -228,7 +182,6 @@ def test_solve_throughput():
     plan = {
         "interpret": (8, 2),
         "replay": (120, 3),
-        "fused": (120, 3),
     }
     doc = run_benchmark(plan)
     write_json("BENCH_solve.json", doc, sort_keys=False)

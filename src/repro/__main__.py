@@ -309,12 +309,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--execution",
-        choices=("interpret", "replay", "fused"),
+        choices=("interpret", "replay"),
         default="replay",
         help="how '--backend network' runs kernels: 'interpret' "
-        "(cycle-stepped oracle), 'replay' (per-kernel compiled "
-        "traces), 'fused' (one whole-iteration trace per ADMM "
-        "iteration; bit-identical, fewest host dispatches)",
+        "(cycle-stepped oracle) or 'replay' (per-kernel compiled "
+        "traces; bit-identical)",
     )
     p.set_defaults(fn=cmd_solve)
 

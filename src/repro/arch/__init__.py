@@ -38,17 +38,6 @@ from .trace import (
     run_phases_batch,
     stamp_matches,
 )
-from .fusion import (
-    FusedBatchRun,
-    FusedRun,
-    FusedSegment,
-    FusedTrace,
-    FusionError,
-    fuse_iteration,
-    fusion_stamp_matches,
-    plan_buffer_reuse,
-    verify_buffer_plan,
-)
 
 __all__ = [
     "AlveoU50",
@@ -63,15 +52,6 @@ __all__ = [
     "run_phases",
     "run_phases_batch",
     "stamp_matches",
-    "FusedBatchRun",
-    "FusedRun",
-    "FusedSegment",
-    "FusedTrace",
-    "FusionError",
-    "fuse_iteration",
-    "fusion_stamp_matches",
-    "plan_buffer_reuse",
-    "verify_buffer_plan",
     "ControlWord",
     "decode_modes",
     "encode_control",

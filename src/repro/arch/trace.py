@@ -100,14 +100,12 @@ def run_phases(
 ) -> None:
     """Execute a phase list against 1-D coeff/state/values buffers.
 
-    The shared sequential replay core: :meth:`CompiledTrace.replay` and
-    the fused-iteration replay (:mod:`repro.arch.fusion`) both drive
-    their phase programs through this exact dispatch, so the two paths
-    cannot drift numerically.  ``xp`` is the array backend the buffers
-    live on; with a non-host backend the phases must have been
-    prepared for it (:meth:`CompiledTrace._phases_for`) so every index
-    array — and the duplicate-commit reduce plans — are backend
-    resident.
+    The sequential replay core behind :meth:`CompiledTrace.replay`;
+    :func:`run_phases_batch` is its lane-axis twin.  ``xp`` is the
+    array backend the buffers live on; with a non-host backend the
+    phases must have been prepared for it
+    (:meth:`CompiledTrace._phases_for`) so every index array — and the
+    duplicate-commit reduce plans — are backend resident.
     """
     for ph in phases:
         if ph.cr_state is not None:
@@ -294,9 +292,9 @@ def _prepare_phase(ph: TracePhase, xp) -> TracePhase:
     batches = [tuple(conv(el) for el in batch) for batch in ph.batches]
     commits = []
     for acc, sids, vids, has_dups in ph.commits:
-        if acc and has_dups and isinstance(sids, np.ndarray):
+        if acc and has_dups:
             handle = xp.prepare_add_at_index(sids)
-        else:  # slices (fused contiguous runs) index natively everywhere
+        else:
             handle = conv(sids)
         commits.append((acc, handle, conv(vids), has_dups))
     return TracePhase(

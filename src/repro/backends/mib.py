@@ -32,15 +32,10 @@ from ..arch import (
     BatchSimState,
     BatchStreamBuffers,
     CompiledTrace,
-    FusedBatchRun,
-    FusedRun,
-    FusedTrace,
     NetworkSimulator,
     SimulationStats,
     StreamBuffers,
     compile_trace,
-    fuse_iteration,
-    fusion_stamp_matches,
     stamp_matches,
 )
 from ..arch.resources import clock_frequency_hz
@@ -88,8 +83,9 @@ PCIE_LATENCY = 10e-6  # per transfer
 
 # The ADMM loop body as data: the kernels one iteration executes, in
 # order, plus the residual products appended on check iterations.  The
-# iteration engine below and the fusion pass both consume this program
-# rather than hard-coding kernel names in control flow.
+# network loop (``MIBSolver._run_batch_group``) and the crossing probe
+# (``MIBSolver.iteration_crossings``) both read this program rather
+# than hard-coding kernel names in control flow.
 ITERATION_KERNELS = ("iter_pre", "kkt_solve", "iter_post")
 CHECK_KERNELS = ("residuals",)
 
@@ -295,9 +291,6 @@ class _LaneGroup:
         sim = solver._network_sim(reset=False)
         return solver._trace(name, sim).replay_batch(self.ctx, self.streams)
 
-    def fused_run(self, solver: "MIBSolver", trace: FusedTrace):
-        return FusedBatchRun(trace)
-
     def read_vector(self, view) -> np.ndarray:
         return self.ctx.read_vector(view)
 
@@ -353,9 +346,6 @@ class _BoundLane(_LaneGroup):
     def run_kernel(self, solver: "MIBSolver", name: str) -> SimulationStats:
         return solver._run_kernel(self.ctx, name, self.streams)
 
-    def fused_run(self, solver: "MIBSolver", trace: FusedTrace):
-        return FusedRun(trace, solver.xp)
-
     def read_vector(self, view) -> np.ndarray:
         return self.ctx.rf.read_vector(view)[None]
 
@@ -377,60 +367,6 @@ class _BoundLane(_LaneGroup):
 
     def compact(self, keep: np.ndarray) -> None:
         self.ids = self.ids[keep]
-
-
-class _IterationEngine:
-    """The ADMM loop body over one lane group's storage.
-
-    Per kernel (``fused=False``) it runs :data:`ITERATION_KERNELS`
-    (plus :data:`CHECK_KERNELS` on check iterations) one at a time
-    through the group; state lives in the group's image at all times,
-    so ``flush``/``invalidate`` are no-ops.  Fused, it replays one
-    :class:`FusedTrace` per iteration against persistent fused state:
-    ``flush`` scatters the fused-written words back to the image —
-    before a refactorization, or before lane surgery (harvest
-    compaction, solo extraction) edits it — and ``invalidate`` marks
-    the fused state stale so the next replay re-syncs from the image
-    and the rebound streams, at the group's new width.
-    """
-
-    def __init__(self, solver: "MIBSolver", g: _LaneGroup, *, fused: bool):
-        self.solver = solver
-        self.g = g
-        self.run_state: FusedRun | FusedBatchRun | None = None
-        if fused:
-            trace = solver._fused_trace(solver._network_sim(reset=False))
-            self._n_iter = trace.segment_index(ITERATION_KERNELS)
-            self.run_state = g.fused_run(solver, trace)
-
-    def run(self, *, check: bool) -> SimulationStats:
-        if self.run_state is not None:
-            return self.run_state.replay(
-                self.g.ctx, self.g.streams, None if check else self._n_iter
-            )
-        total = SimulationStats()
-        for name in ITERATION_KERNELS + (CHECK_KERNELS if check else ()):
-            stats = self.g.run_kernel(self.solver, name)
-            total.cycles += stats.cycles
-            total.host_crossings += stats.host_crossings
-            total.phases_executed += stats.phases_executed
-        return total
-
-    def read_view(self, view) -> np.ndarray:
-        """Current per-lane value of an allocator view, ``(B, len)``."""
-        if self.run_state is None or not self.run_state.valid:
-            # Invalidation always follows a flush, so the image is
-            # current whenever the fused state is not.
-            return self.g.read_vector(view)
-        return np.atleast_2d(self.run_state.read_view(self.g.ctx, view))
-
-    def flush(self) -> None:
-        if self.run_state is not None and self.run_state.valid:
-            self.run_state.sync_out(self.g.ctx)
-
-    def invalidate(self) -> None:
-        if self.run_state is not None:
-            self.run_state.invalidate()
 
 
 class MIBSolver:
@@ -461,17 +397,11 @@ class MIBSolver:
         default) validates each schedule once, lowers it to a
         :class:`~repro.arch.trace.CompiledTrace` and re-executes the
         vectorized trace on every invocation; ``"interpret"`` runs the
-        cycle-by-cycle oracle interpreter every time; ``"fused"``
-        additionally lowers the whole ADMM iteration into one
-        :class:`~repro.arch.fusion.FusedTrace` so
-        :meth:`solve_on_network` and :meth:`solve_batch` replay an
-        entire iteration per host dispatch.  All three are
-        bit-identical; non-iteration kernels run as ``"replay"`` under
-        ``"fused"``.
+        cycle-by-cycle oracle interpreter every time.  The two are
+        bit-identical.  :meth:`solve_batch` always replays.
     array_backend:
         The :mod:`repro.xp` backend (a name or an instance) that
-        replay and fused traces execute on — solo, fused and batch
-        passes alike.
+        replay traces execute on — solo and batch passes alike.
     """
 
     # Super-pipelining model (paper future work): one extra register
@@ -499,10 +429,9 @@ class MIBSolver:
         execution: str = "replay",
         array_backend: str | ArrayBackend = "numpy",
     ) -> None:
-        if execution not in ("replay", "interpret", "fused"):
+        if execution not in ("replay", "interpret"):
             raise ValueError(
-                "execution must be 'replay', 'interpret' or 'fused', "
-                f"got {execution!r}"
+                f"execution must be 'replay' or 'interpret', got {execution!r}"
             )
         self.problem = problem
         self.variant = variant
@@ -524,8 +453,6 @@ class MIBSolver:
         self._sim: NetworkSimulator | None = None
         self._traces: dict[str, CompiledTrace] = {}
         self._trace_stamps: dict[str, dict] = {}
-        self._fused: FusedTrace | None = None
-        self._fusion_stamps: dict[str, dict] = {}
         self._stamps_dirty = False
         self._batch_maps_cache: _BatchMaps | None = None
         self.super_pipelined = super_pipelined
@@ -609,7 +536,6 @@ class MIBSolver:
                 )
         self.kernels.schedules.update(artifact.schedules)
         self._trace_stamps = dict(artifact.traces)
-        self._fusion_stamps = dict(artifact.fusion)
         sp = self.reference.scaling.scaled
         self._a_view = row_major_view(sp.a)
         self._p_view = row_major_view(sp.p_full)
@@ -629,7 +555,6 @@ class MIBSolver:
                 for v in self.builder.alloc.views()
             ],
             traces=dict(self._trace_stamps),
-            fusion=dict(self._fusion_stamps),
         )
 
     # ------------------------------------------------------------------
@@ -685,47 +610,13 @@ class MIBSolver:
     def _run_kernel(
         self, sim: NetworkSimulator, name: str, streams: StreamBuffers
     ) -> SimulationStats:
-        """Execute one compiled kernel in the configured mode.
-
-        ``"fused"`` covers the iteration loop body only; standalone
-        kernel invocations (``factor``, the validation paths) run as
-        trace replays under it.
-        """
+        """Execute one compiled kernel in the configured mode."""
         if self.execution == "interpret":
             return sim.run(self.kernels.schedules[name].slots, streams)
         return self._trace(name, sim).replay(sim, streams, xp=self.xp)
 
-    def _fused_trace(self, sim: NetworkSimulator) -> FusedTrace:
-        """The whole-iteration fused trace (fuse on first use).
-
-        A cached fusion stamp (restored with the artifact) proves this
-        exact kernel set already produced a verified buffer-reuse plan
-        for this configuration, so a warm solver re-fuses with the
-        overlap verification skipped.  Like kernel traces, values never
-        invalidate a fusion: streams rebind at sync-in.
-        """
-        fused = self._fused
-        if fused is None:
-            names = ITERATION_KERNELS + CHECK_KERNELS
-            traces = [self._trace(n, sim) for n in names]
-            verified = fusion_stamp_matches(
-                self._fusion_stamps.get("iteration"),
-                c=self.c,
-                depth=sim.rf.depth,
-                latency=sim.bf.latency + sim.extra_latency,
-                segments=names,
-            )
-            fused = fuse_iteration(
-                traces, name="iteration", verify=not verified
-            )
-            self._fused = fused
-            if not verified:
-                self._fusion_stamps["iteration"] = fused.summary()
-                self._stamps_dirty = True
-        return fused
-
     def _flush_stamps(self) -> None:
-        """Persist freshly recorded validation/fusion stamps.
+        """Persist freshly recorded trace validation stamps.
 
         Lowering records stamps in memory only; the solve/compile entry
         points flush them here so one entry point costs at most one
@@ -747,13 +638,12 @@ class MIBSolver:
         residual-product kernels).
 
         The observability counterpart of :meth:`iteration_cycles`:
-        crossings are host dispatch overhead, not simulated time, and
-        are what ``execution="fused"`` collapses.  ``xp`` selects the
-        backend accounted for (default: the solver's own) — host
-        backends count numpy call dispatches, device backends count
-        genuine host→device transfers.  A read-only probe: any stamps
-        recorded while lowering stay in memory until the next
-        solve/compile entry point flushes them.
+        crossings are host dispatch overhead, not simulated time.
+        ``xp`` selects the backend accounted for (default: the solver's
+        own) — host backends count numpy call dispatches, device
+        backends count genuine host→device transfers.  A read-only
+        probe: any stamps recorded while lowering stay in memory until
+        the next solve/compile entry point flushes them.
         """
         if xp is None:
             xp = self.xp
@@ -763,10 +653,6 @@ class MIBSolver:
         if self.execution == "interpret":
             return sum(self.kernels.schedules[n].n_ops for n in names)
         sim = self._network_sim(reset=False)
-        if self.execution == "fused" and self.variant == "direct":
-            return self._fused_trace(sim).iteration_crossings(
-                len(names), xp=xp
-            )
         return sum(self._trace(n, sim).crossings_for(xp) for n in names)
 
     def compile_traces(
@@ -1351,7 +1237,7 @@ class MIBSolver:
         b = len(problems)
         max_iter = max_iter or st.max_iter
 
-        # Scale all lanes with the shared equilibration (one fused
+        # Scale all lanes with the shared equilibration (one combined
         # factor per entry, replicating update_values bitwise).
         Q = np.stack([np.asarray(pr.q, dtype=np.float64) for pr in problems])
         A = np.stack([pr.a.data for pr in problems])
@@ -1448,22 +1334,19 @@ class MIBSolver:
         v_ax, v_px, v_aty = (
             alloc.get("res_ax"), alloc.get("res_px"), alloc.get("res_aty")
         )
-        engine = _IterationEngine(self, g, fused=self.execution == "fused")
         iteration = g.start_iteration
 
+        def run(names) -> None:
+            for name in names:
+                stats = g.run_kernel(self, name)
+                g.cycles += stats.cycles
+                g.crossings += stats.host_crossings
+
         def refactor() -> None:
-            # The factor kernel runs outside the fused iteration: flush
-            # the fused state to the image first, and invalidate after
-            # so the next iteration re-syncs against the rebound
-            # L/Dinv/rho streams.
-            engine.flush()
             g.bind("K", g.arrays["kdata"][:, maps.perm_map])
-            stats = g.run_kernel(self, "factor")
-            g.cycles += stats.cycles
-            g.crossings += stats.host_crossings
+            run(("factor",))
             g.bind("L", g.lbuf_matrix(maps.l_nnz))
             g.bind("Dinv", g.read_vector(alloc.get("factor_dinv")))
-            engine.invalidate()
 
         def finish(r: int, status, cert_p=None, cert_d=None) -> None:
             lane = int(g.ids[r])
@@ -1489,11 +1372,8 @@ class MIBSolver:
             gone: np.ndarray, *, extract: bool = False
         ) -> list[_LaneGroup]:
             """Take the ``gone`` lanes out of the group: harvested, or
-            extracted into solo groups that resume at this iteration.
-            The fused state is flushed before the image is edited and
-            is stale at the new width."""
+            extracted into solo groups that resume at this iteration."""
             nonlocal prim, dual, ep, ed, x_now, y_now, z
-            engine.flush()
             children = [
                 g.extract(int(r), start_iteration=iteration)
                 for r in (np.flatnonzero(gone) if extract else ())
@@ -1501,7 +1381,6 @@ class MIBSolver:
             pending.extend(children)
             keep = ~gone
             g.compact(keep)
-            engine.invalidate()
             prim, dual, ep, ed, x_now, y_now, z = (
                 rows[keep] for rows in (prim, dual, ep, ed, x_now, y_now, z)
             )
@@ -1519,25 +1398,23 @@ class MIBSolver:
             )
             if check:
                 # Previous-iteration iterates for the δx/δy certificates.
-                x_prev = engine.read_view(v_x)
-                y_prev = engine.read_view(v_y)
-            stats = engine.run(check=check)
-            g.cycles += stats.cycles
-            g.crossings += stats.host_crossings
+                x_prev = g.read_vector(v_x)
+                y_prev = g.read_vector(v_y)
+            run(ITERATION_KERNELS + (CHECK_KERNELS if check else ()))
             if not check:
                 continue
-            z = engine.read_view(v_z)
+            z = g.read_vector(v_z)
             prim, dual, ep, ed = residuals_from_products(
                 sc,
                 st,
-                ax=engine.read_view(v_ax),
-                px=engine.read_view(v_px),
-                aty=engine.read_view(v_aty),
+                ax=g.read_vector(v_ax),
+                px=g.read_vector(v_px),
+                aty=g.read_vector(v_aty),
                 z=z,
                 q=g.arrays["q"],
             )
-            x_now = engine.read_view(v_x)
-            y_now = engine.read_view(v_y)
+            x_now = g.read_vector(v_x)
+            y_now = g.read_vector(v_y)
             done = np.zeros(g.ids.size, dtype=bool)
             for r in range(g.ids.size):
                 status = cert_p = cert_d = None

@@ -64,7 +64,9 @@ __all__ = [
 # artifact layout, the register-file allocation discipline, or the
 # meaning of any hashed field changes; old files then silently miss.
 # v2: added the per-kernel replay-trace validation stamps (``traces``).
-# v3: added the whole-iteration fusion stamps (``fusion``).
+# v3: added per-iteration stamps for an execution mode since retired;
+# dropping them changed no other field's meaning, so v3 files that
+# still carry them load as-is (the extra key is ignored).
 CACHE_FORMAT_VERSION = 3
 
 
@@ -139,18 +141,12 @@ class CompiledArtifact:
     matching stamp lets a warm solver lower the schedule straight to a
     trace with hazard validation skipped (it already passed for this
     exact schedule/configuration pair).
-
-    ``fusion`` maps fused-trace name (``"iteration"``) to the stamp
-    emitted by :meth:`~repro.arch.fusion.FusedTrace.summary`; a
-    matching stamp lets a warm solver re-fuse the iteration kernels
-    with the buffer-plan verification skipped.
     """
 
     key: str
     schedules: dict[str, Schedule]
     vectors: list[VectorSlot]
     traces: dict[str, dict] = field(default_factory=dict)
-    fusion: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -168,9 +164,6 @@ class CompiledArtifact:
                     "stats": simulation_stats_to_dict(stamp["stats"]),
                 }
                 for name, stamp in self.traces.items()
-            },
-            "fusion": {
-                name: dict(stamp) for name, stamp in self.fusion.items()
             },
         }
 
@@ -197,10 +190,6 @@ class CompiledArtifact:
                     "stats": simulation_stats_from_dict(stamp["stats"]),
                 }
                 for name, stamp in raw.get("traces", {}).items()
-            },
-            fusion={
-                str(name): dict(stamp)
-                for name, stamp in raw.get("fusion", {}).items()
             },
         )
 

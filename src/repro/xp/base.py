@@ -1,9 +1,9 @@
 """The executor-op contract every array backend implements.
 
-The replay stack (:mod:`repro.arch.trace`, :mod:`repro.arch.batch`,
-:mod:`repro.arch.fusion`) is a pure dense-array program: gathers,
-element-wise arithmetic, segmented left-fold sums and ordered
-scatter-adds over flat ``float64`` buffers.  :class:`ArrayBackend`
+The replay stack (:mod:`repro.arch.trace`, :mod:`repro.arch.batch`)
+is a pure dense-array program: gathers, element-wise arithmetic,
+segmented left-fold sums and ordered scatter-adds over flat
+``float64`` buffers.  :class:`ArrayBackend`
 names exactly the operations that program needs beyond standard
 array-API arithmetic/indexing, so the same phase programs execute
 against numpy, a simulated device, or the array-api-strict test

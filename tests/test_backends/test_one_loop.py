@@ -2,11 +2,14 @@
 
 ``solve_on_network`` is the one-lane case of the lockstep loop
 ``solve_batch`` runs, over the simulator image instead of batch
-storage.  Two guards:
+storage.  Three guards:
 
 * **single definition** — patching the one ρ proposal the network loop
   evaluates silences adaptation on *both* entry points, in every
   execution mode (two loop texts would leave one of them adapting);
+* **one answer per mode** — ``replay`` equals the ``interpret`` oracle
+  bit for bit on every domain at C = 8, 16 and 32, on a fresh solver
+  and on warm re-solves after ``update_values``;
 * **same numbers** — ``golden_network_solves.json`` pins a fresh
   (never rebound) solver's ``solve_on_network()`` on the five
   ``bench_serve`` domains at C = 8, and the solver state a mid-solve ρ
@@ -43,7 +46,8 @@ from repro.solver import QPProblem, Settings
 
 GOLDEN = Path(__file__).with_name("golden_network_solves.json")
 C = 8
-MODES = ("replay", "fused", "interpret")
+MODES = ("replay", "interpret")
+WIDTHS = (8, 16, 32)
 
 # bench_serve's settings and patterns.
 BENCH_SETTINGS = Settings(
@@ -59,6 +63,18 @@ PATTERNS = {
 
 # Adapts ρ mid-solve (test_network_solve_with_rho_refactorization).
 ADAPTING = Settings(rho=1e-3, eps_abs=1e-4, eps_rel=1e-4, max_iter=4000)
+
+# Small instances of the five domains for the mode differential: the
+# interpreter steps every op, so these keep a full solve under a
+# second.  Residual checks every 25 iterations, adaptive ρ on.
+SMALL = {
+    "lasso": lambda: lasso_problem(6, seed=0),
+    "mpc": lambda: mpc_problem(3, horizon=4, seed=0),
+    "portfolio": lambda: portfolio_problem(10, seed=0),
+    "svm": lambda: svm_problem(5, n_samples=15, seed=0),
+    "huber": lambda: huber_problem(6, n_samples=15, seed=0),
+}
+SMALL_SETTINGS = Settings(max_iter=300, check_interval=25)
 
 
 def _sha(a: np.ndarray) -> str:
@@ -143,6 +159,61 @@ def _perturbed(base: QPProblem, seed: int) -> QPProblem:
     return QPProblem(
         p=base.p, q=q, a=base.a, l=base.l, u=base.u, name=base.name
     )
+
+
+def report_key(r):
+    """Everything a network solve reports, bytes-exact.  Host crossings
+    are left out: they are what the two modes differ in.  Scalars
+    compare as float64 bit patterns."""
+    return (
+        r.status,
+        r.iterations,
+        r.cycles,
+        r.rho_updates,
+        r.x.tobytes(),
+        r.z.tobytes(),
+        r.y.tobytes(),
+        np.float64(r.primal_residual).tobytes(),
+        np.float64(r.dual_residual).tobytes(),
+        np.float64(r.objective).tobytes(),
+    )
+
+
+def _mode_pair(base: QPProblem, c: int):
+    return tuple(
+        MIBSolver(base, c=c, settings=SMALL_SETTINGS, execution=mode)
+        for mode in MODES
+    )
+
+
+@pytest.mark.parametrize("c", WIDTHS)
+@pytest.mark.parametrize("pattern", SMALL)
+def test_replay_matches_interpret(pattern, c):
+    """The compiled mode against its oracle, a whole fresh solve, every
+    width."""
+    replay, interpret = _mode_pair(SMALL[pattern](), c)
+    assert report_key(replay.solve_on_network()) == report_key(
+        interpret.solve_on_network()
+    )
+
+
+@pytest.mark.parametrize("c", WIDTHS)
+@pytest.mark.parametrize("pattern", SMALL)
+def test_warm_resolve_replay_matches_interpret(pattern, c):
+    """Two warm re-solves after ``update_values``, every width: they
+    ride the already-lowered traces with rebound coefficients and start
+    from the previous solve's iterates."""
+    base = SMALL[pattern]()
+    replay, interpret = _mode_pair(base, c)
+    replay.solve_on_network()
+    interpret.solve_on_network()
+    for seed in (1, 2):
+        instance = _perturbed(base, seed)
+        replay.update_values(instance)
+        interpret.update_values(instance)
+        assert report_key(replay.solve_on_network()) == report_key(
+            interpret.solve_on_network()
+        ), seed
 
 
 @pytest.mark.parametrize("execution", MODES)

@@ -73,6 +73,12 @@ class TestExecutionModeEquivalence:
         with pytest.raises(ValueError, match="execution"):
             MIBSolver(problem, variant="direct", c=C, execution="jit")
 
+    def test_fused_mode_is_gone(self, problem):
+        """Two modes remain; the error names both."""
+        with pytest.raises(ValueError) as exc:
+            MIBSolver(problem, variant="direct", c=C, execution="fused")
+        assert "'replay' or 'interpret'" in str(exc.value)
+
     def test_solve_on_network_bit_identical(self, direct_pair):
         interp, replay = direct_pair
         r_int = interp.solve_on_network(max_iter=8)

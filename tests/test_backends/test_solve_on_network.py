@@ -61,15 +61,17 @@ ADAPTING = Settings(rho=1e-3, eps_abs=1e-4, eps_rel=1e-4, max_iter=4000)
 def test_network_solve_matches_reference(factory):
     """The independent oracle of the one network loop: the host
     reference.  (The lane differentials compare the loop with itself
-    over two storages.)"""
+    over two storages.)  Both execution modes also agree bit for bit
+    with each other."""
     problem, settings = factory()
     ref = solve(problem, variant="direct", settings=settings)
-    for execution in ("replay", "fused", "interpret"):
+    reports = {}
+    for execution in ("replay", "interpret"):
         solver = MIBSolver(
             problem, variant="direct", c=16, settings=settings,
             execution=execution,
         )
-        net = solver.solve_on_network()
+        net = reports[execution] = solver.solve_on_network()
         # Identical algorithm trajectory: same status, iterations and
         # rho updates, same solution to simulator round-off.
         assert net.status is ref.status, execution
@@ -91,6 +93,14 @@ def test_network_solve_matches_reference(factory):
             assert (got is None) == (want is None), execution
             if want is not None:
                 np.testing.assert_allclose(got, want, atol=1e-9)
+    replay, interpret = reports["replay"], reports["interpret"]
+    for name in ("status", "iterations", "cycles", "rho_updates"):
+        assert getattr(replay, name) == getattr(interpret, name), name
+    for name in ("x", "y", "z", "primal_residual", "dual_residual",
+                 "objective"):
+        assert np.array_equal(
+            getattr(replay, name), getattr(interpret, name), equal_nan=True
+        ), name
 
 
 def test_reference_cases_cover_every_exit():

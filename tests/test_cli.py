@@ -115,7 +115,7 @@ class TestCLI:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
-        for mode in ("interpret", "replay", "fused"):
+        for mode in ("interpret", "replay"):
             rc = main(
                 ["solve", "--domain", "mpc", "--dimension", "3",
                  "--backend", "network", "--width", "16",
@@ -123,6 +123,11 @@ class TestCLI:
             )
             assert rc == 0, mode
             assert f"host crossings ({mode})" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--domain", "mpc", "--backend", "network",
+                  "--execution", "fused"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fused'" in capsys.readouterr().err
 
     def test_solve_from_qps(self, capsys, tmp_path):
         from tests.test_io import QPS_SAMPLE

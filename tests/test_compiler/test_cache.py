@@ -90,6 +90,44 @@ class TestWarmPath:
         assert warm.cache_hit
         assert cache2.stats.disk_hits == 1
 
+    def test_v3_file_with_retired_iteration_stamp_still_hits(
+        self, tmp_path, monkeypatch
+    ):
+        """Format v3 once also carried a ``fusion`` map of whole-
+        iteration stamps.  Dropping it moved no other field, so the
+        version and the pattern fingerprint stayed, and a directory
+        written before the drop keeps hitting."""
+        problem = _problem()
+        cold = _solver(problem, ScheduleCache(tmp_path))
+        # The key such a directory was written under (recorded from the
+        # code that still wrote the stamp).
+        assert cold.cache_key == (
+            "1da585728ed6a21cbdb1b5bc853a87c70b222303f9dcaf3570ce33f18870c528"
+        )
+        path = ScheduleCache(tmp_path).path_for(cold.cache_key)
+        raw = json.loads(path.read_text())
+        assert raw["cache_format_version"] == 3
+        raw["fusion"] = {
+            "iteration": {
+                "verified": True, "c": C, "depth": 1 << 24, "latency": 7,
+                "segments": ["iter_pre", "kkt_solve", "iter_post",
+                             "residuals"],
+                "n_state": 206, "n_slots": 102, "n_values": 481,
+                "n_coeff": 310, "crossings": 62,
+            }
+        }
+        path.write_text(json.dumps(raw))
+
+        cache = ScheduleCache(tmp_path)
+        monkeypatch.setattr(mib_mod, "schedule_program", _no_schedule)
+        warm = _solver(problem, cache)
+        assert warm.cache_hit is True
+        assert warm.cache_key == cold.cache_key
+        assert cache.stats.disk_hits == 1
+        assert cache.stats.restore_errors == 0
+        assert cache.stats.disk_errors == 0
+        assert warm.solve().cycles == cold.solve().cycles
+
 
 class TestCorruptionSafety:
     def _stored_path(self, tmp_path):

@@ -38,7 +38,7 @@ class TestConfiguration:
         with pytest.raises(TypeError, match="execution"):
             _pool(execution=execution)
 
-    @pytest.mark.parametrize("execution", ["replay", "fused"])
+    @pytest.mark.parametrize("execution", ["replay"])
     def test_served_execution_modes_construct(self, execution):
         with pytest.raises(TypeError, match="execution"):
             _pool(execution=execution)
