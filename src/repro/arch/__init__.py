@@ -1,7 +1,6 @@
 """The Multi-Issue Butterfly architecture: topology, ISA, register
 files, HBM model, cycle-level simulator and FPGA resource model."""
 
-from .batch import BatchSimState, BatchStreamBuffers
 from .control import ControlWord, decode_modes, encode_control
 from .hbm import HBMModel, StreamBuffers
 from .isa import (
@@ -35,22 +34,18 @@ from .trace import (
     compile_trace,
     phase_crossings,
     run_phases,
-    run_phases_batch,
     stamp_matches,
 )
 
 __all__ = [
     "AlveoU50",
     "BINARY_EWISE_FNS",
-    "BatchSimState",
-    "BatchStreamBuffers",
     "Butterfly",
     "CompiledTrace",
     "TracePhase",
     "compile_trace",
     "phase_crossings",
     "run_phases",
-    "run_phases_batch",
     "stamp_matches",
     "ControlWord",
     "decode_modes",

@@ -54,7 +54,6 @@ __all__ = [
     "compile_trace",
     "phase_crossings",
     "run_phases",
-    "run_phases_batch",
     "stamp_matches",
 ]
 
@@ -100,8 +99,7 @@ def run_phases(
 ) -> None:
     """Execute a phase list against 1-D coeff/state/values buffers.
 
-    The sequential replay core behind :meth:`CompiledTrace.replay`;
-    :func:`run_phases_batch` is its lane-axis twin.  ``xp`` is the
+    The replay core behind :meth:`CompiledTrace.replay`.  ``xp`` is the
     array backend the buffers live on; with a non-host backend the
     phases must have been prepared for it
     (:meth:`CompiledTrace._phases_for`) so every index array — and the
@@ -174,97 +172,6 @@ def run_phases(
                 state[sids] = values[vids]
 
 
-def run_phases_batch(
-    phases: list[TracePhase],
-    coeff: np.ndarray,
-    state: np.ndarray,
-    values: np.ndarray,
-    lane_segments,
-    xp=NUMPY,
-) -> None:
-    """Execute a phase list over a leading batch axis.
-
-    ``lane_segments(phase_i, batch_i, seg, n_out)`` supplies the
-    per-lane-offset MAC segment map (cached by the caller).  Per lane
-    the arithmetic is bit-identical to :func:`run_phases` on that
-    lane's row: element-wise batches broadcast the identical IEEE-754
-    operations row-wise, the MAC segmented sum offsets segment ids per
-    lane so ``np.bincount`` folds each lane's reads left in input
-    order, and duplicate accumulate-commits go through ``np.add.at``
-    whose unbuffered updates visit the row-major broadcast in order —
-    per lane, the 1-D commit order.
-    """
-    b = state.shape[0]
-    for pi, ph in enumerate(phases):
-        if ph.cr_state is not None:
-            coeff[:, ph.cr_slot] = state[:, ph.cr_state] * ph.cr_scale
-        for bi, batch in enumerate(ph.batches):
-            code = batch[0]
-            if code == _MAC:
-                _, out, ridx, seg, cidx, n_out = batch
-                lane_seg = lane_segments(pi, bi, seg, n_out)
-                values[:, out] = xp.bincount(
-                    lane_seg,
-                    weights=(coeff[:, cidx] * state[:, ridx]).ravel(),
-                    minlength=b * n_out,
-                ).reshape(b, n_out)
-            elif code == _SCATTER_MUL:
-                _, out, a, cidx = batch
-                values[:, out] = coeff[:, cidx] * state[:, a]
-            elif code == _COPY:
-                _, out, a = batch
-                values[:, out] = state[:, a]
-            elif code == _CONST:
-                _, out, cidx = batch
-                values[:, out] = coeff[:, cidx]
-            elif code == _RECIP:
-                _, out, a = batch
-                values[:, out] = 1.0 / state[:, a]
-            elif code == _SCALE:
-                _, out, a, s0 = batch
-                values[:, out] = s0 * state[:, a]
-            elif code == _STREAM_MUL:
-                _, out, a, cidx = batch
-                values[:, out] = state[:, a] * coeff[:, cidx]
-            elif code == _STREAM_AXPY:
-                _, out, a, cidx, s0 = batch
-                values[:, out] = state[:, a] + s0 * coeff[:, cidx]
-            elif code == _CLIP:
-                _, out, a, lo, hi = batch
-                values[:, out] = xp.minimum(
-                    xp.maximum(state[:, a], coeff[:, lo]), coeff[:, hi]
-                )
-            elif code == _ADD:
-                _, out, a, b_ = batch
-                values[:, out] = state[:, a] + state[:, b_]
-            elif code == _SUB:
-                _, out, a, b_ = batch
-                values[:, out] = state[:, a] - state[:, b_]
-            elif code == _MUL:
-                _, out, a, b_ = batch
-                values[:, out] = state[:, a] * state[:, b_]
-            elif code == _AXPBY:
-                _, out, a, b_, s0, s1 = batch
-                values[:, out] = s0 * state[:, a] + s1 * state[:, b_]
-            elif code == _NEGMUL:
-                _, out, a, b_ = batch
-                values[:, out] = -state[:, a] * state[:, b_]
-            else:  # _FACTOR_FIN
-                _, out1, out2, yi, di = batch
-                y = state[:, yi]
-                dinv = state[:, di]
-                values[:, out1] = y * dinv
-                values[:, out2] = -y * y * dinv
-        for acc, sids, vids, has_dups in ph.commits:
-            if acc:
-                if has_dups:
-                    xp.add_at_batch(state, sids, values[:, vids])
-                else:
-                    state[:, sids] += values[:, vids]
-            else:
-                state[:, sids] = values[:, vids]
-
-
 def phase_crossings(phases: list[TracePhase]) -> int:
     """Host→numpy crossings of one pass over a phase list: one per
     dynamic-coefficient fill, exec batch, and commit run."""
@@ -331,8 +238,8 @@ class CompiledTrace:
     stats: SimulationStats
     hbm_words_read: int
     hbm_words_written: int
-    # Reusable replay buffers (coeff/state/values per execution width,
-    # plus lane-offset MAC segment maps).  Pure scratch: every slot is
+    # Reusable replay buffers (coeff/state/values per backend).  Pure
+    # scratch: every slot is
     # rewritten before it is read on each replay, so reuse cannot leak
     # values between calls.  Replays of one trace are not re-entrant —
     # callers serialize per solver (the pool's per-entry lock).
@@ -388,11 +295,10 @@ class CompiledTrace:
         }
 
     # ------------------------------------------------------------------
-    def _buffers(self, b: int | None, xp=NUMPY) -> tuple:
-        """Per-trace scratch: (coeff, state, values) for sequential
-        replay (``b is None``) or a ``b``-lane batched replay, living
-        on ``xp``.  Scratch is keyed by backend name so a numpy buffer
-        is never handed to a device pass or vice versa.
+    def _buffers(self, xp=NUMPY) -> tuple:
+        """Per-trace scratch: (coeff, state, values) living on ``xp``.
+        Scratch is keyed by backend name so a numpy buffer is never
+        handed to a device pass or vice versa.
 
         Safe to reuse because a replay rewrites everything it reads:
         the stream plan and per-phase dynamic-coefficient writes cover
@@ -401,39 +307,16 @@ class CompiledTrace:
         plans), and each value id is produced by exactly one exec
         batch before any commit consumes it.
         """
-        key = ("seq", xp.name) if b is None else ("batch", b, xp.name)
+        key = ("seq", xp.name)
         buf = self._scratch.get(key)
         if buf is None:
-            if b is None:
-                buf = (
-                    xp.from_host(self.coeff_template.copy()),
-                    xp.zeros(self.n_state),
-                    xp.empty(self.n_values),
-                )
-            else:
-                buf = (
-                    xp.tile(self.coeff_template, b),
-                    xp.zeros((b, self.n_state)),
-                    xp.empty((b, self.n_values)),
-                )
+            buf = (
+                xp.from_host(self.coeff_template.copy()),
+                xp.zeros(self.n_state),
+                xp.empty(self.n_values),
+            )
             self._scratch[key] = buf
         return buf
-
-    def _lane_segments(
-        self, b: int, phase: int, batch: int, seg, n_out: int, xp=NUMPY
-    ):
-        """MAC segment ids offset per lane, so one flat ``bincount``
-        computes all lanes while keeping each lane's left-fold order.
-        Computed on host once per (b, phase, batch, backend) from the
-        possibly backend-resident ``seg``, then stored on ``xp``."""
-        key = ("seg", b, phase, batch, xp.name)
-        out = self._scratch.get(key)
-        if out is None:
-            host_seg = np.asarray(xp.to_host(seg))
-            offsets = np.arange(b, dtype=np.int64) * n_out
-            out = xp.index((host_seg[None, :] + offsets[:, None]).ravel())
-            self._scratch[key] = out
-        return out
 
     def _phases_for(self, xp) -> list[TracePhase]:
         """The phase program prepared for ``xp``.
@@ -483,7 +366,7 @@ class CompiledTrace:
                 f"trace {self.name!r} pipeline latency mismatch"
             )
         streams = streams or StreamBuffers()
-        coeff, state, values = self._buffers(None, xp)
+        coeff, state, values = self._buffers(xp)
         for name, idx, slots, scale in self.stream_plan:
             vals = np.asarray(streams.fetch(name, idx), dtype=np.float64)
             if scale is not None:
@@ -516,78 +399,6 @@ class CompiledTrace:
                 sim.rf.write(loc, v)
         sim.hbm.record_read(self.hbm_words_read)
         sim.hbm.record_write(self.hbm_words_written)
-
-        out = SimulationStats(cycles=self.stats.cycles, latency=self.stats.latency)
-        out.host_crossings = self.crossings_for(xp)
-        out.phases_executed = len(self.phases)
-        if collect_stats:
-            out.instructions = self.stats.instructions
-            out.bundles = self.stats.bundles
-            out.node_cycles_busy = self.stats.node_cycles_busy
-            out.issue_width_histogram = dict(self.stats.issue_width_histogram)
-        return out
-
-    # ------------------------------------------------------------------
-    def replay_batch(self, ctx, streams, *, collect_stats: bool = True):
-        """Execute the trace over a leading batch axis.
-
-        ``ctx`` is a :class:`~repro.arch.batch.BatchSimState` holding B
-        lanes of storage; ``streams`` a
-        :class:`~repro.arch.batch.BatchStreamBuffers` whose 2-D entries
-        carry per-lane values.  Every lane's arithmetic is bit-identical
-        to replaying the same trace sequentially against a simulator in
-        the same state: element-wise batches broadcast the identical
-        IEEE-754 operations row-wise, the MAC segmented sum offsets
-        segment ids per lane so ``np.bincount`` folds each lane's reads
-        left in input order, and duplicate accumulate-commits go through
-        ``np.add.at`` whose unbuffered updates visit the row-major
-        broadcast in order — per lane, the 1-D commit order.
-
-        Returns the same :class:`SimulationStats` a sequential replay
-        would: the batch executes in one pass of the (simulated)
-        machine, which is the modeled throughput win.
-        """
-        if ctx.c != self.c or ctx.depth != self.depth:
-            raise ValueError(
-                f"trace {self.name!r} compiled for C={self.c}/depth="
-                f"{self.depth}, batch state has C={ctx.c}/depth={ctx.depth}"
-            )
-        if ctx.latency != self.stats.latency:
-            raise ValueError(
-                f"trace {self.name!r} pipeline latency mismatch"
-            )
-        b = ctx.b
-        xp = ctx.xp
-        coeff, state, values = self._buffers(b, xp)
-        for name, idx, slots, scale in self.stream_plan:
-            vals = streams.fetch(name, idx)
-            if scale is not None:
-                vals = vals * xp.constant(scale)
-            coeff[:, xp.index(slots)] = vals
-
-        if self.g_rf_state.size:
-            gcols = ctx.columns((self.name, id(self), "g"), self.g_rf_flat)
-            state[:, xp.index(self.g_rf_state)] = ctx.rf[:, xp.index(gcols)]
-        for loc, s in self.g_other:
-            state[:, s] = ctx.read_loc(loc)
-
-        run_phases_batch(
-            self._phases_for(xp),
-            coeff,
-            state,
-            values,
-            lambda pi, bi, seg, n_out: self._lane_segments(
-                b, pi, bi, seg, n_out, xp
-            ),
-            xp=xp,
-        )
-
-        if self.s_rf_state.size:
-            scols = ctx.columns((self.name, id(self), "s"), self.s_rf_flat)
-            ctx.rf[:, xp.index(scols)] = state[:, xp.index(self.s_rf_state)]
-        for loc, s in self.s_other:
-            ctx.write_loc(loc, state[:, s])
-        ctx.record_hbm(self.hbm_words_read, self.hbm_words_written)
 
         out = SimulationStats(cycles=self.stats.cycles, latency=self.stats.latency)
         out.host_crossings = self.crossings_for(xp)

@@ -1,12 +1,7 @@
 """Execution backends: the MIB compiled solver, the host reference,
 and analytical models of the paper's baseline platforms."""
 
-from .cpu import (
-    ReferenceBatchRun,
-    ReferenceRun,
-    run_reference,
-    run_reference_batch,
-)
+from .cpu import ReferenceRun, run_reference
 from .mib import (
     MIBBatchReport,
     MIBNetworkSolveReport,
@@ -29,12 +24,10 @@ __all__ = [
     "MIBSolver",
     "PLATFORMS",
     "Platform",
-    "ReferenceBatchRun",
     "ReferenceRun",
     "cpu_platform_for",
     "model_runtime",
     "run_reference",
-    "run_reference_batch",
     "sample_jittered_runtimes",
     "SessionStep",
     "SolveSession",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..solver import OSQPSolver, QPProblem, Settings, SolveResult
 
-__all__ = ["ReferenceBatchRun", "ReferenceRun", "run_reference", "run_reference_batch"]
+__all__ = ["ReferenceRun", "run_reference"]
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,6 @@ class ReferenceRun:
     result: SolveResult
     wall_seconds: float
     setup_seconds: float
-
-
-@dataclass(frozen=True)
-class ReferenceBatchRun:
-    """N independent host-side solves of same-pattern instances.
-
-    The approximate oracle for :meth:`MIBSolver.solve_batch`: each
-    instance gets its own solver (hence its own Ruiz scaling), so the
-    comparison is to-tolerance, not bitwise — the bitwise oracle is
-    ``bind_instance`` + ``solve_on_network`` on the shared solver.
-    """
-
-    results: list[SolveResult]
-    wall_seconds: float
 
 
 def run_reference(
@@ -58,22 +44,3 @@ def run_reference(
         result=result, wall_seconds=t2 - t1, setup_seconds=t1 - t0
     )
 
-
-def run_reference_batch(
-    problems: list[QPProblem],
-    *,
-    variant: str = "direct",
-    settings: Settings | None = None,
-    **solver_kwargs,
-) -> ReferenceBatchRun:
-    """Solve N same-pattern instances independently on the host."""
-    t0 = time.perf_counter()
-    results = [
-        OSQPSolver(
-            problem, variant=variant, settings=settings, **solver_kwargs
-        ).solve()
-        for problem in problems
-    ]
-    return ReferenceBatchRun(
-        results=results, wall_seconds=time.perf_counter() - t0
-    )

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arch import (
-    BatchSimState,
-    BatchStreamBuffers,
     CompiledTrace,
     NetworkSimulator,
     SimulationStats,
@@ -39,7 +37,6 @@ from ..arch import (
     stamp_matches,
 )
 from ..arch.resources import clock_frequency_hz
-from ..linalg import CSCMatrix
 from ..xp import ArrayBackend, get_backend
 from ..compiler import (
     CompiledArtifact,
@@ -60,12 +57,8 @@ from ..solver import (
     Settings,
     SolveResult,
     SolverStatus,
-    dual_infeasibility,
-    primal_infeasibility,
     residuals_from_products,
 )
-from ..solver.admm import _RHO_LOOSE
-from ..solver.problem import OSQP_INFTY
 
 __all__ = [
     "CHECK_KERNELS",
@@ -83,7 +76,7 @@ PCIE_LATENCY = 10e-6  # per transfer
 
 # The ADMM loop body as data: the kernels one iteration executes, in
 # order, plus the residual products appended on check iterations.  The
-# network loop (``MIBSolver._run_batch_group``) and the crossing probe
+# network loop (``MIBSolver.solve_on_network``) and the crossing probe
 # (``MIBSolver.iteration_crossings``) both read this program rather
 # than hard-coding kernel names in control flow.
 ITERATION_KERNELS = ("iter_pre", "kkt_solve", "iter_post")
@@ -148,9 +141,6 @@ class MIBNetworkSolveReport:
     objective: float
     primal_infeasibility_certificate: np.ndarray | None = None
     dual_infeasibility_certificate: np.ndarray | None = None
-    # Batch path only: the lane left the lockstep group for a ρ
-    # refactorization and finished solo.
-    solo: bool = False
     # Host→numpy crossings of the whole solve (observability, not
     # priced in cycles).  Excluded from equality: execution modes are
     # bit-identical in results and cycles while differing exactly here.
@@ -163,19 +153,10 @@ class MIBNetworkSolveReport:
 
 @dataclass
 class MIBBatchReport:
-    """Outcome of :meth:`MIBSolver.solve_batch`: B lanes solved in one
-    lockstep pass over a shared compiled pattern."""
+    """Outcome of :meth:`MIBSolver.solve_batch`: one network-executed
+    report per instance."""
 
     lanes: list[MIBNetworkSolveReport]  # input order
-    batch: int
-    solo_lanes: int  # lanes that finished outside the lockstep group
-    total_cycles: int  # Σ per-lane cycles (sequential-equivalent work)
-    max_cycles: int  # slowest lane (the batch's modeled wall time)
-    rho0: float | None = None  # initial ρ the lanes started from
-
-    @property
-    def solved_lanes(self) -> int:
-        return sum(r.solved for r in self.lanes)
 
 
 @dataclass
@@ -189,60 +170,8 @@ class _CompiledKernels:
         return name in self.schedules
 
 
-@dataclass
-class _BatchMaps:
-    """Pattern-derived index maps and scaling factors for the batch
-    solve path (computed once per solver, shared by every batch).
-
-    The maps let B same-pattern instances be scaled and assembled into
-    per-lane KKT value rows with pure gathers — bitwise identical to
-    what :meth:`OSQPSolver.update_values` + the KKT backend produce for
-    each instance individually, because every derived matrix in that
-    chain (symmetrize, permute, upper-triangle) is a value-preserving
-    stable gather.
-    """
-
-    qfac: np.ndarray  # c·d (scales q)
-    a_fac: np.ndarray  # e_row · d_col per A entry
-    pu_fac: np.ndarray  # d_row · d_col per P-upper entry
-    pf_map: np.ndarray  # P-upper data -> P-full data gather
-    perm_map: np.ndarray  # KKT data -> permuted-upper data gather
-    p_positions: np.ndarray
-    p_diag_positions: np.ndarray
-    a_positions: np.ndarray
-    rho_positions: np.ndarray
-    sigma: float
-    l_nnz: int
-    n: int
-    m: int
-    a_indices: np.ndarray
-    a_entry_cols: np.ndarray
-    pf_indices: np.ndarray
-    pf_entry_cols: np.ndarray
-
-    # Per-lane mat-vecs on explicit data rows, replicating
-    # CSCMatrix.matvec/rmatvec bitwise (same bincount reductions).
-    def a_matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.a_indices, weights=data * x[self.a_entry_cols],
-            minlength=self.m,
-        )[: self.m]
-
-    def a_rmatvec(self, data: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.a_entry_cols, weights=data * y[self.a_indices],
-            minlength=self.n,
-        )[: self.n]
-
-    def p_matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.pf_indices, weights=data * x[self.pf_entry_cols],
-            minlength=self.n,
-        )[: self.n]
-
-
 def _propose_rho(rho, prim, dual, eps_prim, eps_dual, settings):
-    """OSQP's residual-balancing ρ proposal, one value per lane.
+    """OSQP's residual-balancing ρ proposal.
 
     Returns ``(new_rho, trigger)``: ρ·√(normalised primal over
     normalised dual residual), clipped to the settings' range, and
@@ -260,113 +189,6 @@ def _propose_rho(rho, prim, dual, eps_prim, eps_dual, settings):
     )
     tol = settings.adaptive_rho_tolerance
     return new_rho, (new_rho > rho * tol) | (new_rho < rho / tol)
-
-
-@dataclass(kw_only=True)
-class _LaneGroup:
-    """Lanes advancing in lockstep through the ADMM loop.
-
-    One kernel replay serves every lane in the group; per-lane numeric
-    state lives in the batched context/streams/value arrays.  Lanes
-    leave the group by early harvest (converged / infeasible) or by
-    triggering a ρ refactorization, which extracts them into a solo
-    group so the remaining lanes never execute — or wait on — a
-    factorization they did not ask for.
-    """
-
-    ids: np.ndarray
-    ctx: BatchSimState
-    streams: BatchStreamBuffers
-    arrays: dict[str, np.ndarray]
-    rho: np.ndarray
-    cycles: np.ndarray
-    rho_updates: np.ndarray
-    crossings: np.ndarray
-    start_iteration: int = 0
-    solo: bool = False
-
-    # -- storage, the one thing _BoundLane overrides: B rows of batch
-    # state here, and kernels always replay traces ----------------------
-    def run_kernel(self, solver: "MIBSolver", name: str) -> SimulationStats:
-        sim = solver._network_sim(reset=False)
-        return solver._trace(name, sim).replay_batch(self.ctx, self.streams)
-
-    def read_vector(self, view) -> np.ndarray:
-        return self.ctx.read_vector(view)
-
-    def lbuf_matrix(self, count: int) -> np.ndarray:
-        return self.ctx.lbuf_matrix(count)
-
-    def bind(self, name: str, rows: np.ndarray) -> None:
-        self.streams.bind(name, rows)
-
-    def rho_installed(self, solver: "MIBSolver", rho, rho_vec) -> None:
-        """Batch lanes carry their own ρ; the solver's is untouched."""
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.ids = self.ids[keep]
-        self.rho = self.rho[keep]
-        self.cycles = self.cycles[keep]
-        self.rho_updates = self.rho_updates[keep]
-        self.crossings = self.crossings[keep]
-        for name, arr in self.arrays.items():
-            self.arrays[name] = arr[keep]
-        self.ctx.compact(keep)
-        self.streams.compact(keep)
-
-    def extract(self, row: int, *, start_iteration: int) -> "_LaneGroup":
-        return _LaneGroup(
-            ids=self.ids[row : row + 1].copy(),
-            ctx=self.ctx.extract(row),
-            streams=self.streams.extract(row),
-            arrays={
-                k: v[row : row + 1].copy() for k, v in self.arrays.items()
-            },
-            rho=self.rho[row : row + 1].copy(),
-            cycles=self.cycles[row : row + 1].copy(),
-            rho_updates=self.rho_updates[row : row + 1].copy(),
-            crossings=self.crossings[row : row + 1].copy(),
-            start_iteration=start_iteration,
-            solo=True,
-        )
-
-
-class _BoundLane(_LaneGroup):
-    """The bound instance as a one-lane group: the same storage surface
-    at width 1 over the solver's :class:`NetworkSimulator` image
-    (``ctx``) and plain :class:`StreamBuffers` — what
-    :meth:`MIBSolver.solve_on_network` runs.
-
-    Kernels keep the solver's per-kernel ``interpret``/``replay``
-    dispatch.  One lane adapts ρ in place and is never split, so
-    ``extract`` is never reached and ``compact`` only ever sees the
-    group become empty.
-    """
-
-    def run_kernel(self, solver: "MIBSolver", name: str) -> SimulationStats:
-        return solver._run_kernel(self.ctx, name, self.streams)
-
-    def read_vector(self, view) -> np.ndarray:
-        return self.ctx.rf.read_vector(view)[None]
-
-    def lbuf_matrix(self, count: int) -> np.ndarray:
-        lbuf = self.ctx.lbuf
-        return np.array([[lbuf.get(p, 0.0) for p in range(count)]])
-
-    def bind(self, name: str, rows: np.ndarray) -> None:
-        self.streams.bind(name, rows[0])
-
-    def rho_installed(self, solver: "MIBSolver", rho, rho_vec) -> None:
-        """Write an adapted ρ through to the bound instance: the
-        solver's ρ, its per-constraint vector and the host
-        factorization follow the network's, so a ``solve()`` straight
-        after equals ``bind_rho(<adapted ρ>)`` + ``solve()``."""
-        solver.reference.rho = rho
-        solver.reference.rho_vec = rho_vec
-        solver.reference.kkt_solver.update_rho(rho_vec)
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.ids = self.ids[keep]
 
 
 class MIBSolver:
@@ -398,10 +220,10 @@ class MIBSolver:
         :class:`~repro.arch.trace.CompiledTrace` and re-executes the
         vectorized trace on every invocation; ``"interpret"`` runs the
         cycle-by-cycle oracle interpreter every time.  The two are
-        bit-identical.  :meth:`solve_batch` always replays.
+        bit-identical.
     array_backend:
         The :mod:`repro.xp` backend (a name or an instance) that
-        replay traces execute on — solo and batch passes alike.
+        replay traces execute on.
     """
 
     # Super-pipelining model (paper future work): one extra register
@@ -454,7 +276,6 @@ class MIBSolver:
         self._traces: dict[str, CompiledTrace] = {}
         self._trace_stamps: dict[str, dict] = {}
         self._stamps_dirty = False
-        self._batch_maps_cache: _BatchMaps | None = None
         self.super_pipelined = super_pipelined
         self.clock_hz = clock_frequency_hz(c)
         extra_latency = 0
@@ -1035,36 +856,137 @@ class MIBSolver:
         """
         if self.variant != "direct":
             raise ValueError("solve_on_network supports the direct variant")
+        report = self._admm_on_network(
+            max_iter or self.reference.settings.max_iter
+        )
+        self._flush_stamps()
+        return report
+
+    def _admm_on_network(self, max_iter: int) -> MIBNetworkSolveReport:
+        """The network ADMM loop over the bound instance.
+
+        The kernels of Algorithm 1 in order, a residual check every
+        ``check_interval`` iterations (and a forced one at
+        ``max_iter``), and at each check the decision order convergence
+        → primal infeasibility → dual infeasibility → ρ adaptation —
+        the host reference's (:meth:`OSQPSolver.solve`), which the
+        loop's iterations, ρ updates and status are held against.
+
+        Its streams are the *bound* instance's state — scaled values,
+        ρ and live KKT data — not a re-scaling of the raw problem:
+        construction-time Ruiz scaling differs in the last ulp from a
+        one-shot rescale.
+        """
         ref = self.reference
-        sp = ref.scaling.scaled
+        st, sc = ref.settings, ref.scaling
+        sp = sc.scaled
         ks = ref.kkt_solver
         assert isinstance(ks, DirectKKTSolver)
-        # The one-lane case of the lockstep loop, over the simulator
-        # image.  The lane is the *bound* instance's state — its scaled
-        # values, ρ and live KKT data — not a re-scaling of the raw
-        # problem: construction-time Ruiz scaling differs in the last
-        # ulp from the one-shot rescale the batch maps replicate.
-        lane = {
-            "q": sp.q,
-            "a": sp.a.data,
-            "pf": sp.p_full.data,
-            "l": sp.l,
-            "u": sp.u,
-            "rho_vec": ref.rho_vec,
-            "kdata": ks.kkt.matrix.data,
-        }
-        group = self._root_group(
-            _BoundLane,
-            self._network_sim(),
-            StreamBuffers(),
-            np.array([ref.rho], dtype=np.float64),
-            {name: arr[None].copy() for name, arr in lane.items()},
+        alloc = self.builder.alloc
+        v_x, v_y, v_z = (
+            alloc.get("adm_x"), alloc.get("adm_y"), alloc.get("adm_z")
         )
-        reports: dict[int, MIBNetworkSolveReport] = {}
-        max_iter = max_iter or ref.settings.max_iter
-        self._run_batch_group(group, [self.problem], reports, [], max_iter)
-        self._flush_stamps()
-        return reports[0]
+        v_ax, v_px, v_aty = (
+            alloc.get("res_ax"), alloc.get("res_px"), alloc.get("res_aty")
+        )
+        sim = self._network_sim()
+        streams = StreamBuffers()
+        streams.bind("q", sp.q)
+        streams.bind("A", sp.a.data)
+        streams.bind("P", sp.p_full.data)
+        streams.bind("bounds", np.concatenate([sp.l, sp.u]))
+        cycles = self.data_load_cycles()
+        crossings = rho_updates = 0
+
+        def run(names) -> None:
+            nonlocal cycles, crossings
+            for name in names:
+                stats = self._run_kernel(sim, name, streams)
+                cycles += stats.cycles
+                crossings += stats.host_crossings
+
+        def refactor() -> None:
+            """Bind the bound instance's ρ and KKT values, then factor
+            on the network and bind the factors for the solves."""
+            streams.bind("rho", ref.rho_vec)
+            streams.bind("rho_inv", 1.0 / ref.rho_vec)
+            streams.bind("K", ks.kkt.matrix.data[ks.permuted_positions])
+            run(("factor",))
+            streams.bind(
+                "L",
+                np.array(
+                    [sim.lbuf.get(p, 0.0) for p in range(ks.symbolic.l_nnz)]
+                ),
+            )
+            streams.bind("Dinv", sim.rf.read_vector(alloc.get("factor_dinv")))
+
+        def finish(status, cert_p=None, cert_d=None) -> MIBNetworkSolveReport:
+            x = sc.unscale_x(x_now)
+            return MIBNetworkSolveReport(
+                status=status,
+                x=x,
+                z=sc.unscale_z(z),
+                y=sc.unscale_y(y_now),
+                iterations=iteration,
+                cycles=cycles,
+                primal_residual=float(prim),
+                dual_residual=float(dual),
+                rho_updates=rho_updates,
+                objective=self.problem.objective(x),
+                primal_infeasibility_certificate=cert_p,
+                dual_infeasibility_certificate=cert_d,
+                host_crossings=crossings,
+            )
+
+        refactor()
+        iteration = 0
+        while iteration < max_iter:
+            iteration += 1
+            check = (
+                iteration % st.check_interval == 0 or iteration == max_iter
+            )
+            if check:
+                # Previous-iteration iterates for the δx/δy certificates.
+                x_prev = sim.rf.read_vector(v_x)
+                y_prev = sim.rf.read_vector(v_y)
+            run(ITERATION_KERNELS + (CHECK_KERNELS if check else ()))
+            if not check:
+                continue
+            z = sim.rf.read_vector(v_z)
+            prim, dual, ep, ed = residuals_from_products(
+                sc,
+                st,
+                ax=sim.rf.read_vector(v_ax),
+                px=sim.rf.read_vector(v_px),
+                aty=sim.rf.read_vector(v_aty),
+                z=z,
+            )
+            x_now = sim.rf.read_vector(v_x)
+            y_now = sim.rf.read_vector(v_y)
+            if prim <= ep and dual <= ed:
+                return finish(SolverStatus.SOLVED)
+            dy = y_now - y_prev
+            if ref._primal_infeasible(dy):
+                return finish(
+                    SolverStatus.PRIMAL_INFEASIBLE, cert_p=sc.e * dy / sc.c
+                )
+            dx = x_now - x_prev
+            if ref._dual_infeasible(dx):
+                return finish(SolverStatus.DUAL_INFEASIBLE, cert_d=sc.d * dx)
+            if (
+                st.adaptive_rho
+                and iteration % st.adaptive_rho_interval == 0
+                and iteration < max_iter
+            ):
+                new_rho, trigger = _propose_rho(ref.rho, prim, dual, ep, ed, st)
+                if trigger:
+                    # Write-through, so a solve() straight after sees
+                    # the network's adapted ρ.
+                    self.bind_rho(float(new_rho))
+                    rho_updates += 1
+                    refactor()
+        # The forced final check read the iterates and residuals.
+        return finish(SolverStatus.MAX_ITERATIONS)
 
     def bind_instance(
         self, problem: QPProblem, *, rho0: float | None = None
@@ -1072,128 +994,17 @@ class MIBSolver:
         """Rebind this compiled solver to a same-pattern instance and
         reset ρ to ``rho0`` (default: the configured initial value).
 
-        This is the sequential equivalent of occupying one lane of
-        :meth:`solve_batch`: batch lanes all start from the pass's
-        ``rho0`` regardless of where a previous solve's adaptation
-        ended, so the differential oracle for lane *i* is
-        ``bind_instance(problems[i], rho0=...)`` with the pass's
-        ``rho0`` followed by :meth:`solve_on_network` on the *same*
-        solver (a fresh solver would compute its own Ruiz scaling and
-        diverge bitwise).
+        A later :meth:`solve_on_network` then starts from ``rho0``
+        regardless of where a previous solve's adaptation ended — what
+        every lane of :meth:`solve_batch` does.  The rescale reuses
+        this solver's equilibration (a fresh solver would compute its
+        own Ruiz scaling and diverge bitwise).
         """
         self.update_values(problem)
         ref = self.reference
         ref.rho = ref.settings.rho if rho0 is None else float(rho0)
         ref.rho_vec = ref._build_rho_vec(ref.rho)
         ref.kkt_solver.update_rho(ref.rho_vec)
-
-    # ------------------------------------------------------------------
-    # batched lockstep solve
-    # ------------------------------------------------------------------
-    def _batch_maps(self) -> _BatchMaps:
-        """Pattern-derived gathers/factors for :meth:`solve_batch`.
-
-        The data maps are built by *index probing*: run an ``arange``
-        payload through the exact derivation chain the scalar path uses
-        (all value-preserving stable gathers) and read the resulting
-        data as source positions.  The permuted-KKT map is the one the
-        reference's own refactorization gathers through.
-        """
-        if self._batch_maps_cache is not None:
-            return self._batch_maps_cache
-        sc = self.reference.scaling
-        sp = sc.scaled
-        ks = self.reference.kkt_solver
-        assert isinstance(ks, DirectKKTSolver)
-        kkt = ks.kkt
-        pu = sp.p_upper
-        probe = CSCMatrix(
-            pu.shape,
-            pu.indptr,
-            pu.indices,
-            np.arange(pu.nnz, dtype=np.float64),
-            check=False,
-        )
-        pf_map = probe.symmetrize_from_upper().data.astype(np.int64)
-        pu_rows, pu_cols, _ = pu.to_coo()
-        maps = _BatchMaps(
-            qfac=sc.c * sc.d,
-            a_fac=sc.e[sp.a.indices] * sc.d[sp.a._entry_cols],
-            pu_fac=sc.d[pu_rows] * sc.d[pu_cols],
-            pf_map=pf_map,
-            perm_map=ks.permuted_positions,
-            p_positions=kkt.p_positions,
-            p_diag_positions=kkt.p_positions[pu_rows == pu_cols],
-            a_positions=kkt.a_positions,
-            rho_positions=kkt.rho_positions,
-            sigma=kkt.sigma,
-            l_nnz=ks.symbolic.l_nnz,
-            n=sp.n,
-            m=sp.m,
-            a_indices=sp.a.indices,
-            a_entry_cols=sp.a._entry_cols,
-            pf_indices=sp.p_full.indices,
-            pf_entry_cols=sp.p_full._entry_cols,
-        )
-        self._batch_maps_cache = maps
-        return maps
-
-    def _lane_rho_vec(
-        self, l_s: np.ndarray, u_s: np.ndarray, rho
-    ) -> np.ndarray:
-        """Per-lane ρ vector from *scaled* bounds, replicating
-        ``OSQPSolver._build_rho_vec`` row-wise (1-D or 2-D)."""
-        st = self.reference.settings
-        rho = np.asarray(rho, dtype=np.float64)[..., None]
-        rho_vec = np.broadcast_to(rho, l_s.shape).copy()
-        eq = l_s == u_s
-        rho_vec[eq] = (rho_vec * st.rho_eq_scale)[eq]
-        loose = (l_s <= -OSQP_INFTY) & (u_s >= OSQP_INFTY)
-        rho_vec[loose] = _RHO_LOOSE
-        return np.clip(rho_vec, st.rho_min, st.rho_max)
-
-    def _apply_batch_rho(
-        self, g: _LaneGroup, row: int, new_rho: float
-    ) -> None:
-        """Install an adapted ρ on one lane (called on size-1 groups
-        only; a refactor must follow before the next KKT solve)."""
-        maps = self._batch_maps()
-        g.rho[row] = new_rho
-        rv = self._lane_rho_vec(
-            g.arrays["l"][row], g.arrays["u"][row], new_rho
-        )
-        g.arrays["rho_vec"][row] = rv
-        g.arrays["kdata"][row, maps.rho_positions] = -1.0 / rv
-        g.bind("rho", g.arrays["rho_vec"])
-        g.bind("rho_inv", 1.0 / g.arrays["rho_vec"])
-        g.rho_installed(self, new_rho, rv)
-        g.rho_updates[row] += 1
-
-    def _root_group(
-        self, group_cls, ctx, streams, rho: np.ndarray, arrays: dict
-    ) -> _LaneGroup:
-        """The group every lane of a pass starts in, its per-lane value
-        rows (*scaled* ``q``/``a``/``pf``/``l``/``u``, ``rho_vec`` and
-        KKT ``kdata``) bound as the kernels' streams."""
-        group = group_cls(
-            ids=np.arange(rho.size),
-            ctx=ctx,
-            streams=streams,
-            arrays=arrays,
-            rho=rho,
-            cycles=np.full(rho.size, self.data_load_cycles(), dtype=np.int64),
-            rho_updates=np.zeros(rho.size, dtype=np.int64),
-            crossings=np.zeros(rho.size, dtype=np.int64),
-        )
-        group.bind("q", arrays["q"])
-        group.bind("A", arrays["a"])
-        group.bind("P", arrays["pf"])
-        group.bind(
-            "bounds", np.concatenate([arrays["l"], arrays["u"]], axis=1)
-        )
-        group.bind("rho", arrays["rho_vec"])
-        group.bind("rho_inv", 1.0 / arrays["rho_vec"])
-        return group
 
     def solve_batch(
         self,
@@ -1202,25 +1013,16 @@ class MIBSolver:
         max_iter: int | None = None,
         rho0: float | None = None,
     ) -> MIBBatchReport:
-        """Solve B same-pattern instances in one lockstep batched pass.
+        """Network-solve same-pattern instances one after another: lane
+        *i* is :meth:`bind_instance` ``(problems[i], rho0=rho0)`` +
+        :meth:`solve_on_network` ``(max_iter=max_iter)``.
 
-        Every kernel replay executes all live lanes at once over a
-        leading batch axis (:meth:`CompiledTrace.replay_batch`); per
-        lane, the arithmetic — and therefore every iterate, residual,
-        termination decision and cycle count — is bit-identical to
-        :meth:`bind_instance` + :meth:`solve_on_network` run
-        sequentially for that instance.  Lanes are harvested out of the
-        batch as they converge (or certify infeasibility), and a lane
-        whose ρ adaptation triggers a refactorization is extracted into
-        a solo group that finishes on its own — lockstep never trades
-        a lane's answer for batch shape ("no silent wrong answers").
-
-        ``rho0`` is the ρ every lane starts from (default
-        ``settings.rho``).  The default initial ρ is usually wrong for
-        a pattern and forces one adaptation — and therefore one solo
-        extraction — per lane, while an adapted value lets lanes
-        terminate before the ρ check ever fires.  The differential
-        oracle is :meth:`bind_instance` with the same ``rho0``.
+        The variant, a non-empty input and every lane's pattern are
+        checked before anything binds, so a rejected call leaves the
+        bound instance untouched; a successful call leaves the solver
+        bound to the last lane.  The traced layer walk's engine probe
+        (``benchmarks/e2e/walk.py``) is the only caller, and ROADMAP
+        item 5a removes both.
         """
         if self.variant != "direct":
             raise ValueError("solve_batch supports the direct variant")
@@ -1231,253 +1033,11 @@ class MIBSolver:
                 pr.p_upper.pattern_equal(self.problem.p_upper)
             ):
                 raise ValueError("solve_batch requires identical patterns")
-        st = self.reference.settings
-        sc = self.reference.scaling
-        maps = self._batch_maps()
-        b = len(problems)
-        max_iter = max_iter or st.max_iter
-
-        # Scale all lanes with the shared equilibration (one combined
-        # factor per entry, replicating update_values bitwise).
-        Q = np.stack([np.asarray(pr.q, dtype=np.float64) for pr in problems])
-        A = np.stack([pr.a.data for pr in problems])
-        PU = np.stack([pr.p_upper.data for pr in problems])
-        L = np.stack([np.asarray(pr.l, dtype=np.float64) for pr in problems])
-        U = np.stack([np.asarray(pr.u, dtype=np.float64) for pr in problems])
-        q_s = maps.qfac * Q
-        a_s = A * maps.a_fac
-        pu_s = (PU * maps.pu_fac) * sc.c
-        pf_s = pu_s[:, maps.pf_map]
-        l_s = sc.e * L
-        u_s = sc.e * U
-        rho = np.full(
-            b, st.rho if rho0 is None else float(rho0), dtype=np.float64
-        )
-        rho_vec = self._lane_rho_vec(l_s, u_s, rho)
-
-        # Per-lane KKT values: positions not owned by P/A/ρ (the
-        # assembler's σ-only diagonal entries) are instance-independent,
-        # so the live matrix is a valid template for every lane.
-        kdata = np.tile(self.reference.kkt_solver.kkt.matrix.data, (b, 1))
-        kdata[:, maps.p_positions] = pu_s
-        kdata[:, maps.p_diag_positions] += maps.sigma
-        kdata[:, maps.a_positions] = a_s
-        kdata[:, maps.rho_positions] = -1.0 / rho_vec
-
-        sim = self._network_sim(reset=False)
-        ctx = BatchSimState(
-            b,
-            c=self.c,
-            depth=sim.rf.depth,
-            latency=sim.bf.latency + sim.extra_latency,
-            xp=self.xp,
-        )
-        group = self._root_group(
-            _LaneGroup,
-            ctx,
-            BatchStreamBuffers(b, self.xp),
-            rho,
-            {
-                "q": q_s,
-                "a": a_s,
-                "pf": pf_s,
-                "l": l_s,
-                "u": u_s,
-                "rho_vec": rho_vec,
-                "kdata": kdata,
-            },
-        )
-        reports: dict[int, MIBNetworkSolveReport] = {}
-        pending = [group]
-        while pending:
-            self._run_batch_group(
-                pending.pop(), problems, reports, pending, max_iter
-            )
-        lanes = [reports[i] for i in range(b)]
-        cycles = [r.cycles for r in lanes]
-        self._flush_stamps()
-        return MIBBatchReport(
-            lanes=lanes,
-            batch=b,
-            solo_lanes=sum(r.solo for r in lanes),
-            total_cycles=int(sum(cycles)),
-            max_cycles=int(max(cycles)),
-            rho0=st.rho if rho0 is None else float(rho0),
-        )
-
-    def _run_batch_group(
-        self,
-        g: _LaneGroup,
-        problems: list[QPProblem],
-        reports: dict[int, MIBNetworkSolveReport],
-        pending: list[_LaneGroup],
-        max_iter: int,
-    ) -> None:
-        """Advance one lockstep group to completion: the network ADMM
-        loop, for :meth:`solve_batch` groups and for the one-lane group
-        :meth:`solve_on_network` builds over the simulator image.
-
-        Per lane: the kernels of Algorithm 1 in order, a residual check
-        every ``check_interval`` iterations (and a forced one at
-        ``max_iter``), and at each check the decision order convergence
-        → primal infeasibility → dual infeasibility → ρ adaptation —
-        the host reference's (:meth:`OSQPSolver.solve`), which the
-        loop's iterations, ρ updates and status are held against.
-        """
-        st = self.reference.settings
-        sc = self.reference.scaling
-        maps = self._batch_maps()
-        alloc = self.builder.alloc
-        v_x, v_y, v_z = (
-            alloc.get("adm_x"), alloc.get("adm_y"), alloc.get("adm_z")
-        )
-        v_ax, v_px, v_aty = (
-            alloc.get("res_ax"), alloc.get("res_px"), alloc.get("res_aty")
-        )
-        iteration = g.start_iteration
-
-        def run(names) -> None:
-            for name in names:
-                stats = g.run_kernel(self, name)
-                g.cycles += stats.cycles
-                g.crossings += stats.host_crossings
-
-        def refactor() -> None:
-            g.bind("K", g.arrays["kdata"][:, maps.perm_map])
-            run(("factor",))
-            g.bind("L", g.lbuf_matrix(maps.l_nnz))
-            g.bind("Dinv", g.read_vector(alloc.get("factor_dinv")))
-
-        def finish(r: int, status, cert_p=None, cert_d=None) -> None:
-            lane = int(g.ids[r])
-            xr = sc.unscale_x(x_now[r])
-            reports[lane] = MIBNetworkSolveReport(
-                status=status,
-                x=xr,
-                z=sc.unscale_z(z[r]),
-                y=sc.unscale_y(y_now[r]),
-                iterations=iteration,
-                cycles=int(g.cycles[r]),
-                primal_residual=float(prim[r]),
-                dual_residual=float(dual[r]),
-                rho_updates=int(g.rho_updates[r]),
-                objective=problems[lane].objective(xr),
-                primal_infeasibility_certificate=cert_p,
-                dual_infeasibility_certificate=cert_d,
-                solo=g.solo,
-                host_crossings=int(g.crossings[r]),
-            )
-
-        def leave(
-            gone: np.ndarray, *, extract: bool = False
-        ) -> list[_LaneGroup]:
-            """Take the ``gone`` lanes out of the group: harvested, or
-            extracted into solo groups that resume at this iteration."""
-            nonlocal prim, dual, ep, ed, x_now, y_now, z
-            children = [
-                g.extract(int(r), start_iteration=iteration)
-                for r in (np.flatnonzero(gone) if extract else ())
-            ]
-            pending.extend(children)
-            keep = ~gone
-            g.compact(keep)
-            prim, dual, ep, ed, x_now, y_now, z = (
-                rows[keep] for rows in (prim, dual, ep, ed, x_now, y_now, z)
-            )
-            return children
-
-        # Covers both the initial factorization (root group) and the
-        # post-split ρ refactorization (solo groups: the spawner already
-        # installed the new ρ in the value arrays).
-        refactor()
-
-        while g.ids.size and iteration < max_iter:
-            iteration += 1
-            check = (
-                iteration % st.check_interval == 0 or iteration == max_iter
-            )
-            if check:
-                # Previous-iteration iterates for the δx/δy certificates.
-                x_prev = g.read_vector(v_x)
-                y_prev = g.read_vector(v_y)
-            run(ITERATION_KERNELS + (CHECK_KERNELS if check else ()))
-            if not check:
-                continue
-            z = g.read_vector(v_z)
-            prim, dual, ep, ed = residuals_from_products(
-                sc,
-                st,
-                ax=g.read_vector(v_ax),
-                px=g.read_vector(v_px),
-                aty=g.read_vector(v_aty),
-                z=z,
-                q=g.arrays["q"],
-            )
-            x_now = g.read_vector(v_x)
-            y_now = g.read_vector(v_y)
-            done = np.zeros(g.ids.size, dtype=bool)
-            for r in range(g.ids.size):
-                status = cert_p = cert_d = None
-                if prim[r] <= ep[r] and dual[r] <= ed[r]:
-                    status = SolverStatus.SOLVED
-                else:
-                    dy = y_now[r] - y_prev[r]
-                    dx = x_now[r] - x_prev[r]
-                    a_row = g.arrays["a"][r]
-                    if primal_infeasibility(
-                        dy,
-                        scaling=sc,
-                        settings=st,
-                        l=g.arrays["l"][r],
-                        u=g.arrays["u"][r],
-                        a_rmatvec=lambda v, _d=a_row: maps.a_rmatvec(_d, v),
-                    ):
-                        status = SolverStatus.PRIMAL_INFEASIBLE
-                        cert_p = sc.e * dy / sc.c
-                    elif dual_infeasibility(
-                        dx,
-                        scaling=sc,
-                        settings=st,
-                        l=g.arrays["l"][r],
-                        u=g.arrays["u"][r],
-                        q=g.arrays["q"][r],
-                        p_matvec=lambda v, _d=g.arrays["pf"][r]: (
-                            maps.p_matvec(_d, v)
-                        ),
-                        a_matvec=lambda v, _d=a_row: maps.a_matvec(_d, v),
-                    ):
-                        status = SolverStatus.DUAL_INFEASIBLE
-                        cert_d = sc.d * dx
-                if status is not None:
-                    finish(r, status, cert_p, cert_d)
-                    done[r] = True
-            if done.any():
-                leave(done)
-                if not g.ids.size:
-                    return
-            if (
-                st.adaptive_rho
-                and iteration % st.adaptive_rho_interval == 0
-                and iteration < max_iter
-            ):
-                new_rho, trigger = _propose_rho(g.rho, prim, dual, ep, ed, st)
-                if g.ids.size == 1:
-                    if trigger[0]:
-                        self._apply_batch_rho(g, 0, float(new_rho[0]))
-                        refactor()
-                elif trigger.any():
-                    # Refactorization drops a lane out of lockstep: it
-                    # finishes solo rather than forcing siblings
-                    # through a factor they did not trigger.
-                    for child, rho in zip(
-                        leave(trigger, extract=True),
-                        new_rho[trigger].tolist(),
-                    ):
-                        self._apply_batch_rho(child, 0, rho)
-        # MAX_ITERATIONS leftovers; the forced final check read the
-        # iterates and residuals of every lane still in the group.
-        for r in range(g.ids.size):
-            finish(r, SolverStatus.MAX_ITERATIONS)
+        lanes = []
+        for pr in problems:
+            self.bind_instance(pr, rho0=rho0)
+            lanes.append(self.solve_on_network(max_iter=max_iter))
+        return MIBBatchReport(lanes=lanes)
 
     def solve_reduced_on_network(
         self,

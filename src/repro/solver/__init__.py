@@ -7,8 +7,6 @@ Two algorithm variants are provided, matching Section II of the paper:
 
 from .admm import (
     OSQPSolver,
-    dual_infeasibility,
-    primal_infeasibility,
     residuals_from_products,
     solve,
 )
@@ -37,10 +35,8 @@ __all__ = [
     "SolveResult",
     "SolverStatus",
     "assemble_kkt",
-    "dual_infeasibility",
     "factorization_flops",
     "identity_scaling",
-    "primal_infeasibility",
     "residuals_from_products",
     "ruiz_scale",
     "solve",

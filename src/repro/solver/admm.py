@@ -26,8 +26,6 @@ from .scaling import Scaling, identity_scaling, ruiz_scale
 
 __all__ = [
     "OSQPSolver",
-    "dual_infeasibility",
-    "primal_infeasibility",
     "residuals_from_products",
     "solve",
 ]
@@ -39,13 +37,6 @@ def _norm_inf(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _norm_inf_rows(v: np.ndarray) -> np.ndarray:
-    """Per-row infinity norm of a ``(B, k)`` array."""
-    if v.shape[-1] == 0:
-        return np.zeros(v.shape[0], dtype=np.float64)
-    return np.abs(v).max(axis=-1)
-
-
 def residuals_from_products(
     scaling: Scaling,
     settings: Settings,
@@ -54,112 +45,26 @@ def residuals_from_products(
     px: np.ndarray,
     aty: np.ndarray,
     z: np.ndarray,
-    q: np.ndarray | None = None,
-):
+) -> tuple[float, float, float, float]:
     """Unscaled residuals/tolerances from precomputed matrix products.
 
     Shared by the host loop and the MIB backend's network-executed
     solves, where ``A·x``, ``P·x`` and ``Aᵀ·y`` come off the simulator.
     Returns ``(prim_res, dual_res, eps_prim, eps_dual)``.
-
-    Accepts either 1-D products (one instance; floats out) or 2-D
-    ``(B, ·)`` products (a lockstep batch; per-lane arrays out).  The
-    batched path broadcasts the identical IEEE-754 operations row-wise,
-    so each lane's values are bit-identical to the 1-D call on that
-    lane alone.  ``q`` overrides the scaled linear term — a batch
-    carries one ``q`` per lane, while the 1-D path defaults to the
-    bound instance's ``scaling.scaled.q``.
     """
-    sp = scaling.scaled
-    q = sp.q if q is None else q
+    q = scaling.scaled.q
     e_inv, d_inv, c = scaling.e_inv, scaling.d_inv, scaling.c
-    if ax.ndim == 1:
-        prim_res = _norm_inf(e_inv * (ax - z))
-        dual_res = _norm_inf(d_inv * (px + q + aty)) / c
-        eps_prim = settings.eps_abs + settings.eps_rel * max(
-            _norm_inf(e_inv * ax), _norm_inf(e_inv * z)
-        )
-        eps_dual = settings.eps_abs + settings.eps_rel / c * max(
-            _norm_inf(d_inv * px),
-            _norm_inf(d_inv * aty),
-            _norm_inf(d_inv * q),
-        )
-        return prim_res, dual_res, eps_prim, eps_dual
-    prim_res = _norm_inf_rows(e_inv * (ax - z))
-    dual_res = _norm_inf_rows(d_inv * (px + q + aty)) / c
-    eps_prim = settings.eps_abs + settings.eps_rel * np.maximum(
-        _norm_inf_rows(e_inv * ax), _norm_inf_rows(e_inv * z)
+    prim_res = _norm_inf(e_inv * (ax - z))
+    dual_res = _norm_inf(d_inv * (px + q + aty)) / c
+    eps_prim = settings.eps_abs + settings.eps_rel * max(
+        _norm_inf(e_inv * ax), _norm_inf(e_inv * z)
     )
-    eps_dual = settings.eps_abs + settings.eps_rel / c * np.maximum(
-        np.maximum(
-            _norm_inf_rows(d_inv * px), _norm_inf_rows(d_inv * aty)
-        ),
-        _norm_inf_rows(d_inv * q),
+    eps_dual = settings.eps_abs + settings.eps_rel / c * max(
+        _norm_inf(d_inv * px),
+        _norm_inf(d_inv * aty),
+        _norm_inf(d_inv * q),
     )
     return prim_res, dual_res, eps_prim, eps_dual
-
-
-def primal_infeasibility(
-    dy: np.ndarray,
-    *,
-    scaling: Scaling,
-    settings: Settings,
-    l: np.ndarray,
-    u: np.ndarray,
-    a_rmatvec,
-) -> bool:
-    """OSQP primal infeasibility certificate test on δy.
-
-    Takes the scaled bounds and an ``Aᵀ·v`` callable explicitly so the
-    batch backend can test a lane against that lane's own data without
-    rebinding the solver.
-    """
-    eps = settings.eps_prim_inf
-    dy_unscaled = scaling.e * dy
-    norm = _norm_inf(dy_unscaled)
-    if norm <= eps:
-        return False
-    at_dy = scaling.d_inv * a_rmatvec(dy)
-    if _norm_inf(at_dy) > eps * norm:
-        return False
-    pos, neg = np.maximum(dy, 0.0), np.minimum(dy, 0.0)
-    # Infinite bounds with active dy direction rule out a certificate.
-    if np.any((u >= OSQP_INFTY) & (pos > eps * norm)):
-        return False
-    if np.any((l <= -OSQP_INFTY) & (neg < -eps * norm)):
-        return False
-    finite_u = np.where(u < OSQP_INFTY, u, 0.0)
-    finite_l = np.where(l > -OSQP_INFTY, l, 0.0)
-    support = float(finite_u @ pos + finite_l @ neg)
-    return support <= -eps * norm
-
-
-def dual_infeasibility(
-    dx: np.ndarray,
-    *,
-    scaling: Scaling,
-    settings: Settings,
-    l: np.ndarray,
-    u: np.ndarray,
-    q: np.ndarray,
-    p_matvec,
-    a_matvec,
-) -> bool:
-    """OSQP dual infeasibility certificate test on δx (explicit data,
-    same contract as :func:`primal_infeasibility`)."""
-    eps = settings.eps_dual_inf
-    norm = _norm_inf(scaling.d * dx)
-    if norm <= eps:
-        return False
-    if float(q @ dx) > -eps * norm * scaling.c:
-        return False
-    p_dx = scaling.d_inv * p_matvec(dx)
-    if _norm_inf(p_dx) > eps * norm * scaling.c:
-        return False
-    a_dx = scaling.e_inv * a_matvec(dx)
-    ok_upper = (u >= OSQP_INFTY) | (a_dx <= eps * norm)
-    ok_lower = (l <= -OSQP_INFTY) | (a_dx >= -eps * norm)
-    return bool(np.all(ok_upper & ok_lower))
 
 
 class OSQPSolver:
@@ -448,30 +353,40 @@ class OSQPSolver:
         )
 
     def _primal_infeasible(self, dy: np.ndarray) -> bool:
-        """OSQP primal infeasibility certificate test on δy."""
-        sp = self.scaling.scaled
-        return primal_infeasibility(
-            dy,
-            scaling=self.scaling,
-            settings=self.settings,
-            l=sp.l,
-            u=sp.u,
-            a_rmatvec=sp.a.rmatvec,
-        )
+        """OSQP primal infeasibility certificate test on δy (scaled)."""
+        sc, sp = self.scaling, self.scaling.scaled
+        eps = self.settings.eps_prim_inf
+        norm = _norm_inf(sc.e * dy)
+        if norm <= eps:
+            return False
+        if _norm_inf(sc.d_inv * sp.a.rmatvec(dy)) > eps * norm:
+            return False
+        pos, neg = np.maximum(dy, 0.0), np.minimum(dy, 0.0)
+        # Infinite bounds with active dy direction rule out a certificate.
+        if np.any((sp.u >= OSQP_INFTY) & (pos > eps * norm)):
+            return False
+        if np.any((sp.l <= -OSQP_INFTY) & (neg < -eps * norm)):
+            return False
+        finite_u = np.where(sp.u < OSQP_INFTY, sp.u, 0.0)
+        finite_l = np.where(sp.l > -OSQP_INFTY, sp.l, 0.0)
+        support = float(finite_u @ pos + finite_l @ neg)
+        return support <= -eps * norm
 
     def _dual_infeasible(self, dx: np.ndarray) -> bool:
-        """OSQP dual infeasibility certificate test on δx."""
-        sp = self.scaling.scaled
-        return dual_infeasibility(
-            dx,
-            scaling=self.scaling,
-            settings=self.settings,
-            l=sp.l,
-            u=sp.u,
-            q=sp.q,
-            p_matvec=sp.p_full.matvec,
-            a_matvec=sp.a.matvec,
-        )
+        """OSQP dual infeasibility certificate test on δx (scaled)."""
+        sc, sp = self.scaling, self.scaling.scaled
+        eps = self.settings.eps_dual_inf
+        norm = _norm_inf(sc.d * dx)
+        if norm <= eps:
+            return False
+        if float(sp.q @ dx) > -eps * norm * sc.c:
+            return False
+        if _norm_inf(sc.d_inv * sp.p_full.matvec(dx)) > eps * norm * sc.c:
+            return False
+        a_dx = sc.e_inv * sp.a.matvec(dx)
+        ok_upper = (sp.u >= OSQP_INFTY) | (a_dx <= eps * norm)
+        ok_lower = (sp.l <= -OSQP_INFTY) | (a_dx >= -eps * norm)
+        return bool(np.all(ok_upper & ok_lower))
 
     def _maybe_update_rho(
         self,

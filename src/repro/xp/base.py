@@ -1,14 +1,13 @@
 """The executor-op contract every array backend implements.
 
-The replay stack (:mod:`repro.arch.trace`, :mod:`repro.arch.batch`)
-is a pure dense-array program: gathers, element-wise arithmetic,
-segmented left-fold sums and ordered scatter-adds over flat
-``float64`` buffers.  :class:`ArrayBackend`
-names exactly the operations that program needs beyond standard
-array-API arithmetic/indexing, so the same phase programs execute
-against numpy, a simulated device, or the array-api-strict test
-namespace by injecting a different backend object — never by editing
-the programs.
+The replay stack (:mod:`repro.arch.trace`) is a pure dense-array
+program: gathers, element-wise arithmetic, segmented left-fold sums
+and ordered scatter-adds over flat ``float64`` buffers.
+:class:`ArrayBackend` names exactly the operations that program needs
+beyond standard array-API arithmetic/indexing, so the same phase
+programs execute against numpy, a simulated device, or the
+array-api-strict test namespace by injecting a different backend
+object — never by editing the programs.
 
 Two operations carry ordering semantics the array API does not
 standardize, and are therefore explicit executor ops:
@@ -19,9 +18,9 @@ standardize, and are therefore explicit executor ops:
   interpreter.  Device backends map it to their native segment sum;
   on GPUs that is typically atomic-based and carries no ordering
   guarantee (see DESIGN.md §5.7 for the determinism contract).
-* :meth:`ArrayBackend.add_at` / :meth:`ArrayBackend.add_at_batch` —
-  the ordered duplicate-index commit accumulation.  The numpy
-  reference is ``np.add.at`` (unbuffered, stream order).  Backends
+* :meth:`ArrayBackend.add_at` — the ordered duplicate-index commit
+  accumulation.  The numpy reference is ``np.add.at`` (unbuffered,
+  stream order).  Backends
   without an unbuffered scatter execute a precompiled
   :class:`~repro.xp.plans.ReducePlan` instead, which reproduces the
   sequential left fold exactly — round by round — on any backend
@@ -129,10 +128,6 @@ class ArrayBackend:
     def empty(self, shape):
         raise NotImplementedError
 
-    def tile(self, template, b: int):
-        """Host 1-D template -> backend ``(b, len)`` repetition."""
-        raise NotImplementedError
-
     # -- executor ops ---------------------------------------------------
     def bincount(self, seg, weights, minlength: int):
         """Segmented sum ``out[j] = Σ weights[seg == j]``.
@@ -155,19 +150,10 @@ class ArrayBackend:
         returned (index array or plan)."""
         raise NotImplementedError
 
-    def add_at_batch(self, target, idx, vals) -> None:
-        """Batched :meth:`add_at` over ``target[:, idx] += vals``
-        with the same per-lane left-fold ordering."""
-        raise NotImplementedError
-
     def minimum(self, a, b):
         raise NotImplementedError
 
     def maximum(self, a, b):
-        raise NotImplementedError
-
-    def take_rows(self, a, keep):
-        """Row subset ``a[keep]`` for a host boolean lane mask."""
         raise NotImplementedError
 
     # -- crossing accounting -------------------------------------------

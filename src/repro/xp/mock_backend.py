@@ -48,9 +48,6 @@ class MockDeviceBackend(ArrayBackend):
     def empty(self, shape):
         return np.empty(shape, dtype=np.float64)
 
-    def tile(self, template, b: int):
-        return np.tile(template, (b, 1))
-
     def bincount(self, seg, weights, minlength: int):
         return np.bincount(seg, weights=weights, minlength=minlength)
 
@@ -65,14 +62,8 @@ class MockDeviceBackend(ArrayBackend):
     def add_at(self, target, idx, vals) -> None:
         self._plan_of(idx).apply(target, vals, self)
 
-    def add_at_batch(self, target, idx, vals) -> None:
-        self._plan_of(idx).apply_batch(target, vals, self)
-
     def minimum(self, a, b):
         return np.minimum(a, b)
 
     def maximum(self, a, b):
         return np.maximum(a, b)
-
-    def take_rows(self, a, keep):
-        return a[keep]

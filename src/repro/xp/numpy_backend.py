@@ -45,23 +45,14 @@ class NumpyBackend(ArrayBackend):
     def empty(self, shape):
         return np.empty(shape, dtype=np.float64)
 
-    def tile(self, template, b: int):
-        return np.tile(template, (b, 1))
-
     def bincount(self, seg, weights, minlength: int):
         return np.bincount(seg, weights=weights, minlength=minlength)
 
     def add_at(self, target, idx, vals) -> None:
         np.add.at(target, idx, vals)
 
-    def add_at_batch(self, target, idx, vals) -> None:
-        np.add.at(target, (slice(None), idx), vals)
-
     def minimum(self, a, b):
         return np.minimum(a, b)
 
     def maximum(self, a, b):
         return np.maximum(a, b)
-
-    def take_rows(self, a, keep):
-        return a[keep]

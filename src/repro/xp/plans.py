@@ -84,12 +84,6 @@ class ReducePlan:
         for tgt, src in rounds:
             target[tgt] += vals[src]
 
-    def apply_batch(self, target, vals, xp=None) -> None:
-        """Batched :meth:`apply` over a leading lane axis."""
-        rounds = self.rounds if xp is None else self.rounds_for(xp)
-        for tgt, src in rounds:
-            target[:, tgt] += vals[:, src]
-
 
 def compile_reduce_plan(idx: np.ndarray) -> ReducePlan:
     """Compile the round decomposition of one duplicate-index stream."""

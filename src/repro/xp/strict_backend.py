@@ -169,9 +169,6 @@ class StrictBackend(ArrayBackend):
     def empty(self, shape):
         return self.Array(np.empty(shape, dtype=np.float64))
 
-    def tile(self, template, b: int):
-        return self.Array(np.tile(template, (b, 1)))
-
     # -- executor ops (numpy-bridged; see module docstring) ------------
     def bincount(self, seg, weights, minlength: int):
         w = weights.np if isinstance(weights, self.Array) else weights
@@ -189,9 +186,6 @@ class StrictBackend(ArrayBackend):
         # Plan rounds scatter through the wrapper, so the per-round
         # addition itself still runs in the strict namespace.
         self._plan_of(idx).apply(target, vals, self)
-
-    def add_at_batch(self, target, idx, vals) -> None:
-        self._plan_of(idx).apply_batch(target, vals, self)
 
     def minimum(self, a, b):
         return self._min_max(a, b, "minimum", np.minimum)
@@ -217,6 +211,3 @@ class StrictBackend(ArrayBackend):
             return np.from_dlpack(x)
         except Exception:
             return np.asarray(x._array)
-
-    def take_rows(self, a, keep):
-        return self.Array(a.np[keep])

@@ -19,12 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import MIBSolver
-from repro.problems import mpc_problem
+from repro.problems import mpc_problem, portfolio_problem
+from repro.solver import SolverStatus
 from repro.xp import (
     NUMPY,
     BackendUnavailable,
     compile_reduce_plan,
     get_backend,
+)
+from tests.test_backends.test_one_loop import report_key
+from tests.test_backends.test_solve_on_network import (
+    ADAPTING,
+    FAST,
+    dual_infeasible_problem,
+    primal_infeasible_problem,
 )
 
 # Adversarial float64 values: non-associativity witnesses (±inf, huge
@@ -94,22 +102,6 @@ class TestReducePlanProperty:
             plan = compile_reduce_plan(idx)
             got = init.copy()
             plan.apply(got, vals)
-        assert fold_bytes(got) == fold_bytes(expected)
-
-    @settings(max_examples=150, deadline=None)
-    @given(commit_streams(), st.integers(min_value=1, max_value=4))
-    def test_plan_batch_matches_per_lane_add_at(self, stream, b):
-        idx, vals, init = stream
-        with np.errstate(all="ignore"):
-            lane_vals = np.stack(
-                [vals * (1.0 + 0.5 * lane) for lane in range(b)]
-            )
-            lane_init = np.stack([init + lane for lane in range(b)])
-            expected = lane_init.copy()
-            for lane in range(b):
-                np.add.at(expected[lane], idx, lane_vals[lane])
-            got = lane_init.copy()
-            compile_reduce_plan(idx).apply_batch(got, lane_vals)
         assert fold_bytes(got) == fold_bytes(expected)
 
     @settings(max_examples=100, deadline=None)
@@ -240,9 +232,24 @@ class TestBackendRegistry:
         assert backend.index(idx) is backend.index(idx)
 
 
+# Whole network solves, one per exit the loop has: convergence after
+# on-network ρ refactorizations, and both infeasibility certificates.
+WHOLE_SOLVES = {
+    "rho_refactor": (
+        lambda: portfolio_problem(10), ADAPTING, SolverStatus.SOLVED
+    ),
+    "primal_infeasible": (
+        primal_infeasible_problem, FAST, SolverStatus.PRIMAL_INFEASIBLE
+    ),
+    "dual_infeasible": (
+        dual_infeasible_problem, FAST, SolverStatus.DUAL_INFEASIBLE
+    ),
+}
+
+
 class TestBackendPolicy:
     """A solver's backend is named or is numpy, fixed at construction:
-    every pass — solo or batch, whatever the lane count — replays on it."""
+    every network solve replays on it, and gives numpy's answer."""
 
     def test_auto_sequential_is_numpy(self, tiny):
         solver = MIBSolver(tiny, c=8)
@@ -254,10 +261,8 @@ class TestBackendPolicy:
         solver = MIBSolver(tiny, c=8, array_backend="numpy")
         assert solver.xp is NUMPY
         solver.solve_on_network()
-        solver.solve_batch([tiny] * 4)
         assert replayed_on(solver) == {"numpy"}
-        kkt = solver._traces["kkt_solve"]._scratch
-        assert ("seq", "numpy") in kkt and ("batch", 4, "numpy") in kkt
+        assert ("seq", "numpy") in solver._traces["kkt_solve"]._scratch
 
     def test_forced_device_backend_everywhere(self, tiny):
         mock = get_backend("mock")
@@ -265,12 +270,31 @@ class TestBackendPolicy:
         assert solver.xp is mock
         solver.solve_on_network()
         assert replayed_on(solver) == {"mock"}
-        solver.solve_batch([tiny])
-        solver.solve_batch([tiny, tiny])
-        assert replayed_on(solver) == {"mock"}
-        kkt = solver._traces["kkt_solve"]._scratch
-        assert ("seq", "mock") in kkt
-        assert ("batch", 1, "mock") in kkt and ("batch", 2, "mock") in kkt
+        assert ("seq", "mock") in solver._traces["kkt_solve"]._scratch
+
+    @pytest.mark.parametrize("case", WHOLE_SOLVES)
+    def test_whole_network_solve_matches_numpy(self, backend, case):
+        """A whole network solve on each backend equals numpy's bit for
+        bit, certificates included."""
+        make, settings_, status = WHOLE_SOLVES[case]
+        want, got = (
+            MIBSolver(
+                make(), c=8, settings=settings_, array_backend=xp
+            ).solve_on_network()
+            for xp in (NUMPY, backend)
+        )
+        assert want.status is status
+        if case == "rho_refactor":
+            assert want.rho_updates >= 1
+        assert report_key(got) == report_key(want)
+        for name in (
+            "primal_infeasibility_certificate",
+            "dual_infeasibility_certificate",
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), name
 
     def test_resolve_is_idempotent(self, tiny):
         """A backend instance passes through unchanged, and a name
@@ -285,7 +309,9 @@ class TestBackendPolicy:
 class TestScratchIsolation:
     def test_trace_scratch_keyed_per_backend(self):
         """Replaying one trace under two backends must not share
-        buffers: the scratch map is keyed by backend name."""
+        buffers: the scratch map is keyed by backend name.  Repeated
+        replays on one backend reuse its buffers and stay correct, HBM
+        stores included."""
         from repro.arch import NetworkSimulator, StreamBuffers, compile_trace
         from repro.compiler import (
             KernelBuilder,
@@ -296,19 +322,26 @@ class TestScratchIsolation:
         kb = KernelBuilder(4)
         x = kb.vector("x", 6)
         y = kb.vector("y", 6)
-        ops = kb.ew_add(y, x, x)
+        ops = kb.ew_add(y, x, x) + kb.store_vector(y, hbm_base=10)
         schedule = schedule_program(NetworkProgram("iso", ops), 4)
         depth = NetworkSimulator(4).rf.depth
         trace = compile_trace(schedule.slots, c=4, depth=depth, name="iso")
 
         mock = get_backend("mock")
         for xp in (NUMPY, mock):
-            sim = NetworkSimulator(4)
-            sim.rf.load_vector(x, np.arange(6, dtype=np.float64))
-            trace.replay(sim, StreamBuffers(), xp=xp)
-            assert np.array_equal(
-                sim.rf.read_vector(y), 2.0 * np.arange(6)
-            )
+            for scale in (1.0, 3.0):
+                sim = NetworkSimulator(4)
+                values = scale * np.arange(6, dtype=np.float64)
+                sim.rf.load_vector(x, values)
+                trace.replay(sim, StreamBuffers(), xp=xp)
+                assert np.array_equal(sim.rf.read_vector(y), 2.0 * values)
+                assert sim.hbm_out == {
+                    10 + i: 2.0 * v for i, v in enumerate(values)
+                }
+                bufs = tuple(map(id, trace._scratch[("seq", xp.name)]))
+                if scale == 1.0:
+                    first = bufs
+            assert bufs == first
         assert ("seq", "numpy") in trace._scratch
         assert ("seq", "mock") in trace._scratch
         numpy_bufs = trace._scratch[("seq", "numpy")]

@@ -1,8 +1,7 @@
 """There is one network ADMM loop, and it kept its numbers.
 
-``solve_on_network`` is the one-lane case of the lockstep loop
-``solve_batch`` runs, over the simulator image instead of batch
-storage.  Three guards:
+``solve_on_network`` runs it over the simulator image; ``solve_batch``
+is that call once per instance.  Three guards:
 
 * **single definition** — patching the one ρ proposal the network loop
   evaluates silences adaptation on *both* entry points, in every
@@ -15,8 +14,8 @@ storage.  Three guards:
   ``bench_serve`` domains at C = 8, and the solver state a mid-solve ρ
   update leaves behind.  The fresh-solver half was GENERATED ON
   b21aac5, before the scalar loop was removed; it is what proves the
-  one-lane group is built from the bound instance's scaled values and
-  not re-scaled from the raw problem.  The write-through record was
+  loop streams the bound instance's scaled values and does not
+  re-scale the raw problem.  The write-through record was
   re-recorded once, when the ρ write-through started refreshing
   ``reference.rho_vec`` (see its test).  Regenerate only together with
   a change that is meant to move a network solve:
@@ -225,14 +224,13 @@ def test_one_rho_proposal_serves_both_entry_points(execution, monkeypatch):
     assert all(r.rho_updates >= 1 for r in solver.solve_batch(lanes).lanes)
 
     def never_adapt(rho, prim, dual, eps_prim, eps_dual, settings):
-        return rho, np.zeros(rho.shape, dtype=bool)
+        return rho, False
 
     monkeypatch.setattr(mib, "_propose_rho", never_adapt)
     solver.bind_instance(base)
     assert solver.solve_on_network().rho_updates == 0
     batch = solver.solve_batch(lanes)
     assert [r.rho_updates for r in batch.lanes] == [0, 0, 0]
-    assert batch.solo_lanes == 0
 
 
 if __name__ == "__main__":
