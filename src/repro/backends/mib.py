@@ -711,6 +711,9 @@ class MIBSolver:
             and np.array_equal(problem.a.data, cur.a.data)
             and np.array_equal(problem.p_upper.data, cur.p_upper.data)
         ):
+            # P is proven bitwise the bound instance's, so its full
+            # symmetric form (objective, residual products) is too.
+            problem.adopt_p_forms(p_full=cur.p_full)
             self.reference.update_vectors(problem)
             self.problem = problem
             return "delta"

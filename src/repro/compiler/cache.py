@@ -70,6 +70,52 @@ __all__ = [
 CACHE_FORMAT_VERSION = 3
 
 
+# sha256 states after each configuration header seen, keyed by the
+# repr of every header value (so keys that compare equal — 0.0 and
+# -0.0, 1 and True — cannot share a state).  Bounded: an ablation sweep
+# over many option sets clears it instead of growing it.
+_HEADER_STATES: dict[tuple, "hashlib._Hash"] = {}
+_HEADER_STATES_MAX = 256
+
+
+def _header_state(
+    options: ScheduleOptions, c, variant, ordering, lower_method, sigma, alpha
+) -> "hashlib._Hash":
+    """A fresh copy of the sha256 state after the configuration header;
+    the header is serialized once per configuration."""
+    key = (
+        type(options),
+        tuple(repr(getattr(options, f.name)) for f in dataclasses.fields(options)),
+        int(c),
+        str(variant),
+        str(ordering),
+        str(lower_method),
+        repr(float(sigma)),
+        repr(float(alpha)),
+    )
+    state = _HEADER_STATES.get(key)
+    if state is None:
+        header = {
+            "cache_format": CACHE_FORMAT_VERSION,
+            "schedule_format": FORMAT_VERSION,
+            "c": int(c),
+            "variant": str(variant),
+            "ordering": str(ordering),
+            "lower_method": str(lower_method),
+            "sigma": float(sigma),
+            "alpha": float(alpha),
+            "options": {
+                k: v if isinstance(v, (bool, int, float, str)) else repr(v)
+                for k, v in sorted(dataclasses.asdict(options).items())
+            },
+        }
+        state = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+        if len(_HEADER_STATES) >= _HEADER_STATES_MAX:
+            _HEADER_STATES.clear()
+        _HEADER_STATES[key] = state
+    return state.copy()
+
+
 def pattern_fingerprint(
     problem,
     *,
@@ -88,22 +134,9 @@ def pattern_fingerprint(
     the ADMM vector kernels); all other solver settings only affect
     run-time streams and control flow, never the compiled program.
     """
-    header = {
-        "cache_format": CACHE_FORMAT_VERSION,
-        "schedule_format": FORMAT_VERSION,
-        "c": int(c),
-        "variant": str(variant),
-        "ordering": str(ordering),
-        "lower_method": str(lower_method),
-        "sigma": float(sigma),
-        "alpha": float(alpha),
-        "options": {
-            k: v if isinstance(v, (bool, int, float, str)) else repr(v)
-            for k, v in sorted(dataclasses.asdict(options).items())
-        },
-    }
-    h = hashlib.sha256()
-    h.update(json.dumps(header, sort_keys=True).encode())
+    h = _header_state(
+        options, c, variant, ordering, lower_method, sigma, alpha
+    )
     for label, mat in (("P", problem.p_upper), ("A", problem.a)):
         h.update(label.encode())
         h.update(np.asarray(mat.shape, dtype=np.int64).tobytes())

@@ -318,13 +318,29 @@ def _checked(problem: QPProblem) -> QPProblem:
     return problem
 
 
+def _no_lower_entry(matrix: CSCMatrix) -> bool:
+    """True when no stored entry lies below the diagonal."""
+    cols = np.repeat(
+        np.arange(matrix.shape[1], dtype=np.int64), np.diff(matrix.indptr)
+    )
+    return bool((matrix.indices <= cols).all())
+
+
 def problem_from_dict(doc: dict) -> QPProblem:
-    """Rebuild a QP from its ``repro-qp-v1`` document form."""
+    """Rebuild a QP from its ``repro-qp-v1`` document form.
+
+    The wire form stores ``P``'s upper triangle, so a decoded ``P``
+    usually *is* its upper triangle: it is then installed as its own
+    :attr:`~repro.solver.QPProblem.p_upper` instead of being rebuilt
+    (``from_coo`` output is canonical, so the rebuild would be bitwise
+    ``P``).
+    """
     if doc.get("format") != "repro-qp-v1":
         raise ValueError("unrecognized problem file format")
-    return _checked(
+    p = _matrix_from_obj(doc["P"])
+    problem = _checked(
         QPProblem(
-            p=_matrix_from_obj(doc["P"]),
+            p=p,
             q=np.asarray(doc["q"], dtype=np.float64),
             a=_matrix_from_obj(doc["A"]),
             l=decode_bounds(doc["l"]),
@@ -332,6 +348,9 @@ def problem_from_dict(doc: dict) -> QPProblem:
             name=doc.get("name", "qp"),
         )
     )
+    if _no_lower_entry(p):
+        problem.adopt_p_forms(p_upper=p)
+    return problem
 
 
 def problem_with_values(
@@ -393,6 +412,8 @@ def problem_with_values(
             )
         return arr
 
+    # ``p`` is the base's canonical upper triangle, or its pattern with
+    # new values: already its own upper triangle.
     return _checked(
         QPProblem(
             p=p,
@@ -402,7 +423,7 @@ def problem_with_values(
             u=vector(u, base.u, "u"),
             name=base.name,
         )
-    )
+    ).adopt_p_forms(p_upper=p)
 
 
 def save_problem(problem: QPProblem, path: str | Path) -> Path:

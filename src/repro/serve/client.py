@@ -3,7 +3,7 @@
 Used by the test suite, the CI smoke job and the closed-loop load
 generator (``benchmarks/bench_serve.py``); also the reference for
 talking to the service from any other language — the whole protocol is
-three JSON endpoints.
+five JSON endpoints over HTTP/1.1 (three ``POST``, two ``GET``).
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,12 @@ from ..solver import QPProblem, SolveResult
 
 __all__ = ["ServeClient", "SolveResponse", "StreamResponse"]
 
-# Transport failures worth one retry: the server (or a shard worker
-# restart behind it) dropped the connection without answering.  Safe
-# only for idempotent requests — a solve is a pure function of the
-# problem document, and the GET endpoints are reads.
+# Transport failures worth one retry, on a fresh connection: the server
+# (or a shard worker restart behind it) dropped the connection without
+# answering, or closed an idle keep-alive connection just as this
+# request went out on it.  Safe only for idempotent requests — a solve
+# is a pure function of the problem document, and the GET endpoints
+# are reads.
 _RETRYABLE = (
     ConnectionResetError,
     BrokenPipeError,
@@ -115,8 +118,35 @@ def _step_override(base: QPProblem, step: QPProblem) -> dict:
     return override
 
 
+def _peer_closed(sock: socket.socket) -> bool:
+    """Is an idle keep-alive socket readable — the server's FIN (or a
+    reset) waiting, since it sends nothing unasked?"""
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _decode(status: int, raw: bytes) -> dict:
+    """A response body as JSON; an error status whose body is not JSON
+    (the stdlib's own error pages) becomes an error document."""
+    try:
+        return json.loads(raw)
+    except ValueError:
+        if status < 400:
+            raise
+        return {
+            "status": "error",
+            "detail": f"HTTP {status}: {raw[:200].decode(errors='replace')}",
+        }
+
+
 class ServeClient:
-    """Talk to one serve instance (``http://host:port``)."""
+    """Talk to one serve instance (``http://host:port``).
+
+    Each calling thread keeps one persistent HTTP/1.1 connection, so a
+    warm request pays no TCP handshake and no new server thread.  A
+    connection the server has closed while idle (its idle timeout, or
+    ``stop()``) is replaced before it is used; :meth:`close` closes the
+    calling thread's connection.
+    """
 
     def __init__(
         self,
@@ -126,8 +156,38 @@ class ServeClient:
         base_url: str | None = None,
     ) -> None:
         self.base_url = (base_url or f"http://{host}:{port}").rstrip("/")
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme != "http" or not rest:
+            raise ValueError(
+                f"expected an http://host:port URL, got {self.base_url!r}"
+            )
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
+    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+        """The calling thread's connection, open, with ``timeout`` on
+        its socket."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(self._netloc)
+        elif conn.sock is not None and _peer_closed(conn.sock):
+            conn.close()
+        conn.timeout = timeout
+        if conn.sock is None:
+            conn.connect()  # sets TCP_NODELAY on the new socket
+        else:
+            conn.sock.settimeout(timeout)
+        return conn
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call on this
+        thread opens a new one)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
     def _request(
         self,
         path: str,
@@ -136,35 +196,34 @@ class ServeClient:
         timeout: float = 60.0,
         retry: bool = True,
     ) -> tuple[int, dict]:
-        """One HTTP exchange, with a single jittered retry on a dropped
-        connection (``retry=False`` for non-idempotent callers)."""
-        url = f"{self.base_url}{path}"
+        """One HTTP exchange, with a single jittered retry on a fresh
+        connection when the connection dropped (``retry=False`` for
+        non-idempotent callers)."""
         data = json.dumps(body).encode() if body is not None else None
         for attempt in (0, 1):
-            request = urllib.request.Request(
-                url,
-                data=data,
-                headers={"Content-Type": "application/json"} if data else {},
-                method="POST" if data is not None else "GET",
-            )
             try:
-                with urllib.request.urlopen(request, timeout=timeout) as resp:
-                    return resp.status, json.loads(resp.read())
-            except urllib.error.HTTPError as exc:
-                # Structured error responses (400/503/504) carry JSON too.
-                try:
-                    payload = json.loads(exc.read())
-                except Exception:
-                    payload = {"status": "error", "detail": str(exc)}
-                return exc.code, payload
+                conn = self._connection(timeout)
+                conn.request(
+                    "POST" if data is not None else "GET",
+                    self._prefix + path,
+                    body=data,
+                    headers=(
+                        {"Content-Type": "application/json"} if data else {}
+                    ),
+                )
+                response = conn.getresponse()
+                status, raw = response.status, response.read()
             except _RETRYABLE:
+                self.close()
                 if not retry or attempt:
                     raise
-            except urllib.error.URLError as exc:
-                if not retry or attempt or not isinstance(
-                    exc.reason, _RETRYABLE
-                ):
-                    raise
+            except BaseException:
+                # Mid-exchange failure: the connection's framing is
+                # unknown, so it is not reused.
+                self.close()
+                raise
+            else:
+                return status, _decode(status, raw)
             # Jitter so a burst of clients hitting one dropped worker
             # doesn't retry in lockstep.
             time.sleep(random.uniform(0.05, 0.15))

@@ -1,8 +1,10 @@
 """QP-as-a-service HTTP front-end (pure standard library).
 
 ``ServeServer`` composes the subsystem: a ``ThreadingHTTPServer``
-accepts connections (one handler thread per request), handlers parse
-and admit requests, and an execution tier drains them:
+accepts connections (one handler thread per connection; HTTP/1.1
+keep-alive, so a client's connection and its handler thread serve
+request after request), handlers parse and admit requests, and an
+execution tier drains them:
 
 * **in-process** (default) — a :class:`~repro.serve.engine.SolveEngine`
   owning the warm :class:`~repro.serve.pool.SolverPool`, the bounded
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -89,6 +92,16 @@ MAX_SCENARIO_LANES = 64
 # answered 413 without reading.  A constant on purpose: it bounds what
 # one handler thread can be made to buffer, not a tuning knob.
 MAX_BODY_BYTES = 64 << 20
+
+# Seconds a keep-alive connection may sit idle between requests before
+# its handler thread closes it.  A constant for the same reason: it
+# bounds how long a client that went away without closing holds a
+# handler thread.
+IDLE_TIMEOUT_S = 30.0
+
+# How long ``stop()`` waits for the handler threads of open
+# connections to close their sockets.
+_CLOSE_WAIT_S = 5.0
 
 _OVERRIDE_FIELDS = frozenset({"q", "l", "u", "a_data", "p_data"})
 
@@ -138,6 +151,42 @@ class _HTTPServer(ThreadingHTTPServer):
     # solving.  Size the backlog to the admission bound instead.
     request_queue_size = 128
     daemon_threads = True
+
+    # Every accepted connection until its handler thread closes it, so
+    # ``stop()`` can end keep-alive connections parked between
+    # requests (daemon handler threads are not joined by the stdlib).
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
+
+    def process_request(self, request, client_address) -> None:
+        # Registered on the accept thread, before the handler thread
+        # exists: once ``shutdown()`` returns, every connection is seen.
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def close_connections(self, timeout: float) -> None:
+        """End every open connection and wait for its handler to close.
+
+        Only the read side is shut: a handler parked between requests
+        reads EOF and exits, one still writing a response finishes it
+        first.
+        """
+        with self._open_changed:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer already closed it
+                    pass
+            self._open_changed.wait_for(lambda: not self._open, timeout)
 
 
 class ServeServer:
@@ -268,13 +317,19 @@ class ServeServer:
         return self
 
     def stop(self) -> None:
-        """Shut down: stop admissions, answer stragglers, close HTTP."""
+        """Shut down: stop admissions, answer stragglers, close HTTP.
+
+        Open keep-alive connections are closed too, so no handler
+        thread is left to answer a request against the stopped tier: a
+        client's next request on one fails with a connection error.
+        """
         if self.frontend is not None:
             self.frontend.stop()
         else:
             self.engine.stop()
         self._http.shutdown()
         self._http.server_close()
+        self._http.close_connections(_CLOSE_WAIT_S)
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads.clear()
@@ -449,26 +504,50 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
     """Bind a handler class to one ServeServer instance."""
 
     class Handler(BaseHTTPRequestHandler):
+        # Keep-alive: a client's connection outlives its request, so a
+        # warm request pays no TCP handshake and no thread start.  Nagle
+        # off, or the body write after the header write waits on the
+        # client's delayed ACK (~40 ms a response).
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
+
         # Keep the accept loop quiet; the metrics endpoint is the log.
         def log_message(self, *args) -> None:
             pass
 
-        def _send_json(self, status_code: int, payload: dict) -> None:
+        def _send_json(
+            self, status_code: int, payload: dict, *, close: bool = False
+        ) -> None:
+            """One JSON response.  ``close`` ends the connection after
+            it — required whenever the request body was not read whole,
+            or its unread bytes would parse as the next request."""
             body = json.dumps(payload).encode()
             self.send_response(status_code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                # Also sets self.close_connection.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def do_GET(self) -> None:
+            # A GET body is never read; one that was sent anyway ends
+            # the connection.
+            close = (
+                self.headers.get("Content-Length", "0") != "0"
+                or "Transfer-Encoding" in self.headers
+            )
             if self.path == "/v1/health":
-                self._send_json(*server.health())
+                self._send_json(*server.health(), close=close)
             elif self.path == "/v1/metrics":
-                self._send_json(200, server.metrics_snapshot())
+                self._send_json(200, server.metrics_snapshot(), close=close)
             else:
                 self._send_json(
-                    404, {"status": "error", "detail": "unknown endpoint"}
+                    404,
+                    {"status": "error", "detail": "unknown endpoint"},
+                    close=close,
                 )
 
         def do_POST(self) -> None:
@@ -480,12 +559,16 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
             handler = handlers.get(self.path)
             if handler is None:
                 self._send_json(
-                    404, {"status": "error", "detail": "unknown endpoint"}
+                    404,
+                    {"status": "error", "detail": "unknown endpoint"},
+                    close=True,
                 )
                 return
             # Content-Length is the peer's claim: judge it before any
             # read (a negative one would park this thread in read(-1)
             # until the peer closes; a huge one is an unbounded read).
+            # Every refusal below closes the connection: the body may
+            # be unread, or framed some way this handler does not read.
             refusal = 400
             try:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -505,6 +588,7 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
                 self._send_json(
                     refusal,
                     {"status": "error", "detail": f"bad request: {exc}"},
+                    close=True,
                 )
                 return
             status_code, payload = handler(body)

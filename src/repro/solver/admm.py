@@ -169,6 +169,7 @@ class OSQPSolver:
         """
         sc = self.scaling
         sp = sc.scaled
+        # Same ``sp.p`` object, so its derived forms carry over too.
         sc.scaled = QPProblem(
             p=sp.p,
             q=sc.c * sc.d * problem.q,
@@ -176,7 +177,7 @@ class OSQPSolver:
             l=sc.e * problem.l,
             u=sc.e * problem.u,
             name=problem.name,
-        )
+        ).adopt_p_forms(p_upper=sp.p_upper, p_full=sp.p_full)
         self.problem = problem
 
     # ------------------------------------------------------------------

@@ -101,6 +101,28 @@ class QPProblem:
             object.__setattr__(self, "_p_full", cached)
         return cached
 
+    def adopt_p_forms(
+        self,
+        *,
+        p_upper: CSCMatrix | None = None,
+        p_full: CSCMatrix | None = None,
+    ) -> "QPProblem":
+        """Install already-built forms of ``P`` as this instance's
+        :attr:`p_upper` / :attr:`p_full` caches; returns ``self``.
+
+        The caller vouches that each is bitwise what the property would
+        build from ``self.p`` — e.g. the forms of another instance whose
+        ``P`` was just proven equal (pattern and upper-triangle values),
+        or ``self.p`` itself as ``p_upper`` when it is a canonical CSC
+        matrix with no entry below the diagonal.  Only then is skipping
+        the rebuild invisible in every number.
+        """
+        if p_upper is not None:
+            object.__setattr__(self, "_p_upper", p_upper)
+        if p_full is not None:
+            object.__setattr__(self, "_p_full", p_full)
+        return self
+
     def objective(self, x: np.ndarray) -> float:
         """Evaluate ``(1/2) xᵀPx + qᵀx``."""
         x = np.asarray(x, dtype=np.float64)

@@ -9,6 +9,7 @@ from repro.io import (
     load_problem,
     problem_from_dict,
     problem_to_dict,
+    problem_with_values,
     read_matrix_market,
     save_problem,
     write_matrix_market,
@@ -122,6 +123,50 @@ class TestProblemIO:
         np.testing.assert_array_equal(prob2.a.to_dense(), prob.a.to_dense())
         np.testing.assert_array_equal(prob2.l, prob.l)
         np.testing.assert_array_equal(prob2.u, prob.u)
+
+    def test_decoded_p_upper_is_bitwise_the_rebuilt_triangle(self):
+        """The wire stores ``P``'s upper triangle, so a decoded upper-only
+        ``P`` (and a step built on a base's triangle) is installed as
+        its own ``p_upper``; a document carrying the full symmetric
+        ``P`` still has the triangle rebuilt.  Either way ``p_upper``
+        holds exactly the arrays ``upper_triangle()`` builds."""
+        dense = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -0.5], [0.0, -0.5, 2.0]])
+        prob = QPProblem(
+            p=CSCMatrix.from_dense(dense),
+            q=np.array([1.0, -2.0, 0.5]),
+            a=CSCMatrix.from_dense(np.eye(3)),
+            l=-np.ones(3),
+            u=np.ones(3),
+        )
+        doc = problem_to_dict(prob)
+        rows, cols, vals = prob.p.to_coo()
+        full_doc = dict(
+            doc,
+            P={
+                "shape": [3, 3],
+                "rows": rows.tolist(),
+                "cols": cols.tolist(),
+                "values": vals.tolist(),
+            },
+        )
+        upper = problem_from_dict(doc)
+        full = problem_from_dict(full_doc)
+        # A /v1/sequence or /v1/scenarios step: the base's triangle with
+        # the same or new values.
+        steps = [
+            problem_with_values(full, q=np.zeros(3)),
+            problem_with_values(full, p_data=2.0 * full.p_upper.data),
+        ]
+        assert upper.p_upper is upper.p
+        assert full.p_upper is not full.p and full.p.nnz == 7
+        assert all(step.p_upper is step.p for step in steps)
+        for decoded in (upper, full, *steps):
+            got, want = decoded.p_upper, decoded.p.upper_triangle()
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert np.array_equal(upper.p_upper.data, full.p_upper.data)
 
     def test_explicit_infinite_bounds_roundtrip(self, tmp_path):
         """Every one-sided combination of ±inf must encode and decode

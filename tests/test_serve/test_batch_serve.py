@@ -67,6 +67,11 @@ def assert_same_solve(report, expected) -> None:
     assert got.rho_updates == want.rho_updates
     for name in "xyz":
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # The floats the shared p_full / scaled-problem caches feed.
+    for name in ("objective", "primal_residual", "dual_residual"):
+        assert np.array_equal(
+            getattr(got, name), getattr(want, name), equal_nan=True
+        ), name
     assert report.cycles == expected.cycles
     assert report.kernel_invocations == expected.kernel_invocations
 

@@ -1,36 +1,85 @@
-"""Unit tests for the client's retry-once-on-dropped-connection path.
+"""Unit tests for the client's transport: one persistent connection per
+thread, and the retry-once-on-dropped-connection path.
 
-No sockets: ``urllib.request.urlopen`` is monkeypatched to fail with
-transport errors on demand, so the tests pin down exactly which
-failures are retried (connection drops on idempotent requests, once)
-and which propagate (second drops, non-retryable errors,
-``retry=False``).
+No server: ``http.client.HTTPConnection`` is monkeypatched with a fake
+whose exchanges fail with transport errors on demand, so the tests pin
+down exactly which failures are retried (connection drops on idempotent
+requests, once, on a fresh connection) and which propagate (second
+drops, non-retryable errors, ``retry=False``).  A fake connection's
+socket is one end of a local ``socketpair``, so "the server closed the
+idle connection" is the other end closing.
 """
 
 from __future__ import annotations
 
 import http.client
-import io
 import json
-import urllib.error
-import urllib.request
+import socket
 
 import pytest
 
 from repro.serve import ServeClient
 
 
-class FakeResponse(io.BytesIO):
-    status = 200
+class FakeResponse:
+    def __init__(self, status: int, payload: dict) -> None:
+        self.status = status
+        self._body = json.dumps(payload).encode()
 
-    def __init__(self, payload: dict) -> None:
-        super().__init__(json.dumps(payload).encode())
+    def read(self) -> bytes:
+        return self._body
 
-    def __exit__(self, *exc) -> bool:
-        return False
 
-    def __enter__(self) -> "FakeResponse":
-        return self
+class FakeConnection:
+    """Stands in for ``http.client.HTTPConnection``.
+
+    Each queued error is ``(stage, exception)`` with stage ``"send"``
+    (raised by ``request``) or ``"response"`` (by ``getresponse``), and
+    fires once, on whichever connection reaches that stage next.
+    """
+
+    def __init__(self, net, host: str) -> None:
+        self.net = net
+        self.host = host
+        self.timeout = None
+        self.sock: socket.socket | None = None
+        self.peer: socket.socket | None = None
+        net.connections.append(self)
+
+    def connect(self) -> None:
+        self.sock, self.peer = socket.socketpair()
+        self.sock.settimeout(self.timeout)
+        self.net.sockets.append(self.sock)
+
+    def close(self) -> None:
+        for end in (self.sock, self.peer):
+            if end is not None:
+                end.close()
+        self.sock = self.peer = None
+
+    def _fail(self, stage: str) -> None:
+        if self.net.errors and self.net.errors[0][0] == stage:
+            raise self.net.errors.pop(0)[1]
+
+    def request(self, method, url, body=None, headers=None) -> None:
+        self.net.calls.append((self.sock, body, self.sock.gettimeout()))
+        self._fail("send")
+
+    def getresponse(self) -> FakeResponse:
+        self._fail("response")
+        return FakeResponse(self.net.status, self.net.payload)
+
+
+class FakeNet:
+    def __init__(self, errors, payload: dict, status: int = 200) -> None:
+        self.errors = list(errors)
+        self.payload = payload
+        self.status = status
+        self.connections: list[FakeConnection] = []
+        # One socket per connect: a reconnect reuses the connection
+        # object with a fresh socket.
+        self.sockets: list[socket.socket] = []
+        self.calls: list[tuple] = []  # (socket, body, socket timeout)
 
 
 @pytest.fixture
@@ -47,44 +96,46 @@ def no_sleep(monkeypatch):
     return naps
 
 
-def flaky_urlopen(monkeypatch, errors: list[BaseException], payload: dict):
-    """urlopen that raises each queued error once, then succeeds."""
-    calls: list[urllib.request.Request] = []
-
-    def fake(request, timeout=None):
-        calls.append(request)
-        if errors:
-            raise errors.pop(0)
-        return FakeResponse(payload)
-
-    monkeypatch.setattr("urllib.request.urlopen", fake)
-    return calls
+def flaky_net(monkeypatch, errors, payload: dict, status: int = 200) -> FakeNet:
+    """Connections that raise each queued error once, then succeed."""
+    net = FakeNet(errors, payload, status)
+    monkeypatch.setattr(
+        "http.client.HTTPConnection", lambda host: FakeConnection(net, host)
+    )
+    return net
 
 
 class TestRetryOnce:
     @pytest.mark.parametrize(
         "error",
         [
-            ConnectionResetError("peer reset"),
-            BrokenPipeError("broken pipe"),
-            http.client.RemoteDisconnected("closed before response"),
-            urllib.error.URLError(ConnectionResetError("wrapped reset")),
+            ("response", ConnectionResetError("peer reset")),
+            ("send", BrokenPipeError("broken pipe")),
+            ("response", http.client.RemoteDisconnected("closed before response")),
+            # urllib used to deliver a reset while sending wrapped in URLError.
+            ("send", ConnectionResetError("wrapped reset")),
         ],
     )
     def test_dropped_connection_is_retried(
         self, client, monkeypatch, no_sleep, error
     ):
-        calls = flaky_urlopen(monkeypatch, [error], {"status": "ok"})
+        net = flaky_net(monkeypatch, [error], {"status": "ok"})
         status, payload = client._request("/v1/health")
         assert (status, payload) == (200, {"status": "ok"})
-        assert len(calls) == 2
+        assert len(net.calls) == 2
+        # The retry goes out on a fresh socket; the dropped one is closed.
+        assert [call[0] for call in net.calls] == net.sockets
+        assert len(net.sockets) == 2 and net.sockets[0].fileno() == -1
         # Backoff is jittered, not zero and not a fixed lockstep value.
         assert len(no_sleep) == 1 and 0.05 <= no_sleep[0] <= 0.15
 
     def test_second_drop_propagates(self, client, monkeypatch, no_sleep):
-        flaky_urlopen(
+        flaky_net(
             monkeypatch,
-            [ConnectionResetError("a"), ConnectionResetError("b")],
+            [
+                ("response", ConnectionResetError("a")),
+                ("response", ConnectionResetError("b")),
+            ],
             {"status": "ok"},
         )
         with pytest.raises(ConnectionResetError, match="b"):
@@ -93,35 +144,38 @@ class TestRetryOnce:
     def test_retry_false_propagates_immediately(
         self, client, monkeypatch, no_sleep
     ):
-        calls = flaky_urlopen(
-            monkeypatch, [ConnectionResetError("a")], {"status": "ok"}
+        net = flaky_net(
+            monkeypatch, [("response", ConnectionResetError("a"))],
+            {"status": "ok"},
         )
         with pytest.raises(ConnectionResetError):
             client._request("/v1/health", retry=False)
-        assert len(calls) == 1 and not no_sleep
+        assert len(net.calls) == 1 and not no_sleep
 
     def test_non_retryable_urlerror_propagates(
         self, client, monkeypatch, no_sleep
     ):
-        calls = flaky_urlopen(
+        """A transport error that is not a dropped connection (the case
+        urllib wrapped in a non-retryable ``URLError``) propagates as
+        raised, unretried, and the connection is not reused."""
+        net = flaky_net(
             monkeypatch,
-            [urllib.error.URLError(OSError("no route to host"))],
+            [("send", OSError("no route to host"))],
             {"status": "ok"},
         )
-        with pytest.raises(urllib.error.URLError):
+        with pytest.raises(OSError, match="no route to host"):
             client._request("/v1/health")
-        assert len(calls) == 1 and not no_sleep
+        assert len(net.calls) == 1 and not no_sleep
+        assert net.sockets[0].fileno() == -1
 
     def test_http_errors_are_not_retried(self, client, monkeypatch, no_sleep):
-        body = json.dumps({"status": "rejected", "detail": "full"}).encode()
-        error = urllib.error.HTTPError(
-            "http://x/v1/solve", 503, "Service Unavailable", {},
-            io.BytesIO(body),
+        net = flaky_net(
+            monkeypatch, [], {"status": "rejected", "detail": "full"},
+            status=503,
         )
-        calls = flaky_urlopen(monkeypatch, [error], {"status": "ok"})
         status, payload = client._request("/v1/solve", body={"problem": {}})
         assert status == 503 and payload["status"] == "rejected"
-        assert len(calls) == 1 and not no_sleep
+        assert len(net.calls) == 1 and not no_sleep
 
     def test_solve_retries_through_a_reset(self, client, monkeypatch, no_sleep):
         """The solve path (idempotent by construction) rides the retry."""
@@ -132,11 +186,68 @@ class TestRetryOnce:
             "fingerprint": "sha256:f",
             "warm": True,
         }
-        calls = flaky_urlopen(
-            monkeypatch, [ConnectionResetError("mid-restart")], result_doc
+        net = flaky_net(
+            monkeypatch,
+            [("response", ConnectionResetError("mid-restart"))],
+            result_doc,
         )
         response = client.solve(portfolio_problem(8, seed=0), timeout_s=5.0)
         assert response.ok and response.warm
-        assert len(calls) == 2
+        assert len(net.calls) == 2
         # Both attempts sent the identical body (true retry, no mutation).
-        assert calls[0].data == calls[1].data
+        assert net.calls[0][1] == net.calls[1][1]
+
+
+class TestPersistentConnection:
+    def test_calls_share_one_connection(self, client, monkeypatch, no_sleep):
+        net = flaky_net(monkeypatch, [], {"status": "ok"})
+        for _ in range(3):
+            assert client._request("/v1/health") == (200, {"status": "ok"})
+        assert len(net.connections) == len(net.sockets) == 1
+        assert len(net.calls) == 3
+
+    def test_stale_idle_connection_is_reconnected(
+        self, client, monkeypatch, no_sleep
+    ):
+        """The server closed the idle connection (its idle timeout):
+        the next call sees the FIN before sending and goes out on a
+        fresh connection — no error, no retry spent, even with
+        ``retry=False``."""
+        net = flaky_net(monkeypatch, [], {"status": "ok"})
+        client._request("/v1/health")
+        net.connections[0].peer.close()
+        assert client._request("/v1/health", retry=False)[0] == 200
+        assert len(net.sockets) == 2 and net.sockets[0].fileno() == -1
+        assert [call[0] for call in net.calls] == net.sockets
+        assert not no_sleep
+
+    def test_close_race_on_an_idle_connection_is_retried(
+        self, client, monkeypatch, no_sleep
+    ):
+        """The server's close crosses the request on the wire: the
+        dropped exchange is retried on a fresh connection."""
+        net = flaky_net(monkeypatch, [], {"status": "ok"})
+        client._request("/v1/health")
+        net.errors.append(
+            ("response", http.client.RemoteDisconnected("idle close"))
+        )
+        assert client._request("/v1/health") == (200, {"status": "ok"})
+        assert [call[0] for call in net.calls] == [
+            net.sockets[0], net.sockets[0], net.sockets[1]
+        ]
+        assert len(no_sleep) == 1
+
+    def test_each_call_sets_its_own_socket_timeout(
+        self, client, monkeypatch, no_sleep
+    ):
+        """A call's ``timeout`` governs its own socket, not the one the
+        connection was opened with."""
+        from repro.problems import portfolio_problem
+
+        net = flaky_net(monkeypatch, [], {"status": "ok"})
+        client._request("/v1/health", timeout=7.0)
+        client._request("/v1/health", timeout=0.25)
+        # A solve's socket outlives its service deadline by 10 s.
+        client.solve(portfolio_problem(8, seed=0), timeout_s=5.0)
+        assert [call[2] for call in net.calls] == [7.0, 0.25, 15.0]
+        assert len(net.sockets) == 1

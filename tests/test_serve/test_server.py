@@ -12,7 +12,10 @@ from __future__ import annotations
 import copy
 import http.client
 import json
+import select
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from repro.problems import (
     svm_problem,
 )
 from repro.serve import ServeClient, ServeServer
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import IDLE_TIMEOUT_S, MAX_BODY_BYTES
 from repro.solver import Settings, solve as host_solve
 
 pytestmark = pytest.mark.serve_e2e
@@ -377,3 +380,107 @@ class TestDeadlinesAndBackpressure:
         straggler.join(timeout=10.0)
         assert not straggler.is_alive()
         assert responses[0].status == "rejected"
+
+
+class TestKeepAlive:
+    """One client connection serves request after request (HTTP/1.1),
+    and nothing a request leaves unread leaks into the next one."""
+
+    def test_calls_reuse_one_connection(self, client):
+        client.health()
+        sock = client._local.conn.sock
+        for _ in range(3):
+            assert client.health()["status"] == "ok"
+        assert client._local.conn.sock is sock
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    @pytest.mark.parametrize(
+        "method, path, claimed, status",
+        [
+            ("POST", "/v1/nope", None, 404),  # unknown endpoint
+            ("POST", "/v1/solve", str(MAX_BODY_BYTES + 1), 413),
+            ("POST", "/v1/solve", "-1", 400),
+            ("POST", "/v1/solve", "abc", 400),
+            ("GET", "/v1/health", None, 200),  # a GET body is never read
+        ],
+    )
+    def test_unread_body_does_not_poison_the_connection(
+        self, server, method, path, claimed, status
+    ):
+        """A response sent before the body was read ends the connection;
+        otherwise the unread body parses as the next request."""
+        body = json.dumps(
+            {"problem": problem_to_dict(portfolio_problem(8, seed=0))}
+        ).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.putrequest(method, path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader(
+                "Content-Length", claimed if claimed else str(len(body))
+            )
+            conn.endheaders(body)
+            refused = conn.getresponse()
+            refused.read()
+            assert refused.status == status
+            assert refused.getheader("Connection") == "close"
+            conn.request("GET", "/v1/health")
+            health = conn.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["status"] == "ok"
+        finally:
+            conn.close()
+
+    def test_answered_requests_keep_the_connection(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.request("POST", "/v1/solve", body=b"[1, 2, 3]")
+            refused = conn.getresponse()
+            refused.read()
+            assert refused.status == 400  # body read whole, then judged
+            conn.request("GET", "/v1/health")
+            health = conn.getresponse()
+            assert health.status == 200 and health.getheader("Connection") is None
+            health.read()
+            conn.request("GET", "/v1/metrics")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
+
+class TestConnectionLifecycle:
+    def test_idle_timeout_is_a_constant(self):
+        assert IDLE_TIMEOUT_S == 30.0  # a constant, not a flag
+
+    def test_idle_connection_is_closed_and_replaced(self, monkeypatch):
+        """The server closes a connection idle past its timeout; the
+        client's next call reconnects without an error or a retry."""
+        monkeypatch.setattr("repro.serve.server.IDLE_TIMEOUT_S", 0.2)
+        naps: list[float] = []
+        monkeypatch.setattr(
+            "repro.serve.client.time.sleep", lambda s: naps.append(s)
+        )
+        with ServeServer(port=0, workers=1, c=8, settings=FAST) as server:
+            client = ServeClient(port=server.port)
+            client.health()
+            sock = client._local.conn.sock
+            ready, _, _ = select.select([sock], [], [], 5.0)
+            assert ready, "the idle connection was not closed"
+            assert client._request("/v1/health", retry=False)[0] == 200
+            assert client._local.conn.sock is not sock
+            assert not naps
+
+    def test_stop_closes_idle_keep_alive_connections(self):
+        """``stop()`` does not wait on, or leave behind, a handler
+        thread parked on an idle connection: the client's next call
+        fails fast instead of being answered by a stopped server."""
+        server = ServeServer(port=0, workers=1, c=8, settings=FAST).start()
+        client = ServeClient(port=server.port)
+        assert client.health()["status"] == "ok"
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 5.0
+        started = time.monotonic()
+        with pytest.raises(ConnectionError):
+            client.health()
+        assert time.monotonic() - started < 5.0
