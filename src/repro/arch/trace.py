@@ -32,11 +32,11 @@ values (``update_values``, ρ refactorization) needs no re-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..xp import NUMPY
 from .hbm import StreamBuffers
 from .isa import BINARY_EWISE_FNS, EwiseFn, Location, NetOp, OpKind
 from .simulator import (
@@ -95,15 +95,10 @@ def run_phases(
     coeff: np.ndarray,
     state: np.ndarray,
     values: np.ndarray,
-    xp=NUMPY,
 ) -> None:
     """Execute a phase list against 1-D coeff/state/values buffers.
 
-    The replay core behind :meth:`CompiledTrace.replay`.  ``xp`` is the
-    array backend the buffers live on; with a non-host backend the
-    phases must have been prepared for it
-    (:meth:`CompiledTrace._phases_for`) so every index array — and the
-    duplicate-commit reduce plans — are backend resident.
+    The replay core behind :meth:`CompiledTrace.replay`.
     """
     for ph in phases:
         if ph.cr_state is not None:
@@ -112,7 +107,7 @@ def run_phases(
             code = batch[0]
             if code == _MAC:
                 _, out, ridx, seg, cidx, n_out = batch
-                values[out] = xp.bincount(
+                values[out] = np.bincount(
                     seg, weights=coeff[cidx] * state[ridx], minlength=n_out
                 )
             elif code == _SCATTER_MUL:
@@ -138,8 +133,8 @@ def run_phases(
                 values[out] = state[a] + s0 * coeff[cidx]
             elif code == _CLIP:
                 _, out, a, lo, hi = batch
-                values[out] = xp.minimum(
-                    xp.maximum(state[a], coeff[lo]), coeff[hi]
+                values[out] = np.minimum(
+                    np.maximum(state[a], coeff[lo]), coeff[hi]
                 )
             elif code == _ADD:
                 _, out, a, b = batch
@@ -165,7 +160,7 @@ def run_phases(
         for acc, sids, vids, has_dups in ph.commits:
             if acc:
                 if has_dups:
-                    xp.add_at(state, sids, values[vids])
+                    np.add.at(state, sids, values[vids])
                 else:
                     state[sids] += values[vids]
             else:
@@ -181,36 +176,6 @@ def phase_crossings(phases: list[TracePhase]) -> int:
             total += 1
         total += len(ph.batches) + len(ph.commits)
     return total
-
-
-def _prepare_phase(ph: TracePhase, xp) -> TracePhase:
-    """Convert one phase's arrays for a non-host backend: int index
-    arrays upload via ``xp.index`` (memoized), float constants via
-    ``xp.constant``, and duplicate-accumulate commit targets become
-    the backend's prepared scatter handle."""
-
-    def conv(x):
-        if isinstance(x, np.ndarray):
-            if x.dtype.kind == "f":
-                return xp.constant(x)
-            return xp.index(x)
-        return x
-
-    batches = [tuple(conv(el) for el in batch) for batch in ph.batches]
-    commits = []
-    for acc, sids, vids, has_dups in ph.commits:
-        if acc and has_dups:
-            handle = xp.prepare_add_at_index(sids)
-        else:
-            handle = conv(sids)
-        commits.append((acc, handle, conv(vids), has_dups))
-    return TracePhase(
-        batches,
-        commits,
-        None if ph.cr_state is None else xp.index(ph.cr_state),
-        None if ph.cr_slot is None else xp.index(ph.cr_slot),
-        None if ph.cr_scale is None else xp.constant(ph.cr_scale),
-    )
 
 
 @dataclass
@@ -238,44 +203,22 @@ class CompiledTrace:
     stats: SimulationStats
     hbm_words_read: int
     hbm_words_written: int
-    # Reusable replay buffers (coeff/state/values per backend).  Pure
-    # scratch: every slot is
-    # rewritten before it is read on each replay, so reuse cannot leak
-    # values between calls.  Replays of one trace are not re-entrant —
-    # callers serialize per solver (the pool's per-entry lock).
-    _scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def crossings(self) -> int:
-        """Host→numpy crossings of one full replay on the reference
-        backend: stream binds, gathers, per-phase exec/commit
-        dispatches, scatters.  Memoized — the phase program is
-        immutable and replay charges this every call."""
-        return self.crossings_for(NUMPY)
-
-    def crossings_for(self, xp) -> int:
-        """Per-backend crossing count of one full replay.
-
-        Host backends charge one crossing per numpy call dispatched
-        (the historical formula).  Device backends charge only genuine
-        host→device transfers: the stream binds, the gathers in and
-        scatters out of the simulator image.  Phase execution is
-        device-resident and crosses nothing.
-        """
-        key = ("crossings", xp.name)
-        n = self._scratch.get(key)
-        if n is None:
-            n = (
-                len(self.stream_plan)
-                + (1 if self.g_rf_state.size else 0)
-                + len(self.g_other)
-                + xp.phase_crossings(self.phases)
-                + (1 if self.s_rf_state.size else 0)
-                + len(self.s_other)
-            )
-            self._scratch[key] = n
-        return n
+        """Host→numpy crossings of one full replay: stream binds,
+        gathers, per-phase exec/commit dispatches, scatters.  Memoized
+        — the phase program is immutable and replay charges this every
+        call."""
+        return (
+            len(self.stream_plan)
+            + (1 if self.g_rf_state.size else 0)
+            + len(self.g_other)
+            + phase_crossings(self.phases)
+            + (1 if self.s_rf_state.size else 0)
+            + len(self.s_other)
+        )
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:
@@ -295,48 +238,25 @@ class CompiledTrace:
         }
 
     # ------------------------------------------------------------------
-    def _buffers(self, xp=NUMPY) -> tuple:
-        """Per-trace scratch: (coeff, state, values) living on ``xp``.
-        Scratch is keyed by backend name so a numpy buffer is never
-        handed to a device pass or vice versa.
+    @cached_property
+    def _buffers(self) -> tuple:
+        """Per-trace scratch: (coeff, state, values), reused by every
+        replay.
 
         Safe to reuse because a replay rewrites everything it reads:
         the stream plan and per-phase dynamic-coefficient writes cover
         every non-constant ``coeff`` slot, the gather covers every
         state id (``loc_sid`` is fully enumerated into the gather
         plans), and each value id is produced by exactly one exec
-        batch before any commit consumes it.
+        batch before any commit consumes it.  Replays of one trace are
+        not re-entrant — callers serialize per solver (the pool's
+        per-entry lock).
         """
-        key = ("seq", xp.name)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = (
-                xp.from_host(self.coeff_template.copy()),
-                xp.zeros(self.n_state),
-                xp.empty(self.n_values),
-            )
-            self._scratch[key] = buf
-        return buf
-
-    def _phases_for(self, xp) -> list[TracePhase]:
-        """The phase program prepared for ``xp``.
-
-        Host backends execute the compiled phases as-is.  For device
-        backends every int index array is uploaded once via
-        ``xp.index``, float constant arrays via ``xp.constant``, and
-        duplicate-accumulate commit targets are replaced by the
-        backend's prepared scatter handle (a
-        :class:`~repro.xp.plans.ReducePlan` on backends without an
-        ordered unbuffered ``add.at``).  Cached per backend name.
-        """
-        if xp.is_host:
-            return self.phases
-        key = ("phases", xp.name)
-        prepared = self._scratch.get(key)
-        if prepared is None:
-            prepared = [_prepare_phase(ph, xp) for ph in self.phases]
-            self._scratch[key] = prepared
-        return prepared
+        return (
+            self.coeff_template.copy(),
+            np.zeros(self.n_state),
+            np.empty(self.n_values),
+        )
 
     # ------------------------------------------------------------------
     def replay(
@@ -344,7 +264,6 @@ class CompiledTrace:
         sim,
         streams: StreamBuffers | None = None,
         *,
-        xp=NUMPY,
         collect_stats: bool = True,
     ) -> SimulationStats:
         """Re-execute the trace against a simulator's storage.
@@ -352,9 +271,7 @@ class CompiledTrace:
         Functionally and bit-identically equivalent to
         ``sim.run(slots, streams)`` for the schedule this trace was
         compiled from, including HBM traffic accounting and the
-        returned :class:`SimulationStats`.  ``xp`` selects the array
-        backend the phase program executes on; the simulator image is
-        synced across the host boundary at entry and exit.
+        returned :class:`SimulationStats`.
         """
         if sim.c != self.c or sim.rf.depth != self.depth:
             raise ValueError(
@@ -366,27 +283,23 @@ class CompiledTrace:
                 f"trace {self.name!r} pipeline latency mismatch"
             )
         streams = streams or StreamBuffers()
-        coeff, state, values = self._buffers(xp)
+        coeff, state, values = self._buffers
         for name, idx, slots, scale in self.stream_plan:
             vals = np.asarray(streams.fetch(name, idx), dtype=np.float64)
             if scale is not None:
                 vals = vals * scale
-            coeff[xp.index(slots)] = xp.from_host(vals)
+            coeff[slots] = vals
 
         flat = sim.rf.data.reshape(-1)
         if self.g_rf_state.size:
-            state[xp.index(self.g_rf_state)] = xp.from_host(
-                flat[self.g_rf_flat]
-            )
+            state[self.g_rf_state] = flat[self.g_rf_flat]
         for loc, s in self.g_other:
             state[s] = sim.read_loc(loc)
 
-        run_phases(self._phases_for(xp), coeff, state, values, xp)
+        run_phases(self.phases, coeff, state, values)
 
         if self.s_rf_state.size:
-            flat[self.s_rf_flat] = xp.to_host(
-                state[xp.index(self.s_rf_state)]
-            )
+            flat[self.s_rf_flat] = state[self.s_rf_state]
         for loc, s in self.s_other:
             v = float(state[s])
             if loc.space == "lbuf":
@@ -401,7 +314,7 @@ class CompiledTrace:
         sim.hbm.record_write(self.hbm_words_written)
 
         out = SimulationStats(cycles=self.stats.cycles, latency=self.stats.latency)
-        out.host_crossings = self.crossings_for(xp)
+        out.host_crossings = self.crossings
         out.phases_executed = len(self.phases)
         if collect_stats:
             out.instructions = self.stats.instructions

@@ -37,7 +37,6 @@ from ..arch import (
     stamp_matches,
 )
 from ..arch.resources import clock_frequency_hz
-from ..xp import ArrayBackend, get_backend
 from ..compiler import (
     CompiledArtifact,
     KernelBuilder,
@@ -221,9 +220,6 @@ class MIBSolver:
         vectorized trace on every invocation; ``"interpret"`` runs the
         cycle-by-cycle oracle interpreter every time.  The two are
         bit-identical.
-    array_backend:
-        The :mod:`repro.xp` backend (a name or an instance) that
-        replay traces execute on.
     """
 
     # Super-pipelining model (paper future work): one extra register
@@ -249,7 +245,6 @@ class MIBSolver:
         super_pipelined: bool = False,
         cache: ScheduleCache | None = None,
         execution: str = "replay",
-        array_backend: str | ArrayBackend = "numpy",
     ) -> None:
         if execution not in ("replay", "interpret"):
             raise ValueError(
@@ -265,13 +260,6 @@ class MIBSolver:
         # only skip matrix work once the scaled state has
         # update_values provenance.
         self._delta_bindable = False
-        # Resolved once: a name that is not a backend (or whose runtime
-        # is missing) fails here, at construction, not mid-solve.
-        self.xp = (
-            array_backend
-            if isinstance(array_backend, ArrayBackend)
-            else get_backend(array_backend)
-        )
         self._sim: NetworkSimulator | None = None
         self._traces: dict[str, CompiledTrace] = {}
         self._trace_stamps: dict[str, dict] = {}
@@ -434,7 +422,7 @@ class MIBSolver:
         """Execute one compiled kernel in the configured mode."""
         if self.execution == "interpret":
             return sim.run(self.kernels.schedules[name].slots, streams)
-        return self._trace(name, sim).replay(sim, streams, xp=self.xp)
+        return self._trace(name, sim).replay(sim, streams)
 
     def _flush_stamps(self) -> None:
         """Persist freshly recorded trace validation stamps.
@@ -453,28 +441,24 @@ class MIBSolver:
             self.cache.put(self.cache_key, self._to_artifact(self.cache_key))
         self._stamps_dirty = False
 
-    def iteration_crossings(self, *, check: bool = False, xp=None) -> int:
-        """Steady-state host→backend crossings of one network-executed
+    def iteration_crossings(self, *, check: bool = False) -> int:
+        """Steady-state host→numpy crossings of one network-executed
         ADMM iteration in the configured mode (``check`` adds the
         residual-product kernels).
 
         The observability counterpart of :meth:`iteration_cycles`:
-        crossings are host dispatch overhead, not simulated time.
-        ``xp`` selects the backend accounted for (default: the solver's
-        own) — host backends count numpy call dispatches, device
-        backends count genuine host→device transfers.  A read-only
-        probe: any stamps recorded while lowering stay in memory until
-        the next solve/compile entry point flushes them.
+        crossings are host dispatch overhead (one per numpy call a
+        replay dispatches), not simulated time.  A read-only probe: any
+        stamps recorded while lowering stay in memory until the next
+        solve/compile entry point flushes them.
         """
-        if xp is None:
-            xp = self.xp
         names = ITERATION_KERNELS + (CHECK_KERNELS if check else ())
         if self.variant != "direct":
             names = ("admm_vector",)
         if self.execution == "interpret":
             return sum(self.kernels.schedules[n].n_ops for n in names)
         sim = self._network_sim(reset=False)
-        return sum(self._trace(n, sim).crossings_for(xp) for n in names)
+        return sum(self._trace(n, sim).crossings for n in names)
 
     def compile_traces(
         self, names: list[str] | None = None

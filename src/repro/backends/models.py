@@ -65,10 +65,6 @@ class Platform:
     link_latency_s: float = 0.0
 
 
-def _uniform(eff: float) -> dict[Primitive, float]:
-    return {p: eff for p in Primitive}
-
-
 # Calibration notes (constants fitted so the geometric-mean speedups
 # over a 25-problem calibration grid land at the paper's Table III
 # values; the fitted numbers are physically plausible for each class):

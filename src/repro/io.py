@@ -272,11 +272,29 @@ def _matrix_to_obj(matrix: CSCMatrix) -> dict:
     }
 
 
+def _integer_array(seq, what: str) -> np.ndarray:
+    """A wire index list as an int64 array, refusing what ``int64``
+    conversion would silently coerce: a float truncates, a numeric
+    string parses, and a boolean becomes 0 or 1."""
+    arr = np.asarray(seq)
+    if (
+        arr.ndim != 1
+        or (arr.size and arr.dtype.kind != "i")
+        # numpy folds [0, true] into int64: a bool needs its own test.
+        or bool in map(type, seq)
+    ):
+        raise ValueError(f"{what} must be a list of JSON integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _matrix_from_obj(obj: dict) -> CSCMatrix:
+    shape = _integer_array(obj["shape"], "shape")
+    if shape.size != 2:
+        raise ValueError("shape must have two entries")
     return CSCMatrix.from_coo(
-        tuple(obj["shape"]),
-        obj["rows"],
-        obj["cols"],
+        (int(shape[0]), int(shape[1])),
+        _integer_array(obj["rows"], "rows"),
+        _integer_array(obj["cols"], "cols"),
         obj["values"],
         sum_duplicates=False,
     )

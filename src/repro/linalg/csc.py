@@ -14,7 +14,7 @@ on.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,9 +81,9 @@ class CSCMatrix:
     def from_coo(
         cls,
         shape: tuple[int, int],
-        rows: Iterable[int],
-        cols: Iterable[int],
-        values: Iterable[float],
+        rows: Sequence[int],
+        cols: Sequence[int],
+        values: Sequence[float],
         *,
         sum_duplicates: bool = True,
     ) -> "CSCMatrix":
@@ -93,9 +93,9 @@ class CSCMatrix:
         is true (the usual finite-element/assembly convention), otherwise
         they raise ``ValueError``.
         """
-        rows_a = np.asarray(list(rows), dtype=np.int64)
-        cols_a = np.asarray(list(cols), dtype=np.int64)
-        vals_a = np.asarray(list(values), dtype=np.float64)
+        rows_a = np.asarray(rows, dtype=np.int64)
+        cols_a = np.asarray(cols, dtype=np.int64)
+        vals_a = np.asarray(values, dtype=np.float64)
         if not (rows_a.shape == cols_a.shape == vals_a.shape):
             raise ValueError("rows, cols and values must have equal length")
         nrows, ncols = shape

@@ -47,7 +47,7 @@ def _execute_level(
 
     ``ufunc.at`` applies duplicate indices one after another in array
     order, so each target receives its products as a sequential left
-    fold (the semantics ``xp.plans.ReducePlan`` reproduces on devices).
+    fold, the order trace replay's duplicate-index commits rely on.
     With ``acc`` absent the fold runs in place on ``x`` (column
     elimination); otherwise it runs from zero in ``acc`` and the
     finished sums are subtracted once per target (MAC).

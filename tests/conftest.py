@@ -2,39 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.linalg import CSCMatrix
-from repro.xp import BackendUnavailable, get_backend
-
-# Array backends the differential tests run against.  numpy is the
-# reference; "mock" is a device-semantics backend on numpy storage, so
-# the device code paths (prepared phases, crossing accounting, ReducePlan
-# commits) are exercised on every box.  The array-api-strict shim joins
-# when installed — or force the set with
-# REPRO_TEST_BACKENDS=numpy,mock,strict (unavailable names then fail
-# loudly instead of skipping, which is what CI wants).
-_BACKEND_ENV = os.environ.get("REPRO_TEST_BACKENDS")
-TEST_BACKENDS = (
-    tuple(b.strip() for b in _BACKEND_ENV.split(",") if b.strip())
-    if _BACKEND_ENV
-    else ("numpy", "mock", "strict")
-)
-
-
-@pytest.fixture(params=TEST_BACKENDS)
-def backend(request):
-    """Each available array backend (unavailable optional ones skip)."""
-    name = request.param
-    try:
-        return get_backend(name)
-    except BackendUnavailable as exc:
-        if _BACKEND_ENV:
-            raise  # explicitly requested: a skip would mask a CI gap
-        pytest.skip(f"array backend {name!r} unavailable: {exc}")
 
 
 def random_sparse(

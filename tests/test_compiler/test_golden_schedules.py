@@ -49,6 +49,21 @@ PATTERNS = {
 }
 
 
+# ``MIBSolver(p, c=C).iteration_crossings()`` and ``(check=True)`` per
+# pattern.  The e2e benchmark compares ``arch.host_crossings_per_iter``
+# as an exact count, so a change to the replay dispatch must move these
+# on purpose.
+CROSSINGS = {
+    "lasso": (394, 504),
+    "mpc": (605, 770),
+    "portfolio": (223, 296),
+    "svm": (303, 354),
+    "huber": (274, 357),
+    "portfolio160": (652, 1074),
+    "lasso32": (736, 1052),
+}
+
+
 def digests(pattern: str) -> dict[str, dict]:
     solver = MIBSolver(PATTERNS[pattern](), c=C)
     return {
@@ -61,6 +76,15 @@ def digests(pattern: str) -> dict[str, dict]:
 def test_schedules_match_committed_digest(pattern):
     golden = json.loads(GOLDEN.read_text())
     assert digests(pattern) == golden[pattern]
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_iteration_crossings_pinned(pattern):
+    solver = MIBSolver(PATTERNS[pattern](), c=C)
+    assert (
+        solver.iteration_crossings(),
+        solver.iteration_crossings(check=True),
+    ) == CROSSINGS[pattern]
 
 
 @pytest.mark.parametrize("pattern", ["lasso", "mpc"])

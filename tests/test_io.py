@@ -124,6 +124,46 @@ class TestProblemIO:
         np.testing.assert_array_equal(prob2.l, prob.l)
         np.testing.assert_array_equal(prob2.u, prob.u)
 
+    @pytest.mark.parametrize(
+        "matrix, key, index, bad",
+        [
+            ("A", "rows", 0, 1.5),
+            ("A", "rows", 0, "1"),
+            ("A", "rows", 0, True),
+            ("A", "cols", -1, False),
+            ("P", "rows", 0, 0.0),
+            ("P", "cols", 0, None),
+            ("A", "shape", 0, 0.5),
+            ("A", "shape", 1, True),
+        ],
+    )
+    def test_non_integer_index_or_shape_rejected(
+        self, matrix, key, index, bad
+    ):
+        """``int64`` conversion would truncate 1.5, parse "1" and turn
+        ``true`` into row 1; the decoder refuses each instead."""
+        import json
+
+        doc = json.loads(json.dumps(problem_to_dict(portfolio_problem(6))))
+        if key == "shape" and isinstance(bad, float):
+            bad += doc[matrix]["shape"][index]
+        doc[matrix][key][index] = bad
+        with pytest.raises(ValueError, match=f"{key} must be a list of JSON"):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", ["01", 3, [[0, 1]]])
+    def test_index_lists_must_be_flat_lists(self, bad):
+        doc = problem_to_dict(portfolio_problem(6))
+        doc["A"]["rows"] = bad
+        with pytest.raises(ValueError, match="rows"):
+            problem_from_dict(doc)
+
+    def test_shape_needs_two_entries(self):
+        doc = problem_to_dict(portfolio_problem(6))
+        doc["A"]["shape"] = doc["A"]["shape"] + [1]
+        with pytest.raises(ValueError, match="two entries"):
+            problem_from_dict(doc)
+
     def test_decoded_p_upper_is_bitwise_the_rebuilt_triangle(self):
         """The wire stores ``P``'s upper triangle, so a decoded upper-only
         ``P`` (and a step built on a base's triangle) is installed as

@@ -45,7 +45,8 @@ POST_ENDPOINTS = [
 
 
 def _corrupt(doc: dict, how: str) -> dict:
-    """One non-finite value planted in a valid problem document."""
+    """One non-finite value or non-integer index planted in a valid
+    problem document."""
     doc = copy.deepcopy(doc)
     if how == "q-inf-string":
         doc["q"][-1] = "inf"
@@ -59,6 +60,14 @@ def _corrupt(doc: dict, how: str) -> dict:
         doc["l"][0] = doc["u"][0] = float("inf")
     elif how == "u-minus-inf":
         doc["l"][0] = doc["u"][0] = float("-inf")
+    elif how == "A-row-fraction":
+        doc["A"]["rows"][0] = 0.5
+    elif how == "A-row-string":
+        doc["A"]["rows"][0] = "0"
+    elif how == "P-col-true":  # used to decode as column 1
+        doc["P"]["cols"][-1] = True
+    elif how == "A-shape-fraction":
+        doc["A"]["shape"][0] += 0.5
     return doc
 
 
@@ -168,12 +177,15 @@ class TestSolveEndpoint:
     @pytest.mark.parametrize(
         "how",
         ["q-inf-string", "q-infinity", "P-nan", "A-inf", "l-plus-inf",
-         "u-minus-inf"],
+         "u-minus-inf", "A-row-fraction", "A-row-string", "P-col-true",
+         "A-shape-fraction"],
     )
     @pytest.mark.parametrize("path, extra", POST_ENDPOINTS)
     def test_non_finite_problem_is_a_400(self, client, path, extra, how):
         """A non-finite value used to be accepted, iterate on NaN to
-        ``max_iter`` and answer 200; it must stop at the decoder."""
+        ``max_iter`` and answer 200, and a non-integer matrix index or
+        shape was truncated or coerced into a different problem; each
+        must stop at the decoder."""
         doc = _corrupt(problem_to_dict(portfolio_problem(8, seed=0)), how)
         before = client.metrics()["counters"]
         status, payload = client._request(
