@@ -21,9 +21,14 @@ serving economics of the paper's compile-once/solve-many argument:
   the policies differ in hold/window behaviour under a burst and in
   how many requests one worker drains per dispatch, never in the
   answers.  Run on a separate
-  server with warm starting off so every policy solves from identical
-  cold iterates; the controller warms up on unmeasured bursts first,
-  the way a live service would have history.
+  server, so its counters and controller history stay apart from the
+  cold/warm phases; the controller warms up on unmeasured bursts
+  first, the way a live service would have history.
+
+No phase warm-starts from a previous answer: every solve starts from
+the zero iterate on the pattern's resident solver (only its adapted
+ρ carries), so the warm gain is construction skipped, not iterations
+saved.
 
 Writes ``benchmarks/results/BENCH_serve.json`` with
 p50/p95/p99 latency and throughput for every phase.
@@ -74,9 +79,9 @@ SETTLE_ROUNDS = 2  # unmeasured off/greedy/adaptive rounds before them
 REQUEST_TIMEOUT_S = 120.0
 
 # The paper's default tolerances with an embedded-style responsive
-# termination check: a warm-started re-solve converges in a handful of
-# iterations, and a 25-iteration check interval would round every such
-# solve up to the next multiple of 25.
+# termination check: a solve of these small patterns converges in tens
+# of iterations, and a 25-iteration check interval would round every
+# such solve up to the next multiple of 25.
 BENCH_SETTINGS = Settings(
     eps_abs=1e-3, eps_rel=1e-3, max_iter=4000, check_interval=5
 )
@@ -176,7 +181,6 @@ def run_policy_comparison(burst: int = BATCH_BURST) -> dict:
         variant="direct",
         c=C,
         settings=BENCH_SETTINGS,
-        warm_start=False,
     ) as server:
         client = ServeClient(port=server.port)
         for name, gen in PATTERNS.items():
@@ -268,7 +272,6 @@ def run_benchmark(
         variant="direct",
         c=C,
         settings=BENCH_SETTINGS,
-        warm_start=True,
     ) as server:
         client = ServeClient(port=server.port)
 

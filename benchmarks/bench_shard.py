@@ -1,9 +1,9 @@
 """Multi-process closed-loop benchmark of the sharded serve tier.
 
 Drives live ``ServeServer(shards=N)`` instances — real worker
-processes, real shared-memory transport, real HTTP — with a mixed
-five-pattern load (lasso / mpc / portfolio / svm / huber, values
-perturbed per request) and measures what sharding is for:
+processes, each request's values over the shard's pipe, real HTTP —
+with a mixed five-pattern load (lasso / mpc / portfolio / svm / huber,
+values perturbed per request) and measures what sharding is for:
 
 * **scaling** — sustained warm closed-loop throughput at 1, 2 and 4
   shards (8 when the host has >= 8 cores), same offered concurrency,
@@ -11,14 +11,21 @@ perturbed per request) and measures what sharding is for:
   the 1-shard baseline.  The linear-scaling gate only applies up to
   the host's visible core count: processes can't scale past the
   physical machine, and CI boxes are small.
+* **in-process arm** — the same clients, stream and settings against
+  ``shards=0, workers=2`` (the tier the shards must beat).  On a full
+  run with >= 2 cores, 2 shards must reach ``SHARD_GATE`` (1.3x) its
+  throughput at no worse p50 latency, or the tier does not earn its
+  keep; ``--smoke`` records the ratio without gating it.
 * **bit-identical** — the same request stream against a fresh sharded
   server and a fresh in-process server must produce byte-identical
   solutions (iterations, x, y, objective).  This is the transport
-  correctness gate: raw float64 slabs, no JSON on the hot path.
+  correctness gate: raw float64 values, no JSON on the hot path.
 * **recovery** — SIGKILL one shard worker mid-load: every in-flight
   and subsequent request resolves within its deadline (re-routed 200
   or fast 503, never a hang), the shard respawns, and the pattern it
-  owned serves again.
+  owned serves again.  Around the whole start → kill → stop span, a
+  census checks that no ``/dev/shm`` entry appeared and no
+  ``repro-shard-*`` process outlived the server.
 
 Writes ``benchmarks/results/BENCH_shard.json``.
 
@@ -28,12 +35,14 @@ Runnable two ways:
 * ``python benchmarks/bench_shard.py [--smoke] [--check]`` — CI
   entry point.  ``--smoke`` shrinks the load and skips the scaling
   sweep (2 shards only); ``--check`` exits non-zero unless every
-  request resolved, the bit-identical and recovery gates hold, and
-  every core-covered shard count reaches 70% of linear scaling.
+  request resolved, the bit-identical, recovery and leak gates hold,
+  every core-covered shard count reaches 70% of linear scaling and
+  (full run, >= 2 cores) 2 shards beat the in-process arm 1.3x.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import threading
@@ -61,6 +70,8 @@ from benchmarks.common import (
 C = 8
 REQUEST_TIMEOUT_S = 120.0
 SCALING_GATE = 0.7  # fraction of linear scaling required (gated counts)
+SHARD_GATE = 1.3  # 2-shard throughput over the in-process arm's
+IN_PROCESS_WORKERS = 2
 
 BENCH_SETTINGS = Settings(
     eps_abs=1e-3, eps_rel=1e-3, max_iter=4000, check_interval=5
@@ -100,10 +111,10 @@ def shard_counts() -> tuple[int, ...]:
     return counts
 
 
-def _server(shards: int, **kwargs) -> ServeServer:
+def _server(shards: int, workers: int = 1, **kwargs) -> ServeServer:
     return ServeServer(
         port=0,
-        workers=1,
+        workers=workers,
         shards=shards,
         c=C,
         settings=BENCH_SETTINGS,
@@ -125,57 +136,59 @@ def _mixed_stream(patterns: dict, count: int, *, seed0: int):
 # ----------------------------------------------------------------------
 # phase 1: throughput scaling
 # ----------------------------------------------------------------------
-def run_scaling(
+def _closed_loop(
+    server: ServeServer,
     *,
-    counts: tuple[int, ...],
-    clients: int = 6,
-    requests_per_client: int = 15,
-    patterns: dict = PATTERNS,
+    clients: int,
+    requests_per_client: int,
+    patterns: dict,
 ) -> dict:
+    """Warm every pattern, then ``clients`` closed loops of the mix."""
+    client = ServeClient(port=server.port)
+    for problem in _mixed_stream(patterns, len(patterns), seed0=0):
+        response = client.solve(problem, timeout_s=REQUEST_TIMEOUT_S)
+        assert response.ok, f"warmup failed: {response.raw}"
+
+    latencies: list[list[float]] = [[] for _ in range(clients)]
+    solved = [0] * clients
+
+    def loop(tid: int) -> None:
+        stream = _mixed_stream(
+            patterns, requests_per_client, seed0=1000 * (tid + 1)
+        )
+        for problem in stream:
+            t0 = time.perf_counter()
+            response = client.solve(problem, timeout_s=REQUEST_TIMEOUT_S)
+            latencies[tid].append(time.perf_counter() - t0)
+            solved[tid] += bool(response.solved)
+
+    threads = [
+        threading.Thread(target=loop, args=(tid,)) for tid in range(clients)
+    ]
+    t0 = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    elapsed = time.perf_counter() - t0
+    total = clients * requests_per_client
+    return {
+        "requests": total,
+        "solved": sum(solved),
+        "wall_s": elapsed,
+        "throughput_rps": total / elapsed,
+        "latency": percentiles([s for series in latencies for s in series]),
+    }
+
+
+def run_scaling(*, counts: tuple[int, ...], **load) -> dict:
     """Closed-loop mixed load at each shard count, same concurrency."""
     scaling: dict[str, dict] = {}
     for count in counts:
         with _server(count) as server:
-            client = ServeClient(port=server.port)
-            # Warm every pattern's home shard before measuring.
-            for problem in _mixed_stream(patterns, len(patterns), seed0=0):
-                response = client.solve(problem, timeout_s=REQUEST_TIMEOUT_S)
-                assert response.ok, f"warmup failed: {response.raw}"
-
-            latencies: list[list[float]] = [[] for _ in range(clients)]
-            solved = [0] * clients
-
-            def loop(tid: int) -> None:
-                stream = _mixed_stream(
-                    patterns, requests_per_client, seed0=1000 * (tid + 1)
-                )
-                for problem in stream:
-                    t0 = time.perf_counter()
-                    response = client.solve(
-                        problem, timeout_s=REQUEST_TIMEOUT_S
-                    )
-                    latencies[tid].append(time.perf_counter() - t0)
-                    solved[tid] += bool(response.solved)
-
-            threads = [
-                threading.Thread(target=loop, args=(tid,))
-                for tid in range(clients)
-            ]
-            t0 = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            elapsed = time.perf_counter() - t0
-            total = clients * requests_per_client
-            flat = [s for series in latencies for s in series]
             scaling[str(count)] = {
                 "shards": count,
-                "requests": total,
-                "solved": sum(solved),
-                "wall_s": elapsed,
-                "throughput_rps": total / elapsed,
-                "latency": percentiles(flat),
+                **_closed_loop(server, **load),
             }
     base_rps = scaling[str(counts[0])]["throughput_rps"] if scaling else 0.0
     for doc in scaling.values():
@@ -185,6 +198,16 @@ def run_scaling(
             else 0.0
         )
     return scaling
+
+
+def run_in_process(**load) -> dict:
+    """The scaling load against the in-process tier (no shards)."""
+    with _server(0, workers=IN_PROCESS_WORKERS) as server:
+        return {
+            "shards": 0,
+            "workers": IN_PROCESS_WORKERS,
+            **_closed_loop(server, **load),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +248,9 @@ def run_bit_identical(
 def run_recovery(
     *, patterns: dict = PATTERNS, load_requests: int = 12
 ) -> dict:
-    """SIGKILL one shard mid-load; nothing may hang."""
+    """SIGKILL one shard mid-load; nothing may hang, and nothing of the
+    server outlives it."""
+    shm_before, workers_before = _shm_entries(), _shard_workers()
     with _server(2) as server:
         client = ServeClient(port=server.port)
         base = sorted(patterns)[0]
@@ -277,6 +302,8 @@ def run_recovery(
         back_home = (
             server.frontend.router.route(first.fingerprint, live=live) == home
         )
+    shm_leaked = sorted(_shm_entries() - shm_before)
+    workers_left = len(_shard_workers() - workers_before)
     counts: dict[str, int] = {}
     for status in outcomes:
         counts[status] = counts.get(status, 0) + 1
@@ -289,6 +316,20 @@ def run_recovery(
         "respawns": respawns,
         "pattern_back_home": back_home,
         "pattern_served_after_respawn": bool(again.ok and again.solved),
+        "shm_leaked": shm_leaked,
+        "workers_left": workers_left,
+    }
+
+
+def _shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _shard_workers() -> set[int]:
+    return {
+        p.pid
+        for p in multiprocessing.active_children()
+        if p.name.startswith("repro-shard-")
     }
 
 
@@ -305,14 +346,22 @@ def run_benchmark(*, smoke: bool = False) -> dict:
             "shard_counts": list(counts),
             "batch_policy": "greedy",
             "workers_per_shard": 1,
+            "in_process_workers": IN_PROCESS_WORKERS,
         },
     }
-    doc["scaling"] = run_scaling(
-        counts=counts,
-        clients=3 if smoke else 6,
-        requests_per_client=4 if smoke else 15,
-        patterns=patterns,
-    )
+    load = {
+        "clients": 3 if smoke else 6,
+        "requests_per_client": 4 if smoke else 15,
+        "patterns": patterns,
+    }
+    doc["scaling"] = run_scaling(counts=counts, **load)
+    doc["in_process"] = run_in_process(**load)
+    two, inproc = doc["scaling"]["2"], doc["in_process"]
+    doc["shard_vs_in_process"] = {
+        "throughput_ratio": two["throughput_rps"] / inproc["throughput_rps"],
+        "p50_ratio": two["latency"]["p50_s"] / inproc["latency"]["p50_s"],
+        "gated": not smoke and doc["cores"] >= 2,
+    }
     doc["bit_identical"] = run_bit_identical(
         requests=5 if smoke else 10, patterns=patterns
     )
@@ -325,7 +374,8 @@ def run_benchmark(*, smoke: bool = False) -> dict:
 def check(doc: dict) -> list[str]:
     """The CI gates; returns failure strings (empty = pass)."""
     failures: list[str] = []
-    for key, phase in doc["scaling"].items():
+    phases = {**doc["scaling"], "in-process": doc["in_process"]}
+    for key, phase in phases.items():
         if phase["solved"] != phase["requests"]:
             failures.append(
                 f"scaling@{key}: only {phase['solved']}/{phase['requests']}"
@@ -343,6 +393,15 @@ def check(doc: dict) -> list[str]:
                 f"scaling@{key}: {phase['efficiency_vs_linear']:.2f} of "
                 f"linear < required {SCALING_GATE:.2f}"
             )
+    versus = doc["shard_vs_in_process"]
+    if versus["gated"] and (
+        versus["throughput_ratio"] < SHARD_GATE or versus["p50_ratio"] > 1.0
+    ):
+        failures.append(
+            f"2 shards vs in-process: {versus['throughput_ratio']:.2f}x "
+            f"throughput at {versus['p50_ratio']:.2f}x p50; the tier needs "
+            f">= {SHARD_GATE:.1f}x at no worse p50"
+        )
     if not doc["bit_identical"]["identical"]:
         failures.append(
             f"bit-identical: {len(doc['bit_identical']['mismatches'])} "
@@ -361,6 +420,12 @@ def check(doc: dict) -> list[str]:
         )
     if not recovery["respawns"]:
         failures.append("recovery: no respawn recorded in metrics")
+    if recovery["shm_leaked"]:
+        failures.append(f"leak: /dev/shm gained {recovery['shm_leaked']}")
+    if recovery["workers_left"]:
+        failures.append(
+            f"leak: {recovery['workers_left']} shard workers outlived stop()"
+        )
     for status in recovery["outcomes"]:
         if status not in ("ok", "rejected"):
             failures.append(f"recovery: unexpected outcome {status!r}")
@@ -383,6 +448,14 @@ def _print_summary(doc: dict) -> None:
             f"p50 {phase['latency']['p50_s'] * 1e3:7.2f} ms  "
             f"efficiency {phase['efficiency_vs_linear']:.2f}x linear"
         )
+    inproc, versus = doc["in_process"], doc["shard_vs_in_process"]
+    print(
+        f"  in-process (workers={inproc['workers']}): "
+        f"{inproc['throughput_rps']:7.2f} req/s  "
+        f"p50 {inproc['latency']['p50_s'] * 1e3:7.2f} ms  "
+        f"2 shards: {versus['throughput_ratio']:.2f}x throughput, "
+        f"{versus['p50_ratio']:.2f}x p50 (gated={versus['gated']})"
+    )
     bit = doc["bit_identical"]
     print(
         f"  bit-identical vs in-process: {bit['identical']} "
@@ -391,7 +464,9 @@ def _print_summary(doc: dict) -> None:
     rec = doc["recovery"]
     print(
         f"  recovery: outcomes={rec['outcomes']} hung={rec['hung']} "
-        f"respawns={rec['respawns']} served-after={rec['pattern_served_after_respawn']}"
+        f"respawns={rec['respawns']} "
+        f"served-after={rec['pattern_served_after_respawn']} "
+        f"shm-leaked={rec['shm_leaked']} workers-left={rec['workers_left']}"
     )
 
 

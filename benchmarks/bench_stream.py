@@ -281,7 +281,6 @@ def run_benchmark(
         variant="direct",
         c=C,
         settings=STREAM_SETTINGS,
-        warm_start=False,
     ) as server:
         client = ServeClient(port=server.port)
         for r in range(rounds):

@@ -237,7 +237,6 @@ def cmd_serve(args) -> int:
         c=args.width,
         settings=_settings(args),
         cache_dir=args.cache_dir,
-        warm_start=args.warm_start,
         shards=args.shards,
         session_capacity=args.session_capacity,
         session_ttl_s=args.session_ttl,
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         help="run N shard worker processes (consistent-hash pattern "
-        "routing + shared-memory transport; 0 = in-process). "
+        "routing, values over each shard's pipe; 0 = in-process). "
         "--workers then counts drain threads per shard",
     )
     p.add_argument(
@@ -400,12 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         help="pattern-keyed compilation cache directory shared with "
         "suite/compile runs",
-    )
-    p.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="seed each solve from the pattern's previous solution "
-        "(MPC-style serving; tolerances unchanged)",
     )
     p.add_argument(
         "--session-capacity",

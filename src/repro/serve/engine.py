@@ -12,9 +12,11 @@ reference (``MIBSolver.solve()``); cycles are priced from its counts.
 The engine is transport-agnostic: the HTTP front-end
 (:class:`~repro.serve.server.ServeServer`) feeds it requests parsed
 from sockets, and a shard worker process (:mod:`repro.shard.worker`)
-feeds it requests decoded from shared-memory slabs.  Both see the
-same execution stack — warm pool, adaptive coalescing — because it
-*is* the same object.
+feeds it requests rebuilt from the raw float64 values of its pipe's
+``submit`` messages.  Both see the same execution stack — warm pool,
+adaptive coalescing — because it *is* the same object, and both
+report it through the same :meth:`SolveEngine.health` and
+:meth:`SolveEngine.metrics_snapshot`.
 """
 
 from __future__ import annotations
@@ -93,6 +95,28 @@ class SolveEngine:
     def submit(self, request: SolveRequest) -> None:
         """Admit one request (raises ``QueueFullError`` on backpressure)."""
         self.queue.submit(request)
+
+    def health(self) -> dict:
+        """Pool and queue occupancy (the tier half of ``/v1/health``)."""
+        return {
+            "pool_size": len(self.pool),
+            "pool_capacity": self.pool.capacity,
+            "queue_depth": len(self.queue),
+            "queue_capacity": self.queue.maxsize,
+            "variant": self.pool.variant,
+            "c": self.pool.c,
+            "batch_policy": self.controller.policy,
+            "sessions": len(self.pool.sessions),
+        }
+
+    def metrics_snapshot(self) -> dict:
+        """The registry plus controller, pool and session blocks (the
+        ``/v1/metrics`` body)."""
+        snap = self.metrics.snapshot()
+        snap["controller"] = self.controller.snapshot()
+        snap["pool_entries"] = self.pool.entries_info()
+        snap["sessions"] = self.pool.sessions.snapshot()
+        return snap
 
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:

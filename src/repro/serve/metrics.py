@@ -54,7 +54,6 @@ COUNTERS = (
     "shard_respawns",          # worker deaths detected (and respawned)
     "shard_death_503",         # in-flight requests failed fast on death
     "shard_reroutes",          # requests routed off their home shard
-    "shard_inline_fallback",   # payloads sent inline (slab ring saturated)
     # Streaming sessions and scenario fan-out (see repro.serve.session):
     "session_created",         # new session keys admitted to the store
     "session_resets",          # keys reused with a different pattern

@@ -48,11 +48,6 @@ class _PoolEntry:
     solver: MIBSolver
     lock: threading.Lock = field(default_factory=threading.Lock)
     solves: int = 0
-    # Last iterate of this pattern, for warm starting: (x, y, rho).
-    # rho rides along so a pool-level warm start resumes the adapted
-    # penalty even when interleaved sessions moved the resident
-    # solver's rho in between (it used to re-learn it).
-    last_iterate: tuple | None = None
     # Per-iteration host→numpy crossings of this pattern's replayed
     # traces; computed once on first use (forces trace lowering, a
     # one-time per-pattern cost).
@@ -101,12 +96,9 @@ class SolverPool:
         location, memory-only otherwise).
     metrics:
         Shared :class:`~repro.serve.metrics.ServeMetrics` registry.
-    warm_start:
-        Seed each solve from the pattern's previous solution (the
-        MPC/embedded serving convention: consecutive instances of one
-        pattern are usually perturbations of each other, so the last
-        iterate is an excellent start).  Termination tolerances are
-        unchanged — only the iteration count drops.
+
+    Warm starting is per client stream: a ``session`` key carries its
+    own ``(x, y, ρ)`` (:mod:`repro.serve.session`).
     """
 
     def __init__(
@@ -119,7 +111,6 @@ class SolverPool:
         cache: ScheduleCache | None = None,
         cache_dir: str | None = None,
         metrics: ServeMetrics | None = None,
-        warm_start: bool = False,
         session_capacity: int = 256,
         session_ttl_s: float = 300.0,
     ) -> None:
@@ -131,7 +122,6 @@ class SolverPool:
         self.settings = settings if settings is not None else Settings()
         self.cache = cache if cache is not None else ScheduleCache(cache_dir)
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.warm_start = warm_start
         # Mirrors MIBSolver's default scheduler configuration; the
         # fingerprint must match the key the solver computes itself.
         self._options = ScheduleOptions()
@@ -331,8 +321,7 @@ class SolverPool:
         pattern's resident solver under one hold of its entry lock.
 
         Every lane is ``bind_values`` + ``solve()``, so the adapted ρ
-        (and ``last_iterate`` under ``warm_start``) carries from lane
-        to lane and from pass to pass exactly as between consecutive
+        carries from lane to lane and from pass to pass exactly as between consecutive
         :meth:`solve` calls — which are the one-lane case.  A lane
         whose ``P``/``A`` values are bitwise the bound instance's takes
         the delta bind (no matrix rescale, no refactorization), which
@@ -355,22 +344,9 @@ class SolverPool:
             t0 = time.perf_counter()
             for problem in problems:
                 delta_bind = warm and solver.bind_values(problem) == "delta"
-                x0 = y0 = None
-                if self.warm_start and entry.last_iterate is not None:
-                    x0, y0, rho0 = entry.last_iterate
-                    # Resume the adapted penalty too: sessions may have
-                    # moved the resident solver's rho since this
-                    # pattern's last anonymous solve.
-                    solver.bind_rho(rho0)
-                report = solver.solve(x0=x0, y0=y0)
+                report = solver.solve()
                 solve_seconds = time.perf_counter() - t0
                 entry.solves += 1
-                if self.warm_start:
-                    entry.last_iterate = (
-                        report.result.x,
-                        report.result.y,
-                        float(solver.reference.rho),
-                    )
                 solved = PoolSolve(
                     fingerprint=key,
                     report=report,

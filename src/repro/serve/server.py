@@ -3,8 +3,10 @@
 ``ServeServer`` composes the subsystem: a ``ThreadingHTTPServer``
 accepts connections (one handler thread per connection; HTTP/1.1
 keep-alive, so a client's connection and its handler thread serve
-request after request), handlers parse and admit requests, and an
-execution tier drains them:
+request after request), handlers parse and admit requests, and one
+execution tier object drains them (both kinds answer the same
+``submit`` / ``start`` / ``stop`` / ``health`` / ``metrics_snapshot``
+calls):
 
 * **in-process** (default) — a :class:`~repro.serve.engine.SolveEngine`
   owning the warm :class:`~repro.serve.pool.SolverPool`, the bounded
@@ -224,7 +226,11 @@ class ServeServer:
         self.default_timeout_s = default_timeout_s
         self.workers = workers
         self.started_at = time.monotonic()
-        self.frontend = None
+        # The execution tier: a SolveEngine or a ShardFrontend.  Both
+        # take submit / start / stop and answer health /
+        # metrics_snapshot; ``engine`` and ``frontend`` name whichever
+        # one it is (the other is None).
+        self.engine = self.frontend = None
         if shards:
             if pool is not None or controller is not None:
                 raise ValueError(
@@ -234,7 +240,7 @@ class ServeServer:
                 )
             from ..shard import ShardFrontend
 
-            self.frontend = ShardFrontend(
+            self.tier = self.frontend = ShardFrontend(
                 shards=shards,
                 workers=workers,
                 queue_size=queue_size,
@@ -242,9 +248,8 @@ class ServeServer:
                 batch_policy=batch_policy,
                 **pool_kwargs,
             )
-            self.engine = None
         else:
-            self.engine = SolveEngine(
+            self.tier = self.engine = SolveEngine(
                 workers=workers,
                 pool=pool,
                 queue_size=queue_size,
@@ -259,12 +264,13 @@ class ServeServer:
         self.port = int(self._http.server_address[1])
 
     # ------------------------------------------------------------------
-    # The in-process engine's internals, re-exported for embedders and
-    # the test suite (None / raising when sharded).
+    # The tier's internals, re-exported for embedders and the test
+    # suite (queue / controller raise when sharded: they live in the
+    # shard workers).
     # ------------------------------------------------------------------
     @property
     def pool(self) -> SolverPool:
-        return self.engine.pool
+        return self.tier.pool
 
     @property
     def queue(self) -> RequestQueue:
@@ -276,23 +282,13 @@ class ServeServer:
 
     @property
     def max_batch(self) -> int:
-        return (
-            self.frontend.max_batch
-            if self.frontend is not None
-            else self.engine.max_batch
-        )
+        return self.tier.max_batch
 
     @property
     def metrics(self) -> ServeMetrics:
         """The live metrics registry (the in-process engine's, or the
         sharded front-end's admission-side registry)."""
-        if self.frontend is not None:
-            return self.frontend.metrics
-        return self.engine.metrics
-
-    @property
-    def sharded(self) -> bool:
-        return self.frontend is not None
+        return self.tier.metrics
 
     def _process(self, request: SolveRequest) -> None:
         self.engine._process(request)
@@ -305,10 +301,7 @@ class ServeServer:
 
     # ------------------------------------------------------------------
     def start(self) -> "ServeServer":
-        if self.frontend is not None:
-            self.frontend.start()
-        else:
-            self.engine.start()
+        self.tier.start()
         listener = threading.Thread(
             target=self._http.serve_forever, name="serve-http", daemon=True
         )
@@ -323,10 +316,7 @@ class ServeServer:
         thread is left to answer a request against the stopped tier: a
         client's next request on one fails with a connection error.
         """
-        if self.frontend is not None:
-            self.frontend.stop()
-        else:
-            self.engine.stop()
+        self.tier.stop()
         self._http.shutdown()
         self._http.server_close()
         self._http.close_connections(_CLOSE_WAIT_S)
@@ -345,9 +335,8 @@ class ServeServer:
     # ------------------------------------------------------------------
     def _parse_base(self, body: dict) -> tuple[QPProblem, str]:
         """Decode the base problem document and fingerprint it."""
-        tier = self.frontend if self.frontend is not None else self.engine
         problem = problem_from_dict(body["problem"])
-        return problem, tier.pool.fingerprint(problem)
+        return problem, self.tier.pool.fingerprint(problem)
 
     def _parse_timeout(self, body: dict) -> float:
         """The request's ``timeout_s`` (absent → the server default);
@@ -369,9 +358,8 @@ class ServeServer:
         self, request: SolveRequest, timeout_s: float
     ) -> tuple[int, dict]:
         """Submit one request to the execution tier and await it."""
-        tier = self.frontend if self.frontend is not None else self.engine
         try:
-            tier.submit(request)
+            self.tier.submit(request)
         except QueueFullError as exc:
             payload = {"status": "rejected", "detail": str(exc)}
             request.respond(503, payload)
@@ -466,38 +454,17 @@ class ServeServer:
 
     def health(self) -> tuple[int, dict]:
         """The liveness document plus its HTTP status (207 = degraded)."""
-        base = {
+        doc = {
             "status": "ok",
             "uptime_s": time.monotonic() - self.started_at,
             "workers": self.workers,
+            **self.tier.health(),
         }
-        if self.frontend is not None:
-            doc = self.frontend.health()
-            base.update(doc)
-            return (207 if base["status"] == "degraded" else 200), base
-        base.update(
-            {
-                "pool_size": len(self.engine.pool),
-                "pool_capacity": self.engine.pool.capacity,
-                "queue_depth": len(self.engine.queue),
-                "queue_capacity": self.engine.queue.maxsize,
-                "variant": self.engine.pool.variant,
-                "c": self.engine.pool.c,
-                "batch_policy": self.engine.controller.policy,
-                "sessions": len(self.engine.pool.sessions),
-            }
-        )
-        return 200, base
+        return (207 if doc["status"] == "degraded" else 200), doc
 
     def metrics_snapshot(self) -> dict:
         """The /v1/metrics payload (aggregated across shards)."""
-        if self.frontend is not None:
-            return self.frontend.metrics_snapshot()
-        snap = self.engine.metrics.snapshot()
-        snap["controller"] = self.engine.controller.snapshot()
-        snap["pool_entries"] = self.engine.pool.entries_info()
-        snap["sessions"] = self.engine.pool.sessions.snapshot()
-        return snap
+        return self.tier.metrics_snapshot()
 
 
 def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:

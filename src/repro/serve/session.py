@@ -5,8 +5,9 @@ requests with a ``session`` key gets its own carried ``(x, y, ρ)``
 triple — restored onto the pattern's resident solver before each step,
 saved back after — so consecutive solves of a parametric stream warm
 start from *that stream's* trajectory, not from whatever unrelated
-request last touched the pattern (the distinction the pool-level
-``warm_start`` flag cannot make).
+request last touched the pattern.  It is the serve tier's only warm
+start: an anonymous solve starts from the zero iterate (only the
+resident solver's adapted ρ carries over).
 
 Sessions are advisory state, not correctness state: losing one (TTL
 expiry, capacity eviction, shard respawn) degrades the next step to a

@@ -4,19 +4,19 @@ Scale the serve tier past the GIL by running N worker processes, each
 owning a private warm :class:`~repro.serve.pool.SolverPool` and
 adaptive batching shard.  A consistent-hash router keyed on the
 schedule-cache pattern fingerprint pins every sparsity pattern to one
-home shard (compile-once/solve-many per *process*), a shared-memory
-slab ring moves only the numeric values per request, and a thin
-:class:`ShardFrontend` does admission, routing, deadline propagation
-and response demultiplexing — including failing in-flight requests
-fast and respawning the worker when a shard dies.
+home shard (compile-once/solve-many per *process*), each request's
+numeric values ride the shard's pipe as raw float64 in one ``submit``
+message, and a thin :class:`ShardFrontend` does admission, routing,
+deadline propagation and response demultiplexing — including failing
+in-flight requests fast and respawning the worker when a shard dies.
 
 Layering::
 
     ShardFrontend        routing + admission + demux (threads)
-      ShardManager       process lifecycle, one SlabRing per shard
+      ShardManager       process lifecycle, one pipe per shard
         ShardWorker      pipe protocol around a SolveEngine (process)
     ConsistentHashRouter pattern fingerprint -> home shard
-    transport            value codec + shared-memory slab ring
+    transport            raw-float64 value codec
 """
 
 from .frontend import ShardFrontend
@@ -24,8 +24,6 @@ from .manager import ShardHandle, ShardManager
 from .router import ConsistentHashRouter
 from .transport import (
     ShardValues,
-    SlabOverflow,
-    SlabRing,
     pack_values,
     packed_size,
     rebuild_problem,
@@ -40,8 +38,6 @@ __all__ = [
     "ShardManager",
     "ShardValues",
     "ShardWorker",
-    "SlabOverflow",
-    "SlabRing",
     "pack_values",
     "packed_size",
     "rebuild_problem",

@@ -11,20 +11,19 @@ request source) and the shard worker fleet:
   and stays warm in exactly one worker.  While a shard respawns, its
   patterns re-route to their ring successors; everyone else is
   untouched.
-* **transport** — values are packed into the shard's shared-memory
-  slab ring (:func:`~repro.shard.transport.pack_values`); the pipe
-  carries only the control message.  A saturated ring or an oversized
-  problem falls back to inline bytes on the pipe — slower, never
-  stuck.
+* **transport** — each instance's values are packed as raw float64
+  (:func:`~repro.shard.transport.pack_values`) and ride the shard's
+  pipe inside one ``submit`` message; the pattern itself registers
+  once per shard incarnation.
 * **deadline propagation** — the request's absolute monotonic deadline
   crosses the pipe; the worker's engine enforces it exactly as the
   in-process engine would, and the HTTP handler's wait backstops it.
 * **demux** — one thread per shard turns ``("done", ...)`` messages
-  back into :meth:`~repro.serve.queue.SolveRequest.respond` calls and
-  recycles slabs.  The same thread observes worker death (pipe EOF),
-  fails that shard's in-flight requests fast as 503, and respawns the
-  worker — in-order pipe semantics make "every response before the
-  EOF" a protocol guarantee, not a race.
+  back into :meth:`~repro.serve.queue.SolveRequest.respond` calls.
+  The same thread observes worker death (pipe EOF), fails that
+  shard's in-flight requests fast as 503, and respawns the worker —
+  in-order pipe semantics make "every response before the EOF" a
+  protocol guarantee, not a race.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ _QUERY_IDS = itertools.count(1)
 class _InFlight:
     request: SolveRequest
     shard_id: int
-    generation: int
-    slab_index: int | None
 
 
 @dataclass
@@ -73,8 +70,6 @@ class ShardFrontend:
         queue_size: int = 64,
         max_batch: int = 16,
         batch_policy: str = "adaptive",
-        slabs: int = 32,
-        slab_size: int = 1 << 20,
         ready_timeout_s: float = 120.0,
         metrics: ServeMetrics | None = None,
         **pool_kwargs,
@@ -97,8 +92,6 @@ class ShardFrontend:
                 "batch_policy": batch_policy,
                 "pool_kwargs": dict(pool_kwargs),
             },
-            slabs=slabs,
-            slab_size=slab_size,
         )
         self.router = ConsistentHashRouter(self.manager.shard_ids)
         self._inflight: dict[int, _InFlight] = {}
@@ -106,6 +99,10 @@ class ShardFrontend:
         self._queries: dict[int, _Query] = {}
         self._query_lock = threading.Lock()
         self._ready_cond = threading.Condition()
+        # Guards ``_closed`` against a demux thread's respawn: once
+        # stop() holds it and sets the flag, no worker is spawned that
+        # the manager's teardown would miss.
+        self._lifecycle_lock = threading.Lock()
         self._closed = False
         self._threads: list[threading.Thread] = []
         # Consecutive deaths without an intervening ("ready", ...) —
@@ -148,12 +145,12 @@ class ShardFrontend:
         return self
 
     def stop(self) -> None:
-        self._closed = True
+        with self._lifecycle_lock:
+            self._closed = True
         with self._inflight_lock:
-            victims = list(self._inflight.values())
+            victims = [e for e in self._inflight.values() if e is not None]
             self._inflight.clear()
         for entry in victims:
-            self._release_slab(entry)
             entry.request.respond(
                 503,
                 {"status": "rejected", "detail": "server shutting down"},
@@ -249,17 +246,20 @@ class ShardFrontend:
     def _ship(self, shard_id: int, request: SolveRequest) -> bool:
         """Send one request to one shard; ``False`` = pick another."""
         handle = self.manager.handles[shard_id]
-        streaming = request.steps is not None or request.scenarios is not None
-        payload = None if streaming else pack_values(request.problem)
+        if request.steps is not None:
+            kind, problems = "sequence", request.steps
+        elif request.scenarios is not None:
+            kind, problems = "scenarios", request.scenarios
+        else:
+            kind, problems = "solve", [request.problem]
+        payloads = [pack_values(p) for p in problems]
         with handle.lock:
             if not handle.alive or handle.conn is None:
                 return False
-            slab_index: int | None = None
-            inline: bytes | None = None
             try:
                 if request.fingerprint not in handle.registered:
                     # In-order pipe delivery guarantees the skeleton
-                    # arrives before this pattern's first solve.
+                    # arrives before this pattern's first request.
                     handle.conn.send(
                         (
                             "register",
@@ -268,69 +268,19 @@ class ShardFrontend:
                         )
                     )
                     handle.registered.add(request.fingerprint)
-                if streaming:
-                    # Multi-instance payloads ride the pipe inline: the
-                    # response is singular, so there is no per-step
-                    # slab-recycling cadence worth the ring accounting.
-                    entry = _InFlight(
-                        request=request,
-                        shard_id=shard_id,
-                        generation=handle.generation,
-                        slab_index=None,
-                    )
-                    with self._inflight_lock:
-                        self._inflight[request.request_id] = entry
-                    if request.steps is not None:
-                        handle.conn.send(
-                            (
-                                "sequence",
-                                request.request_id,
-                                request.fingerprint,
-                                request.deadline,
-                                request.session_key,
-                                [pack_values(p) for p in request.steps],
-                            )
-                        )
-                    else:
-                        handle.conn.send(
-                            (
-                                "scenarios",
-                                request.request_id,
-                                request.fingerprint,
-                                request.deadline,
-                                [pack_values(p) for p in request.scenarios],
-                            )
-                        )
-                    return True
-                if len(payload) <= handle.ring.slab_size:
-                    slab_index = handle.ring.acquire()
-                if slab_index is None:
-                    # Ring saturated or oversized problem: the payload
-                    # rides the pipe instead (backpressure, not a
-                    # deadlock).
-                    inline = payload
-                    self.metrics.inc("shard_inline_fallback")
-                    nbytes = len(payload)
-                else:
-                    nbytes = handle.ring.write(slab_index, payload)
-                entry = _InFlight(
-                    request=request,
-                    shard_id=shard_id,
-                    generation=handle.generation,
-                    slab_index=slab_index,
-                )
                 with self._inflight_lock:
-                    self._inflight[request.request_id] = entry
+                    self._inflight[request.request_id] = _InFlight(
+                        request=request, shard_id=shard_id
+                    )
                 handle.conn.send(
                     (
-                        "solve",
+                        "submit",
                         request.request_id,
                         request.fingerprint,
                         request.deadline,
-                        slab_index,
-                        nbytes,
-                        inline,
                         request.session_key,
+                        kind,
+                        payloads,
                     )
                 )
                 return True
@@ -338,22 +288,10 @@ class ShardFrontend:
                 # The demux thread will see the EOF and respawn; undo
                 # our half-shipped state and let the caller re-route.
                 handle.alive = False
-                if slab_index is not None:
-                    handle.ring.release(slab_index)
                 with self._inflight_lock:
-                    entry = self._inflight.get(request.request_id)
-                    if isinstance(entry, _InFlight):
+                    if request.request_id in self._inflight:
                         self._inflight[request.request_id] = None
                 return False
-
-    def _release_slab(self, entry: _InFlight | None) -> None:
-        if entry is None or entry.slab_index is None:
-            return
-        handle = self.manager.handles[entry.shard_id]
-        # Only the incarnation that allocated the slab may still hold
-        # it; a respawned shard starts from an all-free ring anyway.
-        if handle.generation == entry.generation:
-            handle.ring.release(entry.slab_index)
 
     # ------------------------------------------------------------------
     # demux side
@@ -380,7 +318,7 @@ class ShardFrontend:
                 with self._ready_cond:
                     self._ready_cond.notify_all()
             elif kind == "done":
-                self._handle_done(shard_id, *message[1:])
+                self._handle_done(*message[1:])
             elif kind in ("metrics", "health"):
                 query_id, payload = message[1], message[2]
                 with self._query_lock:
@@ -390,18 +328,12 @@ class ShardFrontend:
                     query.event.set()
 
     def _handle_done(
-        self,
-        shard_id: int,
-        req_id: int,
-        slab_index: int | None,
-        status_code: int,
-        payload: dict,
+        self, req_id: int, status_code: int, payload: dict
     ) -> None:
         with self._inflight_lock:
             entry = self._inflight.pop(req_id, None)
         if entry is None:
             return  # already failed (death sweep) or shut down
-        self._release_slab(entry)
         if entry.request.respond(status_code, payload):
             self.metrics.observe(
                 "total", time.monotonic() - entry.request.enqueued_at
@@ -423,7 +355,6 @@ class ShardFrontend:
             for rid, _ in victims:
                 self._inflight.pop(rid, None)
         for _, entry in victims:
-            self._release_slab(entry)
             self.metrics.inc("shard_death_503")
             self.metrics.inc("rejected")
             if entry.request.session_key is not None:
@@ -455,9 +386,9 @@ class ShardFrontend:
             # next attempt (this runs on the shard's own demux thread,
             # so the sleep stalls nobody else).
             time.sleep(min(2.0, 0.05 * (2 ** min(streak, 6))))
-            if self._closed:
-                return
-        self.manager.spawn(shard_id)
+        with self._lifecycle_lock:
+            if not self._closed:
+                self.manager.spawn(shard_id)
 
     # ------------------------------------------------------------------
     # observability

@@ -1,15 +1,13 @@
 """Shard process lifecycle: spawn, monitor, respawn, tear down.
 
 The :class:`ShardManager` owns everything per-shard that outlives a
-worker incarnation — the shared-memory :class:`~repro.shard.transport.
-SlabRing` (created once, reattached by every respawn) and the
-:class:`ShardHandle` bookkeeping — plus the machinery to (re)spawn the
-worker process behind it.  Routing, demultiplexing and request state
-live one layer up in :class:`~repro.shard.frontend.ShardFrontend`;
-keeping the manager mechanism-only makes the crash path easy to
-reason about: a respawn is "new pipe, new process, same ring, same
-shard id", so the consistent-hash ring never moves a pattern because
-of a crash.
+worker incarnation — the :class:`ShardHandle` bookkeeping — plus the
+machinery to (re)spawn the worker process behind it.  Routing,
+demultiplexing and request state live one layer up in
+:class:`~repro.shard.frontend.ShardFrontend`; keeping the manager
+mechanism-only makes the crash path easy to reason about: a respawn
+is "new pipe, new process, same shard id", so the consistent-hash
+ring never moves a pattern because of a crash.
 
 Workers are started with the ``spawn`` context: the front-end runs
 inside a threaded HTTP server, and forking a threaded process is how
@@ -23,7 +21,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .transport import SlabRing
 from .worker import shard_worker_main
 
 __all__ = ["ShardHandle", "ShardManager"]
@@ -34,7 +31,6 @@ class ShardHandle:
     """One shard slot: the stable identity plus its current worker."""
 
     shard_id: int
-    ring: SlabRing
     conn: object | None = None  # parent end of the duplex pipe
     process: object | None = None
     alive: bool = False  # flipped by the front-end on ("ready", ...)
@@ -55,21 +51,13 @@ class ShardManager:
         *,
         shards: int,
         worker_config: dict,
-        slabs: int = 32,
-        slab_size: int = 1 << 20,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.worker_config = worker_config
-        self.slabs = slabs
-        self.slab_size = slab_size
         self._ctx = multiprocessing.get_context("spawn")
         self.handles: dict[int, ShardHandle] = {
-            sid: ShardHandle(
-                shard_id=sid,
-                ring=SlabRing(slabs=slabs, slab_size=slab_size),
-            )
-            for sid in range(shards)
+            sid: ShardHandle(shard_id=sid) for sid in range(shards)
         }
 
     @property
@@ -78,20 +66,13 @@ class ShardManager:
 
     # ------------------------------------------------------------------
     def spawn(self, shard_id: int) -> ShardHandle:
-        """(Re)start one shard's worker process (same ring, new pipe)."""
+        """(Re)start one shard's worker process (same slot, new pipe)."""
         handle = self.handles[shard_id]
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=shard_worker_main,
             name=f"repro-shard-{shard_id}",
-            args=(
-                shard_id,
-                child_conn,
-                handle.ring.name,
-                self.slabs,
-                self.slab_size,
-                self.worker_config,
-            ),
+            args=(shard_id, child_conn, self.worker_config),
             daemon=True,
         )
         process.start()
@@ -139,7 +120,7 @@ class ShardManager:
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Graceful shutdown of every worker, then reclaim the rings."""
+        """Graceful shutdown of every worker."""
         deadline = time.monotonic() + 10.0
         for handle in self.handles.values():
             if handle.conn is not None:
@@ -161,6 +142,3 @@ class ShardManager:
                 except OSError:  # pragma: no cover
                     pass
             handle.alive = False
-        for handle in self.handles.values():
-            handle.ring.close()
-            handle.ring.unlink()

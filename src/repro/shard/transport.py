@@ -1,34 +1,23 @@
-"""Shared-memory transport: the value-slab ring and its codec.
+"""The shard value codec: one request's numbers as raw float64 bytes.
 
 The sharded serve tier's data plane.  Patterns are cached shard-side
 (the worker keeps one *skeleton* problem per fingerprint), so the only
 thing that moves per request is the numeric payload — ``q``, ``l``,
 ``u`` and the non-zero values of ``P`` (upper triangle, wire
 convention) and ``A``.  Those are packed as raw little-endian float64
-into a slab of a ``multiprocessing.shared_memory`` ring, and the
-control message crossing the pipe carries just the slab index — a few
-dozen bytes per request instead of a pickled problem.
+into one ``bytes`` blob per instance, and the blobs ride the shard's
+pipe inside the request's ``submit`` message.
 
 Raw float64 is also the correctness seam: every value round-trips
 **bit-exactly** (±inf included — no JSON encoding on the hot path), so
 a sharded solve is bit-identical to an in-process solve of the same
 request.
-
-Ownership discipline: only the front-end allocates and frees slabs
-(single-owner free list, no cross-process atomics).  The worker copies
-the payload out during decode and never writes the ring; a slab is
-freed when its response arrives — or when the front-end fails the
-request after a worker death, which is what makes ring recovery after
-a respawn trivial (every in-flight slab is released by the same code
-path that answers the request 503).
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -36,8 +25,6 @@ from ..linalg import CSCMatrix
 from ..solver import QPProblem
 
 __all__ = [
-    "SlabOverflow",
-    "SlabRing",
     "ShardValues",
     "pack_values",
     "unpack_values",
@@ -48,10 +35,6 @@ _MAGIC = b"MIBS"
 _VERSION = 1
 # magic, version, n, m, p_nnz, a_nnz
 _HEADER = struct.Struct("<4sIQQQQ")
-
-
-class SlabOverflow(ValueError):
-    """A payload does not fit one slab (caller falls back to inline)."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +93,9 @@ def pack_values(problem: QPProblem) -> bytes:
 def unpack_values(buf: bytes | memoryview) -> ShardValues:
     """Decode a packed payload into owned arrays.
 
-    The returned arrays are **copies**: decoding directly out of a
-    shared-memory slab must not alias storage the front-end will
-    recycle for the next request.
+    The returned arrays are **copies**: they never alias ``buf``, so a
+    caller may reuse or scribble over its buffer after decoding, and the
+    solver gets writable native-endian arrays.
     """
     view = memoryview(buf)
     if len(view) < _HEADER.size:
@@ -133,7 +116,7 @@ def unpack_values(buf: bytes | memoryview) -> ShardValues:
         nonlocal offset
         arr = np.frombuffer(view, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
-        # .copy() detaches from the slab (see docstring) and yields a
+        # .copy() detaches from ``buf`` (see docstring) and yields a
         # native-endian owned array.
         return arr.astype(np.float64, copy=True)
 
@@ -170,89 +153,3 @@ def rebuild_problem(skeleton: QPProblem, values: ShardValues) -> QPProblem:
     return QPProblem(
         p=p, q=values.q, a=a, l=values.l, u=values.u, name=skeleton.name
     )
-
-
-class SlabRing:
-    """A ring of fixed-size value slabs in one shared-memory segment.
-
-    One ring per shard.  The front-end side (``create=True``) owns
-    allocation: :meth:`acquire` hands out a free slab index or ``None``
-    when the ring is saturated (the caller falls back to sending the
-    payload inline over the pipe — backpressure without deadlock), and
-    :meth:`release` returns it.  The worker side attaches by name and
-    only ever reads.
-    """
-
-    def __init__(
-        self, *, slabs: int = 32, slab_size: int = 1 << 20,
-        name: str | None = None,
-    ) -> None:
-        if slabs < 1 or slab_size < _HEADER.size:
-            raise ValueError("need at least one slab of non-trivial size")
-        self.slabs = slabs
-        self.slab_size = slab_size
-        self._owner = name is None
-        if self._owner:
-            self.shm = shared_memory.SharedMemory(
-                create=True, size=slabs * slab_size
-            )
-        else:
-            # Attaching re-registers the segment with the resource
-            # tracker, but shard workers inherit the front-end's
-            # tracker process, whose cache is a set — the re-register
-            # is idempotent and the front-end's unlink() remains the
-            # single cleanup.  (Do NOT "fix" this with
-            # resource_tracker.unregister here: with a shared tracker
-            # that would erase the owner's registration instead.)
-            self.shm = shared_memory.SharedMemory(name=name)
-        self.name = self.shm.name
-        self._free = list(range(slabs - 1, -1, -1))
-        self._lock = threading.Lock()
-
-    @classmethod
-    def attach(cls, name: str, *, slabs: int, slab_size: int) -> "SlabRing":
-        return cls(slabs=slabs, slab_size=slab_size, name=name)
-
-    # ------------------------------------------------------------------
-    def acquire(self) -> int | None:
-        with self._lock:
-            return self._free.pop() if self._free else None
-
-    def release(self, index: int) -> None:
-        with self._lock:
-            if index in self._free:  # double release is a logic error
-                raise ValueError(f"slab {index} already free")
-            self._free.append(index)
-
-    def free_count(self) -> int:
-        with self._lock:
-            return len(self._free)
-
-    def write(self, index: int, payload: bytes) -> int:
-        """Copy ``payload`` into slab ``index``; returns its length."""
-        if len(payload) > self.slab_size:
-            raise SlabOverflow(
-                f"payload of {len(payload)} bytes exceeds the "
-                f"{self.slab_size}-byte slab"
-            )
-        start = index * self.slab_size
-        self.shm.buf[start : start + len(payload)] = payload
-        return len(payload)
-
-    def read(self, index: int, nbytes: int) -> bytes:
-        """Copy slab ``index``'s first ``nbytes`` bytes out of the ring."""
-        if nbytes > self.slab_size:
-            raise ValueError("read beyond the slab boundary")
-        start = index * self.slab_size
-        return bytes(self.shm.buf[start : start + nbytes])
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self.shm.close()
-
-    def unlink(self) -> None:
-        if self._owner:
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass

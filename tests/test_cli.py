@@ -99,7 +99,8 @@ class TestCLI:
         read by ``solve --backend network`` alone (``serve`` runs the
         host reference; ``compile``, ``schedule`` and ``suite`` run no
         kernel); no command selects an array backend; ``suite`` times
-        no batched pass.  Every rejection is argparse's exit 2."""
+        no batched pass; ``serve`` has no pool-level warm start.  Every
+        rejection is argparse's exit 2."""
         rejected = [
             [cmd, "--execution", "replay"]
             for cmd in ("serve", "compile", "schedule", "suite")
@@ -110,6 +111,8 @@ class TestCLI:
                         "info")
         ]
         rejected.append(["suite", "--batch", "4"])
+        # Sessions are the serve tier's one warm start.
+        rejected.append(["serve", "--warm-start"])
         for argv in rejected:
             with pytest.raises(SystemExit) as exc:
                 main(argv)

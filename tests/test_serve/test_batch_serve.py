@@ -320,7 +320,6 @@ class TestServerBatchedEndToEnd:
             variant="direct",
             c=C,
             settings=SETTINGS,
-            warm_start=False,
         ) as server:
             server.pool.solve(base)  # compile the pattern once, up front
             client = ServeClient(port=server.port)
@@ -382,7 +381,6 @@ class TestServerBatchedEndToEnd:
             variant="direct",
             c=C,
             settings=SETTINGS,
-            warm_start=False,
         ) as server:
             server.pool.solve(base)
             client = ServeClient(port=server.port)

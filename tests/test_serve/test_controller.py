@@ -645,7 +645,6 @@ class TestDifferentialBitwise:
             variant="direct",
             c=C,
             settings=SETTINGS,
-            warm_start=False,
             controller=controller,
         ) as server:
             server.pool.solve(base)
@@ -716,7 +715,6 @@ class TestDifferentialBitwise:
             variant="direct",
             c=C,
             settings=SETTINGS,
-            warm_start=False,
         ) as server:
             for problem in patterns:
                 server.pool.solve(problem)  # resident before the clock

@@ -211,20 +211,6 @@ class TestConcurrency:
         assert len(pool) == 1
 
 
-class TestWarmStart:
-    def test_warm_start_reuses_last_iterate(self):
-        pool = _pool(warm_start=True, settings=FAST)
-        base = portfolio_problem(8, seed=0)
-        first = pool.solve(base)
-        again = pool.solve(base)  # identical instance: start at optimum
-        assert again.report.result.solved
-        assert again.report.result.iterations <= first.report.result.iterations
-        # Agreement at the solver tolerance (both stop at eps=1e-3).
-        assert again.report.result.objective == pytest.approx(
-            first.report.result.objective, rel=1e-3
-        )
-
-
 def moved(base: QPProblem, seed: int, *families: str) -> QPProblem:
     """``base`` with only the named value families (of ``q l u a p``)
     perturbed; every other family is the very array ``base`` holds."""

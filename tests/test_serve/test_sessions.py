@@ -141,32 +141,6 @@ class TestPoolSessions:
             )
             assert a.delta_bind == b.delta_bind
 
-    def test_anonymous_warm_start_restores_rho(self):
-        """The pool-level warm start carries the adapted ρ too.
-
-        Differential: an interleaved session moves the resident
-        solver's ρ between two anonymous solves; because the anonymous
-        path stores and restores its own ρ in ``last_iterate``, the
-        second anonymous solve must be bitwise what it is without the
-        interference.
-        """
-        problem = portfolio_problem(8, seed=0)
-        quiet = _pool(warm_start=True)
-        quiet.solve(problem)
-        reference = quiet.solve(problem).report.result
-
-        noisy = _pool(warm_start=True)
-        noisy.solve(problem)
-        # Same pattern, different instance: the session adapts ρ on
-        # the same resident solver the anonymous path uses.
-        noisy.solve_sequence(
-            [portfolio_problem(8, seed=1)], session="other"
-        )
-        interfered = noisy.solve(problem).report.result
-        assert np.array_equal(interfered.x, reference.x)
-        assert np.array_equal(interfered.y, reference.y)
-        assert interfered.iterations == reference.iterations
-
     def test_concurrent_same_key_requests_serialize(self):
         """N racing requests on one session key never interleave."""
         pool = _pool()

@@ -11,6 +11,8 @@ hanging anything.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -211,3 +213,31 @@ class TestWorkerDeathRecovery:
                     break
                 time.sleep(0.05)
             assert status == 207
+
+
+def shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def shard_children() -> set[int]:
+    return {
+        p.pid
+        for p in multiprocessing.active_children()
+        if p.name.startswith("repro-shard-")
+    }
+
+
+class TestNoLeaks:
+    def test_kill_then_stop_leaves_no_shm_and_no_worker(self):
+        """Start → kill one shard → stop at once (the respawn may be in
+        flight): no new ``/dev/shm`` entry and no new shard process
+        left alive (the module's shared server keeps its own two)."""
+        shm, children = shm_entries(), shard_children()
+        with ServeServer(
+            port=0, workers=1, shards=2, c=8, settings=FAST, capacity=4
+        ) as srv:
+            client = ServeClient(port=srv.port)
+            assert client.solve(portfolio_problem(8, seed=0)).ok
+            srv.frontend.kill_shard(0)
+        assert shm_entries() - shm == set()
+        assert shard_children() - children == set()

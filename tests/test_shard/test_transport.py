@@ -1,11 +1,10 @@
-"""Property tests for the shared-memory value codec and slab ring.
+"""Property tests for the shard tier's raw-float64 value codec.
 
-Satellite of the sharding PR: the codec is the bit-exactness seam of
-the whole tier — a sharded solve can only be bit-identical to an
-in-process solve if every value (±inf bounds included) survives the
-slab round trip exactly, for every problem shape (``m = 0``, empty
-``A``, empty ``P`` upper triangle) — and if decoded arrays never alias
-a slab the front-end is about to recycle.
+The codec is the bit-exactness seam of the whole tier — a sharded
+solve can only be bit-identical to an in-process solve if every value
+(±inf bounds included) survives the pipe round trip exactly, for every
+problem shape (``m = 0``, empty ``A``, empty ``P`` upper triangle) —
+and if decoded arrays never alias the buffer they were decoded from.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from repro.io import problem_from_dict, problem_to_dict
 from repro.linalg import CSCMatrix
 from repro.shard import (
-    SlabOverflow,
-    SlabRing,
     pack_values,
     packed_size,
     rebuild_problem,
@@ -87,7 +84,7 @@ class TestCodecProperties:
     @hyp_settings(max_examples=60, deadline=None)
     def test_rebuild_matches_through_the_wire_skeleton(self, problem):
         """The worker-side path: skeleton from the registration doc,
-        values from the slab, rebuilt problem bit-identical."""
+        values from the pipe, rebuilt problem bit-identical."""
         skeleton = problem_from_dict(problem_to_dict(problem))
         rebuilt = rebuild_problem(skeleton, unpack_values(pack_values(problem)))
         assert (rebuilt.n, rebuilt.m) == (problem.n, problem.m)
@@ -102,7 +99,7 @@ class TestCodecProperties:
     @given(problem=qp_problems())
     @hyp_settings(max_examples=60, deadline=None)
     def test_decoded_arrays_do_not_alias_the_buffer(self, problem):
-        """Slab-reuse safety: scribbling over the source buffer after
+        """Buffer-reuse safety: scribbling over the source buffer after
         decode must not change the decoded values."""
         buf = bytearray(pack_values(problem))
         values = unpack_values(buf)
@@ -110,7 +107,7 @@ class TestCodecProperties:
             arr.tobytes()
             for arr in (values.q, values.l, values.u, values.p_data, values.a_data)
         ]
-        buf[:] = b"\xff" * len(buf)  # the next request overwrites the slab
+        buf[:] = b"\xff" * len(buf)  # the caller reuses its buffer
         assert [
             arr.tobytes()
             for arr in (values.q, values.l, values.u, values.p_data, values.a_data)
@@ -160,56 +157,3 @@ class TestCodecEdges:
         skeleton = problem_from_dict(problem_to_dict(other))
         with pytest.raises(ValueError):
             rebuild_problem(skeleton, values)
-
-
-class TestSlabRing:
-    def test_acquire_release_cycle(self):
-        ring = SlabRing(slabs=2, slab_size=4096)
-        try:
-            a, b = ring.acquire(), ring.acquire()
-            assert {a, b} == {0, 1}
-            assert ring.acquire() is None  # saturated -> inline fallback
-            ring.release(a)
-            assert ring.free_count() == 1
-            assert ring.acquire() == a
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_double_release_is_a_logic_error(self):
-        ring = SlabRing(slabs=1, slab_size=4096)
-        try:
-            index = ring.acquire()
-            ring.release(index)
-            with pytest.raises(ValueError, match="already free"):
-                ring.release(index)
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_write_read_round_trip_and_overflow(self):
-        ring = SlabRing(slabs=2, slab_size=256)
-        try:
-            index = ring.acquire()
-            payload = bytes(range(200))
-            assert ring.write(index, payload) == len(payload)
-            assert ring.read(index, len(payload)) == payload
-            with pytest.raises(SlabOverflow):
-                ring.write(index, b"\x00" * 257)
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_attach_sees_the_owners_bytes(self):
-        ring = SlabRing(slabs=1, slab_size=128)
-        try:
-            index = ring.acquire()
-            ring.write(index, b"shard payload")
-            reader = SlabRing.attach(ring.name, slabs=1, slab_size=128)
-            try:
-                assert reader.read(index, 13) == b"shard payload"
-            finally:
-                reader.close()
-        finally:
-            ring.close()
-            ring.unlink()

@@ -2,12 +2,13 @@
 
 ``ShardWorker`` is deliberately testable without ``spawn``: a fake
 connection collects outbound messages while ``handle()`` is driven
-directly, so the register/solve/metrics/health protocol is covered in
+directly, so the register/submit/metrics/health protocol is covered in
 the fast tier (process-level behaviour lives in ``test_shard_e2e``).
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from repro.io import problem_to_dict
 from repro.problems import portfolio_problem
 from repro.shard import ShardWorker, pack_values
-from repro.shard.transport import SlabRing
 from repro.solver import Settings
 
 FAST = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=4000)
@@ -51,7 +51,7 @@ class FakeConn:
 @pytest.fixture
 def worker():
     conn = FakeConn()
-    w = ShardWorker(0, conn, None, CONFIG)
+    w = ShardWorker(0, conn, CONFIG)
     w.engine.start()
     try:
         yield w, conn
@@ -59,66 +59,134 @@ def worker():
         w.engine.stop()
 
 
+def registered(w, seed=0):
+    """Register a small portfolio pattern; returns (problem, fingerprint)."""
+    problem = portfolio_problem(8, seed=seed)
+    fp = w.engine.pool.fingerprint(problem)
+    assert w.handle(("register", fp, problem_to_dict(problem)))
+    return problem, fp
+
+
+def answered_once(conn, req_id):
+    """The one ``done`` message for ``req_id`` (after a grace period in
+    which a second one would have shown up)."""
+    conn.wait_for("done")
+    time.sleep(0.05)
+    done = [m for m in conn.of_kind("done") if m[1] == req_id]
+    assert len(done) == 1, done
+    return done[0]
+
+
+def submit(req_id, fp, kind, payloads, *, deadline=None, session=None):
+    return ("submit", req_id, fp, deadline, session, kind, payloads)
+
+
 class TestProtocol:
     def test_register_then_solve_inline(self, worker):
         w, conn = worker
-        problem = portfolio_problem(8, seed=0)
-        fp = w.engine.pool.fingerprint(problem)
-        assert w.handle(("register", fp, problem_to_dict(problem)))
-        assert w.handle(
-            ("solve", 7, fp, None, None, 0, pack_values(problem))
-        )
-        done = conn.wait_for("done")
-        _, req_id, slab_index, status_code, payload = done
-        assert (req_id, slab_index, status_code) == (7, None, 200)
+        problem, fp = registered(w)
+        assert w.handle(submit(7, fp, "solve", [pack_values(problem)]))
+        _, req_id, status_code, payload = answered_once(conn, 7)
+        assert (req_id, status_code) == (7, 200)
         assert payload["status"] == "ok"
         assert payload["result"]["status"] == "solved"
+        # The engine counts the 200 just after forwarding it.
+        deadline = time.monotonic() + 5.0
+        while w.health()["solved"] != 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert w.health()["solved"] == 1
 
-    def test_solve_reads_the_slab(self, worker):
+    def test_submit_sequence_answers_once_with_every_step(self, worker):
         w, conn = worker
-        ring = SlabRing(slabs=2, slab_size=1 << 16)
-        try:
-            w.ring = SlabRing.attach(ring.name, slabs=2, slab_size=1 << 16)
-            problem = portfolio_problem(8, seed=3)
-            fp = w.engine.pool.fingerprint(problem)
-            w.handle(("register", fp, problem_to_dict(problem)))
-            index = ring.acquire()
-            nbytes = ring.write(index, pack_values(problem))
-            w.handle(("solve", 11, fp, None, index, nbytes, None))
-            done = conn.wait_for("done")
-            assert done[1:4] == (11, index, 200)  # slab echoed for release
-        finally:
-            if w.ring is not None:
-                w.ring.close()
-                w.ring = None
-            ring.close()
-            ring.unlink()
+        problem, fp = registered(w)
+        steps = [portfolio_problem(8, seed=s) for s in range(3)]
+        w.handle(
+            submit(8, fp, "sequence", [pack_values(p) for p in steps],
+                   session="s")
+        )
+        _, _, status_code, payload = answered_once(conn, 8)
+        assert status_code == 200
+        assert payload["steps_completed"] == 3 and len(payload["steps"]) == 3
+        assert payload["session"] == "s"
+
+    def test_submit_scenarios_answers_once_with_every_lane(self, worker):
+        w, conn = worker
+        problem, fp = registered(w)
+        lanes = [portfolio_problem(8, seed=s) for s in range(4)]
+        w.handle(submit(9, fp, "scenarios", [pack_values(p) for p in lanes]))
+        _, _, status_code, payload = answered_once(conn, 9)
+        assert status_code == 200
+        assert payload["lanes"] == 4 and len(payload["scenarios"]) == 4
+
+    def test_empty_payloads_is_a_400(self, worker):
+        w, conn = worker
+        _, fp = registered(w)
+        for req_id, kind in enumerate(("solve", "sequence", "scenarios")):
+            w.handle(submit(req_id, fp, kind, []))
+        done = conn.of_kind("done")
+        assert [m[2] for m in done] == [400, 400, 400]
+        assert all("empty payload" in m[3]["detail"] for m in done)
 
     def test_unregistered_pattern_is_a_500(self, worker):
         w, conn = worker
-        w.handle(("solve", 3, "sha256:missing", None, None, 0, b""))
-        done = conn.wait_for("done")
-        assert done[3] == 500
-        assert "never registered" in done[4]["detail"]
+        blob = pack_values(portfolio_problem(8, seed=0))
+        for req_id, kind in enumerate(("solve", "sequence", "scenarios")):
+            w.handle(submit(req_id, "sha256:missing", kind, [blob]))
+        done = conn.of_kind("done")
+        assert [m[2] for m in done] == [500, 500, 500]
+        assert all("never registered" in m[3]["detail"] for m in done)
 
     def test_corrupt_payload_is_a_400(self, worker):
         w, conn = worker
-        problem = portfolio_problem(8, seed=0)
-        fp = w.engine.pool.fingerprint(problem)
-        w.handle(("register", fp, problem_to_dict(problem)))
-        w.handle(("solve", 4, fp, None, None, 0, b"not a payload"))
-        done = conn.wait_for("done")
-        assert done[3] == 400
+        problem, fp = registered(w)
+        w.handle(submit(4, fp, "solve", [b"not a payload"]))
+        w.handle(
+            submit(5, fp, "sequence", [pack_values(problem), b"\x00" * 8])
+        )
+        assert [m[2] for m in conn.of_kind("done")] == [400, 400]
 
     def test_expired_deadline_times_out(self, worker):
         w, conn = worker
-        problem = portfolio_problem(8, seed=0)
-        fp = w.engine.pool.fingerprint(problem)
-        w.handle(("register", fp, problem_to_dict(problem)))
+        problem, fp = registered(w)
         past = time.monotonic() - 1.0
-        w.handle(("solve", 5, fp, past, None, 0, pack_values(problem)))
+        w.handle(submit(5, fp, "solve", [pack_values(problem)], deadline=past))
         done = conn.wait_for("done")
-        assert done[3] == 504
+        assert done[2] == 504
+
+    def test_solved_counts_every_drain_thread(self):
+        """``health()["solved"]`` loses no 200 when several drain
+        threads answer at once (more threads than cores, fast thread
+        switching)."""
+        conn = FakeConn()
+        w = ShardWorker(
+            0, conn, {**CONFIG, "workers": 4, "queue_size": 64,
+                      "batch_policy": "off"}
+        )
+        # Four patterns, so solves on different resident solvers finish
+        # concurrently.
+        shipped = []
+        for n in (6, 7, 8, 9):
+            problem = portfolio_problem(n, seed=0)
+            fp = w.engine.pool.fingerprint(problem)
+            w.handle(("register", fp, problem_to_dict(problem)))
+            shipped.append((fp, pack_values(problem)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        w.engine.start()
+        try:
+            for req_id in range(48):
+                fp, blob = shipped[req_id % 4]
+                w.handle(submit(req_id, fp, "solve", [blob]))
+            deadline = time.monotonic() + 60.0
+            while (
+                w.health()["solved"] < 48 and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+            w.engine.stop()
+        assert [m[2] for m in conn.of_kind("done")] == [200] * 48
+        assert w.health()["solved"] == 48
 
     def test_metrics_health_and_stop(self, worker):
         w, conn = worker
