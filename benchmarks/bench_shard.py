@@ -7,10 +7,12 @@ values perturbed per request) and measures what sharding is for:
 
 * **scaling** — sustained warm closed-loop throughput at 1, 2 and 4
   shards (8 when the host has >= 8 cores), same offered concurrency,
-  reported as requests/s plus efficiency against linear scaling from
-  the 1-shard baseline.  The linear-scaling gate only applies up to
-  the host's visible core count: processes can't scale past the
-  physical machine, and CI boxes are small.
+  reported as requests/s — the median of ``SCALING_ROUNDS`` rounds per
+  arm on a full run — plus efficiency against linear scaling from
+  the 1-shard baseline, each count's rounds alternating with the
+  baseline's (see :func:`run_scaling`).  The linear-scaling gate only
+  applies up to the host's visible core count: processes can't scale
+  past the physical machine, and CI boxes are small.
 * **in-process arm** — the same clients, stream and settings against
   ``shards=0, workers=2`` (the tier the shards must beat).  On a full
   run with >= 2 cores, 2 shards must reach ``SHARD_GATE`` (1.3x) its
@@ -70,6 +72,7 @@ from benchmarks.common import (
 C = 8
 REQUEST_TIMEOUT_S = 120.0
 SCALING_GATE = 0.7  # fraction of linear scaling required (gated counts)
+SCALING_ROUNDS = 3  # closed-loop rounds per arm; gates read their median
 SHARD_GATE = 1.3  # 2-shard throughput over the in-process arm's
 IN_PROCESS_WORKERS = 2
 
@@ -136,78 +139,122 @@ def _mixed_stream(patterns: dict, count: int, *, seed0: int):
 # ----------------------------------------------------------------------
 # phase 1: throughput scaling
 # ----------------------------------------------------------------------
-def _closed_loop(
-    server: ServeServer,
-    *,
-    clients: int,
-    requests_per_client: int,
-    patterns: dict,
-) -> dict:
-    """Warm every pattern, then ``clients`` closed loops of the mix."""
-    client = ServeClient(port=server.port)
-    for problem in _mixed_stream(patterns, len(patterns), seed0=0):
-        response = client.solve(problem, timeout_s=REQUEST_TIMEOUT_S)
-        assert response.ok, f"warmup failed: {response.raw}"
+class _Arm:
+    """One server under the closed-loop mix: every pattern warmed once,
+    then driven one round at a time (``clients`` threads sharing one
+    client, ``requests_per_client`` requests each)."""
 
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    solved = [0] * clients
+    def __init__(
+        self,
+        server: ServeServer,
+        *,
+        clients: int,
+        requests_per_client: int,
+        patterns: dict,
+    ) -> None:
+        self.client = ServeClient(port=server.port)
+        for problem in _mixed_stream(patterns, len(patterns), seed0=0):
+            response = self.client.solve(problem, timeout_s=REQUEST_TIMEOUT_S)
+            assert response.ok, f"warmup failed: {response.raw}"
+        self.clients = clients
+        self.requests_per_client = requests_per_client
+        self.patterns = patterns
+        self.latencies: list[float] = []
+        self.solved = 0
+        self.round_rps: list[float] = []
 
-    def loop(tid: int) -> None:
-        stream = _mixed_stream(
-            patterns, requests_per_client, seed0=1000 * (tid + 1)
-        )
-        for problem in stream:
-            t0 = time.perf_counter()
-            response = client.solve(problem, timeout_s=REQUEST_TIMEOUT_S)
-            latencies[tid].append(time.perf_counter() - t0)
-            solved[tid] += bool(response.solved)
+    def round(self) -> float:
+        """Run one round; returns its throughput (requests/s)."""
+        index = len(self.round_rps)
+        series: list[list[float]] = [[] for _ in range(self.clients)]
+        hits = [0] * self.clients
 
-    threads = [
-        threading.Thread(target=loop, args=(tid,)) for tid in range(clients)
-    ]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-    total = clients * requests_per_client
-    return {
-        "requests": total,
-        "solved": sum(solved),
-        "wall_s": elapsed,
-        "throughput_rps": total / elapsed,
-        "latency": percentiles([s for series in latencies for s in series]),
-    }
+        def loop(tid: int) -> None:
+            stream = _mixed_stream(
+                self.patterns,
+                self.requests_per_client,
+                seed0=1000 * (tid + 1) + 100_000 * index,
+            )
+            for problem in stream:
+                t0 = time.perf_counter()
+                response = self.client.solve(
+                    problem, timeout_s=REQUEST_TIMEOUT_S
+                )
+                series[tid].append(time.perf_counter() - t0)
+                hits[tid] += bool(response.solved)
+
+        threads = [
+            threading.Thread(target=loop, args=(tid,))
+            for tid in range(self.clients)
+        ]
+        t0 = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        elapsed = time.perf_counter() - t0
+        rps = self.clients * self.requests_per_client / elapsed
+        self.round_rps.append(rps)
+        self.latencies.extend(s for part in series for s in part)
+        self.solved += sum(hits)
+        return rps
+
+    def summary(self) -> dict:
+        per_round = self.clients * self.requests_per_client
+        return {
+            "requests": len(self.round_rps) * per_round,
+            "solved": self.solved,
+            "rounds": len(self.round_rps),
+            "round_throughput_rps": self.round_rps,
+            "throughput_rps": float(np.median(self.round_rps)),
+            "latency": percentiles(self.latencies),
+        }
 
 
-def run_scaling(*, counts: tuple[int, ...], **load) -> dict:
-    """Closed-loop mixed load at each shard count, same concurrency."""
+def run_scaling(*, counts: tuple[int, ...], rounds: int, **load) -> dict:
+    """Closed-loop mixed load at each shard count, same concurrency.
+
+    One round is ~1 s and the box's speed drifts between seconds, so
+    the base (first) count's server stays up and each other count's
+    rounds alternate with rounds on it: a count's efficiency is the
+    median, over its rounds, of its throughput against ``count`` times
+    the base round run just before it.
+    """
     scaling: dict[str, dict] = {}
-    for count in counts:
-        with _server(count) as server:
-            scaling[str(count)] = {
-                "shards": count,
-                **_closed_loop(server, **load),
-            }
-    base_rps = scaling[str(counts[0])]["throughput_rps"] if scaling else 0.0
-    for doc in scaling.values():
-        doc["efficiency_vs_linear"] = (
-            doc["throughput_rps"] / (doc["shards"] * base_rps)
-            if base_rps
-            else 0.0
-        )
+    with _server(counts[0]) as base_server:
+        base = _Arm(base_server, **load)
+        for count in counts[1:]:
+            with _server(count) as server:
+                arm = _Arm(server, **load)
+                ratios = []
+                for _ in range(rounds):
+                    base_rps = base.round()
+                    ratios.append(arm.round() / (count * base_rps))
+                scaling[str(count)] = {
+                    "shards": count,
+                    **arm.summary(),
+                    "efficiency_vs_linear": float(np.median(ratios)),
+                }
+        while len(base.round_rps) < rounds:
+            base.round()
+        scaling = {
+            str(counts[0]): {
+                "shards": counts[0],
+                **base.summary(),
+                "efficiency_vs_linear": 1.0 / counts[0],
+            },
+            **scaling,
+        }
     return scaling
 
 
-def run_in_process(**load) -> dict:
+def run_in_process(*, rounds: int, **load) -> dict:
     """The scaling load against the in-process tier (no shards)."""
     with _server(0, workers=IN_PROCESS_WORKERS) as server:
-        return {
-            "shards": 0,
-            "workers": IN_PROCESS_WORKERS,
-            **_closed_loop(server, **load),
-        }
+        arm = _Arm(server, **load)
+        for _ in range(rounds):
+            arm.round()
+        return {"shards": 0, "workers": IN_PROCESS_WORKERS, **arm.summary()}
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +400,7 @@ def run_benchmark(*, smoke: bool = False) -> dict:
         "clients": 3 if smoke else 6,
         "requests_per_client": 4 if smoke else 15,
         "patterns": patterns,
+        "rounds": 1 if smoke else SCALING_ROUNDS,
     }
     doc["scaling"] = run_scaling(counts=counts, **load)
     doc["in_process"] = run_in_process(**load)

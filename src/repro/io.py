@@ -4,12 +4,26 @@ Sparse matrices use the MatrixMarket coordinate format (the lingua
 franca of QP benchmark collections such as Maros–Mészáros), and whole
 QP problems round-trip through a single JSON document embedding the
 matrices in coordinate form.  Pure standard library + numpy.
+
+A known pattern's *values* also travel alone, in the MIBS codec: one
+instance's ``q``, ``l``, ``u`` and the non-zeros of ``P`` (upper
+triangle) and ``A`` as raw little-endian float64 behind a fixed
+header (:func:`pack_values` / :func:`unpack_values`), decoded against a
+:class:`Skeleton` — the pattern's structure without its numbers —
+into a full :class:`~repro.solver.QPProblem` (:func:`rebuild_problem`).
+The serve layer's values-only request bodies and the shard tier's
+pipe both speak it.  Raw float64 round-trips every value bit-exactly
+(±inf included), so a rebuilt instance is bitwise the one its sender
+packed.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,8 +31,15 @@ from .linalg import CSCMatrix
 from .solver import OSQP_INFTY, QPProblem
 
 __all__ = [
+    "PackedValues",
+    "Skeleton",
     "decode_bounds",
     "encode_bounds",
+    "iter_blobs",
+    "pack_values",
+    "rebuild_problem",
+    "rebuild_problems",
+    "unpack_values",
     "read_matrix_market",
     "write_matrix_market",
     "load_problem",
@@ -454,3 +475,216 @@ def save_problem(problem: QPProblem, path: str | Path) -> Path:
 def load_problem(path: str | Path) -> QPProblem:
     """Load a QP saved by :func:`save_problem`."""
     return problem_from_dict(json.loads(Path(path).read_text()))
+
+
+# ----------------------------------------------------------------------
+# MIBS: one instance's values as raw float64
+# ----------------------------------------------------------------------
+_MAGIC = b"MIBS"
+_VERSION = 1
+# magic, version, n, m, p_nnz, a_nnz
+_HEADER = struct.Struct("<4sIQQQQ")
+
+
+@dataclass(frozen=True)
+class PackedValues:
+    """One instance's numeric payload, decoded (arrays own their data)."""
+
+    q: np.ndarray
+    l: np.ndarray
+    u: np.ndarray
+    p_data: np.ndarray  # upper-triangle non-zeros of P (wire convention)
+    a_data: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the blob this was decoded from."""
+        return _HEADER.size + 8 * (
+            self.q.size + self.l.size + self.u.size
+            + self.p_data.size + self.a_data.size
+        )
+
+
+@dataclass(frozen=True)
+class Skeleton:
+    """A QP's sparsity pattern without its numbers: the shapes and CSC
+    index arrays of ``A`` and of ``P``'s upper triangle, which a packed
+    payload's values follow in order."""
+
+    name: str
+    p_shape: tuple[int, int]
+    p_indptr: np.ndarray
+    p_indices: np.ndarray
+    a_shape: tuple[int, int]
+    a_indptr: np.ndarray
+    a_indices: np.ndarray
+
+    @classmethod
+    def of(cls, problem: QPProblem) -> "Skeleton":
+        """The structure of ``problem`` (index arrays shared, not
+        copied: they are pattern constants)."""
+        p_upper, a = problem.p_upper, problem.a
+        return cls(
+            problem.name,
+            p_upper.shape, p_upper.indptr, p_upper.indices,
+            a.shape, a.indptr, a.indices,
+        )
+
+
+def pack_values(
+    problem: QPProblem, *, l=None, u=None, p_data=None, a_data=None
+) -> bytes:
+    """Encode one instance's values (its pattern stays with the peer).
+
+    ``P`` values are the non-zeros of its **upper triangle** in
+    canonical CSC order — the ``repro-qp-v1`` convention, so the blob
+    follows the :class:`Skeleton` of the instance's wire document
+    whether the sender stored ``P`` full or upper-triangular.  A
+    keyword given replaces that array of ``problem`` (as in
+    :func:`problem_with_values`).
+    """
+    arrays = [
+        np.ascontiguousarray(v, dtype="<f8")
+        for v in (
+            problem.q,
+            problem.l if l is None else l,
+            problem.u if u is None else u,
+            problem.p_upper.data if p_data is None else p_data,
+            problem.a.data if a_data is None else a_data,
+        )
+    ]
+    header = _HEADER.pack(
+        _MAGIC, _VERSION, arrays[0].size, arrays[1].size,
+        arrays[3].size, arrays[4].size,
+    )
+    return b"".join([header, *(arr.tobytes() for arr in arrays)])
+
+
+def _unpack_at(view: memoryview, offset: int) -> PackedValues:
+    """Decode the blob starting at ``offset``; bytes after it are the
+    caller's business (its ``nbytes`` says where it ends)."""
+    if len(view) - offset < _HEADER.size:
+        raise ValueError("payload shorter than the value header")
+    magic, version, n, m, p_nnz, a_nnz = _HEADER.unpack_from(view, offset)
+    if magic != _MAGIC:
+        raise ValueError(f"bad value-payload magic {magic!r}")
+    if version != _VERSION:
+        raise ValueError(f"unsupported value-payload version {version}")
+    need = _HEADER.size + 8 * (n + 2 * m + p_nnz + a_nnz)
+    if len(view) - offset < need:
+        raise ValueError(
+            f"truncated value payload: need {need} bytes, "
+            f"have {len(view) - offset}"
+        )
+    offset += _HEADER.size
+
+    def take(count: int) -> np.ndarray:
+        nonlocal offset
+        arr = np.frombuffer(view, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        # The copy detaches from the buffer (a caller may reuse it) and
+        # yields a native-endian owned array.
+        return arr.astype(np.float64, copy=True)
+
+    return PackedValues(
+        q=take(n), l=take(m), u=take(m), p_data=take(p_nnz), a_data=take(a_nnz)
+    )
+
+
+def iter_blobs(buf: bytes | memoryview, limit: int) -> Iterator[PackedValues]:
+    """Decode a body of 1 to ``limit`` concatenated blobs that tile it
+    exactly, one blob at a time: an empty body, a truncated blob,
+    trailing bytes or a ``limit + 1``-th blob raise ``ValueError``
+    when the walk reaches them."""
+    view = memoryview(buf)
+    if not view:
+        raise ValueError("empty values body")
+    offset = count = 0
+    while offset < len(view):
+        if count == limit:
+            raise ValueError(
+                f"{len(view) - offset} bytes after the {limit} value "
+                f"blob(s) this body may carry"
+            )
+        values = _unpack_at(view, offset)
+        offset += values.nbytes
+        count += 1
+        yield values
+
+
+def unpack_values(buf: bytes | memoryview) -> PackedValues:
+    """Decode exactly one blob (trailing bytes are an error).
+
+    The returned arrays are **copies**: they never alias ``buf``.
+    """
+    (values,) = iter_blobs(buf, 1)
+    return values
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+def rebuild_problem(
+    skeleton: Skeleton, values: PackedValues, like: QPProblem | None = None
+) -> QPProblem:
+    """A fresh instance of ``skeleton``'s pattern carrying ``values``,
+    through the decode boundary's value check — the same
+    :class:`~repro.solver.QPProblem` the JSON document of that instance
+    decodes to.  Index arrays are shared with the skeleton; only the
+    value arrays are new, except that a ``P`` or ``A`` whose values
+    are bitwise those of ``like`` (an instance rebuilt on the same
+    skeleton) is ``like``'s matrix.
+    """
+    n, m = skeleton.p_shape[0], skeleton.a_shape[0]
+    if values.q.size != n or values.l.size != m:
+        raise ValueError(
+            f"value payload sized for n={values.q.size}/m={values.l.size}, "
+            f"pattern has n={n}/m={m}"
+        )
+    if (
+        values.p_data.size != skeleton.p_indices.size
+        or values.a_data.size != skeleton.a_indices.size
+    ):
+        raise ValueError(
+            f"value payload carries {values.p_data.size}/"
+            f"{values.a_data.size} P/A non-zeros, pattern has "
+            f"{skeleton.p_indices.size}/{skeleton.a_indices.size}"
+        )
+    if like is not None and _same_bits(values.p_data, like.p.data):
+        p = like.p
+    else:
+        p = CSCMatrix(
+            skeleton.p_shape, skeleton.p_indptr, skeleton.p_indices,
+            values.p_data, check=False,
+        )
+    if like is not None and _same_bits(values.a_data, like.a.data):
+        a = like.a
+    else:
+        a = CSCMatrix(
+            skeleton.a_shape, skeleton.a_indptr, skeleton.a_indices,
+            values.a_data, check=False,
+        )
+    # ``p`` is the canonical upper triangle: its own ``p_upper``.
+    return _checked(
+        QPProblem(
+            p=p, q=values.q, a=a, l=values.l, u=values.u, name=skeleton.name
+        )
+    ).adopt_p_forms(p_upper=p)
+
+
+def rebuild_problems(
+    skeleton: Skeleton, blobs: Iterable[PackedValues]
+) -> list[QPProblem]:
+    """The instances of a stream of blobs, in order, each rebuilt
+    :func:`rebuild_problem`-style.  An instance whose ``P`` or ``A``
+    values did not move from its predecessor's shares that matrix, as
+    instances materialized from JSON overrides share their base's, so
+    a many-lane body holds each distinct matrix once."""
+    problems: list[QPProblem] = []
+    for values in blobs:
+        like = problems[-1] if problems else None
+        problems.append(rebuild_problem(skeleton, values, like))
+    return problems

@@ -15,7 +15,8 @@ and the cheap ``bind_values`` rebind — into a long-running service:
   together (value bucketing) and whether a batch is held open for
   arrivals;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the
-  stdlib HTTP/JSON front-end and its Python client;
+  stdlib HTTP front-end (JSON, plus values-only bodies for a pattern
+  it already holds) and its Python client;
 * :mod:`~repro.serve.metrics` — live counters and latency histograms
   (``/v1/metrics``);
 * :mod:`~repro.serve.session` — sticky warm-start sessions: carried

@@ -3,7 +3,9 @@
 Used by the test suite, the CI smoke job and the closed-loop load
 generator (``benchmarks/bench_serve.py``); also the reference for
 talking to the service from any other language — the whole protocol is
-five JSON endpoints over HTTP/1.1 (three ``POST``, two ``GET``).
+five endpoints over HTTP/1.1 (three ``POST``, two ``GET``), JSON
+replies, and JSON request bodies or, once the server has returned a
+pattern's fingerprint, values-only ones (see :mod:`repro.serve.server`).
 """
 
 from __future__ import annotations
@@ -15,12 +17,21 @@ import select
 import socket
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..io import encode_bounds, problem_to_dict
-from ..solver import QPProblem, SolveResult
+from ..io import encode_bounds, pack_values, problem_to_dict
+from ..linalg import CSCMatrix
+from ..solver import OSQP_INFTY, QPProblem, SolveResult
+from .server import (
+    FINGERPRINT_HEADER,
+    SESSION_HEADER,
+    TIMEOUT_HEADER,
+    VALUES_CONTENT_TYPE,
+)
 
 __all__ = ["ServeClient", "SolveResponse", "StreamResponse"]
 
@@ -35,6 +46,10 @@ _RETRYABLE = (
     BrokenPipeError,
     http.client.RemoteDisconnected,
 )
+
+# Patterns a client remembers the server's fingerprint for (LRU).  A
+# forgotten one costs its next request the JSON body, nothing else.
+_KNOWN_PATTERNS = 64
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,10 @@ class StreamResponse:
     def delta_binds(self) -> int:
         return sum(1 for step in self.steps if step.get("delta_bind"))
 
+    @property
+    def fingerprint(self) -> str | None:
+        return self.raw.get("fingerprint")
+
 
 def _step_override(base: QPProblem, step: QPProblem) -> dict:
     """The wire-form override turning ``base`` into ``step``.
@@ -116,6 +135,55 @@ def _step_override(base: QPProblem, step: QPProblem) -> dict:
     if not np.array_equal(step.p_upper.data, base.p_upper.data):
         override["p_data"] = step.p_upper.data.tolist()
     return override
+
+
+def _pattern_key(problem: QPProblem) -> bytes:
+    """Shapes and CSC index arrays of ``A`` and ``P``'s upper triangle:
+    a values body rides only on a byte-equal match."""
+    p, a = problem.p_upper, problem.a
+    sizes = np.array([*p.shape, p.nnz, *a.shape, a.nnz], dtype=np.int64)
+    return b"".join(
+        arr.tobytes()
+        for arr in (sizes, p.indptr, p.indices, a.indptr, a.indices)
+    )
+
+
+def _canonical(matrix: CSCMatrix) -> bool:
+    """Row indices strictly increasing in every column: the order the
+    server's JSON decoder sorts entries into, so values in this storage
+    order land where the JSON body would put them."""
+    rising = np.diff(matrix.indices) > 0
+    starts = matrix.indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < matrix.nnz)] - 1] = True
+    return bool(rising.all())
+
+
+def _wire_bounds(v: np.ndarray) -> np.ndarray:
+    """Bounds as a JSON body delivers them: at or past ``OSQP_INFTY``
+    in magnitude, the ``"inf"`` / ``"-inf"`` encoding decodes to
+    ``±OSQP_INFTY``."""
+    return np.where(
+        v >= OSQP_INFTY, OSQP_INFTY, np.where(v <= -OSQP_INFTY, -OSQP_INFTY, v)
+    )
+
+
+def _values_blob(problem: QPProblem, base: QPProblem | None = None) -> bytes:
+    """The values of exactly the instance ``problem``'s JSON body
+    delivers: bounds as decoded, and — for a variant of ``base`` —
+    matrix values equal to the base's as the base's (an override
+    without ``a_data`` / ``p_data`` inherits them)."""
+    inherit = {}
+    if base is not None:
+        if np.array_equal(problem.a.data, base.a.data):
+            inherit["a_data"] = base.a.data
+        if np.array_equal(problem.p_upper.data, base.p_upper.data):
+            inherit["p_data"] = base.p_upper.data
+    return pack_values(
+        problem,
+        l=_wire_bounds(problem.l),
+        u=_wire_bounds(problem.u),
+        **inherit,
+    )
 
 
 def _peer_closed(sock: socket.socket) -> bool:
@@ -164,6 +232,9 @@ class ServeClient:
         self._netloc, slash, prefix = rest.partition("/")
         self._prefix = slash + prefix
         self._local = threading.local()
+        # _pattern_key -> fingerprint, least recently used first.
+        self._patterns: OrderedDict[bytes, str] = OrderedDict()
+        self._patterns_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _connection(self, timeout: float) -> http.client.HTTPConnection:
@@ -192,14 +263,23 @@ class ServeClient:
         self,
         path: str,
         *,
-        body: dict | None = None,
+        body=None,
+        headers: dict | None = None,
         timeout: float = 60.0,
         retry: bool = True,
     ) -> tuple[int, dict]:
         """One HTTP exchange, with a single jittered retry on a fresh
         connection when the connection dropped (``retry=False`` for
-        non-idempotent callers)."""
-        data = json.dumps(body).encode() if body is not None else None
+        non-idempotent callers).  ``body`` is JSON-encoded unless it
+        is ``bytes`` (a values body)."""
+        if isinstance(body, bytes):
+            data = body
+            headers = {"Content-Type": VALUES_CONTENT_TYPE, **(headers or {})}
+        elif body is not None:
+            data = json.dumps(body).encode()
+            headers = {"Content-Type": "application/json"}
+        else:
+            data, headers = None, {}
         for attempt in (0, 1):
             try:
                 conn = self._connection(timeout)
@@ -207,9 +287,7 @@ class ServeClient:
                     "POST" if data is not None else "GET",
                     self._prefix + path,
                     body=data,
-                    headers=(
-                        {"Content-Type": "application/json"} if data else {}
-                    ),
+                    headers=headers,
                 )
                 response = conn.getresponse()
                 status, raw = response.status, response.read()
@@ -229,6 +307,55 @@ class ServeClient:
             time.sleep(random.uniform(0.05, 0.15))
         raise AssertionError("unreachable")  # pragma: no cover
 
+    def _post(
+        self,
+        path: str,
+        base: QPProblem,
+        body: Callable[[], dict],
+        blobs: Callable[[], list[bytes]],
+        *,
+        session: str | None,
+        timeout_s: float | None,
+    ) -> tuple[int, dict]:
+        """POST one request for ``base``'s pattern: its values
+        (``blobs()``) when the server returned a fingerprint for the
+        pattern, else — or after a 409 — its JSON ``body()`` plus
+        ``session`` / ``timeout_s``."""
+        # The socket outlives the service deadline: the server answers
+        # 504 itself; the margin only covers transport.
+        timeout = (timeout_s or 30.0) + 10.0
+        key = _pattern_key(base)
+        with self._patterns_lock:
+            fingerprint = self._patterns.get(key)
+            if fingerprint is not None:
+                self._patterns.move_to_end(key)
+        if fingerprint is not None:
+            headers = {FINGERPRINT_HEADER: fingerprint}
+            if session is not None:
+                headers[SESSION_HEADER] = json.dumps(session)
+            if timeout_s is not None:
+                headers[TIMEOUT_HEADER] = json.dumps(timeout_s)
+            http_status, payload = self._request(
+                path, body=b"".join(blobs()), headers=headers, timeout=timeout
+            )
+            if http_status != 409:
+                return http_status, payload
+            with self._patterns_lock:
+                self._patterns.pop(key, None)
+        doc = body()
+        for field, value in (("session", session), ("timeout_s", timeout_s)):
+            if value is not None:
+                doc[field] = value
+        http_status, payload = self._request(path, body=doc, timeout=timeout)
+        fingerprint = payload.get("fingerprint")
+        if fingerprint and _canonical(base.p_upper) and _canonical(base.a):
+            with self._patterns_lock:
+                self._patterns[key] = fingerprint
+                self._patterns.move_to_end(key)
+                if len(self._patterns) > _KNOWN_PATTERNS:
+                    self._patterns.popitem(last=False)
+        return http_status, payload
+
     # ------------------------------------------------------------------
     def solve(
         self,
@@ -243,17 +370,13 @@ class ServeClient:
         start restores that session's carried iterate instead of
         whatever request last touched the pattern.
         """
-        body: dict = {"problem": problem_to_dict(problem)}
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
-        if session is not None:
-            body["session"] = session
-        http_status, payload = self._request(
+        http_status, payload = self._post(
             "/v1/solve",
-            body=body,
-            # The socket outlives the service deadline: the server
-            # answers 504 itself; the margin only covers transport.
-            timeout=(timeout_s or 30.0) + 10.0,
+            problem,
+            lambda: {"problem": problem_to_dict(problem)},
+            lambda: [_values_blob(problem)],
+            session=session,
+            timeout_s=timeout_s,
         )
         result = None
         if payload.get("status") == "ok" and "result" in payload:
@@ -275,16 +398,16 @@ class ServeClient:
         session: str | None,
         timeout_s: float | None,
     ) -> StreamResponse:
-        body: dict = {
-            "problem": problem_to_dict(base),
-            field: [_step_override(base, v) for v in variants],
-        }
-        if session is not None:
-            body["session"] = session
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
-        http_status, payload = self._request(
-            path, body=body, timeout=(timeout_s or 30.0) + 10.0
+        http_status, payload = self._post(
+            path,
+            base,
+            lambda: {
+                "problem": problem_to_dict(base),
+                field: [_step_override(base, v) for v in variants],
+            },
+            lambda: [_values_blob(v, base) for v in variants],
+            session=session,
+            timeout_s=timeout_s,
         )
         results = [
             SolveResult.from_dict(block["result"])

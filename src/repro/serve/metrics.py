@@ -25,6 +25,8 @@ __all__ = ["LatencyHistogram", "ServeMetrics"]
 # silently forking a new series.
 COUNTERS = (
     "requests_total",
+    "values_requests",  # requests admitted from a values-only body
+    "unknown_pattern",  # values bodies answered 409 (pattern not held)
     "responses_ok",
     "responses_error",
     "rejected",        # queue-full admission failures

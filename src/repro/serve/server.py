@@ -23,7 +23,8 @@ The handler thread waits on the request's event up to its deadline —
 so a slow solve never wedges the listener, and an expired wait yields
 a structured ``TIMEOUT`` body instead of a hung socket.
 
-API (all JSON):
+API (JSON responses; a request body is JSON or, for a pattern the
+server already holds, values only):
 
 * ``POST /v1/solve`` — body ``{"problem": <repro-qp-v1 doc>,
   "timeout_s": <float, optional>, "session": <str, optional>}``; 200
@@ -51,6 +52,21 @@ API (all JSON):
   [<override>, ...], "timeout_s": <float, optional>}``; solves N
   perturbed variants of one pattern in payload order on its resident
   solver and answers once with per-lane payloads.
+* **Values bodies** — any of the three ``POST`` endpoints also takes
+  ``Content-Type: application/x-repro-values``: the body is one
+  :func:`~repro.io.pack_values` blob per instance, concatenated (one
+  for ``/v1/solve``, one per step or lane, at most
+  ``MAX_SEQUENCE_STEPS`` / ``MAX_SCENARIO_LANES``), and headers carry
+  what the JSON body would: ``X-Repro-Fingerprint`` (the
+  ``fingerprint`` an earlier JSON reply returned) and, JSON-encoded,
+  ``X-Repro-Session`` / ``X-Repro-Timeout``.  Every JSON body records
+  its pattern's structure under its fingerprint (LRU, as many patterns
+  as the pool holds); a values body is decoded against it, through
+  the same value checks, into the same instances the JSON body gives.
+  A fingerprint the server does not hold is a ``409
+  {"status": "unknown_pattern"}`` (resend as JSON); a body its blobs
+  do not tile exactly, or whose sizes do not match the pattern, is a
+  400.
 * ``GET /v1/health`` — liveness + pool occupancy (per-shard liveness
   and pattern residency when sharded; HTTP 207 while degraded).
 * ``GET /v1/metrics`` — the :class:`~repro.serve.metrics.ServeMetrics`
@@ -65,11 +81,19 @@ import math
 import socket
 import threading
 import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from ..io import decode_bounds, problem_from_dict, problem_with_values
+from ..io import (
+    Skeleton,
+    decode_bounds,
+    iter_blobs,
+    problem_from_dict,
+    problem_with_values,
+    rebuild_problems,
+)
 from ..solver import QPProblem
 from .controller import BatchController
 from .engine import SolveEngine
@@ -78,6 +102,14 @@ from .pool import SolverPool
 from .queue import QueueFullError, RequestQueue, SolveRequest
 
 __all__ = ["ServeServer"]
+
+# A values-only request body and the headers that stand in for the
+# JSON body's other fields (session and timeout JSON-encoded, so they
+# mean exactly what the JSON field would).
+VALUES_CONTENT_TYPE = "application/x-repro-values"
+FINGERPRINT_HEADER = "X-Repro-Fingerprint"
+SESSION_HEADER = "X-Repro-Session"
+TIMEOUT_HEADER = "X-Repro-Timeout"
 
 # Grace added to the handler's event wait beyond the request deadline:
 # the worker owns deadline bookkeeping; the handler only backstops it.
@@ -106,6 +138,14 @@ IDLE_TIMEOUT_S = 30.0
 _CLOSE_WAIT_S = 5.0
 
 _OVERRIDE_FIELDS = frozenset({"q", "l", "u", "a_data", "p_data"})
+
+# Endpoint -> (the JSON field listing its instances, most instances
+# per request).  A solve's one instance is the base problem itself.
+_ENDPOINTS = {
+    "/v1/solve": (None, 1),
+    "/v1/sequence": ("steps", MAX_SEQUENCE_STEPS),
+    "/v1/scenarios": ("scenarios", MAX_SCENARIO_LANES),
+}
 
 
 def _materialize_variants(
@@ -144,6 +184,12 @@ def _materialize_variants(
             )
         )
     return variants
+
+
+def _json_header(headers, name: str):
+    """A JSON-encoded header's value (``None`` when absent)."""
+    raw = headers.get(name)
+    return None if raw is None else json.loads(raw)
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -258,6 +304,11 @@ class ServeServer:
                 controller=controller,
                 **pool_kwargs,
             )
+        # Fingerprint -> structure of each pattern a JSON body brought,
+        # least recently used first and as many as the pool holds:
+        # what a values-only body is decoded against.
+        self._skeletons: OrderedDict[str, Skeleton] = OrderedDict()
+        self._skeletons_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._http = _HTTPServer((host, port), _make_handler(self))
         self.host = host
@@ -334,14 +385,29 @@ class ServeServer:
     # handler side
     # ------------------------------------------------------------------
     def _parse_base(self, body: dict) -> tuple[QPProblem, str]:
-        """Decode the base problem document and fingerprint it."""
+        """Decode the base problem document, fingerprint it and record
+        its pattern for later values bodies."""
         problem = problem_from_dict(body["problem"])
-        return problem, self.tier.pool.fingerprint(problem)
+        fingerprint = self.tier.pool.fingerprint(problem)
+        with self._skeletons_lock:
+            if fingerprint in self._skeletons:
+                self._skeletons.move_to_end(fingerprint)
+            else:
+                self._skeletons[fingerprint] = Skeleton.of(problem)
+                if len(self._skeletons) > self.tier.pool.capacity:
+                    self._skeletons.popitem(last=False)
+        return problem, fingerprint
 
-    def _parse_timeout(self, body: dict) -> float:
+    def _skeleton(self, fingerprint: str) -> Skeleton | None:
+        with self._skeletons_lock:
+            skeleton = self._skeletons.get(fingerprint)
+            if skeleton is not None:
+                self._skeletons.move_to_end(fingerprint)
+            return skeleton
+
+    def _parse_timeout(self, raw) -> float:
         """The request's ``timeout_s`` (absent → the server default);
         anything but a finite positive number is the client's error."""
-        raw = body.get("timeout_s")
         if raw is None:
             return self.default_timeout_s
         try:
@@ -383,74 +449,86 @@ class ServeServer:
         assert request.status_code is not None and request.response is not None
         return request.status_code, request.response
 
-    def handle_solve(self, body: dict) -> tuple[int, dict]:
-        """Admit one parsed request and wait for its response."""
-        self.metrics.inc("requests_total")
-        try:
-            timeout_s = self._parse_timeout(body)
-            problem, fingerprint = self._parse_base(body)
-        except Exception as exc:
-            self.metrics.inc("responses_error")
-            return 400, {
-                "status": "error",
-                "detail": f"malformed problem payload: {exc}",
-            }
-        session = body.get("session")
+    def _malformed(self, path: str, exc: Exception) -> tuple[int, dict]:
+        self.metrics.inc("responses_error")
+        return 400, {
+            "status": "error",
+            "detail": f"malformed {path.rsplit('/', 1)[-1]} payload: {exc}",
+        }
+
+    def _admit(
+        self,
+        path: str,
+        problems: list[QPProblem],
+        fingerprint: str,
+        timeout_s: float,
+        session,
+    ) -> tuple[int, dict]:
+        """Build the endpoint's request from its instances, admit it
+        and wait for its response."""
         request = SolveRequest(
-            problem=problem,
+            problem=problems[0],
             fingerprint=fingerprint,
             deadline=time.monotonic() + timeout_s,
-            session_key=str(session) if session is not None else None,
+            session_key=(
+                str(session)
+                if session is not None and path != "/v1/scenarios"
+                else None
+            ),
+            steps=problems if path == "/v1/sequence" else None,
+            scenarios=problems if path == "/v1/scenarios" else None,
         )
         return self._admit_and_wait(request, timeout_s)
 
-    def handle_sequence(self, body: dict) -> tuple[int, dict]:
-        """Admit an ordered step list onto one session, answer once."""
+    def handle_json(self, path: str, body: dict) -> tuple[int, dict]:
+        """Admit one parsed JSON request and wait for its response."""
         self.metrics.inc("requests_total")
+        field, cap = _ENDPOINTS[path]
         try:
-            timeout_s = self._parse_timeout(body)
+            timeout_s = self._parse_timeout(body.get("timeout_s"))
             base, fingerprint = self._parse_base(body)
-            steps = _materialize_variants(
-                base, body.get("steps"), MAX_SEQUENCE_STEPS, "steps"
+            problems = (
+                [base]
+                if field is None
+                else _materialize_variants(base, body.get(field), cap, field)
             )
         except Exception as exc:
-            self.metrics.inc("responses_error")
-            return 400, {
-                "status": "error",
-                "detail": f"malformed sequence payload: {exc}",
-            }
-        session = body.get("session")
-        request = SolveRequest(
-            problem=steps[0],
-            fingerprint=fingerprint,
-            deadline=time.monotonic() + timeout_s,
-            session_key=str(session) if session is not None else None,
-            steps=steps,
+            return self._malformed(path, exc)
+        return self._admit(
+            path, problems, fingerprint, timeout_s, body.get("session")
         )
-        return self._admit_and_wait(request, timeout_s)
 
-    def handle_scenarios(self, body: dict) -> tuple[int, dict]:
-        """Admit a scenario fan-out (N variants, solved in order)."""
+    def handle_values(
+        self, path: str, raw: bytes, headers
+    ) -> tuple[int, dict]:
+        """Admit one values-only request: its blobs decoded against the
+        pattern its fingerprint header names."""
         self.metrics.inc("requests_total")
+        fingerprint = headers.get(FINGERPRINT_HEADER)
         try:
-            timeout_s = self._parse_timeout(body)
-            base, fingerprint = self._parse_base(body)
-            scenarios = _materialize_variants(
-                base, body.get("scenarios"), MAX_SCENARIO_LANES, "scenarios"
+            timeout_raw = _json_header(headers, TIMEOUT_HEADER)
+            session = _json_header(headers, SESSION_HEADER)
+            timeout_s = self._parse_timeout(timeout_raw)
+            if not fingerprint:
+                raise ValueError(f"no {FINGERPRINT_HEADER} header")
+        except Exception as exc:
+            return self._malformed(path, exc)
+        skeleton = self._skeleton(fingerprint)
+        if skeleton is None:
+            self.metrics.inc("unknown_pattern")
+            return 409, {
+                "status": "unknown_pattern",
+                "detail": f"pattern {fingerprint} is not held here; "
+                "send the JSON body",
+            }
+        try:
+            problems = rebuild_problems(
+                skeleton, iter_blobs(raw, _ENDPOINTS[path][1])
             )
         except Exception as exc:
-            self.metrics.inc("responses_error")
-            return 400, {
-                "status": "error",
-                "detail": f"malformed scenarios payload: {exc}",
-            }
-        request = SolveRequest(
-            problem=scenarios[0],
-            fingerprint=fingerprint,
-            deadline=time.monotonic() + timeout_s,
-            scenarios=scenarios,
-        )
-        return self._admit_and_wait(request, timeout_s)
+            return self._malformed(path, exc)
+        self.metrics.inc("values_requests")
+        return self._admit(path, problems, fingerprint, timeout_s, session)
 
     def health(self) -> tuple[int, dict]:
         """The liveness document plus its HTTP status (207 = degraded)."""
@@ -518,19 +596,14 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
                 )
 
         def do_POST(self) -> None:
-            handlers = {
-                "/v1/solve": server.handle_solve,
-                "/v1/sequence": server.handle_sequence,
-                "/v1/scenarios": server.handle_scenarios,
-            }
-            handler = handlers.get(self.path)
-            if handler is None:
+            if self.path not in _ENDPOINTS:
                 self._send_json(
                     404,
                     {"status": "error", "detail": "unknown endpoint"},
                     close=True,
                 )
                 return
+            values = self.headers.get_content_type() == VALUES_CONTENT_TYPE
             # Content-Length is the peer's claim: judge it before any
             # read (a negative one would park this thread in read(-1)
             # until the peer closes; a huge one is an unbounded read).
@@ -547,9 +620,13 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
                         f"body of {length} bytes exceeds the "
                         f"{MAX_BODY_BYTES}-byte limit"
                     )
-                body = json.loads(self.rfile.read(length))
-                if not isinstance(body, dict):
-                    raise ValueError("request body must be a JSON object")
+                # A JSON body's raw bytes are not held through the solve.
+                if values:
+                    raw = self.rfile.read(length)
+                else:
+                    body = json.loads(self.rfile.read(length))
+                    if not isinstance(body, dict):
+                        raise ValueError("request body must be a JSON object")
             except Exception as exc:
                 server.metrics.inc("responses_error")
                 self._send_json(
@@ -558,7 +635,10 @@ def _make_handler(server: ServeServer) -> type[BaseHTTPRequestHandler]:
                     close=True,
                 )
                 return
-            status_code, payload = handler(body)
-            self._send_json(status_code, payload)
+            if values:
+                reply = server.handle_values(self.path, raw, self.headers)
+            else:
+                reply = server.handle_json(self.path, body)
+            self._send_json(*reply)
 
     return Handler

@@ -16,19 +16,14 @@ Layering::
       ShardManager       process lifecycle, one pipe per shard
         ShardWorker      pipe protocol around a SolveEngine (process)
     ConsistentHashRouter pattern fingerprint -> home shard
-    transport            raw-float64 value codec
+
+The value codec (``pack_values`` / ``unpack_values`` /
+``rebuild_problem``) lives in :mod:`repro.io`.
 """
 
 from .frontend import ShardFrontend
 from .manager import ShardHandle, ShardManager
 from .router import ConsistentHashRouter
-from .transport import (
-    ShardValues,
-    pack_values,
-    packed_size,
-    rebuild_problem,
-    unpack_values,
-)
 from .worker import ShardWorker, shard_worker_main
 
 __all__ = [
@@ -36,11 +31,6 @@ __all__ = [
     "ShardFrontend",
     "ShardHandle",
     "ShardManager",
-    "ShardValues",
     "ShardWorker",
-    "pack_values",
-    "packed_size",
-    "rebuild_problem",
     "shard_worker_main",
-    "unpack_values",
 ]

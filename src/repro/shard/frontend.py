@@ -12,7 +12,7 @@ request source) and the shard worker fleet:
   patterns re-route to their ring successors; everyone else is
   untouched.
 * **transport** — each instance's values are packed as raw float64
-  (:func:`~repro.shard.transport.pack_values`) and ride the shard's
+  (:func:`~repro.io.pack_values`) and ride the shard's
   pipe inside one ``submit`` message; the pattern itself registers
   once per shard incarnation.
 * **deadline propagation** — the request's absolute monotonic deadline
@@ -33,13 +33,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..io import problem_to_dict
+from ..io import pack_values, problem_to_dict
 from ..serve.metrics import ServeMetrics
 from ..serve.pool import SolverPool
 from ..serve.queue import QueueFullError, SolveRequest
 from .manager import ShardManager
 from .router import ConsistentHashRouter
-from .transport import pack_values
 
 __all__ = ["ShardFrontend"]
 

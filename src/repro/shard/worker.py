@@ -17,7 +17,7 @@ Protocol (parent → worker):
 * ``("submit", req_id, fingerprint, deadline, session, kind,
   payloads)`` — one request of ``kind`` ``"solve"``, ``"sequence"``
   or ``"scenarios"``.  ``payloads`` holds one
-  :func:`~repro.shard.transport.pack_values` blob per instance (one
+  :func:`~repro.io.pack_values` blob per instance (one
   for a solve, one per step or lane otherwise).  ``deadline`` is an
   absolute ``time.monotonic()`` value — comparable across processes
   on the platforms this serves (Linux CLOCK_MONOTONIC is
@@ -44,11 +44,9 @@ import signal
 import threading
 import time
 
-from ..io import problem_from_dict
+from ..io import Skeleton, problem_from_dict, rebuild_problems, unpack_values
 from ..serve.engine import SolveEngine
 from ..serve.queue import QueueFullError, SolveRequest
-from ..solver import QPProblem
-from .transport import rebuild_problem, unpack_values
 
 __all__ = ["ShardWorker", "shard_worker_main"]
 
@@ -66,7 +64,7 @@ class ShardWorker:
             batch_policy=str(config.get("batch_policy", "adaptive")),
             **config.get("pool_kwargs", {}),
         )
-        self._skeletons: dict[str, QPProblem] = {}
+        self._skeletons: dict[str, Skeleton] = {}
         self._send_lock = threading.Lock()
         self.started_at = time.monotonic()
 
@@ -100,7 +98,7 @@ class ShardWorker:
             return False
         if kind == "register":
             _, fingerprint, doc = message
-            self._skeletons[fingerprint] = problem_from_dict(doc)
+            self._skeletons[fingerprint] = Skeleton.of(problem_from_dict(doc))
         elif kind == "submit":
             self._handle_submit(*message[1:])
         elif kind == "metrics":
@@ -162,10 +160,9 @@ class ShardWorker:
                 raise ValueError("empty payload list")
             if kind == "solve" and len(payloads) != 1:
                 raise ValueError("a solve carries exactly one payload")
-            problems = [
-                rebuild_problem(skeleton, unpack_values(blob))
-                for blob in payloads
-            ]
+            problems = rebuild_problems(
+                skeleton, (unpack_values(blob) for blob in payloads)
+            )
         except Exception as exc:
             finish(
                 400,

@@ -1,17 +1,26 @@
-"""Tests for MatrixMarket and QP problem I/O."""
+"""Tests for MatrixMarket and QP problem I/O, and the MIBS value codec."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.io import (
+    Skeleton,
     load_problem,
+    pack_values,
     problem_from_dict,
     problem_to_dict,
     problem_with_values,
     read_matrix_market,
+    iter_blobs,
+    rebuild_problem,
+    rebuild_problems,
     save_problem,
+    unpack_values,
     write_matrix_market,
 )
 from repro.linalg import CSCMatrix
@@ -354,3 +363,247 @@ class TestQPS:
         path.write_text("NAME x\nROWS\n G  r1\nENDATA\n")
         with pytest.raises(ValueError):
             read_qps(path)
+
+
+# ----------------------------------------------------------------------
+# MIBS value codec
+# ----------------------------------------------------------------------
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# Bounds may be ±inf (one-sided constraints) or past OSQP_INFTY.
+bound = st.floats(
+    allow_nan=False, allow_infinity=True, width=64
+) | st.sampled_from([OSQP_INFTY, -OSQP_INFTY, 1e31, -1e31, -0.0])
+
+
+@st.composite
+def qp_problems(draw):
+    """Arbitrary-pattern QPs, including degenerate shapes.
+
+    Convexity is irrelevant to the codec, so matrix values are raw
+    floats; zeros drop out of the CSC pattern, which is exactly how
+    empty-``A``/empty-``P`` cases arise.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 5))
+    q = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    p_vals = np.array(
+        draw(
+            st.lists(finite | st.just(0.0), min_size=n * n, max_size=n * n)
+        )
+    ).reshape(n, n)
+    p_dense = np.triu(p_vals) + np.triu(p_vals, 1).T  # symmetric
+    a_dense = np.array(
+        draw(
+            st.lists(finite | st.just(0.0), min_size=m * n, max_size=m * n)
+        )
+    ).reshape(m, n)
+    lo = np.array(draw(st.lists(bound, min_size=m, max_size=m)))
+    hi = np.array(draw(st.lists(bound, min_size=m, max_size=m)))
+    return QPProblem(
+        p=CSCMatrix.from_dense(p_dense),
+        q=q,
+        a=CSCMatrix.from_dense(a_dense),
+        l=np.minimum(lo, hi),
+        u=np.maximum(lo, hi),
+    )
+
+
+def assert_bit_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_same_instance(actual: QPProblem, expected: QPProblem) -> None:
+    """Bitwise the same numbers on the same pattern."""
+    for name in ("q", "l", "u"):
+        assert_bit_equal(getattr(actual, name), getattr(expected, name))
+    pairs = ((actual.p_upper, expected.p_upper), (actual.a, expected.a))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            assert_bit_equal(getattr(got, field), getattr(want, field))
+
+
+def json_decoded(problem: QPProblem) -> QPProblem:
+    """What the server decodes ``problem``'s JSON document to."""
+    return problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+
+
+class TestCodecProperties:
+    @given(problem=qp_problems())
+    @hyp_settings(max_examples=120, deadline=None)
+    def test_round_trip_is_bit_exact(self, problem):
+        payload = pack_values(problem)
+        values = unpack_values(payload)
+        assert values.nbytes == len(payload)
+        assert_bit_equal(values.q, problem.q)
+        assert_bit_equal(values.l, problem.l)
+        assert_bit_equal(values.u, problem.u)
+        assert_bit_equal(values.p_data, problem.p_upper.data)
+        assert_bit_equal(values.a_data, problem.a.data)
+
+    @given(problem=qp_problems())
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_rebuild_matches_through_the_wire_skeleton(self, problem):
+        """The decode side: skeleton from the JSON document, values
+        from the blob, rebuilt problem bit-identical."""
+        wire = json_decoded(problem)
+        skeleton = Skeleton.of(wire)
+        rebuilt = rebuild_problem(skeleton, unpack_values(pack_values(wire)))
+        assert_same_instance(rebuilt, wire)
+        # Pattern constants are shared, not copied.
+        assert rebuilt.a.indptr is skeleton.a_indptr
+        assert rebuilt.p_upper is rebuilt.p
+
+    @given(problem=qp_problems())
+    @hyp_settings(max_examples=120, deadline=None)
+    def test_client_values_blob_is_the_json_instance(self, problem):
+        """A values body rebuilds bitwise the instance the JSON body
+        decodes to — bounds past ``OSQP_INFTY`` and ``-0.0`` included —
+        for a stream variant too."""
+        from repro.serve.client import _values_blob
+
+        wire = json_decoded(problem)
+        skeleton = Skeleton.of(wire)
+        assert_same_instance(
+            rebuild_problem(skeleton, unpack_values(_values_blob(problem))),
+            wire,
+        )
+        variant = QPProblem(
+            p=problem.p_upper, q=-problem.q, a=problem.a,
+            l=problem.l, u=problem.u,
+        )
+        base = problem_with_values(wire, q=variant.q)
+        assert_same_instance(
+            rebuild_problem(
+                skeleton, unpack_values(_values_blob(variant, problem))
+            ),
+            base,
+        )
+
+    @given(problem=qp_problems())
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_decoded_arrays_do_not_alias_the_buffer(self, problem):
+        """Buffer-reuse safety: scribbling over the source buffer after
+        decode must not change the decoded values."""
+        buf = bytearray(pack_values(problem))
+        values = unpack_values(buf)
+        snapshot = [
+            arr.tobytes()
+            for arr in (values.q, values.l, values.u, values.p_data, values.a_data)
+        ]
+        buf[:] = b"\xff" * len(buf)  # the caller reuses its buffer
+        assert [
+            arr.tobytes()
+            for arr in (values.q, values.l, values.u, values.p_data, values.a_data)
+        ] == snapshot
+
+
+class TestCodecEdges:
+    def _problem(self, n=3, m=2):
+        rng = np.random.default_rng(0)
+        return QPProblem(
+            p=CSCMatrix.from_dense(np.diag(rng.random(n) + 1.0)),
+            q=rng.standard_normal(n),
+            a=CSCMatrix.from_dense(rng.standard_normal((m, n))),
+            l=np.array([-np.inf] * m),
+            u=np.array([np.inf] * m),
+        )
+
+    def test_unconstrained_m0(self):
+        problem = QPProblem(
+            p=CSCMatrix.from_dense(np.eye(2)),
+            q=np.array([1.0, -2.0]),
+            a=CSCMatrix.from_dense(np.zeros((0, 2))),
+            l=np.zeros(0),
+            u=np.zeros(0),
+        )
+        values = unpack_values(pack_values(problem))
+        assert values.l.size == values.u.size == values.a_data.size == 0
+        assert_bit_equal(values.q, problem.q)
+
+    def test_infinite_bounds_survive(self):
+        values = unpack_values(pack_values(self._problem()))
+        assert np.all(np.isneginf(values.l)) and np.all(np.isposinf(values.u))
+
+    def test_truncated_and_corrupt_payloads_raise(self):
+        payload = pack_values(self._problem())
+        with pytest.raises(ValueError, match="truncated"):
+            unpack_values(payload[:-8])
+        with pytest.raises(ValueError, match="magic"):
+            unpack_values(b"XXXX" + payload[4:])
+        with pytest.raises(ValueError, match="version"):
+            unpack_values(payload[:4] + b"\x02" + payload[5:])
+        with pytest.raises(ValueError, match="header"):
+            unpack_values(b"\x00" * 4)
+
+    def test_framing_is_exact(self):
+        """Trailing bytes used to decode silently; a body must be tiled
+        exactly by 1..limit blobs."""
+        payload = pack_values(self._problem())
+        with pytest.raises(ValueError, match="bytes after"):
+            unpack_values(payload + b"junk")
+        with pytest.raises(ValueError, match="bytes after"):
+            unpack_values(payload + payload)
+        blobs = list(iter_blobs(payload * 3, 3))
+        assert len(blobs) == 3
+        assert sum(b.nbytes for b in blobs) == 3 * len(payload)
+        with pytest.raises(ValueError, match="bytes after the 2"):
+            list(iter_blobs(payload * 3, 2))
+        with pytest.raises(ValueError, match="header"):
+            list(iter_blobs(payload + b"junk", 3))
+        with pytest.raises(ValueError, match="empty"):
+            list(iter_blobs(b"", 3))
+
+    def test_unmoved_matrices_are_shared_bit_for_bit(self):
+        """Consecutive instances share a matrix whose values did not
+        move — bitwise: ``-0.0`` where there was ``0.0`` is a move."""
+        problem = self._problem()
+        moved = problem.a.data.copy()
+        moved[0] = 2.0
+        zero = problem.p_upper.data.copy()
+        zero[0] = 0.0
+        negzero = zero.copy()
+        negzero[0] = -0.0
+        blobs = [
+            pack_values(problem), pack_values(problem),
+            pack_values(problem, a_data=moved),
+            pack_values(problem, a_data=moved, p_data=zero),
+            pack_values(problem, a_data=moved, p_data=negzero),
+        ]
+        first, same, a_moved, p_zero, p_negzero = rebuild_problems(
+            Skeleton.of(problem), (unpack_values(b) for b in blobs)
+        )
+        assert same.a is first.a and same.p is first.p
+        assert a_moved.a is not same.a and a_moved.p is same.p
+        assert p_zero.a is a_moved.a and p_zero.p is not a_moved.p
+        assert p_negzero.a is p_zero.a and p_negzero.p is not p_zero.p
+        assert_bit_equal(p_negzero.p.data, negzero)
+
+    def test_rebuild_rejects_mismatched_skeleton(self):
+        problem = self._problem(n=3, m=2)
+        values = unpack_values(pack_values(problem))
+        for other in (self._problem(n=4, m=2), self._problem(n=3, m=3)):
+            with pytest.raises(ValueError, match="pattern has"):
+                rebuild_problem(Skeleton.of(other), values)
+        sparser = QPProblem(
+            p=problem.p, q=problem.q,
+            a=CSCMatrix.from_dense(np.eye(2, 3)), l=problem.l, u=problem.u,
+        )
+        with pytest.raises(ValueError, match="non-zeros"):
+            rebuild_problem(Skeleton.of(sparser), values)
+
+    @pytest.mark.parametrize(
+        "field, index, bad",
+        [("q", 0, np.nan), ("q", 1, np.inf), ("p_data", 0, np.nan),
+         ("a_data", 0, -np.inf), ("l", 0, np.inf), ("u", 1, -np.inf)],
+    )
+    def test_rebuild_applies_the_decode_check(self, field, index, bad):
+        """A blob reaches the solver through the same value check as a
+        JSON document: no NaN / inf in ``q``, ``P`` or ``A``, no lower
+        bound of +inf or upper bound of -inf."""
+        problem = self._problem()
+        values = unpack_values(pack_values(problem))
+        getattr(values, field)[index] = bad
+        with pytest.raises(ValueError):
+            rebuild_problem(Skeleton.of(problem), values)

@@ -62,11 +62,15 @@ class FakeConnection:
             raise self.net.errors.pop(0)[1]
 
     def request(self, method, url, body=None, headers=None) -> None:
-        self.net.calls.append((self.sock, body, self.sock.gettimeout()))
+        self.net.calls.append(
+            (self.sock, body, self.sock.gettimeout(), headers)
+        )
         self._fail("send")
 
     def getresponse(self) -> FakeResponse:
         self._fail("response")
+        if self.net.replies:
+            return FakeResponse(*self.net.replies.pop(0))
         return FakeResponse(self.net.status, self.net.payload)
 
 
@@ -79,7 +83,10 @@ class FakeNet:
         # One socket per connect: a reconnect reuses the connection
         # object with a fresh socket.
         self.sockets: list[socket.socket] = []
-        self.calls: list[tuple] = []  # (socket, body, socket timeout)
+        # (socket, body, socket timeout, headers)
+        self.calls: list[tuple] = []
+        # (status, payload) answered ahead of the default, in order.
+        self.replies: list[tuple[int, dict]] = []
 
 
 @pytest.fixture
@@ -251,3 +258,84 @@ class TestPersistentConnection:
         client.solve(portfolio_problem(8, seed=0), timeout_s=5.0)
         assert [call[2] for call in net.calls] == [7.0, 0.25, 15.0]
         assert len(net.sockets) == 1
+
+
+class TestUnknownPatternFallback:
+    """A values body the server cannot place (409) is resent as JSON
+    once, at once: no jitter, no retry of the retry."""
+
+    def _learn(self, client, monkeypatch) -> FakeNet:
+        from repro.problems import portfolio_problem
+
+        net = flaky_net(
+            monkeypatch, [], {"status": "ok", "fingerprint": "f" * 64}
+        )
+        client.solve(portfolio_problem(8, seed=0), timeout_s=5.0)
+        assert net.calls[-1][3]["Content-Type"] == "application/json"
+        return net
+
+    def test_409_falls_back_to_json_once_without_sleeping(
+        self, client, monkeypatch, no_sleep
+    ):
+        from repro.problems import portfolio_problem
+
+        net = self._learn(client, monkeypatch)
+        net.replies.append((409, {"status": "unknown_pattern"}))
+        response = client.solve(portfolio_problem(8, seed=1), timeout_s=5.0)
+        assert response.ok and response.http_status == 200
+        values, resend = net.calls[1:]
+        assert values[3]["Content-Type"] == "application/x-repro-values"
+        assert values[3]["X-Repro-Fingerprint"] == "f" * 64
+        assert values[1][:4] == b"MIBS"
+        assert resend[3]["Content-Type"] == "application/json"
+        assert json.loads(resend[1])["timeout_s"] == 5.0
+        assert not no_sleep
+        # The JSON reply taught the fingerprint again: values next time.
+        client.solve(portfolio_problem(8, seed=2), timeout_s=5.0)
+        assert net.calls[-1][1][:4] == b"MIBS" and len(net.calls) == 4
+
+    def test_a_second_409_is_answered_not_retried(
+        self, client, monkeypatch, no_sleep
+    ):
+        from repro.problems import portfolio_problem
+
+        net = self._learn(client, monkeypatch)
+        net.replies += [(409, {"status": "unknown_pattern"})] * 2
+        response = client.solve(portfolio_problem(8, seed=1), timeout_s=5.0)
+        assert response.http_status == 409
+        assert response.status == "unknown_pattern"
+        assert len(net.calls) == 3 and not no_sleep
+
+    def test_non_canonical_csc_always_rides_json(
+        self, client, monkeypatch, no_sleep
+    ):
+        """Values stored in an order the server's decoder re-sorts
+        would land on the wrong entries: such a pattern is never
+        remembered."""
+        import numpy as np
+
+        from repro.linalg import CSCMatrix
+        from repro.problems import portfolio_problem
+        from repro.solver import QPProblem
+
+        net = flaky_net(
+            monkeypatch, [], {"status": "ok", "fingerprint": "f" * 64}
+        )
+        base = portfolio_problem(8, seed=0)
+        a = base.a
+        order = np.arange(a.nnz)
+        lo = a.indptr[int(np.argmax(np.diff(a.indptr) > 1))]
+        order[[lo, lo + 1]] = order[[lo + 1, lo]]
+        shuffled = QPProblem(
+            p=base.p,
+            q=base.q,
+            a=CSCMatrix(a.shape, a.indptr, a.indices[order], a.data[order],
+                        check=False),
+            l=base.l,
+            u=base.u,
+        )
+        for _ in range(2):
+            client.solve(shuffled, timeout_s=5.0)
+        assert [c[3]["Content-Type"] for c in net.calls] == [
+            "application/json"
+        ] * 2

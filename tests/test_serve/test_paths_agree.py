@@ -12,7 +12,8 @@ adapts ρ, then four probes — sent
       ``adaptive``, whether or not the queue coalesced a pair,
 (iv)  through a 2-shard server,
 
-gives the same per-instance answers; every anonymous path takes the
+gives the same per-instance answers; a values-only request body
+answers bitwise as its JSON twin on every path; every anonymous path takes the
 vectors-only delta bind when P and A did not move, and still answers
 bitwise as a full ``update_values`` rebind, also after a session moved
 the shared solver's matrices; and a guard that there is one serving
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.backends.mib import MIBSolver
+from repro.linalg import CSCMatrix
 from repro.problems import lasso_problem, mpc_problem, portfolio_problem
 from repro.serve import ServeClient, ServeServer
 from repro.solver import QPProblem, Settings, SolveResult
@@ -345,3 +347,89 @@ def test_no_endpoint_enters_a_network_engine(serve, monkeypatch):
         assert any(r.raw["batched"] for r in responses), (
             "16 simultaneous arrivals on 2 workers never coalesced"
         )
+
+
+def shuffled(problem: QPProblem) -> QPProblem:
+    """``problem`` with two row entries of one ``A`` column stored out
+    of order: the same instance in a non-canonical CSC."""
+    a = problem.a
+    order = np.arange(a.nnz)
+    lo = a.indptr[int(np.argmax(np.diff(a.indptr) > 1))]
+    order[[lo, lo + 1]] = order[[lo + 1, lo]]
+    return QPProblem(
+        p=problem.p, q=problem.q,
+        a=CSCMatrix(
+            a.shape, a.indptr, a.indices[order], a.data[order], check=False
+        ),
+        l=problem.l, u=problem.u,
+    )
+
+
+def drive(serve, way: str, *, json_only: bool):
+    """One path's script on a fresh server: every call from a fresh
+    client (so every body is JSON) or from one client (so a pattern's
+    later bodies are values).  Returns (result, block) per instance and
+    the server's counters."""
+    base = PATTERNS["portfolio"]()
+    q_only = [base] + [perturbed(base, seed, 1.0) for seed in range(1, 6)]
+    probes = script("portfolio")
+    kwargs = {"shards": 2, "workers": 1} if way == "shards" else {}
+    got = []
+    with serve(**kwargs) as server:
+        shared = ServeClient(port=server.port)
+
+        def client() -> ServeClient:
+            return ServeClient(port=server.port) if json_only else shared
+
+        def solves(problems, **kw) -> None:
+            for problem in problems:
+                reply = client().solve(problem, timeout_s=TIMEOUT_S, **kw)
+                assert reply.ok, reply.raw
+                got.append((reply.result, reply.raw))
+
+        def streams(call, chunks, **kw) -> None:
+            for chunk in chunks:
+                reply = call(client())(base, chunk, timeout_s=TIMEOUT_S, **kw)
+                assert reply.ok, reply.raw
+                got.extend(zip(reply.results, reply.steps))
+
+        if way in ("anonymous", "shards"):
+            solves(probes + [shuffled(probes[3]), shuffled(probes[4])])
+        elif way == "session":
+            solves(q_only, session="values-vs-json")
+        elif way == "scenarios":
+            streams(lambda c: c.scenarios, (probes[:3], probes[2:]))
+        else:
+            streams(
+                lambda c: c.sequence, (q_only[:3], q_only[3:]),
+                session="values-vs-json",
+            )
+        counters = shared.metrics()["counters"]
+    return got, counters
+
+
+@pytest.mark.parametrize(
+    "way, values_bodies",
+    [("anonymous", 4), ("session", 5), ("scenarios", 1), ("sequence", 1),
+     ("shards", 4)],
+)
+def test_values_body_answers_as_its_json_twin(serve, way, values_bodies):
+    """A values-only body and its JSON twin give bitwise the same x /
+    y / z, iterations, ρ updates, cycles and bind.  The two
+    non-canonical CSC instances at the end of the anonymous scripts
+    ride JSON, the second one too (4 of the script's 6 repeats ride
+    values)."""
+    want, json_counters = drive(serve, way, json_only=True)
+    got, counters = drive(serve, way, json_only=False)
+    assert json_counters["values_requests"] == 0
+    assert counters["values_requests"] == values_bodies
+    assert counters["unknown_pattern"] == 0
+    assert len(got) == len(want)
+    for (result, block), (twin, twin_block) in zip(got, want):
+        assert Answer.of(result, block)[:4] == Answer.of(twin, twin_block)[:4]
+        for name in ("x", "y", "z"):
+            mine, theirs = getattr(result, name), getattr(twin, name)
+            assert mine.tobytes() == theirs.tobytes()
+        assert block["delta_bind"] == twin_block["delta_bind"]
+    if way in ("session", "sequence"):
+        assert all(block["delta_bind"] for _, block in got[1:])

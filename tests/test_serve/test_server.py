@@ -14,13 +14,14 @@ import http.client
 import json
 import select
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.io import problem_to_dict
+from repro.io import pack_values, problem_to_dict
 from repro.problems import (
     huber_problem,
     lasso_problem,
@@ -29,7 +30,16 @@ from repro.problems import (
     svm_problem,
 )
 from repro.serve import ServeClient, ServeServer
-from repro.serve.server import IDLE_TIMEOUT_S, MAX_BODY_BYTES
+from repro.serve.server import (
+    FINGERPRINT_HEADER,
+    IDLE_TIMEOUT_S,
+    MAX_BODY_BYTES,
+    MAX_SCENARIO_LANES,
+    MAX_SEQUENCE_STEPS,
+    SESSION_HEADER,
+    TIMEOUT_HEADER,
+    VALUES_CONTENT_TYPE,
+)
 from repro.solver import Settings, solve as host_solve
 
 pytestmark = pytest.mark.serve_e2e
@@ -268,6 +278,213 @@ class TestSolveEndpoint:
     def test_unknown_endpoint_is_a_404(self, client):
         assert client._request("/v1/nope")[0] == 404
         assert client._request("/v1/nope", body={})[0] == 404
+
+
+def _hostile_body(path: str, how: str) -> tuple[bytes, dict]:
+    """A values body for ``portfolio_problem(8)``'s pattern with one
+    defect planted, plus any header it overrides."""
+    base = portfolio_problem(8, seed=0)
+    blob = pack_values(base)
+    cap = {"/v1/solve": 1, "/v1/sequence": MAX_SEQUENCE_STEPS,
+           "/v1/scenarios": MAX_SCENARIO_LANES}[path]
+    inf = np.full(base.m, np.inf)
+    bodies = {
+        "truncated": lambda: blob[:-8],
+        "bad-magic": lambda: b"XXXX" + blob[4:],
+        "bad-version": lambda: blob[:4] + struct.pack("<I", 2) + blob[8:],
+        "trailing-bytes": lambda: blob + b"junk",
+        "n-mismatch": lambda: pack_values(portfolio_problem(12, seed=0)),
+        "m-mismatch": lambda: pack_values(base, l=base.l[:-1], u=base.u[:-1]),
+        "nnz-mismatch": lambda: pack_values(base, a_data=base.a.data[:-1]),
+        "q-nan": lambda: blob[:40] + struct.pack("<d", np.nan) + blob[48:],
+        "P-inf": lambda: pack_values(
+            base, p_data=np.where(np.arange(base.p_upper.nnz), 1.0, np.inf)
+        ),
+        "A-minus-inf": lambda: pack_values(base, a_data=-np.inf * base.a.data),
+        "l-plus-inf": lambda: pack_values(base, l=inf, u=inf),
+        "zero-blobs": lambda: b"",
+        "over-the-cap": lambda: blob * (cap + 1),
+        "timeout-not-json": lambda: blob,
+        "timeout-not-numeric": lambda: blob,
+    }
+    headers = {
+        "timeout-not-json": {TIMEOUT_HEADER: "abc"},
+        "timeout-not-numeric": {TIMEOUT_HEADER: '"abc"'},
+    }
+    return bodies[how](), headers.get(how, {})
+
+
+HOSTILE_VALUES = [
+    "truncated", "bad-magic", "bad-version", "trailing-bytes",
+    "n-mismatch", "m-mismatch", "nnz-mismatch", "q-nan", "P-inf",
+    "A-minus-inf", "l-plus-inf", "zero-blobs", "over-the-cap",
+    "timeout-not-json", "timeout-not-numeric",
+]
+
+
+class TestValuesBody:
+    """A pattern the server holds travels as values only."""
+
+    @pytest.fixture(scope="class")
+    def fingerprint(self, client):
+        response = client.solve(portfolio_problem(8, seed=0), timeout_s=60.0)
+        assert response.ok
+        return response.fingerprint
+
+    def test_repeat_pattern_rides_a_values_body(self, server):
+        client = ServeClient(port=server.port)
+        before = client.metrics()["counters"]
+        first = client.solve(portfolio_problem(8, seed=0), timeout_s=60.0)
+        repeat = client.solve(portfolio_problem(8, seed=1), timeout_s=60.0)
+        after = client.metrics()["counters"]
+        assert first.ok and repeat.ok and repeat.warm
+        assert repeat.fingerprint == first.fingerprint
+        assert after["values_requests"] == before["values_requests"] + 1
+        assert after["requests_total"] == before["requests_total"] + 2
+        assert after["unknown_pattern"] == before["unknown_pattern"]
+
+    @pytest.mark.parametrize("how", HOSTILE_VALUES)
+    @pytest.mark.parametrize("path, session", [
+        ("/v1/solve", None), ("/v1/sequence", "hostile"),
+        ("/v1/scenarios", None),
+    ])
+    def test_hostile_values_body_is_a_400(
+        self, client, fingerprint, path, session, how
+    ):
+        body, extra = _hostile_body(path, how)
+        headers = {FINGERPRINT_HEADER: fingerprint, **extra}
+        if session is not None:
+            headers[SESSION_HEADER] = json.dumps(session)
+        before = client.metrics()["counters"]
+        status, payload = client._request(
+            path, body=body, headers=headers, retry=False
+        )
+        assert status == 400, payload
+        assert payload["status"] == "error" and payload["detail"]
+        after = client.metrics()["counters"]
+        assert after["responses_error"] == before["responses_error"] + 1
+        assert after["values_requests"] == before["values_requests"]
+        assert after["admm_iterations"] == before["admm_iterations"]
+
+    def test_missing_fingerprint_is_a_400(self, client):
+        before = client.metrics()["counters"]["responses_error"]
+        status, payload = client._request(
+            "/v1/solve", body=pack_values(portfolio_problem(8, seed=0)),
+            retry=False,
+        )
+        assert status == 400 and FINGERPRINT_HEADER in payload["detail"]
+        assert client.metrics()["counters"]["responses_error"] == before + 1
+
+    @pytest.mark.parametrize("path", ["/v1/solve", "/v1/sequence",
+                                      "/v1/scenarios"])
+    def test_unknown_fingerprint_is_a_409_and_json_still_answers(
+        self, server, client, path
+    ):
+        """The body is read whole before the 409, so the same
+        keep-alive connection answers the JSON resend."""
+        base = portfolio_problem(8, seed=0)
+        field = {"/v1/sequence": "steps", "/v1/scenarios": "scenarios"}
+        before = client.metrics()["counters"]
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request(
+                "POST", path, body=pack_values(base),
+                headers={
+                    "Content-Type": VALUES_CONTENT_TYPE,
+                    FINGERPRINT_HEADER: "0" * 64,
+                },
+            )
+            refused = conn.getresponse()
+            assert refused.status == 409
+            assert refused.getheader("Connection") is None
+            assert json.loads(refused.read())["status"] == "unknown_pattern"
+            doc = {"problem": problem_to_dict(base), "timeout_s": 60.0}
+            if path in field:
+                doc[field[path]] = [{}]
+            conn.request(
+                "POST", path, body=json.dumps(doc).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            answered = conn.getresponse()
+            assert answered.status == 200
+            assert json.loads(answered.read())["status"] == "ok"
+        finally:
+            conn.close()
+        after = client.metrics()["counters"]
+        assert after["unknown_pattern"] == before["unknown_pattern"] + 1
+        assert after["responses_error"] == before["responses_error"]
+
+    def test_pattern_registry_is_bounded_by_the_pool(self):
+        """The server holds as many patterns' structure as its pool
+        holds solvers; a forgotten one is a 409 the client resends as
+        JSON, once and at once."""
+        problems = [portfolio_problem(n, seed=0) for n in (4, 5, 6)]
+        with ServeServer(
+            port=0, workers=1, c=8, settings=FAST, capacity=2
+        ) as server:
+            client = ServeClient(port=server.port)
+            for problem in problems:
+                assert client.solve(problem, timeout_s=60.0).ok
+            counters = client.metrics()["counters"]
+            assert counters["values_requests"] == 0
+            # problems[0] fell out of the registry: 409, then JSON.
+            assert client.solve(problems[0], timeout_s=60.0).ok
+            # problems[2] is still held: values.
+            assert client.solve(problems[2], timeout_s=60.0).ok
+            counters = client.metrics()["counters"]
+        assert counters["unknown_pattern"] == 1
+        assert counters["values_requests"] == 1
+        assert counters["responses_error"] == 0
+
+    def test_registries_hold_under_concurrent_churn(self):
+        """Six threads share one client and cycle three patterns
+        through a two-pattern server registry: every call answers, each
+        409 costs exactly one extra request, and neither registry
+        outgrows its bound."""
+        import sys
+
+        from repro.serve.client import _KNOWN_PATTERNS
+
+        problems = [portfolio_problem(n, seed=s) for n in (4, 5, 6)
+                    for s in (0, 1)]
+        calls, threads_n = 6, 6
+        failures: list = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServeServer(
+                port=0, workers=2, c=8, settings=FAST, capacity=2
+            ) as server:
+                client = ServeClient(port=server.port)
+
+                def churn(tid: int) -> None:
+                    for i in range(calls):
+                        problem = problems[(tid + i) % len(problems)]
+                        response = client.solve(problem, timeout_s=60.0)
+                        if not (response.ok and response.solved):
+                            failures.append(response.raw)
+
+                threads = [
+                    threading.Thread(target=churn, args=(t,))
+                    for t in range(threads_n)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120.0)
+                assert not any(t.is_alive() for t in threads)
+                counters = client.metrics()["counters"]
+                assert len(server._skeletons) <= 2
+                assert len(client._patterns) <= _KNOWN_PATTERNS
+        finally:
+            sys.setswitchinterval(switch)
+        assert not failures
+        assert counters["responses_ok"] == calls * threads_n
+        assert (
+            counters["requests_total"] - counters["unknown_pattern"]
+            == calls * threads_n
+        )
+        assert counters["values_requests"] >= 1
 
 
 class TestObservability:

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from repro.io import problem_to_dict
+from repro.io import pack_values, problem_to_dict
 from repro.problems import portfolio_problem
-from repro.shard import ShardWorker, pack_values
+from repro.shard import ShardWorker
 from repro.solver import Settings
 
 FAST = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=4000)
