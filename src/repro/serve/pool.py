@@ -18,11 +18,15 @@ solver per resident pattern:
   process, a sibling worker, or a previous run sharing the cache
   directory).
 
-Entries are evicted least-recently-used beyond ``capacity``.  The pool
-is thread-safe: the resident map has one lock, each entry serializes
-its own solves (a solver holds mutable iterate state), and per-key
-construction locks ensure a pattern is compiled once even when many
-threads miss on it simultaneously.
+An entry is the process's one record of a pattern: its
+:class:`~repro.io.Skeleton` from :meth:`SolverPool.admit` on (what a
+values-only body decodes against) and its solver once a solve builds
+it; entries are evicted least-recently-used beyond ``capacity``.  Only
+solvers count: ``pool_hits`` / ``pool_misses`` are solver lookups,
+``pool_evictions`` evicted solvers, and ``len`` / ``fingerprints`` /
+``entries_info`` see the entries holding one.  The table has one lock;
+each entry's lock serializes building its solver and every solve on
+it, so a pattern compiles once however many threads miss on it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 from ..backends.mib import MIBSolveReport, MIBSolver
 from ..backends.session import SolveSession
 from ..compiler import ScheduleCache, ScheduleOptions
+from ..io import Skeleton
 from ..solver import QPProblem, Settings
 from .metrics import ServeMetrics
 from .session import SessionStore
@@ -45,7 +50,8 @@ __all__ = ["PoolSolve", "SolverPool"]
 
 @dataclass
 class _PoolEntry:
-    solver: MIBSolver
+    skeleton: Skeleton
+    solver: MIBSolver | None = None  # built by the first solve
     lock: threading.Lock = field(default_factory=threading.Lock)
     solves: int = 0
     # Per-iteration host→numpy crossings of this pattern's replayed
@@ -78,14 +84,14 @@ class PoolSolve:
 
 
 class SolverPool:
-    """Thread-safe LRU pool of warm pattern-compiled solvers.
+    """Thread-safe LRU table of patterns and their warm solvers.
 
     Parameters
     ----------
     capacity:
-        Resident solver budget (patterns, not bytes).  Evicting an
-        entry only drops the warm solver; its compiled artifact stays
-        in the schedule cache, so re-admission skips scheduling.
+        Resident pattern budget (patterns, not bytes).  Evicting an
+        entry drops its skeleton and warm solver; its compiled artifact
+        stays in the schedule cache, so re-admission skips scheduling.
     variant / c / settings:
         Solver configuration shared by every entry; part of the
         pattern fingerprint, so one pool serves exactly one
@@ -126,8 +132,7 @@ class SolverPool:
         # fingerprint must match the key the solver computes itself.
         self._options = ScheduleOptions()
         self._entries: OrderedDict[str, _PoolEntry] = OrderedDict()
-        self._lock = threading.RLock()
-        self._building: dict[str, threading.Lock] = {}
+        self._lock = threading.Lock()
         # Client-keyed carried iterates for the streaming API (sticky
         # warm start on /v1/solve, /v1/sequence steps).
         self.sessions = SessionStore(
@@ -148,28 +153,43 @@ class SolverPool:
         )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self.entries_info())
 
     def fingerprints(self) -> list[str]:
-        """Resident patterns, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
+        """Patterns with a solver, least- to most-recently used."""
+        return [info["fingerprint"] for info in self.entries_info()]
 
     def entries_info(self) -> list[dict]:
-        """Per-entry observability for ``/v1/metrics``: fingerprint,
+        """Per-solver observability for ``/v1/metrics``: fingerprint,
         solve count and the per-iteration crossing count (``None``
         until the first solve lowers the traces)."""
         with self._lock:
-            items = list(self._entries.items())
-        return [
-            {
-                "fingerprint": key,
-                "solves": entry.solves,
-                "crossings_per_iter": entry.crossings_per_iter,
-            }
-            for key, entry in items
-        ]
+            return [
+                {
+                    "fingerprint": key,
+                    "solves": entry.solves,
+                    "crossings_per_iter": entry.crossings_per_iter,
+                }
+                for key, entry in self._entries.items()
+                if entry.solver is not None
+            ]
+
+    def admit(self, problem: QPProblem) -> str:
+        """Hold ``problem``'s pattern as most recently used (building
+        nothing) and return its fingerprint."""
+        key = self.fingerprint(problem)
+        self._entry(key, problem)
+        return key
+
+    def skeleton(self, fingerprint: str) -> Skeleton | None:
+        """The structure of a held pattern, touched as most recently
+        used (``None`` when the pattern is not held)."""
+        with self._lock:
+            entry = self._entries.get(fingerprint)
+            if entry is None:
+                return None
+            self._entries.move_to_end(fingerprint)
+            return entry.skeleton
 
     # ------------------------------------------------------------------
     def solve(
@@ -246,10 +266,11 @@ class SolverPool:
         if state is not None:
             state.lock.acquire()
         try:
-            entry, warm, cache_hit, compile_seconds = self._get_or_create(
-                key, problems[0]
-            )
+            entry = self._entry(key, problems[0])
             with entry.lock:
+                warm, cache_hit, compile_seconds = self._build(
+                    key, entry, problems[0]
+                )
                 sess = SolveSession(entry.solver)
                 if state is not None and state.warm:
                     sess.restore(
@@ -336,11 +357,12 @@ class SolverPool:
         if not problems:
             return
         key = fingerprint or self.fingerprint(problems[0])
-        entry, warm, cache_hit, compile_seconds = self._get_or_create(
-            key, problems[0]
-        )
-        solver = entry.solver
+        entry = self._entry(key, problems[0])
         with entry.lock:
+            warm, cache_hit, compile_seconds = self._build(
+                key, entry, problems[0]
+            )
+            solver = entry.solver
             t0 = time.perf_counter()
             for problem in problems:
                 delta_bind = warm and solver.bind_values(problem) == "delta"
@@ -382,52 +404,46 @@ class SolverPool:
         metrics.inc("host_crossings", iterations * crossings_per_iter)
 
     # ------------------------------------------------------------------
-    def _get_or_create(
-        self, key: str, problem: QPProblem
-    ) -> tuple[_PoolEntry, bool, bool, float]:
-        """Look up or build the entry for ``key``.
-
-        Returns ``(entry, warm, cache_hit, compile_seconds)``.  The
-        per-key build lock makes concurrent misses on one pattern
-        compile once: the losers block, then find the winner's entry.
-        """
+    def _entry(self, key: str, problem: QPProblem) -> _PoolEntry:
+        """The entry for ``key``, touched as most recently used, or a
+        new solver-less one holding ``problem``'s skeleton; the least
+        recently used entries beyond ``capacity`` are evicted."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.metrics.inc("pool_hits")
-                return entry, True, True, 0.0
-            build_lock = self._building.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self.metrics.inc("pool_hits")
-                    return entry, True, True, 0.0
-            t0 = time.perf_counter()
-            solver = MIBSolver(
-                problem,
-                variant=self.variant,
-                c=self.c,
-                settings=self.settings,
-                cache=self.cache,
-            )
-            compile_seconds = time.perf_counter() - t0
-            if solver.cache_key != key:
-                raise RuntimeError(
-                    "pool fingerprint does not match the solver's cache key"
-                )
-            entry = _PoolEntry(solver=solver)
-            with self._lock:
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
+                return entry
+            entry = self._entries[key] = _PoolEntry(Skeleton.of(problem))
+            while len(self._entries) > self.capacity:
+                _, evicted = self._entries.popitem(last=False)
+                if evicted.solver is not None:
                     self.metrics.inc("pool_evictions")
-                self._building.pop(key, None)
-            self.metrics.inc("pool_misses")
-            if not solver.cache_hit:
-                self.metrics.inc("compile_count")
-                self.metrics.observe("compile", compile_seconds)
-            return entry, False, solver.cache_hit, compile_seconds
+            return entry
+
+    def _build(
+        self, key: str, entry: _PoolEntry, problem: QPProblem
+    ) -> tuple[bool, bool, float]:
+        """``(warm, cache_hit, compile_seconds)`` of ``entry``'s solver,
+        built first if it has none (caller holds the entry lock)."""
+        if entry.solver is not None:
+            self.metrics.inc("pool_hits")
+            return True, True, 0.0
+        t0 = time.perf_counter()
+        solver = MIBSolver(
+            problem,
+            variant=self.variant,
+            c=self.c,
+            settings=self.settings,
+            cache=self.cache,
+        )
+        compile_seconds = time.perf_counter() - t0
+        if solver.cache_key != key:
+            raise RuntimeError(
+                "pool fingerprint does not match the solver's cache key"
+            )
+        entry.solver = solver
+        self.metrics.inc("pool_misses")
+        if not solver.cache_hit:
+            self.metrics.inc("compile_count")
+            self.metrics.observe("compile", compile_seconds)
+        return False, solver.cache_hit, compile_seconds

@@ -59,10 +59,12 @@ server already holds, values only):
   ``MAX_SEQUENCE_STEPS`` / ``MAX_SCENARIO_LANES``), and headers carry
   what the JSON body would: ``X-Repro-Fingerprint`` (the
   ``fingerprint`` an earlier JSON reply returned) and, JSON-encoded,
-  ``X-Repro-Session`` / ``X-Repro-Timeout``.  Every JSON body records
-  its pattern's structure under its fingerprint (LRU, as many patterns
-  as the pool holds); a values body is decoded against it, through
-  the same value checks, into the same instances the JSON body gives.
+  ``X-Repro-Session`` / ``X-Repro-Timeout``.  Every JSON body that
+  parses whole admits its pattern to the tier's
+  :class:`~repro.serve.pool.SolverPool`, whose entries (one LRU of
+  ``capacity`` patterns) hold each pattern's structure; a values body
+  is decoded against it, through the same value checks, into the same
+  instances the JSON body gives.
   A fingerprint the server does not hold is a ``409
   {"status": "unknown_pattern"}`` (resend as JSON); a body its blobs
   do not tile exactly, or whose sizes do not match the pattern, is a
@@ -81,13 +83,11 @@ import math
 import socket
 import threading
 import time
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from ..io import (
-    Skeleton,
     decode_bounds,
     iter_blobs,
     problem_from_dict,
@@ -304,11 +304,6 @@ class ServeServer:
                 controller=controller,
                 **pool_kwargs,
             )
-        # Fingerprint -> structure of each pattern a JSON body brought,
-        # least recently used first and as many as the pool holds:
-        # what a values-only body is decoded against.
-        self._skeletons: OrderedDict[str, Skeleton] = OrderedDict()
-        self._skeletons_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._http = _HTTPServer((host, port), _make_handler(self))
         self.host = host
@@ -384,27 +379,6 @@ class ServeServer:
     # ------------------------------------------------------------------
     # handler side
     # ------------------------------------------------------------------
-    def _parse_base(self, body: dict) -> tuple[QPProblem, str]:
-        """Decode the base problem document, fingerprint it and record
-        its pattern for later values bodies."""
-        problem = problem_from_dict(body["problem"])
-        fingerprint = self.tier.pool.fingerprint(problem)
-        with self._skeletons_lock:
-            if fingerprint in self._skeletons:
-                self._skeletons.move_to_end(fingerprint)
-            else:
-                self._skeletons[fingerprint] = Skeleton.of(problem)
-                if len(self._skeletons) > self.tier.pool.capacity:
-                    self._skeletons.popitem(last=False)
-        return problem, fingerprint
-
-    def _skeleton(self, fingerprint: str) -> Skeleton | None:
-        with self._skeletons_lock:
-            skeleton = self._skeletons.get(fingerprint)
-            if skeleton is not None:
-                self._skeletons.move_to_end(fingerprint)
-            return skeleton
-
     def _parse_timeout(self, raw) -> float:
         """The request's ``timeout_s`` (absent → the server default);
         anything but a finite positive number is the client's error."""
@@ -486,12 +460,15 @@ class ServeServer:
         field, cap = _ENDPOINTS[path]
         try:
             timeout_s = self._parse_timeout(body.get("timeout_s"))
-            base, fingerprint = self._parse_base(body)
+            base = problem_from_dict(body["problem"])
             problems = (
                 [base]
                 if field is None
                 else _materialize_variants(base, body.get(field), cap, field)
             )
+            # Only a body that parsed whole admits its pattern: a
+            # refused one must not evict a held pattern.
+            fingerprint = self.tier.pool.admit(base)
         except Exception as exc:
             return self._malformed(path, exc)
         return self._admit(
@@ -513,7 +490,7 @@ class ServeServer:
                 raise ValueError(f"no {FINGERPRINT_HEADER} header")
         except Exception as exc:
             return self._malformed(path, exc)
-        skeleton = self._skeleton(fingerprint)
+        skeleton = self.tier.pool.skeleton(fingerprint)
         if skeleton is None:
             self.metrics.inc("unknown_pattern")
             return 409, {

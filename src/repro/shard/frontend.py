@@ -13,8 +13,8 @@ request source) and the shard worker fleet:
   untouched.
 * **transport** — each instance's values are packed as raw float64
   (:func:`~repro.io.pack_values`) and ride the shard's
-  pipe inside one ``submit`` message; the pattern itself registers
-  once per shard incarnation.
+  pipe inside one ``submit`` message; the pattern's
+  :class:`~repro.io.Skeleton` registers once while the shard holds it.
 * **deadline propagation** — the request's absolute monotonic deadline
   crosses the pipe; the worker's engine enforces it exactly as the
   in-process engine would, and the HTTP handler's wait backstops it.
@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..io import pack_values, problem_to_dict
+from ..io import Skeleton, pack_values
 from ..serve.metrics import ServeMetrics
 from ..serve.pool import SolverPool
 from ..serve.queue import QueueFullError, SolveRequest
@@ -74,9 +74,9 @@ class ShardFrontend:
         **pool_kwargs,
     ) -> None:
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        # Fingerprint-only pool: routes and coalesces exactly like the
-        # workers' pools (same configuration → same cache keys) but
-        # never builds a solver, so it stays cold and cheap.
+        # The front end's pattern table: same configuration as the
+        # workers' pools (→ same fingerprints), but it never builds a
+        # solver, so it stays cold and cheap.
         self.pool = SolverPool(metrics=self.metrics, **pool_kwargs)
         self.queue_size = queue_size
         self.max_batch = max_batch
@@ -256,17 +256,21 @@ class ShardFrontend:
             if not handle.alive or handle.conn is None:
                 return False
             try:
-                if request.fingerprint not in handle.registered:
-                    # In-order pipe delivery guarantees the skeleton
-                    # arrives before this pattern's first request.
+                # The shard's registry is an LRU of the pool's capacity
+                # kept here; a register names the pattern it evicts and
+                # the worker drops it (DESIGN.md §5.6).  In-order pipe
+                # delivery puts a skeleton before its requests.
+                registered, fp = handle.registered, request.fingerprint
+                if fp in registered:
+                    registered.move_to_end(fp)
+                else:
+                    dropped = None
+                    if len(registered) >= self.pool.capacity:
+                        dropped = registered.popitem(last=False)[0]
                     handle.conn.send(
-                        (
-                            "register",
-                            request.fingerprint,
-                            problem_to_dict(request.problem),
-                        )
+                        ("register", fp, Skeleton.of(request.problem), dropped)
                     )
-                    handle.registered.add(request.fingerprint)
+                    registered[fp] = None
                 with self._inflight_lock:
                     self._inflight[request.request_id] = _InFlight(
                         request=request, shard_id=shard_id

@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .worker import shard_worker_main
@@ -37,9 +38,9 @@ class ShardHandle:
     generation: int = 0  # incremented per (re)spawn
     pid: int | None = None
     respawns: int = 0
-    # Patterns registered with the *current* incarnation; cleared on
-    # death so the next incarnation re-learns its skeletons.
-    registered: set[str] = field(default_factory=set)
+    # Mirror of the current incarnation's pattern registry (an LRU the
+    # front end bounds); cleared per incarnation.
+    registered: OrderedDict[str, None] = field(default_factory=OrderedDict)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -106,7 +107,6 @@ class ShardManager:
         with handle.lock:
             conn, process = handle.conn, handle.process
             handle.alive = False
-            handle.registered.clear()
         if conn is not None:
             try:
                 conn.close()

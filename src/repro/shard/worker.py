@@ -10,10 +10,11 @@ HTTP: the worker speaks the shard protocol over one duplex pipe.
 
 Protocol (parent → worker):
 
-* ``("register", fingerprint, problem_doc)`` — cache the pattern's
-  skeleton (``repro-qp-v1`` document).  Sent once per pattern per
-  worker incarnation; pipe ordering guarantees it precedes the
-  pattern's first request.
+* ``("register", fingerprint, skeleton, dropped)`` — hold the
+  pattern's :class:`~repro.io.Skeleton` and forget ``dropped`` (the
+  pattern this registration evicted from the front end's mirror, an
+  LRU of the pool's ``capacity``, or ``None``), so the registry equals
+  the mirror at every point of the pipe.
 * ``("submit", req_id, fingerprint, deadline, session, kind,
   payloads)`` — one request of ``kind`` ``"solve"``, ``"sequence"``
   or ``"scenarios"``.  ``payloads`` holds one
@@ -44,7 +45,7 @@ import signal
 import threading
 import time
 
-from ..io import Skeleton, problem_from_dict, rebuild_problems, unpack_values
+from ..io import Skeleton, rebuild_problems, unpack_values
 from ..serve.engine import SolveEngine
 from ..serve.queue import QueueFullError, SolveRequest
 
@@ -97,8 +98,9 @@ class ShardWorker:
         if kind == "stop":
             return False
         if kind == "register":
-            _, fingerprint, doc = message
-            self._skeletons[fingerprint] = Skeleton.of(problem_from_dict(doc))
+            _, fingerprint, skeleton, dropped = message
+            self._skeletons.pop(dropped, None)
+            self._skeletons[fingerprint] = skeleton
         elif kind == "submit":
             self._handle_submit(*message[1:])
         elif kind == "metrics":

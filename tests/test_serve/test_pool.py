@@ -151,6 +151,23 @@ class TestEviction:
         pool.solve(portfolio_problem(16, seed=0))  # evicts the 12-pattern
         assert key8 in pool.fingerprints()
 
+    def test_admission_builds_nothing_and_moves_no_counter(self):
+        """An admitted pattern holds a table slot but no solver: only
+        a solve's lookup counts, and only a solver's eviction does."""
+        pool = _pool(capacity=1)
+        small, large = portfolio_problem(8, seed=0), portfolio_problem(12)
+        keys = [pool.admit(small), pool.admit(large)]
+        assert keys == [pool.fingerprint(small), pool.fingerprint(large)]
+        assert pool.skeleton(keys[0]) is None  # evicted by the second
+        assert pool.skeleton(keys[1]).a_shape == large.a.shape
+        assert len(pool) == 0 and pool.fingerprints() == []
+        counters = ("pool_hits", "pool_misses", "pool_evictions")
+        assert [pool.metrics.count(c) for c in counters] == [0, 0, 0]
+        pool.solve(large)  # builds the admitted entry's solver
+        pool.admit(small)  # evicts it
+        assert [pool.metrics.count(c) for c in counters] == [0, 1, 1]
+        assert len(pool) == 0
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SolverPool(capacity=0)

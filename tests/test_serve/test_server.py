@@ -436,6 +436,26 @@ class TestValuesBody:
         assert counters["values_requests"] == 1
         assert counters["responses_error"] == 0
 
+    def test_refused_body_does_not_evict_a_held_pattern(self):
+        """A body refused for its ``scenarios`` field never admits its
+        (valid) pattern, so it cannot push a held one out."""
+        held, refused = portfolio_problem(4, seed=0), portfolio_problem(5)
+        with ServeServer(
+            port=0, workers=1, c=8, settings=FAST, capacity=1
+        ) as server:
+            client = ServeClient(port=server.port)
+            assert client.solve(held, timeout_s=60.0).ok
+            status, _ = client._request(
+                "/v1/scenarios",
+                body={"problem": problem_to_dict(refused), "scenarios": "x"},
+                retry=False,
+            )
+            assert status == 400
+            assert client.solve(held, timeout_s=60.0).ok
+            counters = client.metrics()["counters"]
+        assert counters["values_requests"] == 1
+        assert counters["unknown_pattern"] == 0
+
     def test_registries_hold_under_concurrent_churn(self):
         """Six threads share one client and cycle three patterns
         through a two-pattern server registry: every call answers, each
@@ -474,7 +494,7 @@ class TestValuesBody:
                     t.join(timeout=120.0)
                 assert not any(t.is_alive() for t in threads)
                 counters = client.metrics()["counters"]
-                assert len(server._skeletons) <= 2
+                assert len(server.pool._entries) <= 2
                 assert len(client._patterns) <= _KNOWN_PATTERNS
         finally:
             sys.setswitchinterval(switch)

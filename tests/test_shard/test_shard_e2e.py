@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.io import problem_to_dict
 from repro.problems import (
     huber_problem,
     lasso_problem,
@@ -147,6 +148,65 @@ class TestBitIdentical:
                     np.asarray(ra["y"]), np.asarray(rb["y"])
                 ), name
                 assert ra["objective"] == rb["objective"]
+
+
+class TestPatternRegistry:
+    def test_churn_keeps_every_shard_registry_within_capacity(self):
+        """Acceptance: 4 x capacity distinct patterns through 2 shards,
+        then the first again.  Every answer is a 200, no shard ever
+        holds more than ``capacity`` skeletons, and the repeat (evicted
+        from its home shard, so solved cold) answers bit for bit as a
+        fresh in-process server with the same capacity fed the same
+        stream."""
+        capacity = 2
+        stream = [portfolio_problem(n, seed=0) for n in range(4, 12)]
+        stream.append(portfolio_problem(4, seed=0))
+        with ServeServer(
+            port=0, workers=1, shards=2, c=8, settings=FAST,
+            capacity=capacity,
+        ) as sharded_server, ServeServer(
+            port=0, workers=1, c=8, settings=FAST, capacity=capacity
+        ) as reference_server:
+            pool, router = sharded_server.pool, sharded_server.frontend.router
+            homes = [router.home(pool.fingerprint(p)) for p in stream]
+            assert len({pool.fingerprint(p) for p in stream}) == 8
+            # The setup this test relies on: the first pattern's home
+            # shard sees more than `capacity` other patterns after it.
+            assert homes[1:-1].count(homes[0]) >= capacity
+            sharded = ServeClient(port=sharded_server.port)
+            reference = ServeClient(port=reference_server.port)
+            answers = []
+            for problem in stream:
+                body = {"problem": problem_to_dict(problem), "timeout_s": 60.0}
+                status, a = sharded._request("/v1/solve", body=body)
+                assert status == 200, a
+                status, b = reference._request("/v1/solve", body=body)
+                assert status == 200, b
+                answers.append((a["result"], b["result"]))
+                for doc in sharded.health()["shards"].values():
+                    assert doc["patterns_registered"] <= capacity
+        ra, rb = answers[-1]
+        assert ra["iterations"] == rb["iterations"]
+        assert np.array_equal(np.asarray(ra["x"]), np.asarray(rb["x"]))
+        assert np.array_equal(np.asarray(ra["y"]), np.asarray(rb["y"]))
+
+    def test_pool_counters_count_solver_lookups_only(self):
+        """The front end's pattern table moves no pool counter: the
+        fleet-wide hits + misses are the solves, and traffic within
+        capacity evicts nothing."""
+        problems = [
+            portfolio_problem(n, seed=seed) for n in (6, 7, 8)
+            for seed in (0, 1)
+        ]
+        with ServeServer(
+            port=0, workers=1, shards=2, c=8, settings=FAST, capacity=4
+        ) as srv:
+            client = ServeClient(port=srv.port)
+            for problem in problems:
+                assert client.solve(problem, timeout_s=60.0).ok
+            counters = client.metrics()["counters"]
+        assert counters["pool_hits"] + counters["pool_misses"] == len(problems)
+        assert counters["pool_evictions"] == 0
 
 
 class TestWorkerDeathRecovery:

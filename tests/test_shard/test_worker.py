@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.io import pack_values, problem_to_dict
+from repro.io import Skeleton, pack_values
 from repro.problems import portfolio_problem
 from repro.shard import ShardWorker
 from repro.solver import Settings
@@ -63,7 +63,7 @@ def registered(w, seed=0):
     """Register a small portfolio pattern; returns (problem, fingerprint)."""
     problem = portfolio_problem(8, seed=seed)
     fp = w.engine.pool.fingerprint(problem)
-    assert w.handle(("register", fp, problem_to_dict(problem)))
+    assert w.handle(("register", fp, Skeleton.of(problem), None))
     return problem, fp
 
 
@@ -136,6 +136,28 @@ class TestProtocol:
         assert [m[2] for m in done] == [500, 500, 500]
         assert all("never registered" in m[3]["detail"] for m in done)
 
+    def test_register_drops_what_the_front_end_evicted(self, worker):
+        """A ``register`` naming ``dropped`` keeps the registry within
+        capacity; a submit for the dropped pattern (a protocol bug, as
+        the front end re-registers before it ships) is the 500."""
+        w, conn = worker
+        capacity = CONFIG["pool_kwargs"]["capacity"]
+        fps = []
+        for n in range(4, 4 + capacity + 2):
+            problem = portfolio_problem(n, seed=0)
+            fp = w.engine.pool.fingerprint(problem)
+            dropped = fps[-capacity] if len(fps) >= capacity else None
+            assert w.handle(("register", fp, Skeleton.of(problem), dropped))
+            fps.append(fp)
+            assert w.health()["patterns_registered"] == min(
+                len(fps), capacity
+            )
+        blob = pack_values(portfolio_problem(4, seed=0))
+        w.handle(submit(1, fps[0], "solve", [blob]))
+        status_code, payload = conn.wait_for("done")[2:]
+        assert status_code == 500
+        assert "never registered" in payload["detail"]
+
     def test_corrupt_payload_is_a_400(self, worker):
         w, conn = worker
         problem, fp = registered(w)
@@ -168,7 +190,7 @@ class TestProtocol:
         for n in (6, 7, 8, 9):
             problem = portfolio_problem(n, seed=0)
             fp = w.engine.pool.fingerprint(problem)
-            w.handle(("register", fp, problem_to_dict(problem)))
+            w.handle(("register", fp, Skeleton.of(problem), None))
             shipped.append((fp, pack_values(problem)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
