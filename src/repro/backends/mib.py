@@ -254,12 +254,6 @@ class MIBSolver:
         self.variant = variant
         self.c = c
         self.execution = execution
-        # Construction-time Ruiz scaling applies the equilibration
-        # iteratively, which can differ in the last ulp from the
-        # one-shot rescale update_values performs; the delta bind may
-        # only skip matrix work once the scaled state has
-        # update_values provenance.
-        self._delta_bindable = False
         self._sim: NetworkSimulator | None = None
         self._traces: dict[str, CompiledTrace] = {}
         self._trace_stamps: dict[str, dict] = {}
@@ -670,7 +664,6 @@ class MIBSolver:
         """
         self.reference.update_values(problem)
         self.problem = problem
-        self._delta_bindable = True
 
     # ------------------------------------------------------------------
     def bind_values(self, problem: QPProblem) -> str:
@@ -689,8 +682,7 @@ class MIBSolver:
         """
         cur = self.problem
         if (
-            self._delta_bindable
-            and problem.a.pattern_equal(cur.a)
+            problem.a.pattern_equal(cur.a)
             and problem.p_upper.pattern_equal(cur.p_upper)
             and np.array_equal(problem.a.data, cur.a.data)
             and np.array_equal(problem.p_upper.data, cur.p_upper.data)
@@ -858,11 +850,6 @@ class MIBSolver:
         → primal infeasibility → dual infeasibility → ρ adaptation —
         the host reference's (:meth:`OSQPSolver.solve`), which the
         loop's iterations, ρ updates and status are held against.
-
-        Its streams are the *bound* instance's state — scaled values,
-        ρ and live KKT data — not a re-scaling of the raw problem:
-        construction-time Ruiz scaling differs in the last ulp from a
-        one-shot rescale.
         """
         ref = self.reference
         st, sc = ref.settings, ref.scaling

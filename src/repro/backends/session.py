@@ -17,9 +17,7 @@ change* — a new market day's covariances, a re-linearized plant — and
 the previous trajectory's iterate and duals are stale there; carrying
 them measurably *hurts* (stale duals cost more iterations than a cold
 start).  Such steps therefore solve cold (fresh iterate, configured
-initial ρ) and start a new continuation.  ``carry_across_rebinds=True``
-opts out for workloads whose matrices drift smoothly (SQP-style
-re-linearization) where cross-rebind warm starts do help.
+initial ρ) and start a new continuation.
 
 Continuation is classified against the *session's own* last instance,
 not against whatever values happen to be bound to the shared solver —
@@ -80,11 +78,8 @@ class SolveSession:
     strictly sequential — the caller serializes concurrent use.
     """
 
-    def __init__(
-        self, solver: MIBSolver, *, carry_across_rebinds: bool = False
-    ) -> None:
+    def __init__(self, solver: MIBSolver) -> None:
         self.solver = solver
-        self.carry_across_rebinds = carry_across_rebinds
         self.x: np.ndarray | None = None
         self.y: np.ndarray | None = None
         # Fresh sessions start from the configured initial ρ — the same
@@ -147,10 +142,10 @@ class SolveSession:
         :meth:`~repro.backends.mib.MIBSolver.bind_rho`, which
         refactorizes only when the per-constraint vector changed.
         Regime changes (matrix values differ) drop the carried state
-        and solve cold, unless ``carry_across_rebinds`` was set.
+        and solve cold.
         """
         continuation = self._continues(problem)
-        if not continuation and not self.carry_across_rebinds:
+        if not continuation:
             # Regime change: the previous trajectory is stale here.
             self.x = None
             self.y = None

@@ -150,17 +150,36 @@ class SolveEngine:
             elif batch:
                 self._process(batch[0], batch.held_seconds)
 
-    def _timeout_queued(self, request: SolveRequest) -> None:
-        queue_wait = time.monotonic() - request.enqueued_at
+    def _queue_wait(self, request: SolveRequest, now: float | None = None) -> float:
+        """Seconds ``request`` spent queued, observed in ``queue_wait``
+        (once per request: at its dispatch or its pop-time expiry)."""
+        if now is None:
+            now = time.monotonic()
+        queue_wait = now - request.enqueued_at
         self.metrics.observe("queue_wait", queue_wait)
+        return queue_wait
+
+    def _timeout_queued(
+        self, request: SolveRequest, now: float | None = None
+    ) -> None:
+        """Answer 504: the deadline passed before a solve lane took it."""
         self._finish(
             request,
             504,
             {
                 "status": "timeout",
                 "detail": "deadline expired while queued",
-                "queue_seconds": queue_wait,
+                "queue_seconds": self._queue_wait(request, now),
             },
+        )
+
+    def _fail(self, request: SolveRequest, exc: Exception) -> None:
+        """Answer 500 for a solve that raised: a poisoned request must
+        not kill the worker."""
+        self._finish(
+            request,
+            500,
+            {"status": "error", "detail": f"{type(exc).__name__}: {exc}"},
         )
 
     def _ok_payload(
@@ -196,19 +215,10 @@ class SolveEngine:
         }
 
     def _process(self, request: SolveRequest, held: float = 0.0) -> None:
-        queue_wait = time.monotonic() - request.enqueued_at
-        self.metrics.observe("queue_wait", queue_wait)
         if request.expired():
-            self._finish(
-                request,
-                504,
-                {
-                    "status": "timeout",
-                    "detail": "deadline expired while queued",
-                    "queue_seconds": queue_wait,
-                },
-            )
+            self._timeout_queued(request)
             return
+        queue_wait = self._queue_wait(request)
         if request.steps is not None:
             self._process_sequence(request, queue_wait)
         elif request.scenarios is not None:
@@ -226,12 +236,8 @@ class SolveEngine:
                 fingerprint=request.fingerprint,
                 session=request.session_key,
             )
-        except Exception as exc:  # a poisoned request must not kill workers
-            self._finish(
-                request,
-                500,
-                {"status": "error", "detail": f"{type(exc).__name__}: {exc}"},
-            )
+        except Exception as exc:
+            self._fail(request, exc)
             return
         if solved.warm and request.session_key is None:
             # Only warm solves inform the cost model: a cold solve's
@@ -282,11 +288,7 @@ class SolveEngine:
                 should_stop=request.expired,
             )
         except Exception as exc:
-            self._finish(
-                request,
-                500,
-                {"status": "error", "detail": f"{type(exc).__name__}: {exc}"},
-            )
+            self._fail(request, exc)
             return
         self.metrics.inc("sequence_steps", len(solves))
         steps = [self._step_payload(s) for s in solves]
@@ -325,11 +327,7 @@ class SolveEngine:
                 request.scenarios, fingerprint=request.fingerprint
             )
         except Exception as exc:
-            self._finish(
-                request,
-                500,
-                {"status": "error", "detail": f"{type(exc).__name__}: {exc}"},
-            )
+            self._fail(request, exc)
             return
         self.metrics.inc("scenario_lanes", len(solves))
         self._finish(
@@ -358,21 +356,11 @@ class SolveEngine:
         live: list[SolveRequest] = []
         waits: dict[int, float] = {}
         for request in batch:
-            queue_wait = now - request.enqueued_at
-            self.metrics.observe("queue_wait", queue_wait)
             if request.expired(now):
-                self._finish(
-                    request,
-                    504,
-                    {
-                        "status": "timeout",
-                        "detail": "deadline expired while queued",
-                        "queue_seconds": queue_wait,
-                    },
-                )
+                self._timeout_queued(request, now)
             else:
                 live.append(request)
-                waits[request.request_id] = queue_wait
+                waits[request.request_id] = self._queue_wait(request, now)
         if not live:
             return
         if len(live) == 1:
@@ -405,14 +393,7 @@ class SolveEngine:
                 )
         except Exception as exc:
             for request in live[len(solves):]:
-                self._finish(
-                    request,
-                    500,
-                    {
-                        "status": "error",
-                        "detail": f"{type(exc).__name__}: {exc}",
-                    },
-                )
+                self._fail(request, exc)
             return
         self.metrics.inc("early_responses", len(solves) - 1)
         # Feed the cost model: per-lane iterations, pass cost in this

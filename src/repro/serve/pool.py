@@ -346,8 +346,7 @@ class SolverPool:
         :meth:`solve` calls — which are the one-lane case.  A lane
         whose ``P``/``A`` values are bitwise the bound instance's takes
         the delta bind (no matrix rescale, no refactorization), which
-        answers bitwise as the full rebind would; the first rebind
-        after construction is always full.  Each
+        answers bitwise as the full rebind would.  Each
         :class:`PoolSolve` is yielded the moment its solve finishes,
         with the entry lock held: the consumer may answer a request
         before the later lanes run, and must not re-enter the pool.

@@ -67,8 +67,8 @@ class SessionStore:
     """Thread-safe TTL + LRU-capacity map of session states.
 
     Expiry is lazy: every :meth:`acquire` sweeps states idle past
-    ``ttl_s`` (skipping any whose lock is held — an in-flight solve is
-    not idle) and evicts least-recently-used beyond ``capacity``.
+    ``ttl_s`` and evicts least-recently-used beyond ``capacity``,
+    skipping any whose lock is held (an in-flight solve is not idle).
     ``time_fn`` is injectable so churn tests drive the clock.
     """
 
@@ -122,17 +122,9 @@ class SessionStore:
                 )
                 self._states[key] = state
                 self.metrics.inc("session_created")
-                while len(self._states) > self.capacity:
-                    victim_key = next(iter(self._states))
-                    if self._states[victim_key].lock.locked():
-                        # In-flight; rotate it to the fresh end rather
-                        # than yanking state out from under its solve.
-                        self._states.move_to_end(victim_key)
-                        continue
-                    self._states.popitem(last=False)
-                    self.metrics.inc("session_evictions")
             state.last_used = now
             self._states.move_to_end(key)
+            self._trim(keep=key)
             return state
 
     def touch(self, key: str) -> None:
@@ -145,11 +137,31 @@ class SessionStore:
                 self._states.move_to_end(key)
 
     def sweep(self) -> int:
-        """Evict every expired idle session; returns the count."""
+        """Evict every expired idle session, then the least recently
+        used idle ones beyond ``capacity``; returns the count."""
         with self._lock:
             before = len(self._states)
             self._sweep_expired(self._time())
+            self._trim()
             return before - len(self._states)
+
+    def _trim(self, keep: str | None = None) -> None:
+        # Caller holds self._lock.  Neither ``keep`` (the state being
+        # handed out) nor an in-flight state is ever the victim, so the
+        # store may exceed capacity by the in-flight count until a
+        # later acquire or sweep trims it.
+        excess = len(self._states) - self.capacity
+        if excess <= 0:
+            return
+        victims = [
+            k
+            for k, state in self._states.items()
+            if k != keep and not state.lock.locked()
+        ][:excess]
+        for k in victims:
+            del self._states[k]
+        if victims:
+            self.metrics.inc("session_evictions", len(victims))
 
     def _sweep_expired(self, now: float) -> None:
         # Caller holds self._lock.

@@ -140,16 +140,8 @@ class OSQPSolver:
         ):
             raise ValueError("update_values requires an identical pattern")
         self.problem = problem
-        sc = self.scaling
-        scaled = QPProblem(
-            p=problem.p_full.scale_rows_cols(sc.d, sc.d).scale(sc.c),
-            q=sc.c * sc.d * problem.q,
-            a=problem.a.scale_rows_cols(sc.e, sc.d),
-            l=sc.e * problem.l,
-            u=sc.e * problem.u,
-            name=problem.name,
-        )
-        sc.scaled = scaled
+        scaled = self.scaling.apply(problem)
+        self.scaling.scaled = scaled
         self.kkt_solver.update_values(scaled)
 
     # ------------------------------------------------------------------
@@ -169,14 +161,10 @@ class OSQPSolver:
         """
         sc = self.scaling
         sp = sc.scaled
+        q, l, u = sc.apply_vectors(problem)
         # Same ``sp.p`` object, so its derived forms carry over too.
         sc.scaled = QPProblem(
-            p=sp.p,
-            q=sc.c * sc.d * problem.q,
-            a=sp.a,
-            l=sc.e * problem.l,
-            u=sc.e * problem.u,
-            name=problem.name,
+            p=sp.p, q=q, a=sp.a, l=l, u=u, name=problem.name
         ).adopt_p_forms(p_upper=sp.p_upper, p_full=sp.p_full)
         self.problem = problem
 

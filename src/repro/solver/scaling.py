@@ -56,6 +56,36 @@ class Scaling:
             self._e_inv = cached
         return cached
 
+    def apply(self, problem: QPProblem) -> QPProblem:
+        """Scale a raw instance in one shot with this equilibration.
+
+        The one path from raw data to a scaled QP: :func:`ruiz_scale`
+        builds its ``scaled`` instance with it, and every rebind
+        (:meth:`repro.solver.OSQPSolver.update_values`, as OSQP's
+        ``update`` API) rescales new values with it, so the first
+        instance and every later one are scaled by the same arithmetic.
+        """
+        d, e, c = self.d, self.e, self.c
+        q, l, u = self.apply_vectors(problem)
+        return QPProblem(
+            p=problem.p_full.scale_rows_cols(d, d).scale(c),
+            q=q,
+            a=problem.a.scale_rows_cols(e, d),
+            l=l,
+            u=u,
+            name=problem.name,
+        )
+
+    def apply_vectors(
+        self, problem: QPProblem
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(q̄, l̄, ū)`` of a raw instance: the vector half of
+        :meth:`apply`, which a vectors-only rebind
+        (:meth:`repro.solver.OSQPSolver.update_vectors`) reuses so that
+        it stays bitwise a full rebind."""
+        c, d, e = self.c, self.d, self.e
+        return c * d * problem.q, e * problem.l, e * problem.u
+
     def unscale_x(self, x: np.ndarray) -> np.ndarray:
         """Recover original-space decision variables."""
         return self.d * x
@@ -96,6 +126,10 @@ def _limit(v: np.ndarray) -> np.ndarray:
 
 def ruiz_scale(problem: QPProblem, *, iterations: int = 10) -> Scaling:
     """Equilibrate a QP with modified Ruiz scaling.
+
+    The passes only compute ``(d, e, c)``; the scaled instance is
+    :meth:`Scaling.apply` of the raw problem, bitwise what a rebind to
+    the same values computes.
 
     Parameters
     ----------
@@ -138,15 +172,9 @@ def ruiz_scale(problem: QPProblem, *, iterations: int = 10) -> Scaling:
             q = q * gamma
             c *= gamma
 
-    scaled = QPProblem(
-        p=p,
-        q=q,
-        a=a,
-        l=np.clip(e * problem.l, -np.inf, np.inf),
-        u=np.clip(e * problem.u, -np.inf, np.inf),
-        name=problem.name,
-    )
-    return Scaling(d=d, e=e, c=c, scaled=scaled)
+    scaling = Scaling(d=d, e=e, c=c, scaled=problem)
+    scaling.scaled = scaling.apply(problem)
+    return scaling
 
 
 def identity_scaling(problem: QPProblem) -> Scaling:

@@ -12,13 +12,20 @@ is that call once per instance.  Three guards:
 * **same numbers** — ``golden_network_solves.json`` pins a fresh
   (never rebound) solver's ``solve_on_network()`` on the five
   ``bench_serve`` domains at C = 8, and the solver state a mid-solve ρ
-  update leaves behind.  The fresh-solver half was GENERATED ON
-  b21aac5, before the scalar loop was removed; it is what proves the
-  loop streams the bound instance's scaled values and does not
-  re-scale the raw problem.  The write-through record was
-  re-recorded once, when the ρ write-through started refreshing
-  ``reference.rho_vec`` (see its test).  Regenerate only together with
-  a change that is meant to move a network solve:
+  update leaves behind.  The fresh-solver half was generated on
+  b21aac5, before the scalar loop was removed, and RE-RECORDED when
+  construction started scaling an instance through the rebind's
+  one-shot ``Scaling.apply`` instead of keeping what the Ruiz passes
+  leave behind: x / y / z moved in the last digits (within 1e-9
+  relative, in norm), every status, iteration, ρ-update and cycle
+  count stayed.  For a fresh solver, streaming the bound instance and
+  re-scaling the raw problem are now the same bits, so the record no
+  longer tells them apart; it pins the network loop's answer on each
+  domain.  The write-through record was re-recorded when the ρ
+  write-through started refreshing ``reference.rho_vec`` (see its
+  test), and with the fresh half (ρ bits and ``next_x`` / ``next_y``
+  moved, no count did).  Regenerate only together with a change that
+  is meant to move a network solve:
 
       PYTHONPATH=src:. python tests/test_backends/test_one_loop.py
 """

@@ -121,16 +121,6 @@ class TestRegimeChange:
             assert np.array_equal(mine.x, ref.x)
             assert np.array_equal(mine.y, ref.y)
 
-    def test_carry_across_rebinds_opts_out_of_the_reset(self):
-        problems = day_major_stream()
-        solver = MIBSolver(problems[0], variant="direct", c=8, settings=FAST)
-        session = SolveSession(solver, carry_across_rebinds=True)
-        steps = [session.step(p) for p in problems]
-        # Still classified full (the bind did change matrix values)...
-        assert steps[3].bind == "full"
-        # ...but the carried iterate survives across it.
-        assert steps[3].warm
-
 
 class TestStateManagement:
     def test_restore_with_classifier_proves_continuation(self):

@@ -354,12 +354,11 @@ class TestServerBatchedEndToEnd:
             order = sorted(
                 range(burst), key=lambda i: responses[i].raw["solve_seconds"]
             )
-            # Only q moves: after the first rebind since construction,
-            # every lane takes the vectors-only delta bind.
+            # Only q moves: every lane takes the vectors-only delta bind.
             assert [responses[i].raw["delta_bind"] for i in order] == [
-                False
-            ] + [True] * (burst - 1)
-            assert after["delta_binds"] == burst - 1
+                True
+            ] * burst
+            assert after["delta_binds"] == burst
             twin = MIBSolver(base, variant="direct", c=C, settings=SETTINGS)
             twin.solve()
             for i in order:

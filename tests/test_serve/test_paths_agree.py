@@ -204,13 +204,10 @@ def test_sequence_and_session_start_from_the_configured_rho(serve):
     """``/v1/sequence`` step 0 and a session-keyed ``/v1/solve`` start
     from ``settings.rho``, as the anonymous path does on a pattern whose
     resident ρ never moved: on a resident ρ-stable pattern all three
-    answers are bitwise equal.
-
-    As a pattern's *first touch* they agree in every count and in the
-    price, but only to rounding in x / y / z: the anonymous first touch
-    solves the instance the solver was constructed from without
-    rebinding it, and construction-time equilibration differs from the
-    rebind's one-shot rescale in the last ulp."""
+    answers are bitwise equal, and so they are as a pattern's *first
+    touch* — the anonymous first touch solves the instance the solver
+    was constructed from without rebinding it, and construction scales
+    an instance the way every rebind does."""
     base = mpc_problem(2, horizon=3, seed=5)
     probe = perturbed(base, 1)
 
@@ -233,22 +230,17 @@ def test_sequence_and_session_start_from_the_configured_rho(serve):
                     answers.append(solve_one(client, target, session=session))
         return answers
 
-    anonymous, sequence, session = three_ways(first_touch=False)
-    assert sequence.same(anonymous) and session.same(anonymous)
-
-    anonymous, sequence, session = three_ways(first_touch=True)
-    assert sequence.same(session)
-    assert sequence[:4] == anonymous[:4]
-    for got, want in zip(sequence[4:], anonymous[4:]):
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    for first_touch in (False, True):
+        anonymous, sequence, session = three_ways(first_touch)
+        assert sequence.same(anonymous) and session.same(anonymous)
 
 
 @pytest.mark.parametrize("way", ["solve", "scenarios", "shards"])
 def test_anonymous_paths_ride_the_delta_bind(serve, way):
     """After the first touch, a q-only stream takes the delta bind on
     every anonymous path — consecutive ``/v1/solve``, one
-    ``/v1/scenarios`` fan-out, a 2-shard server — except the first
-    rebind after construction, which is full.  Each reply says which
+    ``/v1/scenarios`` fan-out, a 2-shard server — the first rebind
+    after construction included.  Each reply says which
     bind it took, ``delta_binds`` counts them, and every answer is
     bitwise ``update_values`` + ``solve()`` on a twin built from the
     first touch."""
@@ -273,8 +265,8 @@ def test_anonymous_paths_ride_the_delta_bind(serve, way):
             assert all(r.ok for r in replies)
             got = [(r.result, r.raw) for r in replies]
         counters = client.metrics()["counters"]
-    # The first touch binds nothing, the first rebind is full.
-    delta = [False, False] + [True] * (len(stream) - 2)
+    # The first touch binds nothing.
+    delta = [False] + [True] * (len(stream) - 1)
     assert [block["delta_bind"] for _, block in got] == delta
     assert counters["delta_binds"] == sum(delta)
     for (result, block), expected in zip(got, want):
@@ -302,7 +294,7 @@ def test_anonymous_after_a_session_regime_change_takes_the_full_bind(serve):
                 )
             response = client.solve(problem, timeout_s=TIMEOUT_S)
             assert response.ok, response.raw
-            assert response.raw["delta_bind"] is (i in (1, 3))
+            assert response.raw["delta_bind"] is (i in (0, 1, 3))
             twin.update_values(problem)
             assert Answer.of(response.result, response.raw).same(
                 Answer.of_report(twin.solve())

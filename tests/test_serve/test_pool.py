@@ -285,8 +285,8 @@ class TestDeltaBind:
             self.lane(pool, twin, moved(base, seed, *families))
             for seed in range(1, 7)
         ]
-        assert [s.delta_bind for s in lanes] == [False] + [True] * 5
-        assert pool.metrics.count("delta_binds") == 5
+        assert [s.delta_bind for s in lanes] == [True] * 6
+        assert pool.metrics.count("delta_binds") == 6
 
     def test_a_delta_lane_refactors_only_for_its_rho_updates(self):
         """``q`` across decades, so ρ re-adapts on delta lanes too: each
@@ -296,7 +296,7 @@ class TestDeltaBind:
             self.lane(pool, twin, replace(base, q=base.q * factor))
             for factor in (1.0, 10.0, 0.1, 30.0, 0.03, 3.0)
         ]
-        assert [s.delta_bind for s in lanes] == [False] + [True] * 5
+        assert [s.delta_bind for s in lanes] == [True] * 6
         assert sum(s.report.result.rho_updates for s in lanes[1:]) >= 2
 
     def test_changed_matrix_values_take_the_full_bind(self):
@@ -308,19 +308,20 @@ class TestDeltaBind:
         ]
         # A moved, then back to base's A: two full binds; each new P:
         # a full bind; q after a moved P: full (P differs from base's).
-        assert binds == [False, True, False, False, True, False, False, False]
-        assert pool.metrics.count("delta_binds") == 2
+        assert binds == [True, True, False, False, True, False, False, False]
+        assert pool.metrics.count("delta_binds") == 3
 
-    def test_first_rebind_after_construction_is_full(self):
-        """Even the very instance the solver was built from: the
-        construction-time equilibration is not the rebind's rescale."""
+    def test_first_rebind_after_construction_is_a_delta(self):
+        """The very instance the solver was built from: construction
+        scales it the way a rebind does, so its matrices are bitwise
+        the bound ones from the start."""
         base, pool, twin = self.start()
-        assert not self.lane(pool, twin, base).delta_bind
+        assert self.lane(pool, twin, base).delta_bind
         assert self.lane(pool, twin, base).delta_bind
 
     def test_anonymous_after_a_session_regime_change_is_full(self):
         base, pool, twin = self.start()
-        assert not self.lane(pool, twin, moved(base, 1, "q")).delta_bind
+        assert self.lane(pool, twin, moved(base, 1, "q")).delta_bind
         assert self.lane(pool, twin, moved(base, 2, "q")).delta_bind
         # A session binds new matrix values to the shared solver...
         self.lane(pool, twin, moved(base, 3, "a", "q"), session="s")

@@ -91,6 +91,24 @@ class TestSessionStoreLifecycle:
         state = store.acquire("b", "fp")
         assert state.steps == 0  # b came back fresh
 
+    def test_new_key_never_evicts_itself(self):
+        """With every older state in flight, a new key is handed out
+        over capacity; the next sweep trims it once the lock drops."""
+        store = SessionStore(capacity=1, ttl_s=1000.0, time_fn=FakeClock())
+        busy = store.acquire("A", "fp")
+        with busy.lock:
+            fresh = store.acquire("B", "fp")
+            assert fresh.key == "B" and len(store) == 2
+            with fresh.lock:  # both in flight: nothing to trim
+                assert store.sweep() == 0
+        counters = store.metrics.snapshot()["counters"]
+        assert counters.get("session_evictions", 0) == 0
+        assert store.sweep() == 1
+        assert len(store) == 1
+        assert store.metrics.snapshot()["counters"]["session_evictions"] == 1
+        # "A" was the least recently used idle state; "B" stays.
+        assert store.acquire("B", "fp") is fresh
+
     def test_fingerprint_change_resets_the_session(self):
         store = SessionStore(capacity=8, ttl_s=1000.0, time_fn=FakeClock())
         first = store.acquire("k", "fp-one")

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends.mib import MIBSolver
 from repro.linalg import CSCMatrix, eye
 from repro.solver import (
+    OSQPSolver,
     QPProblem,
     assemble_kkt,
     identity_scaling,
     ruiz_scale,
 )
+from tests.test_backends.test_one_loop import PATTERNS
 
 
 def badly_scaled_problem() -> QPProblem:
@@ -127,3 +130,43 @@ class TestKKTAssembly:
         dense = kkt.matrix.symmetrize_from_upper().to_dense()
         assert dense[0, 0] == pytest.approx(0.5)
         assert dense[1, 1] == pytest.approx(0.5)
+
+
+class TestOneScalingPath:
+    """Construction scales an instance the way every rebind does, so a
+    fresh solver and the same solver rebound to its own instance hold
+    the same bits — and the first rebind may take the delta path."""
+
+    @pytest.mark.parametrize("scale", [True, False])
+    @pytest.mark.parametrize("variant", ["direct", "indirect"])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_construction_equals_rebind(self, pattern, variant, scale):
+        problem = PATTERNS[pattern]()
+        solver = OSQPSolver(problem, variant=variant, scale=scale)
+        built = solver.scaling.scaled
+        solver.update_values(problem)
+        rebound = solver.scaling.scaled
+        for name in ("p_full", "a"):
+            before, after = getattr(built, name), getattr(rebound, name)
+            assert before.pattern_equal(after), name
+            assert np.array_equal(before.data, after.data), name
+        for name in "qlu":
+            assert np.array_equal(getattr(built, name), getattr(rebound, name)), name
+
+    @pytest.mark.parametrize("variant", ["direct", "indirect"])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_first_rebind_is_a_delta_and_answers_as_a_fresh_twin(
+        self, pattern, variant
+    ):
+        solver = MIBSolver(PATTERNS[pattern](), variant=variant, c=8)
+        twin = MIBSolver(PATTERNS[pattern](), variant=variant, c=8)
+        assert solver.bind_values(PATTERNS[pattern]()) == "delta"
+        got, expected = solver.solve(), twin.solve()
+        assert got.result.status is expected.result.status
+        assert got.result.iterations == expected.result.iterations
+        assert got.result.rho_updates == expected.result.rho_updates
+        assert got.cycles == expected.cycles
+        for name in "xyz":
+            assert np.array_equal(
+                getattr(got.result, name), getattr(expected.result, name)
+            ), name
