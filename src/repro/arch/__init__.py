@@ -34,7 +34,6 @@ from .trace import (
     compile_trace,
     phase_crossings,
     run_phases,
-    stamp_matches,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "compile_trace",
     "phase_crossings",
     "run_phases",
-    "stamp_matches",
     "ControlWord",
     "decode_modes",
     "encode_control",

@@ -179,8 +179,6 @@ class NetworkSimulator:
         self,
         slots: list[list[NetOp]],
         streams: StreamBuffers | None = None,
-        *,
-        collect_stats: bool = True,
     ) -> SimulationStats:
         """Execute a schedule: ``slots[t]`` is the bundle issued at
         cycle ``t``.  Raises :class:`HazardViolation` on any structural
@@ -285,15 +283,13 @@ class NetworkSimulator:
                         )
                     )
                     in_flight.setdefault(loc, []).append(seq)
-                if collect_stats:
-                    stats.instructions += 1
-                    stats.node_cycles_busy += occ.bit_count()
-            if collect_stats:
-                stats.bundles += 1
-                width = len(bundle)
-                stats.issue_width_histogram[width] = (
-                    stats.issue_width_histogram.get(width, 0) + 1
-                )
+                stats.instructions += 1
+                stats.node_cycles_busy += occ.bit_count()
+            stats.bundles += 1
+            width = len(bundle)
+            stats.issue_width_histogram[width] = (
+                stats.issue_width_histogram.get(width, 0) + 1
+            )
         # Drain the pipeline.
         for w in sorted(pending, key=lambda w: (w.commit_cycle, w.seq)):
             self.write_loc(w.loc, w.value, w.accumulate)
@@ -304,18 +300,6 @@ class NetworkSimulator:
         stats.host_crossings = stats.instructions
         stats.phases_executed = stats.bundles
         return stats
-
-    def replay(
-        self,
-        trace,
-        streams: StreamBuffers | None = None,
-        *,
-        collect_stats: bool = True,
-    ) -> SimulationStats:
-        """Execute a :class:`~repro.arch.trace.CompiledTrace` against
-        this simulator's storage (the validate-once fast path; see
-        :func:`~repro.arch.trace.compile_trace`)."""
-        return trace.replay(self, streams, collect_stats=collect_stats)
 
     # ------------------------------------------------------------------
     def _coeff_values(self, op: NetOp, streams: StreamBuffers) -> np.ndarray | None:

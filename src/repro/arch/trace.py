@@ -32,7 +32,7 @@ values (``update_values``, ρ refactorization) needs no re-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "compile_trace",
     "phase_crossings",
     "run_phases",
-    "stamp_matches",
 ]
 
 # Vectorized batch opcodes (first element of every batch tuple).
@@ -186,7 +185,6 @@ class CompiledTrace:
     c: int
     depth: int
     extra_latency: int
-    validated: bool
     n_state: int
     n_values: int
     phases: list[TracePhase]
@@ -221,23 +219,6 @@ class CompiledTrace:
         )
 
     # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """Compact layout descriptor (the cache's validation stamp)."""
-        return {
-            "validated": bool(self.validated),
-            "c": int(self.c),
-            "depth": int(self.depth),
-            "extra_latency": int(self.extra_latency),
-            "n_phases": len(self.phases),
-            "n_state": int(self.n_state),
-            "n_values": int(self.n_values),
-            "n_coeff": int(self.coeff_template.size),
-            "hbm_words_read": int(self.hbm_words_read),
-            "hbm_words_written": int(self.hbm_words_written),
-            "stats": self.stats,
-        }
-
-    # ------------------------------------------------------------------
     @cached_property
     def _buffers(self) -> tuple:
         """Per-trace scratch: (coeff, state, values), reused by every
@@ -260,11 +241,7 @@ class CompiledTrace:
 
     # ------------------------------------------------------------------
     def replay(
-        self,
-        sim,
-        streams: StreamBuffers | None = None,
-        *,
-        collect_stats: bool = True,
+        self, sim, streams: StreamBuffers | None = None
     ) -> SimulationStats:
         """Re-execute the trace against a simulator's storage.
 
@@ -313,29 +290,12 @@ class CompiledTrace:
         sim.hbm.record_read(self.hbm_words_read)
         sim.hbm.record_write(self.hbm_words_written)
 
-        out = SimulationStats(cycles=self.stats.cycles, latency=self.stats.latency)
-        out.host_crossings = self.crossings
-        out.phases_executed = len(self.phases)
-        if collect_stats:
-            out.instructions = self.stats.instructions
-            out.bundles = self.stats.bundles
-            out.node_cycles_busy = self.stats.node_cycles_busy
-            out.issue_width_histogram = dict(self.stats.issue_width_histogram)
-        return out
-
-
-def stamp_matches(
-    stamp: dict | None, *, c: int, depth: int, extra_latency: int
-) -> bool:
-    """True if a cached validation stamp covers this configuration,
-    i.e. the trace may be re-lowered with hazard checks skipped."""
-    if not stamp or not stamp.get("validated"):
-        return False
-    return (
-        stamp.get("c") == c
-        and stamp.get("depth") == depth
-        and stamp.get("extra_latency") == extra_latency
-    )
+        return replace(
+            self.stats,
+            issue_width_histogram=dict(self.stats.issue_width_histogram),
+            host_crossings=self.crossings,
+            phases_executed=len(self.phases),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -718,7 +678,6 @@ class _TraceBuilder:
         *,
         name: str,
         extra_latency: int,
-        validated: bool,
     ) -> CompiledTrace:
         self.flush_phase()
         coeff_template = np.array(self.coeff_items, dtype=np.float64)
@@ -760,7 +719,6 @@ class _TraceBuilder:
             c=self.c,
             depth=self.depth,
             extra_latency=extra_latency,
-            validated=validated,
             n_state=len(self.loc_sid),
             n_values=self.n_values,
             phases=self.phases,
@@ -784,19 +742,17 @@ def compile_trace(
     c: int,
     depth: int = 1 << 16,
     extra_latency: int = 0,
-    validate: bool = True,
     name: str = "",
 ) -> CompiledTrace:
     """Validate-and-lower one schedule into a :class:`CompiledTrace`.
 
-    With ``validate`` (the default) this performs *exactly* the hazard
-    analysis of :meth:`NetworkSimulator.run` — node-occupancy overlap,
-    scalar-unit counts, register-file port conflicts (including the
-    double-pumped port holds of binary EWISE ops) and latency-window
-    RAW races — raising :class:`HazardViolation` with the interpreter's
-    diagnostics.  ``validate=False`` skips the hazard bookkeeping (for
-    schedules re-lowered under a still-valid cache stamp) but lowers
-    the identical trace.
+    Every lowering performs *exactly* the hazard analysis of
+    :meth:`NetworkSimulator.run` — node-occupancy overlap, scalar-unit
+    counts, register-file port conflicts (including the double-pumped
+    port holds of binary EWISE ops) and latency-window RAW races —
+    raising :class:`HazardViolation` with the interpreter's
+    diagnostics, so no trace replays a schedule the interpreter would
+    refuse.
     """
     bf = Butterfly(c)
     latency = bf.latency + int(extra_latency)
@@ -813,11 +769,10 @@ def compile_trace(
         for w in pending:
             if w[0] <= t:
                 builder.emit_commit(w[2], w[3], w[4])
-                if validate:
-                    lst = in_flight[w[2]]
-                    lst.remove(w[1])
-                    if not lst:
-                        del in_flight[w[2]]
+                lst = in_flight[w[2]]
+                lst.remove(w[1])
+                if not lst:
+                    del in_flight[w[2]]
             else:
                 still.append(w)
         pending = still
@@ -831,61 +786,55 @@ def compile_trace(
         for op in bundle:
             dur = op_duration(op)
             occ = op_occupancy(op, bf)
-            if validate:
-                if occ & occ_used:
-                    raise HazardViolation(
-                        f"node conflict at cycle {t}: {op.tag or op.kind}"
-                    )
+            if occ & occ_used:
+                raise HazardViolation(
+                    f"node conflict at cycle {t}: {op.tag or op.kind}"
+                )
             occ_used |= occ
-            if validate:
-                if op.kind is OpKind.SCALAR:
-                    scalar_used += 1
-                    if scalar_used > SCALAR_UNITS:
-                        raise HazardViolation(
-                            f"scalar units oversubscribed at cycle {t}"
-                        )
-                op_read_banks = {loc.bank for loc in op.rf_reads()}
-                op_write_banks = {loc.bank for loc in op.rf_writes()}
-                if len(op_read_banks) != len(op.rf_reads()) and dur == 1:
+            if op.kind is OpKind.SCALAR:
+                scalar_used += 1
+                if scalar_used > SCALAR_UNITS:
                     raise HazardViolation(
-                        f"op reads one bank twice at cycle {t}: {op.tag}"
+                        f"scalar units oversubscribed at cycle {t}"
                     )
-                if op_read_banks & read_banks:
-                    raise HazardViolation(
-                        f"read-port conflict at cycle {t}: {op.tag or op.kind}"
+            op_read_banks = {loc.bank for loc in op.rf_reads()}
+            op_write_banks = {loc.bank for loc in op.rf_writes()}
+            if len(op_read_banks) != len(op.rf_reads()) and dur == 1:
+                raise HazardViolation(
+                    f"op reads one bank twice at cycle {t}: {op.tag}"
+                )
+            if op_read_banks & read_banks:
+                raise HazardViolation(
+                    f"read-port conflict at cycle {t}: {op.tag or op.kind}"
+                )
+            if op_write_banks & write_banks:
+                raise HazardViolation(
+                    f"write-port conflict at cycle {t}: {op.tag or op.kind}"
+                )
+            read_banks |= op_read_banks
+            write_banks |= op_write_banks
+            if dur > 1:
+                for extra in range(1, dur):
+                    hr, hw, ho = held.get(t + extra, (set(), set(), 0))
+                    held[t + extra] = (
+                        hr | op_read_banks,
+                        hw | op_write_banks,
+                        ho | occ,
                     )
-                if op_write_banks & write_banks:
-                    raise HazardViolation(
-                        f"write-port conflict at cycle {t}: {op.tag or op.kind}"
-                    )
-                read_banks |= op_read_banks
-                write_banks |= op_write_banks
-                if dur > 1:
-                    for extra in range(1, dur):
-                        hr, hw, ho = held.get(
-                            t + extra, (set(), set(), 0)
-                        )
-                        held[t + extra] = (
-                            hr | op_read_banks,
-                            hw | op_write_banks,
-                            ho | occ,
-                        )
             seq = getattr(op, "_seq", None)
             if seq is None:
                 seq = next_seq
             next_seq = max(next_seq, seq + 1)
-            if validate:
-                for loc in op.all_read_locations():
-                    lst = in_flight.get(loc)
-                    if lst and any(s < seq for s in lst):
-                        raise HazardViolation(
-                            f"RAW hazard at cycle {t} on {loc}: "
-                            f"{op.tag or op.kind}"
-                        )
+            for loc in op.all_read_locations():
+                lst = in_flight.get(loc)
+                if lst and any(s < seq for s in lst):
+                    raise HazardViolation(
+                        f"RAW hazard at cycle {t} on {loc}: "
+                        f"{op.tag or op.kind}"
+                    )
             for loc, vid, acc in builder.record_exec(op):
                 pending.append((t + dur - 1 + latency, seq, loc, vid, acc))
-                if validate:
-                    in_flight.setdefault(loc, []).append(seq)
+                in_flight.setdefault(loc, []).append(seq)
             stats.instructions += 1
             stats.node_cycles_busy += occ.bit_count()
         stats.bundles += 1
@@ -899,6 +848,4 @@ def compile_trace(
         builder.emit_commit(w[2], w[3], w[4])
     stats.cycles = len(slots) + latency
     stats.latency = latency
-    return builder.finalize(
-        stats, name=name, extra_latency=int(extra_latency), validated=validate
-    )
+    return builder.finalize(stats, name=name, extra_latency=int(extra_latency))

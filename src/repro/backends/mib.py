@@ -34,7 +34,6 @@ from ..arch import (
     SimulationStats,
     StreamBuffers,
     compile_trace,
-    stamp_matches,
 )
 from ..arch.resources import clock_frequency_hz
 from ..compiler import (
@@ -256,8 +255,6 @@ class MIBSolver:
         self.execution = execution
         self._sim: NetworkSimulator | None = None
         self._traces: dict[str, CompiledTrace] = {}
-        self._trace_stamps: dict[str, dict] = {}
-        self._stamps_dirty = False
         self.super_pipelined = super_pipelined
         self.clock_hz = clock_frequency_hz(c)
         extra_latency = 0
@@ -280,7 +277,6 @@ class MIBSolver:
         )
         self.builder = KernelBuilder(c, depth=1 << 24)
         self.kernels = _CompiledKernels()
-        self.cache = cache
         self.cache_key: str | None = None
         self.cache_hit = False
         t0 = time.perf_counter()
@@ -338,7 +334,6 @@ class MIBSolver:
                     f"allocator layout drift restoring {slot.name!r}"
                 )
         self.kernels.schedules.update(artifact.schedules)
-        self._trace_stamps = dict(artifact.traces)
         sp = self.reference.scaling.scaled
         self._a_view = row_major_view(sp.a)
         self._p_view = row_major_view(sp.p_full)
@@ -357,7 +352,6 @@ class MIBSolver:
                 VectorSlot(v.name, v.length, v.rotation, v.base)
                 for v in self.builder.alloc.views()
             ],
-            traces=dict(self._trace_stamps),
         )
 
     # ------------------------------------------------------------------
@@ -380,34 +374,23 @@ class MIBSolver:
     def _trace(self, name: str, sim: NetworkSimulator) -> CompiledTrace:
         """The kernel's compiled trace (validate-and-lower on first use).
 
-        A cached validation stamp (restored with the artifact) proves
-        this exact schedule already passed hazard validation for this
-        configuration, so re-lowering skips the hazard bookkeeping.
-        Values never invalidate a trace: streamed coefficients rebind
-        at every replay, which is what makes :meth:`update_values` and
-        ρ refactorization free of recompilation.
+        Every lowering runs the interpreter's hazard checks, so a
+        schedule restored from the cache is trusted no further than one
+        just scheduled.  Values never invalidate a trace: streamed
+        coefficients rebind at every replay, which is what makes
+        :meth:`update_values` and ρ refactorization free of
+        recompilation.
         """
         trace = self._traces.get(name)
         if trace is None:
-            stamp = self._trace_stamps.get(name)
-            validated = stamp_matches(
-                stamp,
-                c=self.c,
-                depth=sim.rf.depth,
-                extra_latency=sim.extra_latency,
-            )
             trace = compile_trace(
                 self.kernels.schedules[name].slots,
                 c=self.c,
                 depth=sim.rf.depth,
                 extra_latency=sim.extra_latency,
-                validate=not validated,
                 name=name,
             )
             self._traces[name] = trace
-            if not validated:
-                self._trace_stamps[name] = trace.summary()
-                self._stamps_dirty = True
         return trace
 
     def _run_kernel(
@@ -418,23 +401,6 @@ class MIBSolver:
             return sim.run(self.kernels.schedules[name].slots, streams)
         return self._trace(name, sim).replay(sim, streams)
 
-    def _flush_stamps(self) -> None:
-        """Persist freshly recorded trace validation stamps.
-
-        Lowering records stamps in memory only; the solve/compile entry
-        points flush them here so one entry point costs at most one
-        artifact write, however many traces it lowered.  Read-only
-        probes (:meth:`iteration_crossings`) never flush: observability
-        must not mutate a shared cache's store accounting.
-        """
-        if (
-            self._stamps_dirty
-            and self.cache is not None
-            and self.cache_key is not None
-        ):
-            self.cache.put(self.cache_key, self._to_artifact(self.cache_key))
-        self._stamps_dirty = False
-
     def iteration_crossings(self, *, check: bool = False) -> int:
         """Steady-state host→numpy crossings of one network-executed
         ADMM iteration in the configured mode (``check`` adds the
@@ -442,9 +408,7 @@ class MIBSolver:
 
         The observability counterpart of :meth:`iteration_cycles`:
         crossings are host dispatch overhead (one per numpy call a
-        replay dispatches), not simulated time.  A read-only probe: any
-        stamps recorded while lowering stay in memory until the next
-        solve/compile entry point flushes them.
+        replay dispatches), not simulated time.
         """
         names = ITERATION_KERNELS + (CHECK_KERNELS if check else ())
         if self.variant != "direct":
@@ -454,21 +418,13 @@ class MIBSolver:
         sim = self._network_sim(reset=False)
         return sum(self._trace(n, sim).crossings for n in names)
 
-    def compile_traces(
-        self, names: list[str] | None = None
-    ) -> dict[str, dict]:
-        """Eagerly validate-and-lower kernels to replay traces.
-
-        Returns each trace's layout summary (the cache stamp).  Useful
-        to front-load trace compilation before timed iteration loops.
-        """
+    def compile_traces(self, names: list[str] | None = None) -> None:
+        """Eagerly validate-and-lower kernels to replay traces (all of
+        them by default), front-loading trace compilation before timed
+        iteration loops."""
         sim = self._network_sim(reset=False)
-        summaries = {
-            name: self._trace(name, sim).summary()
-            for name in (names or list(self.kernels.schedules))
-        }
-        self._flush_stamps()
-        return summaries
+        for name in names or list(self.kernels.schedules):
+            self._trace(name, sim)
 
     # ------------------------------------------------------------------
     # compilation
@@ -835,11 +791,9 @@ class MIBSolver:
         """
         if self.variant != "direct":
             raise ValueError("solve_on_network supports the direct variant")
-        report = self._admm_on_network(
+        return self._admm_on_network(
             max_iter or self.reference.settings.max_iter
         )
-        self._flush_stamps()
-        return report
 
     def _admm_on_network(self, max_iter: int) -> MIBNetworkSolveReport:
         """The network ADMM loop over the bound instance.

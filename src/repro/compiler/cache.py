@@ -36,7 +36,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,6 @@ from .serialize import (
     SerializationError,
     schedule_from_dict,
     schedule_to_dict,
-    simulation_stats_from_dict,
-    simulation_stats_to_dict,
 )
 
 __all__ = [
@@ -63,10 +61,12 @@ __all__ = [
 # Version of the on-disk artifact container.  Bump whenever the
 # artifact layout, the register-file allocation discipline, or the
 # meaning of any hashed field changes; old files then silently miss.
-# v2: added the per-kernel replay-trace validation stamps (``traces``).
-# v3: added per-iteration stamps for an execution mode since retired;
-# dropping them changed no other field's meaning, so v3 files that
-# still carry them load as-is (the extra key is ignored).
+# v2 added per-kernel replay-trace validation stamps (``traces``) and
+# v3 per-iteration stamps (``fusion``) for an execution mode since
+# retired.  Both maps were dropped — every trace is now hazard-checked
+# whenever it is lowered — and neither changed any other field's
+# meaning, so v3 files that still carry them load as they are (the
+# extra keys are ignored).
 CACHE_FORMAT_VERSION = 3
 
 
@@ -163,23 +163,13 @@ class VectorSlot:
 @dataclass
 class CompiledArtifact:
     """Everything a warm :class:`~repro.backends.mib.MIBSolver` needs to
-    skip lowering and scheduling: the per-kernel schedules, the
-    register-file layout they were compiled against, and the replay
-    trace stamps.
-
-    ``traces`` maps kernel name to the validation stamp emitted by
-    :meth:`~repro.arch.trace.CompiledTrace.summary`: the architecture
-    configuration the trace was validated for, its layout shape, and
-    the precomputed :class:`~repro.arch.simulator.SimulationStats`.  A
-    matching stamp lets a warm solver lower the schedule straight to a
-    trace with hazard validation skipped (it already passed for this
-    exact schedule/configuration pair).
+    skip lowering and scheduling: the per-kernel schedules and the
+    register-file layout they were compiled against.
     """
 
     key: str
     schedules: dict[str, Schedule]
     vectors: list[VectorSlot]
-    traces: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -190,13 +180,6 @@ class CompiledArtifact:
             ],
             "schedules": {
                 name: schedule_to_dict(s) for name, s in self.schedules.items()
-            },
-            "traces": {
-                name: {
-                    **{k: v for k, v in stamp.items() if k != "stats"},
-                    "stats": simulation_stats_to_dict(stamp["stats"]),
-                }
-                for name, stamp in self.traces.items()
             },
         }
 
@@ -217,13 +200,6 @@ class CompiledArtifact:
                 VectorSlot(str(n), int(l), int(r), int(b))
                 for n, l, r, b in raw["vectors"]
             ],
-            traces={
-                str(name): {
-                    **{k: v for k, v in stamp.items() if k != "stats"},
-                    "stats": simulation_stats_from_dict(stamp["stats"]),
-                }
-                for name, stamp in raw.get("traces", {}).items()
-            },
         )
 
 

@@ -556,7 +556,9 @@ def validate_schedule(schedule: Schedule) -> None:
     hand-edited file must fail here, not mid-solve): verifies node
     occupancy disjointness, register-file port limits, scalar-unit
     capacity and double-pump holds for every slot.  Data hazards are
-    execution-time properties and remain the simulator's job.
+    checked whenever a schedule is lowered to a replay trace
+    (:func:`~repro.arch.trace.compile_trace`) and by the interpreter
+    (:meth:`~repro.arch.simulator.NetworkSimulator.run`).
     Raises ``ValueError`` on the first violation.
     """
     bf = Butterfly(schedule.c)

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from ..arch.isa import EwiseFn, Location, NetOp, OpKind, StreamRef
-from ..arch.simulator import SimulationStats
 from .scheduler import Schedule
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
-    "simulation_stats_to_dict",
-    "simulation_stats_from_dict",
 ]
 
 FORMAT_VERSION = 1
@@ -155,40 +152,3 @@ def load_schedule(path: str | Path, *, validate: bool = True) -> Schedule:
 
         validate_schedule(schedule)
     return schedule
-
-
-def simulation_stats_to_dict(stats: SimulationStats) -> dict:
-    """Portable dictionary form of one kernel's simulation counters.
-
-    Used by the compilation cache to persist the precomputed stats of a
-    validated replay trace (histogram keys become strings for JSON).
-    """
-    return {
-        "cycles": int(stats.cycles),
-        "instructions": int(stats.instructions),
-        "bundles": int(stats.bundles),
-        "latency": int(stats.latency),
-        "issue_width_histogram": {
-            str(k): int(v) for k, v in stats.issue_width_histogram.items()
-        },
-        "node_cycles_busy": int(stats.node_cycles_busy),
-        "host_crossings": int(stats.host_crossings),
-        "phases_executed": int(stats.phases_executed),
-    }
-
-
-def simulation_stats_from_dict(raw: dict) -> SimulationStats:
-    """Reconstruct counters saved by :func:`simulation_stats_to_dict`."""
-    return SimulationStats(
-        cycles=int(raw["cycles"]),
-        instructions=int(raw["instructions"]),
-        bundles=int(raw["bundles"]),
-        latency=int(raw["latency"]),
-        issue_width_histogram={
-            int(k): int(v)
-            for k, v in raw.get("issue_width_histogram", {}).items()
-        },
-        node_cycles_busy=int(raw.get("node_cycles_busy", 0)),
-        host_crossings=int(raw.get("host_crossings", 0)),
-        phases_executed=int(raw.get("phases_executed", 0)),
-    )

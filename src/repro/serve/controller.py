@@ -14,11 +14,9 @@ traffic (no offline profiles):
   caps each pattern's batch size from an EWMA cost model: expected
   iterations, warm solo seconds, an affine pass-cost fit
   (``fixed + marginal * lanes``, from decayed regression over observed
-  passes), the solo-fallback rate (lanes leaving lockstep for a rho
-  refactorization) and the per-pass iteration spread.  A pattern whose
-  lanes keep falling out of lockstep, or whose batched passes are
-  slower per lane than solo solves, degenerates to solo dispatch —
-  the honest outcome when batching cannot pay.
+  passes) and the per-pass iteration spread.  A pattern whose batched
+  passes are slower per lane than solo solves degenerates to solo
+  dispatch — the honest outcome when batching cannot pay.
 * **who rides together** — :meth:`BatchController.rider` is the
   :meth:`~repro.serve.queue.RequestQueue.next_batch` hook: a candidate
   joins the head's batch only when its values are close to the head's
@@ -100,7 +98,6 @@ class PatternStats:
     ewma_solo_seconds: float | None = None  # warm solo solve cost
     ewma_lane_seconds: float | None = None  # pass cost / lanes
     ewma_pass_seconds: float | None = None  # batched pass cost
-    solo_fallback_rate: float | None = None  # lanes leaving lockstep via rho
     # Decayed first/second moments of (lanes, pass seconds) pairs, for
     # the affine pass-cost fit ``seconds ~= fixed + marginal * lanes``.
     # Per-lane averages (``ewma_lane_seconds``) conflate the two terms:
@@ -176,7 +173,6 @@ class PatternStats:
             "ewma_pass_seconds": self.ewma_pass_seconds,
             "marginal_lane_seconds": self.marginal_lane_seconds,
             "fixed_pass_seconds": self.fixed_pass_seconds,
-            "solo_fallback_rate": self.solo_fallback_rate,
             "solo_solves": self.solo_solves,
             "passes": self.passes,
             "lanes": self.lanes,
@@ -235,10 +231,6 @@ class BatchController:
     bucket_width:
         Maximum :func:`value_distance` between a batch head and a
         rider under the adaptive policy.
-    fallback_threshold:
-        Solo-fallback rate above which a pattern stops batching
-        entirely (its lanes keep leaving lockstep for rho
-        refactorizations, so lockstep only adds overhead).
     explore_interval:
         Solo solves of a pattern tolerated without a single batched
         pass before the cap decision forces an exploration pass at
@@ -258,7 +250,6 @@ class BatchController:
         alpha: float = DEFAULT_ALPHA,
         latency_budget: float = 6.0,
         bucket_width: float = 0.35,
-        fallback_threshold: float = 0.4,
         min_explore_passes: int = 2,
         explore_interval: int = 16,
         max_window: float = 0.05,
@@ -272,7 +263,6 @@ class BatchController:
         self.alpha = alpha
         self.latency_budget = latency_budget
         self.bucket_width = bucket_width
-        self.fallback_threshold = fallback_threshold
         self.min_explore_passes = min_explore_passes
         self.explore_interval = explore_interval
         self.max_window = max_window
@@ -314,11 +304,8 @@ class BatchController:
         lanes: int,
         seconds: float,
         lane_iterations: list[int],
-        solo_lanes: int,
     ) -> None:
-        """Account one batched pass: timing, spread, fallback rate
-        (``solo_lanes``: lanes that left lockstep for a rho
-        refactorization)."""
+        """Account one batched pass: timing and iteration spread."""
         if lanes < 1:
             return
         iters = [int(i) for i in lane_iterations]
@@ -342,9 +329,6 @@ class BatchController:
             )
             s.m_cross = _ewma(
                 s.m_cross, float(lanes) * float(seconds), self.alpha
-            )
-            s.solo_fallback_rate = _ewma(
-                s.solo_fallback_rate, int(solo_lanes) / lanes, self.alpha
             )
             s.passes += 1
             s.lanes += lanes
@@ -392,7 +376,7 @@ class BatchController:
            pass is the only way to learn whether batching pays);
         2. pass history but no solo price (every request so far rode a
            batch) → solo: one solo dispatch prices the other arm, so
-           step 5 compares two measurements instead of trusting the
+           step 4 compares two measurements instead of trusting the
            passes blindly;
         3. the pattern has gone ``explore_interval`` solo solves
            without a pass → explore again: a solo verdict must be
@@ -401,16 +385,14 @@ class BatchController:
            interval (:data:`MAX_EXPLORE_BACKOFF`), so a pattern that
            keeps losing pays a vanishing share of its traffic for
            re-tests; the first pass that wins resets it;
-        4. rho-heavy pattern (fallback rate past the threshold) →
-           solo: its lanes keep leaving lockstep anyway;
-        5. batched lanes not cheaper than solo solves → solo: batching
+        4. batched lanes not cheaper than solo solves → solo: batching
            loses throughput *and* latency.  "Lane cost" is the affine
            fit's *marginal* lane cost when available
            (:attr:`PatternStats.marginal_lane_seconds`), else the
            per-lane average — the average conflates the fixed per-pass
            cost with the marginal lane, so fragmented small passes
            would otherwise park a pattern solo on amortization noise;
-        6. otherwise cap at what the latency budget buys — unless the
+        5. otherwise cap at what the latency budget buys — unless the
            whole pass at that cap, ``fixed + cap * marginal``, costs
            at least ``cap`` solo solves → solo: a cheap marginal lane
            does not pay when the fixed pass cost is never amortized
@@ -451,13 +433,8 @@ class BatchController:
         )
 
     def _priced_cap(self, s: PatternStats, hard_cap: int) -> int:
-        """Steps 4-6 of :meth:`max_batch_for`: the cap the cost model
+        """Steps 4-5 of :meth:`max_batch_for`: the cap the cost model
         alone buys (1 = solo verdict).  Caller holds the lock."""
-        if (
-            s.solo_fallback_rate is not None
-            and s.solo_fallback_rate > self.fallback_threshold
-        ):
-            return 1
         solo = s.ewma_solo_seconds
         lane = s.ewma_lane_seconds
         if solo is None or lane is None or lane <= 0.0:

@@ -405,7 +405,6 @@ class SolveEngine:
             lanes=len(live),
             seconds=time.thread_time() - pass_cpu_t0,
             lane_iterations=[s.report.result.iterations for s in solves],
-            solo_lanes=0,
         )
 
     def _finish(

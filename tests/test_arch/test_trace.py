@@ -23,7 +23,6 @@ from repro.arch import (
     OpKind,
     StreamBuffers,
     compile_trace,
-    stamp_matches,
 )
 from repro.compiler import (
     KernelBuilder,
@@ -116,7 +115,7 @@ def run_both(c: int, sched_slots, streams, loads):
         replayed.rf.load_vector(view, values)
     stats_run = oracle.run(sched_slots, streams)
     trace = compile_trace(sched_slots, c=c, depth=replayed.rf.depth)
-    stats_replay = replayed.replay(trace, streams)
+    stats_replay = trace.replay(replayed, streams)
     return oracle, replayed, stats_run, stats_replay, trace
 
 
@@ -208,12 +207,12 @@ class TestReplayEquivalence:
             oracle.rf.load_vector(x, xv)
             replayed.rf.load_vector(x, xv)
             oracle.run(sched.slots, streams)
-            replayed.replay(trace, streams)
+            trace.replay(replayed, streams)
             assert np.array_equal(
                 oracle.rf.read_vector(y), replayed.rf.read_vector(y)
             )
 
-    def test_precomputed_stats_and_stamp(self, rng):
+    def test_precomputed_stats(self, rng):
         ops, streams, loads, kb = mixed_program(16, seed=2)
         sched = schedule_program(
             NetworkProgram("mixed", list(ops)), 16, ScheduleOptions()
@@ -223,27 +222,6 @@ class TestReplayEquivalence:
         )
         # The lowering precomputes the stats the interpreter counts.
         assert trace.stats == s_run
-        # collect_stats=False still prices cycles/latency correctly.
-        fresh = NetworkSimulator(16)
-        for view, values in loads:
-            fresh.rf.load_vector(view, values)
-        lean = fresh.replay(trace, streams, collect_stats=False)
-        assert (lean.cycles, lean.latency) == (s_run.cycles, s_run.latency)
-        assert lean.instructions == 0
-        # The stamp describes exactly this configuration.
-        stamp = trace.summary()
-        assert stamp_matches(stamp, c=16, depth=1 << 16, extra_latency=0)
-        assert not stamp_matches(stamp, c=8, depth=1 << 16, extra_latency=0)
-        assert not stamp_matches(stamp, c=16, depth=1 << 17, extra_latency=0)
-        assert not stamp_matches(stamp, c=16, depth=1 << 16, extra_latency=4)
-        assert not stamp_matches(None, c=16, depth=1 << 16, extra_latency=0)
-        # Traces lowered without validation never stamp as validated.
-        unchecked = compile_trace(
-            sched.slots, c=16, depth=1 << 16, validate=False
-        )
-        assert not stamp_matches(
-            unchecked.summary(), c=16, depth=1 << 16, extra_latency=0
-        )
 
     def test_replay_configuration_guard(self, rng):
         kb = KernelBuilder(8)
@@ -253,9 +231,9 @@ class TestReplayEquivalence:
         )
         trace = compile_trace(sched.slots, c=8, depth=1 << 16)
         with pytest.raises(ValueError, match="C=16"):
-            NetworkSimulator(16).replay(trace, StreamBuffers())
+            trace.replay(NetworkSimulator(16), StreamBuffers())
         with pytest.raises(ValueError, match="depth"):
-            NetworkSimulator(8, depth=1 << 17).replay(trace, StreamBuffers())
+            trace.replay(NetworkSimulator(8, depth=1 << 17), StreamBuffers())
 
     def test_unbound_stream_raises_keyerror(self, rng):
         kb = KernelBuilder(8)
@@ -267,7 +245,7 @@ class TestReplayEquivalence:
         )
         trace = compile_trace(sched.slots, c=8, depth=1 << 16)
         with pytest.raises(KeyError, match="missing"):
-            NetworkSimulator(8).replay(trace, StreamBuffers())
+            trace.replay(NetworkSimulator(8), StreamBuffers())
 
 
 # ----------------------------------------------------------------------
@@ -333,9 +311,6 @@ class TestValidationHazardParity:
         # The same mutation trips the interpreter identically.
         with pytest.raises(HazardViolation, match=pattern):
             NetworkSimulator(self.C).run(slots, StreamBuffers())
-        # ...and skipping validation lowers without complaint: the
-        # hazard rejection comes from the validate pass, not lowering.
-        compile_trace(slots, c=self.C, depth=1 << 16, validate=False)
 
     def test_compressed_stall_slots_raise_raw(self):
         sched = schedule_program(
@@ -411,7 +386,6 @@ class TestValidationHazardParity:
         sim.rf.data[:5, 0] = 1.0 + np.arange(5)
         with pytest.raises(HazardViolation, match="scalar units"):
             sim.run([ops], StreamBuffers())
-        compile_trace([ops], c=self.C, depth=1 << 16, validate=False)
 
     def test_mac_reading_one_bank_twice(self):
         op = _mac(
@@ -431,10 +405,9 @@ class TestValidationHazardParity:
             ScheduleOptions(prefetch=True),
         )
         trace = compile_trace(sched.slots, c=self.C, depth=1 << 16)
-        assert trace.validated
         oracle = NetworkSimulator(self.C)
         replayed = NetworkSimulator(self.C)
         s_run = oracle.run(sched.slots, StreamBuffers())
-        s_replay = replayed.replay(trace, StreamBuffers())
+        s_replay = trace.replay(replayed, StreamBuffers())
         assert_states_identical(oracle, replayed)
         assert s_run == s_replay

@@ -4,15 +4,18 @@ Every simulator-executed entry point of :class:`MIBSolver` is run twice
 — ``execution="interpret"`` (the oracle) and ``execution="replay"``
 (trace-compiled) — and the results compared exactly, not to tolerance.
 Also covers the amortization contract: traces survive
-:meth:`update_values` and cache-restored solvers skip re-validation
-through the persisted trace stamps.
+:meth:`update_values`, and a cache-restored solver hazard-checks every
+schedule it lowers, whatever the artifact says about it.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.arch import HazardViolation
 from repro.backends.mib import MIBSolver
 from repro.compiler import ScheduleCache
 from repro.problems import mpc_problem
@@ -198,13 +201,12 @@ class TestAmortization:
             problem, variant="direct", c=C, settings=settings,
             execution="replay",
         )
-        stamps = solver.compile_traces()
-        assert set(stamps) == set(solver.kernels.schedules)
-        for stamp in stamps.values():
-            assert stamp["validated"]
-            assert stamp["c"] == C
+        assert solver.compile_traces() is None
+        assert set(solver._traces) == set(solver.kernels.schedules)
+        for name, trace in solver._traces.items():
+            assert (trace.name, trace.c) == (name, C)
 
-    def test_cache_round_trip_skips_validation(
+    def test_cache_round_trip_matches_cold(
         self, problem, settings, tmp_path
     ):
         cache = ScheduleCache(tmp_path)
@@ -214,31 +216,51 @@ class TestAmortization:
         )
         assert not cold.cache_hit
         r_cold = cold.solve_on_network(max_iter=5)
-        assert cold._trace_stamps  # stamps persisted on first validation
 
         warm = MIBSolver(
             problem, variant="direct", c=C, settings=settings,
             cache=ScheduleCache(tmp_path), execution="replay",
         )
         assert warm.cache_hit
-        assert set(warm._trace_stamps) >= {"factor", "kkt_solve"}
         r_warm = warm.solve_on_network(max_iter=5)
         assert report_key(r_cold) == report_key(r_warm)
-        # The warm solver's traces were lowered without re-validation.
-        assert all(not t.validated for t in warm._traces.values())
 
-    def test_stamp_stats_survive_serialization(
+    def test_forged_stamp_on_hazardous_schedule_raises(
         self, problem, settings, tmp_path
     ):
+        """A cache file whose ``kkt_solve`` lost its stall slots still
+        passes the structural check, so it restores; the lowering must
+        refuse it however loudly the file vouches for the trace (a
+        ``traces`` map of "validated" stamps, as older code wrote)."""
         cache = ScheduleCache(tmp_path)
         cold = MIBSolver(
             problem, variant="direct", c=C, settings=settings, cache=cache,
             execution="replay",
         )
         cold.solve_on_network(max_iter=2)
+        path = cache.path_for(cold.cache_key)
+        raw = json.loads(path.read_text())
+        kkt = raw["schedules"]["kkt_solve"]
+        kkt["slots"] = [b for b in kkt["slots"] if b]
+        raw["traces"] = {
+            "kkt_solve": {
+                "validated": True, "c": C, "depth": 1 << 24,
+                "extra_latency": 0,
+                "stats": {
+                    "cycles": len(kkt["slots"]), "latency": 0,
+                    "instructions": kkt["n_ops"],
+                    "bundles": len(kkt["slots"]),
+                },
+            }
+        }
+        path.write_text(json.dumps(raw))
+
+        warm_cache = ScheduleCache(tmp_path)
         warm = MIBSolver(
             problem, variant="direct", c=C, settings=settings,
-            cache=ScheduleCache(tmp_path), execution="replay",
+            cache=warm_cache, execution="replay",
         )
-        for name, stamp in cold._trace_stamps.items():
-            assert warm._trace_stamps[name] == stamp
+        assert warm.cache_hit
+        assert warm_cache.stats.disk_errors == 0
+        with pytest.raises(HazardViolation, match="RAW"):
+            warm.solve_on_network(max_iter=5)

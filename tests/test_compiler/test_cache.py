@@ -94,9 +94,10 @@ class TestWarmPath:
         self, tmp_path, monkeypatch
     ):
         """Format v3 once also carried a ``fusion`` map of whole-
-        iteration stamps.  Dropping it moved no other field, so the
-        version and the pattern fingerprint stayed, and a directory
-        written before the drop keeps hitting."""
+        iteration stamps and a ``traces`` map of per-kernel validation
+        stamps.  Dropping them moved no other field, so the version and
+        the pattern fingerprint stayed, and a directory written before
+        the drops keeps hitting."""
         problem = _problem()
         cold = _solver(problem, ScheduleCache(tmp_path))
         # The key such a directory was written under (recorded from the
@@ -114,6 +115,20 @@ class TestWarmPath:
                              "residuals"],
                 "n_state": 206, "n_slots": 102, "n_values": 481,
                 "n_coeff": 310, "crossings": 62,
+            }
+        }
+        raw["traces"] = {
+            "kkt_solve": {
+                "validated": True, "c": C, "depth": 1 << 24,
+                "extra_latency": 0, "n_phases": 31, "n_state": 98,
+                "n_values": 186, "n_coeff": 120, "hbm_words_read": 120,
+                "hbm_words_written": 0,
+                "stats": {
+                    "cycles": 97, "instructions": 88, "bundles": 52,
+                    "latency": 7, "node_cycles_busy": 900,
+                    "issue_width_histogram": {"1": 30, "2": 22},
+                    "host_crossings": 0, "phases_executed": 0,
+                },
             }
         }
         path.write_text(json.dumps(raw))

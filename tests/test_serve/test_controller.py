@@ -5,7 +5,7 @@ Two layers:
 
 * **Cost model** — deterministic, no HTTP and no solver: EWMA updates,
   the affine pass-cost fit (fixed + marginal * lanes), cap decisions in
-  their documented order (explore, fallback-parking, marginal-vs-solo,
+  their documented order (explore, marginal-vs-solo,
   latency budget, whole-pass-vs-solos), the solo-arm probe, the
   explore escape and its back-off, the evidence-gated dispatch window
   and its hold series, and bucketing distance.
@@ -84,7 +84,6 @@ class TestCostModel:
                 lanes=lanes,
                 seconds=fixed + marginal * lanes,
                 lane_iterations=[30] * lanes,
-                solo_lanes=0,
             )
         s = ctrl.stats_for("fp")
         assert s.marginal_lane_seconds == pytest.approx(marginal)
@@ -98,23 +97,10 @@ class TestCostModel:
                 lanes=8,
                 seconds=0.1,
                 lane_iterations=[30] * 8,
-                solo_lanes=0,
             )
         s = ctrl.stats_for("fp")
         assert s.marginal_lane_seconds is None  # var(lanes) == 0
         assert s.ewma_lane_seconds == pytest.approx(0.1 / 8)
-
-    def test_fallback_rate_counts_rho_exits_not_bailouts(self):
-        ctrl = BatchController()
-        ctrl.observe_pass(
-            "fp",
-            lanes=8,
-            seconds=0.1,
-            lane_iterations=[30] * 8,
-            solo_lanes=4,
-        )
-        s = ctrl.stats_for("fp")
-        assert s.solo_fallback_rate == pytest.approx(4 / 8)
 
     def test_pass_resets_the_explore_pressure_counter(self):
         ctrl = BatchController()
@@ -123,7 +109,6 @@ class TestCostModel:
         assert ctrl.stats_for("fp").solo_since_pass == 5
         ctrl.observe_pass(
             "fp", lanes=4, seconds=0.05, lane_iterations=[30] * 4,
-            solo_lanes=0,
         )
         assert ctrl.stats_for("fp").solo_since_pass == 0
 
@@ -147,7 +132,6 @@ def _learned(
             lanes=lanes,
             seconds=fixed + marginal * lanes,
             lane_iterations=[iterations] * lanes,
-            solo_lanes=0,
         )
 
 
@@ -169,7 +153,6 @@ class TestMaxBatchFor:
         assert ctrl.max_batch_for("fp", 16) == 16
         ctrl.observe_pass(
             "fp", lanes=4, seconds=1.0, lane_iterations=[30] * 4,
-            solo_lanes=0,
         )
         # One pass is still below min_explore_passes.
         assert ctrl.max_batch_for("fp", 16) == 16
@@ -185,17 +168,6 @@ class TestMaxBatchFor:
     def test_marginal_lane_dearer_than_solo_parks_the_pattern(self):
         ctrl = BatchController()
         _learned(ctrl, solo=0.001, marginal=0.002)
-        assert ctrl.max_batch_for("fp", 16) == 1
-
-    def test_rho_heavy_pattern_parks_solo(self):
-        ctrl = BatchController(fallback_threshold=0.4)
-        _learned(ctrl)
-        for _ in range(6):
-            ctrl.observe_pass(
-                "fp", lanes=4, seconds=0.018, lane_iterations=[30] * 4,
-                solo_lanes=4,
-            )
-        assert ctrl.stats_for("fp").solo_fallback_rate > 0.4
         assert ctrl.max_batch_for("fp", 16) == 1
 
     def test_explore_escape_revises_a_stale_solo_verdict(self):
@@ -214,7 +186,6 @@ class TestMaxBatchFor:
         for _ in range(2):
             ctrl.observe_pass(
                 "fp", lanes=2, seconds=0.080, lane_iterations=[30, 30],
-                solo_lanes=0,
             )
 
     def test_unpriced_solo_arm_is_probed_then_compared(self):
@@ -271,7 +242,6 @@ class TestMaxBatchFor:
         def explore(seconds: float) -> None:
             ctrl.observe_pass(
                 "fp", lanes=16, seconds=seconds, lane_iterations=[30] * 16,
-                solo_lanes=0,
             )
 
         stats = ctrl.stats_for("fp")
@@ -306,7 +276,6 @@ class TestMaxBatchFor:
         for _ in range(3):  # constant size: no affine fit
             ctrl.observe_pass(
                 "fp", lanes=8, seconds=0.040, lane_iterations=[30] * 8,
-                solo_lanes=0,
             )
         # cap = budget * solo / lane = 6 * 0.020 / 0.005
         assert ctrl.max_batch_for("fp", 1 << 30) == 24
@@ -548,7 +517,6 @@ class TestConcurrency:
                         lanes=4 + i % 8,
                         seconds=0.02,
                         lane_iterations=[30] * (4 + i % 8),
-                        solo_lanes=0,
                     )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
