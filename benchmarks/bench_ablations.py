@@ -80,7 +80,7 @@ def test_ablation_etree_order(benchmark):
         ops = kb.factorization(
             sym,
             kkt.matrix,
-            y=kb.vector("fy", dim),
+            y=kb.lane_copies(kb.vector("fy", dim)),
             d=kb.vector("fd", dim),
             dinv=kb.vector("fdinv", dim),
         )
@@ -265,7 +265,7 @@ def test_ablation_scheduler_priority(benchmark):
             ops = kb.factorization(
                 sym,
                 kkt.matrix,
-                y=kb.vector("fy", dim),
+                y=kb.lane_copies(kb.vector("fy", dim)),
                 d=kb.vector("fd", dim),
                 dinv=kb.vector("fdinv", dim),
             )

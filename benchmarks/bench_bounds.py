@@ -1,0 +1,240 @@
+"""Scheduled slots against lower bounds, per kernel.
+
+For the four kernels a network-executed ADMM solve runs (``factor``,
+``kkt_solve``, ``iter_pre``, ``iter_post``) on the five domains at
+C = 8 and 32, reports the slots the scheduler emits beside two lower
+bounds on any schedule of the same lowered program
+(:func:`schedule_bounds`): the renamed
+dependency bound, and the resource bound with the term that sets it.
+Below it, the register-file rows each pattern allocates: the
+factorization's per-lane scratch copies are the only ones that grow
+with C, and ``arch/resources.py`` prices no register-file storage.
+
+``span`` is the slots an op still holds: a kernel that closes on a
+double-pumped element-wise op holds one slot past its last issue
+bundle, which ``Schedule.cycles`` does not count.  Every bound is a
+bound on the span, and the span is at most one more than the slots.
+
+* ``pytest benchmarks/bench_bounds.py`` — writes
+  ``benchmarks/results/ablation_bounds.txt``.
+* ``python benchmarks/bench_bounds.py [--check]`` — the same table;
+  ``--check`` writes nothing and exits non-zero when a span is below a
+  bound or the table differs from the committed file.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import dataclass
+
+from repro.analysis import ascii_table
+from repro.arch.isa import OpKind
+from repro.arch.simulator import SCALAR_UNITS, op_duration, op_occupancy
+from repro.arch.topology import Butterfly
+from repro.backends import MIBSolver
+from repro.compiler import NetworkProgram
+from repro.compiler.scheduler import _op_port_usage
+from repro.problems import (
+    huber_problem,
+    lasso_problem,
+    mpc_problem,
+    portfolio_problem,
+    svm_problem,
+)
+
+from benchmarks.common import RESULTS_DIR, emit
+
+RESULT = "ablation_bounds.txt"
+KERNELS = ("factor", "kkt_solve", "iter_pre", "iter_post")
+WIDTHS = (8, 32)
+PATTERNS = {
+    "lasso": lambda: lasso_problem(16, n_samples=64, seed=0),
+    "mpc": lambda: mpc_problem(6, seed=0),
+    "portfolio": lambda: portfolio_problem(48, seed=0),
+    "svm": lambda: svm_problem(10, n_samples=40, seed=0),
+    "huber": lambda: huber_problem(10, n_samples=30, seed=0),
+}
+
+
+@dataclass(frozen=True)
+class ScheduleBounds:
+    """Lower bounds, in issue slots, on any schedule of one program.
+
+    ``dependency`` is the ASAP length on unlimited hardware that keeps
+    every read-after-write dependency and the commit order of the
+    accumulations into one value, but renames storage reuse away (no
+    WAR / WAW ordering).  The rest are resource bounds: network node
+    slots (``nodes``), scalar units (``scalar``), register-file read
+    ports over all ``C`` banks (``reads``) and the busiest bank's write
+    port (``bank_writes``).  A schedule's slots minus ``dependency`` is
+    what false dependencies and packing cost it.
+    """
+
+    dependency: int
+    nodes: int
+    scalar: int
+    reads: int
+    bank_writes: int
+
+    def resource_terms(self) -> dict[str, int]:
+        return {
+            "nodes": self.nodes,
+            "scalar": self.scalar,
+            "reads/C": self.reads,
+            "bank writes": self.bank_writes,
+        }
+
+    @property
+    def resource(self) -> int:
+        return max(self.resource_terms().values())
+
+    @property
+    def bound(self) -> int:
+        return max(self.dependency, self.resource)
+
+
+def schedule_bounds(
+    program: NetworkProgram, c: int, *, extra_latency: int = 0
+) -> ScheduleBounds:
+    """The :class:`ScheduleBounds` of an unscheduled ``program``.
+
+    Port usage follows the scheduler's model: an op holds its node
+    occupancy for every cycle it occupies, each op claims a bank's
+    write port once (in its last cycle), and reads count one port per
+    distinct bank per cycle.
+    """
+    bf = Butterfly(c)
+    latency = bf.latency + extra_latency
+    nodes_mask = bf.full_mask()
+    ready: dict = {}  # location -> first slot its current value is readable
+    last_commit: dict = {}  # location -> commit slot of its last write
+    dependency = node_slots = scalars = reads = 0
+    bank_writes = [0] * c
+    for op in program.ops:
+        dur = op_duration(op)
+        t = max(
+            (ready.get(loc, 0) for loc in op.all_read_locations()), default=0
+        )
+        for loc, acc in op.writes:
+            if acc and loc in last_commit:
+                t = max(t, last_commit[loc] + 1 - (dur - 1 + latency))
+        commit = t + dur - 1 + latency
+        for loc, acc in op.writes:
+            last_commit[loc] = commit
+            ready[loc] = commit + 1
+        dependency = max(dependency, t + dur)
+        node_slots += dur * bin(op_occupancy(op, bf) & nodes_mask).count("1")
+        scalars += op.kind is OpKind.SCALAR
+        reads_pc, writes_pc = _op_port_usage(op)
+        reads += sum(len(banks) for banks in reads_pc)
+        for bank in set().union(*writes_pc):
+            bank_writes[bank] += 1
+    return ScheduleBounds(
+        dependency=dependency,
+        nodes=-(-node_slots // bf.num_nodes),
+        scalar=-(-scalars // SCALAR_UNITS),
+        reads=-(-reads // c),
+        bank_writes=max(bank_writes),
+    )
+
+
+class BoundedSolver(MIBSolver):
+    """An :class:`MIBSolver` that records each kernel's bounds from its
+    lowered program, before the scheduler rewrites it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.bounds: dict[str, ScheduleBounds] = {}
+        super().__init__(*args, **kwargs)
+
+    def _schedule(self, name, ops):
+        ops = list(ops)
+        self.bounds[name] = schedule_bounds(
+            NetworkProgram(name, ops),
+            self.c,
+            extra_latency=self.options.extra_latency,
+        )
+        return super()._schedule(name, ops)
+
+
+def span(schedule) -> int:
+    """Slots held by the schedule's ops, second cycles included."""
+    return max(
+        (t + op_duration(op) for t, bundle in enumerate(schedule.slots)
+         for op in bundle),
+        default=0,
+    )
+
+
+def measure() -> tuple[list[list], list[list], list[str]]:
+    """``(bound rows, register-file rows, violations)``."""
+    rows, rf_rows, violations = [], [], []
+    for c in WIDTHS:
+        for domain, make in PATTERNS.items():
+            solver = BoundedSolver(make(), c=c)
+            for kernel in KERNELS:
+                sched = solver.kernels.schedules[kernel]
+                b = solver.bounds[kernel]
+                terms = b.resource_terms()
+                held = span(sched)
+                rows.append([
+                    c, domain, kernel, sched.n_slots, held, b.dependency,
+                    b.resource, max(terms, key=terms.get),
+                    f"{held / b.bound:.2f}",
+                ])
+                if held < b.bound or sched.n_slots < held - 1:
+                    violations.append(f"C={c} {domain} {kernel}: {b}")
+            alloc = solver.builder.alloc
+            copies = (c - 1) * alloc.get("factor_y").rows()
+            used = alloc.used_rows
+            rf_rows.append([
+                c, domain, used - copies, used, copies * c,
+                f"{used / (used - copies):.2f}",
+            ])
+    return rows, rf_rows, violations
+
+
+def render(rows, rf_rows) -> str:
+    return "\n\n".join([
+        ascii_table(
+            ["C", "domain", "kernel", "slots", "span", "dep bound",
+             "res bound", "res term", "span/bound"],
+            rows,
+            title="Ablation 10 — scheduled slots vs lower bounds",
+        ),
+        ascii_table(
+            ["C", "domain", "rf rows K=1", "rf rows K=C", "copy words",
+             "ratio"],
+            rf_rows,
+            title="Register-file rows: one factor scratch vs one per lane",
+        ),
+    ])
+
+
+def test_ablation_bounds(benchmark):
+    rows, rf_rows, violations = benchmark.pedantic(
+        measure, rounds=1, iterations=1
+    )
+    emit(RESULT, render(rows, rf_rows))
+    assert not violations, violations
+
+
+def main(argv: list[str]) -> int:
+    rows, rf_rows, violations = measure()
+    text = render(rows, rf_rows)
+    if "--check" not in argv:
+        emit(RESULT, text)
+        return 0
+    print(text)
+    failures = [f"span below bound: {v}" for v in violations]
+    committed = (RESULTS_DIR / RESULT).read_text()
+    if committed != text + "\n":
+        failures.append(f"{RESULT} differs from the regenerated table")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    if not failures:
+        print("bounds check OK")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -112,7 +112,7 @@ def test_fig8_dependency_graph_density(benchmark):
             kb2.factorization(
                 sym,
                 kkt.matrix,
-                y=kb2.vector("fy", dim),
+                y=kb2.lane_copies(kb2.vector("fy", dim)),
                 d=kb2.vector("fd", dim),
                 dinv=kb2.vector("fdinv", dim),
             ),

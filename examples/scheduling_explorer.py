@@ -39,7 +39,7 @@ def factor_program(problem, c: int) -> NetworkProgram:
     ops = kb.factorization(
         sym,
         kkt.matrix,
-        y=kb.vector("fy", dim),
+        y=kb.lane_copies(kb.vector("fy", dim)),
         d=kb.vector("fd", dim),
         dinv=kb.vector("fdinv", dim),
     )

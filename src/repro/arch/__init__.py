@@ -31,6 +31,7 @@ from .topology import Butterfly, NodeMode, RoutingConflict
 from .trace import (
     CompiledTrace,
     TracePhase,
+    check_schedule,
     compile_trace,
     phase_crossings,
     run_phases,
@@ -42,6 +43,7 @@ __all__ = [
     "Butterfly",
     "CompiledTrace",
     "TracePhase",
+    "check_schedule",
     "compile_trace",
     "phase_crossings",
     "run_phases",

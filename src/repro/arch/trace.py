@@ -51,6 +51,7 @@ from .topology import Butterfly
 __all__ = [
     "CompiledTrace",
     "TracePhase",
+    "check_schedule",
     "compile_trace",
     "phase_crossings",
     "run_phases",
@@ -736,27 +737,19 @@ class _TraceBuilder:
         )
 
 
-def compile_trace(
-    slots: list[list[NetOp]],
-    *,
-    c: int,
-    depth: int = 1 << 16,
-    extra_latency: int = 0,
-    name: str = "",
-) -> CompiledTrace:
-    """Validate-and-lower one schedule into a :class:`CompiledTrace`.
+def _hazard_walk(
+    slots: list[list[NetOp]], c: int, extra_latency: int, execute, commit
+) -> SimulationStats:
+    """Walk a schedule cycle by cycle under the interpreter's hazard
+    analysis.
 
-    Every lowering performs *exactly* the hazard analysis of
-    :meth:`NetworkSimulator.run` — node-occupancy overlap, scalar-unit
-    counts, register-file port conflicts (including the double-pumped
-    port holds of binary EWISE ops) and latency-window RAW races —
-    raising :class:`HazardViolation` with the interpreter's
-    diagnostics, so no trace replays a schedule the interpreter would
-    refuse.
+    ``execute(op)`` returns the op's pending writes as ``(loc, value id,
+    accumulate)`` triples and ``commit`` receives each one in the
+    interpreter's commit order; raises :class:`HazardViolation` with
+    the interpreter's diagnostics on the first violation.
     """
     bf = Butterfly(c)
     latency = bf.latency + int(extra_latency)
-    builder = _TraceBuilder(c, depth)
     # Pending writes: (commit_cycle, seq, loc, vid, accumulate).
     pending: list[tuple[int, int, Location, int, bool]] = []
     in_flight: dict[Location, list[int]] = {}
@@ -768,7 +761,7 @@ def compile_trace(
         still: list[tuple[int, int, Location, int, bool]] = []
         for w in pending:
             if w[0] <= t:
-                builder.emit_commit(w[2], w[3], w[4])
+                commit(w[2], w[3], w[4])
                 lst = in_flight[w[2]]
                 lst.remove(w[1])
                 if not lst:
@@ -832,7 +825,7 @@ def compile_trace(
                         f"RAW hazard at cycle {t} on {loc}: "
                         f"{op.tag or op.kind}"
                     )
-            for loc, vid, acc in builder.record_exec(op):
+            for loc, vid, acc in execute(op):
                 pending.append((t + dur - 1 + latency, seq, loc, vid, acc))
                 in_flight.setdefault(loc, []).append(seq)
             stats.instructions += 1
@@ -845,7 +838,50 @@ def compile_trace(
 
     # Drain the pipeline in the interpreter's commit order.
     for w in sorted(pending, key=lambda w: (w[0], w[1])):
-        builder.emit_commit(w[2], w[3], w[4])
+        commit(w[2], w[3], w[4])
     stats.cycles = len(slots) + latency
     stats.latency = latency
+    return stats
+
+
+def compile_trace(
+    slots: list[list[NetOp]],
+    *,
+    c: int,
+    depth: int = 1 << 16,
+    extra_latency: int = 0,
+    name: str = "",
+) -> CompiledTrace:
+    """Validate-and-lower one schedule into a :class:`CompiledTrace`.
+
+    Every lowering performs *exactly* the hazard analysis of
+    :meth:`NetworkSimulator.run` — node-occupancy overlap, scalar-unit
+    counts, register-file port conflicts (including the double-pumped
+    port holds of binary EWISE ops) and latency-window RAW races —
+    raising :class:`HazardViolation` with the interpreter's
+    diagnostics, so no trace replays a schedule the interpreter would
+    refuse.
+    """
+    builder = _TraceBuilder(c, depth)
+    stats = _hazard_walk(
+        slots, c, int(extra_latency), builder.record_exec, builder.emit_commit
+    )
     return builder.finalize(stats, name=name, extra_latency=int(extra_latency))
+
+
+def _pending_writes(op: NetOp) -> list[tuple[Location, int, bool]]:
+    return [(loc, 0, acc) for loc, acc in op.writes]
+
+
+def check_schedule(
+    slots: list[list[NetOp]], *, c: int, extra_latency: int = 0
+) -> None:
+    """:func:`compile_trace`'s hazard analysis without the lowering.
+
+    The check a schedule read from outside the process passes before
+    it is priced or run: it raises every :class:`HazardViolation` a
+    lowering would, at about a third of the cost, and builds nothing.
+    """
+    _hazard_walk(
+        slots, c, int(extra_latency), _pending_writes, lambda *_: None
+    )

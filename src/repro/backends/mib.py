@@ -310,6 +310,7 @@ class MIBSolver:
                 self._compile_vector_kernels()
                 if variant == "direct":
                     self._compile_network_iteration()
+                    self._compile_factor()
             if cache is not None:
                 cache.put(self.cache_key, self._to_artifact(self.cache_key))
         self.compile_seconds = time.perf_counter() - t0
@@ -446,17 +447,11 @@ class MIBSolver:
         self._perm = kkt.perm
         bx = kb.vector("kkt_b", dim)  # incoming right-hand side
         px = kb.vector("kkt_x", dim)  # permuted solve buffer
-        fy = kb.vector("factor_y", dim)
-        fd = kb.vector("factor_d", dim)
-        fdinv = kb.vector("factor_dinv", dim)
-
-        # Numeric refactorization (runs at setup and on every ρ update).
-        self._schedule(
-            "factor",
-            kb.factorization(
-                sym, kkt._permuted_upper, y=fy, d=fd, dinv=fdinv, k_stream="K"
-            ),
-        )
+        # The factorization's registers; ``_compile_factor`` lowers it
+        # once every other kernel has its layout.
+        kb.vector("factor_y", dim)
+        kb.vector("factor_d", dim)
+        kb.vector("factor_dinv", dim)
         # The KKT triangular solve pipeline of Listing 1:
         # permutate -> L_solve -> D_solve -> Lt_solve -> inverse_permutate.
         lower = (
@@ -473,6 +468,26 @@ class MIBSolver:
             + kb.gather(bx, perm.tolist(), px, list(range(dim)), tag="inv_permutate")
         )
         self._schedule("kkt_solve", solve_ops)
+
+    def _compile_factor(self) -> None:
+        """The numeric refactorization (runs at setup and on every ρ
+        update), lowered last so that its per-lane scratch copies sit
+        past every other kernel's registers and move none of them."""
+        kkt = self.reference.kkt_solver
+        assert isinstance(kkt, DirectKKTSolver)
+        kb = self.builder
+        alloc = kb.alloc
+        self._schedule(
+            "factor",
+            kb.factorization(
+                kkt.symbolic,
+                kkt._permuted_upper,
+                y=kb.lane_copies(alloc.get("factor_y")),
+                d=alloc.get("factor_d"),
+                dinv=alloc.get("factor_dinv"),
+                k_stream="K",
+            ),
+        )
 
     def _compile_indirect(self) -> None:
         kkt = self.reference.kkt_solver

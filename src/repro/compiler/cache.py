@@ -25,7 +25,8 @@ Key properties:
 * **Corruption-safe loads** — a missing, truncated, version-mismatched
   or otherwise undecodable cache file is *never* an error: the lookup
   reports a miss (and bumps a counter) and the caller recompiles.  A
-  loaded artifact is structurally re-validated before it is trusted.
+  loaded artifact passes the interpreter's hazard analysis (structural
+  and data hazards) before it is trusted.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .scheduler import Schedule, ScheduleOptions, validate_schedule
+from ..arch.trace import check_schedule
+from .scheduler import Schedule, ScheduleOptions
 from .serialize import (
     FORMAT_VERSION,
     SerializationError,
@@ -65,9 +67,9 @@ __all__ = [
 # v3 per-iteration stamps (``fusion``) for an execution mode since
 # retired.  Both maps were dropped — every trace is now hazard-checked
 # whenever it is lowered — and neither changed any other field's
-# meaning, so v3 files that still carry them load as they are (the
-# extra keys are ignored).
-CACHE_FORMAT_VERSION = 3
+# meaning.  v4: the factorization rotates one scratch accumulator per
+# lane, so a v3 ``factor`` schedule prices a different kernel.
+CACHE_FORMAT_VERSION = 4
 
 
 # sha256 states after each configuration header seen, keyed by the
@@ -366,10 +368,17 @@ class ScheduleCache:
             if artifact.key != key:
                 raise SerializationError("artifact key mismatch")
             for schedule in artifact.schedules.values():
-                validate_schedule(schedule)
+                # The hazard analysis every lowering runs: ``solve()``
+                # prices a schedule without ever lowering it, so a file
+                # must pass here before its cycles are trusted.
+                check_schedule(
+                    schedule.slots,
+                    c=schedule.c,
+                    extra_latency=schedule.extra_latency,
+                )
         except Exception:
-            # Truncated file, bad JSON, version mismatch, tampered
-            # schedule — silently fall back to recompilation.
+            # Truncated file, bad JSON, version mismatch, tampered or
+            # hazardous schedule — silently fall back to recompilation.
             with self._lock:
                 self.stats.disk_errors += 1
             return None

@@ -94,6 +94,21 @@ class KernelBuilder:
             return view
         return self.alloc.allocate(name, length)
 
+    def lane_copies(self, view: VectorView) -> list[VectorView]:
+        """``view`` followed by ``C − 1`` fresh copies at its rotation.
+
+        One scratch region per network lane for :meth:`factorization`.
+        Sharing ``view``'s rotation keeps every copy lane-aligned with
+        it, so an instruction that reads a copy beside another vector
+        meets the same bank pairing it would with ``view``.
+        """
+        return [view] + [
+            self.alloc.allocate(
+                f"{view.name}.{i}", view.length, rotation=view.rotation
+            )
+            for i in range(1, self.c)
+        ]
+
     # ------------------------------------------------------------------
     # loads / stores / permutations  (PERMUTE kind)
     # ------------------------------------------------------------------
@@ -552,7 +567,7 @@ class KernelBuilder:
         sym: SymbolicFactor,
         k_upper_pattern: CSCMatrix,
         *,
-        y: VectorView,
+        y: Sequence[VectorView],
         d: VectorView,
         dinv: VectorView,
         k_stream: str = "K",
@@ -564,8 +579,14 @@ class KernelBuilder:
         postorder satisfies every computation dependency while keeping
         independent subtrees adjacent for the multi-issue packer.
 
+        ``y`` holds the scratch row accumulators, used round-robin over
+        the postorder rows: neighbouring rows build in different
+        storage, so independent subtrees overlap instead of waiting on
+        each other's reads and writes of one accumulator
+        (:meth:`lane_copies` gives one per lane).
+
         Per row ``k``: load column ``k`` of the (upper) KKT matrix into
-        the scratch accumulator, run one column-elimination instruction
+        its scratch accumulator, run one column-elimination instruction
         per already-computed column in the row pattern, finalize each
         ``l_kj`` (scalar fused multiply) and take the pivot reciprocal.
         Factor values live in the L-buffer and are consumed as
@@ -574,11 +595,13 @@ class KernelBuilder:
         """
         if sym.n != k_upper_pattern.ncols:
             raise ValueError("symbolic factor does not match matrix")
-        if y.length < sym.n or d.length < sym.n or dinv.length < sym.n:
+        scratch = list(y)
+        if not scratch or min(v.length for v in (*scratch, d, dinv)) < sym.n:
             raise ValueError("scratch vectors too short")
         ops: list[NetOp] = []
         order = postorder(sym.parent)
-        for k in order.tolist():
+        for r, k in enumerate(order.tolist()):
+            y = scratch[r % len(scratch)]
             rows, _ = k_upper_pattern.col(k)
             positions = np.arange(
                 k_upper_pattern.indptr[k], k_upper_pattern.indptr[k + 1]

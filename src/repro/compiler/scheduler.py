@@ -179,6 +179,9 @@ class _FirstFitScheduler:
         # ops outlive the scheduler, the table does not.
         self._requests: dict[int, tuple] = {}
         self._request_builds = 0
+        # Per read-free one-cycle request, a run of slots ``[lo, hi)``
+        # it is known not to fit (``_first_fit``).
+        self._unfit: dict[tuple, tuple[int, int]] = {}
         # Scratch addresses for prefetch copies, one cursor per bank,
         # placed in a reserved high region of the register files.
         self._scratch_next = defaultdict(int)
@@ -273,6 +276,8 @@ class _FirstFitScheduler:
         The scan is linear on purpose: *which* slot first shows a
         read-port clash decides where a prefetch copy is aimed, so it is
         part of the emitted schedule and a skip index could not know it.
+        A request that reads no register can clash with no read port, so
+        it alone skips the slots an identical request already failed.
         """
         request = self._request(op)
         occ, dur, reads_pc, writes_pc, is_scalar = request
@@ -284,6 +289,16 @@ class _FirstFitScheduler:
             reads, writes = reads_pc[0], writes_pc[0]
             s_occ, s_rd, s_wr, s_sc = self.occ, self.rd, self.wr, self.sc
             n = len(s_occ)
+            if not reads:
+                # No read port, so no read clash to report: the answer
+                # is the first slot that fits.  Slots only fill up, so
+                # a run of slots this request did not fit never fits it
+                # again, and a scan that starts inside the run may
+                # start at its end.
+                lo, hi = self._unfit.get(request, (t, t))
+                if not lo <= t <= hi:
+                    lo = hi = t
+                t = hi
             while t < n:
                 if reads & s_rd[t]:
                     if first_read_block is None:
@@ -295,6 +310,8 @@ class _FirstFitScheduler:
                 ):
                     break
                 t += 1
+            if not reads:
+                self._unfit[request] = (lo, t)
         else:
             # Double-pumped EWISE holds its ports over two cycles.
             while True:

@@ -79,7 +79,7 @@ def mixed_program(c: int, seed: int):
     ops = (
         kb.spmv(row_major_view(a), x, y, "A")
         + kb.spmv_transpose(row_major_view(a), y, out, "A")
-        + kb.factorization(ref.symbolic, up, y=fy, d=fd, dinv=fdi)
+        + kb.factorization(ref.symbolic, up, y=[fy], d=fd, dinv=fdi)
         + kb.load_vector(sx, "B")
         + kb.lsolve_columns(ref.symbolic, sx, "Lh")
         + kb.dsolve(sx, "Dinvh")

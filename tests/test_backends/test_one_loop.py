@@ -24,8 +24,11 @@ is that call once per instance.  Three guards:
   domain.  The write-through record was re-recorded when the ρ
   write-through started refreshing ``reference.rho_vec`` (see its
   test), and with the fresh half (ρ bits and ``next_x`` / ``next_y``
-  moved, no count did).  Regenerate only together with a change that
-  is meant to move a network solve:
+  moved, no count did).  Both halves' cycle fields were re-recorded
+  when the factorization took one scratch accumulator per lane (only
+  ``factor`` got shorter; no digest, status or count moved).
+  Regenerate only together with a change that is meant to move a
+  network solve:
 
       PYTHONPATH=src:. python tests/test_backends/test_one_loop.py
 """

@@ -24,7 +24,9 @@ from repro.compiler import (
     pattern_fingerprint,
 )
 from repro.linalg import CSCMatrix
+from repro.problems import mpc_problem
 from repro.problems.suite import _GENERATORS
+from repro.serve import SolverPool
 from repro.solver import Settings
 
 C = 16
@@ -81,7 +83,7 @@ class TestWarmPath:
 
     def test_fresh_cache_hits_from_disk(self, tmp_path, monkeypatch):
         problem = _problem()
-        _solver(problem, ScheduleCache(tmp_path), "direct")
+        cold = _solver(problem, ScheduleCache(tmp_path), "direct").solve()
         # A brand-new cache on the same directory (fresh process in the
         # parallel driver) must restore without scheduling.
         cache2 = ScheduleCache(tmp_path)
@@ -89,58 +91,35 @@ class TestWarmPath:
         warm = _solver(problem, cache2, "direct")
         assert warm.cache_hit
         assert cache2.stats.disk_hits == 1
+        assert warm.solve().cycles == cold.cycles
 
-    def test_v3_file_with_retired_iteration_stamp_still_hits(
-        self, tmp_path, monkeypatch
-    ):
-        """Format v3 once also carried a ``fusion`` map of whole-
-        iteration stamps and a ``traces`` map of per-kernel validation
-        stamps.  Dropping them moved no other field, so the version and
-        the pattern fingerprint stayed, and a directory written before
-        the drops keeps hitting."""
+    def test_v3_directory_is_never_served(self, tmp_path):
+        """v4 lowers the factorization over one scratch accumulator per
+        lane, so a v3 file's ``factor`` schedule prices a different
+        kernel.  The version enters the pattern fingerprint, so a v3
+        directory is never looked up; a v3 artifact found under a v4 key
+        is a load error, and either way the warm solver prices exactly
+        what a cold one does."""
         problem = _problem()
         cold = _solver(problem, ScheduleCache(tmp_path))
-        # The key such a directory was written under (recorded from the
-        # code that still wrote the stamp).
-        assert cold.cache_key == (
+        # The key this pattern had under v3 (recorded from that code).
+        v3_key = (
             "1da585728ed6a21cbdb1b5bc853a87c70b222303f9dcaf3570ce33f18870c528"
         )
+        assert cold.cache_key != v3_key
         path = ScheduleCache(tmp_path).path_for(cold.cache_key)
         raw = json.loads(path.read_text())
-        assert raw["cache_format_version"] == 3
-        raw["fusion"] = {
-            "iteration": {
-                "verified": True, "c": C, "depth": 1 << 24, "latency": 7,
-                "segments": ["iter_pre", "kkt_solve", "iter_post",
-                             "residuals"],
-                "n_state": 206, "n_slots": 102, "n_values": 481,
-                "n_coeff": 310, "crossings": 62,
-            }
-        }
-        raw["traces"] = {
-            "kkt_solve": {
-                "validated": True, "c": C, "depth": 1 << 24,
-                "extra_latency": 0, "n_phases": 31, "n_state": 98,
-                "n_values": 186, "n_coeff": 120, "hbm_words_read": 120,
-                "hbm_words_written": 0,
-                "stats": {
-                    "cycles": 97, "instructions": 88, "bundles": 52,
-                    "latency": 7, "node_cycles_busy": 900,
-                    "issue_width_histogram": {"1": 30, "2": 22},
-                    "host_crossings": 0, "phases_executed": 0,
-                },
-            }
-        }
-        path.write_text(json.dumps(raw))
+        assert raw["cache_format_version"] == 4
+        v3 = dict(raw, cache_format_version=3)
+        path.with_name(f"{v3_key}.mibc").write_text(
+            json.dumps(dict(v3, key=v3_key))
+        )
+        path.write_text(json.dumps(v3))
 
         cache = ScheduleCache(tmp_path)
-        monkeypatch.setattr(mib_mod, "schedule_program", _no_schedule)
         warm = _solver(problem, cache)
-        assert warm.cache_hit is True
-        assert warm.cache_key == cold.cache_key
-        assert cache.stats.disk_hits == 1
-        assert cache.stats.restore_errors == 0
-        assert cache.stats.disk_errors == 0
+        assert not warm.cache_hit
+        assert cache.stats.disk_errors == 1
         assert warm.solve().cycles == cold.solve().cycles
 
 
@@ -194,6 +173,48 @@ class TestCorruptionSafety:
         self._expect_recompile(tmp_path)
         # The recompilation stored a fresh artifact over the bad file.
         json.loads(path.read_text())
+
+
+class TestHazardousFile:
+    """A file that decodes and passes structural validation, but whose
+    schedule races its own writes: ``kkt_solve`` with its empty slots
+    dropped, so reads issue before the writes they wait on commit.
+    ``solve()`` prices a schedule without lowering it, so before the
+    load-time hazard check such a file restored as a hit and priced
+    about 41 % fewer cycles, and a pool on the same directory raised
+    ``HazardViolation`` (a 500 from ``repro serve``)."""
+
+    C = 8
+
+    def _squeezed(self, tmp_path):
+        problem = mpc_problem(2, horizon=3)
+        cold = MIBSolver(problem, c=self.C, cache=ScheduleCache(tmp_path))
+        path = ScheduleCache(tmp_path).path_for(cold.cache_key)
+        raw = json.loads(path.read_text())
+        slots = raw["schedules"]["kkt_solve"]["slots"]
+        assert not all(slots)
+        raw["schedules"]["kkt_solve"]["slots"] = [b for b in slots if b]
+        path.write_text(json.dumps(raw))
+        return problem, cold
+
+    def test_misses_and_prices_as_cold(self, tmp_path):
+        problem, cold = self._squeezed(tmp_path)
+        cache = ScheduleCache(tmp_path)
+        warm = MIBSolver(problem, c=self.C, cache=cache)
+        assert not warm.cache_hit
+        assert cache.stats.disk_errors == 1
+        assert warm.solve().cycles == cold.solve().cycles
+        # The recompile stored a sound artifact over the bad file.
+        again = ScheduleCache(tmp_path)
+        assert MIBSolver(problem, c=self.C, cache=again).cache_hit
+        assert again.stats.disk_errors == 0
+
+    def test_pool_answers_instead_of_raising(self, tmp_path):
+        problem, cold = self._squeezed(tmp_path)
+        pool = SolverPool(c=self.C, cache_dir=str(tmp_path))
+        out = pool.solve(problem)
+        assert out.report.cycles == cold.solve().cycles
+        assert pool.cache.stats.disk_errors == 1
 
 
 class TestKeying:

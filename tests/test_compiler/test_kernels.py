@@ -330,7 +330,7 @@ class TestFactorization:
         ref = ldl_factor(up)
         n = ref.n
         kb = KernelBuilder(C)
-        y = kb.vector("fy", n)
+        y = kb.lane_copies(kb.vector("fy", n))
         d = kb.vector("fd", n)
         dinv = kb.vector("fdinv", n)
         streams = StreamBuffers()
@@ -346,6 +346,49 @@ class TestFactorization:
             sim.rf.read_vector(dinv), 1.0 / ref.d, atol=1e-9
         )
 
+    def test_lane_copies_share_the_rotation(self):
+        kb = KernelBuilder(C)
+        y = kb.vector("fy", 19)
+        kb.vector("fd", 19)
+        copies = kb.lane_copies(y)
+        assert len(copies) == C and copies[0] is y
+        assert {v.rotation for v in copies} == {y.rotation}
+        assert len({v.base for v in copies}) == C
+
+    def test_lane_copies_answer_bitwise_as_one_accumulator(self, rng):
+        """Renaming the scratch row removes only false dependencies:
+        every L, d and 1/d word is the one a single accumulator gives,
+        in fewer cycles."""
+        up = random_quasidefinite_upper(rng, 12, 9)
+        ref = ldl_factor(up)
+        n = ref.n
+        words, cycles = {}, {}
+        for lanes in (False, True):
+            kb = KernelBuilder(C)
+            y = kb.vector("fy", n)
+            d = kb.vector("fd", n)
+            dinv = kb.vector("fdinv", n)
+            streams = StreamBuffers()
+            streams.bind("K", up.data)
+            ops = kb.factorization(
+                ref.symbolic,
+                up,
+                y=kb.lane_copies(y) if lanes else [y],
+                d=d,
+                dinv=dinv,
+            )
+            sim, sched = run_program(kb, ops, streams)
+            cycles[lanes] = sched.cycles
+            words[lanes] = [
+                np.array(
+                    [sim.lbuf.get(p, 0.0) for p in range(ref.symbolic.l_nnz)]
+                ).tobytes(),
+                sim.rf.read_vector(d).tobytes(),
+                sim.rf.read_vector(dinv).tobytes(),
+            ]
+        assert words[True] == words[False]
+        assert cycles[True] < cycles[False]
+
     def test_factor_then_solve_on_network(self, rng):
         """The full direct KKT path: numeric factorization followed by
         the triangular solves, all on the network."""
@@ -353,7 +396,7 @@ class TestFactorization:
         ref = ldl_factor(up)
         n = ref.n
         kb = KernelBuilder(C)
-        y = kb.vector("fy", n)
+        y = kb.lane_copies(kb.vector("fy", n))
         d = kb.vector("fd", n)
         dinv = kb.vector("fdinv", n)
         x = kb.vector("x", n)
@@ -398,7 +441,7 @@ class TestFactorization:
         cycles = {}
         for mi in (False, True):
             kb = KernelBuilder(C)
-            y = kb.vector("fy", 24)
+            y = kb.lane_copies(kb.vector("fy", 24))
             d = kb.vector("fd", 24)
             dinv = kb.vector("fdinv", 24)
             streams = StreamBuffers()

@@ -105,7 +105,7 @@ class TestRoundtrip:
         ops = kb.factorization(
             ref.symbolic,
             up,
-            y=kb.vector("fy", 8),
+            y=kb.lane_copies(kb.vector("fy", 8)),
             d=kb.vector("fd", 8),
             dinv=kb.vector("fdinv", 8),
         )

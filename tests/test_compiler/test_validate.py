@@ -86,7 +86,7 @@ class TestValidate:
         ops = kb.factorization(
             ref.symbolic,
             up,
-            y=kb.vector("fy", 10),
+            y=kb.lane_copies(kb.vector("fy", 10)),
             d=kb.vector("fd", 10),
             dinv=kb.vector("fdinv", 10),
         )
