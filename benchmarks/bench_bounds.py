@@ -29,11 +29,15 @@ from dataclasses import dataclass
 
 from repro.analysis import ascii_table
 from repro.arch.isa import OpKind
-from repro.arch.simulator import SCALAR_UNITS, op_duration, op_occupancy
+from repro.arch.simulator import (
+    SCALAR_UNITS,
+    op_duration,
+    op_occupancy,
+    op_ports,
+)
 from repro.arch.topology import Butterfly
 from repro.backends import MIBSolver
 from repro.compiler import NetworkProgram
-from repro.compiler.scheduler import _op_port_usage
 from repro.problems import (
     huber_problem,
     lasso_problem,
@@ -98,10 +102,11 @@ def schedule_bounds(
 ) -> ScheduleBounds:
     """The :class:`ScheduleBounds` of an unscheduled ``program``.
 
-    Port usage follows the scheduler's model: an op holds its node
-    occupancy for every cycle it occupies, each op claims a bank's
-    write port once (in its last cycle), and reads count one port per
-    distinct bank per cycle.
+    Port usage follows the machine's one model (``op_ports``): an op
+    holds its node occupancy and its read banks in every cycle it
+    occupies, so reads count one port per distinct bank per cycle.
+    Writes count once per op and written bank, a valid but looser
+    bound: a double-pumped op holds its write ports for both cycles.
     """
     bf = Butterfly(c)
     latency = bf.latency + extra_latency
@@ -125,10 +130,10 @@ def schedule_bounds(
         dependency = max(dependency, t + dur)
         node_slots += dur * bin(op_occupancy(op, bf) & nodes_mask).count("1")
         scalars += op.kind is OpKind.SCALAR
-        reads_pc, writes_pc = _op_port_usage(op)
-        reads += sum(len(banks) for banks in reads_pc)
-        for bank in set().union(*writes_pc):
-            bank_writes[bank] += 1
+        read_banks, write_banks = op_ports(op)
+        reads += dur * read_banks.bit_count()
+        for bank in range(c):
+            bank_writes[bank] += write_banks >> bank & 1
     return ScheduleBounds(
         dependency=dependency,
         nodes=-(-node_slots // bf.num_nodes),

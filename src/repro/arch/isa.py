@@ -107,9 +107,11 @@ class NetOp:
     kind:
         Primitive pattern (selects routing/occupancy semantics).
     reads:
-        Register-file operand reads; at most one (or two for EWISE,
-        which streams its second operand through the staging port) per
-        bank per cycle is enforced by the scheduler/simulator.
+        Operand reads.  The register-file ports they take are
+        :func:`repro.arch.simulator.op_ports`: one port per bank, and
+        at most one read of a bank per one-cycle op (a double-pumped
+        binary EWISE op streams its second operand block through the
+        staging port).
     writes:
         ``(location, accumulate)`` pairs; ``accumulate`` adds into the
         stored word (the read-modify-write port used by column
@@ -139,14 +141,6 @@ class NetOp:
     coeff_scale: float = 1.0  # applied to resolved coefficients (e.g. −1 for
     # the subtractive updates of column elimination / triangular solves)
     tag: str = ""
-
-    def rf_reads(self) -> list[Location]:
-        """Reads that consume register-file ports."""
-        return [loc for loc in self.reads if loc.space == "rf"]
-
-    def rf_writes(self) -> list[Location]:
-        """Writes that consume register-file ports."""
-        return [loc for loc, _ in self.writes if loc.space == "rf"]
 
     def all_read_locations(self) -> list[Location]:
         """Every location whose value this op consumes (data deps)."""

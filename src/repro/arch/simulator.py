@@ -4,23 +4,30 @@ Executes a *scheduled* network program (bundles of multi-issued
 :class:`~repro.arch.isa.NetOp`, one bundle per clock) while enforcing
 exactly the constraints the real pipeline imposes:
 
-* one read and one write port per register-file bank per cycle
-  (binary element-wise operations double-pump and occupy two cycles);
+* one read and one write port per register-file bank per cycle; a
+  binary element-wise operation double-pumps — it occupies two issue
+  cycles and holds its nodes and *all* of its read and write ports in
+  both (:func:`op_ports`);
 * disjoint node occupancy between co-issued instructions;
 * pipeline latency — results commit ``log₂C + 3`` cycles after issue,
   and reading a location with an in-flight write raises
   :class:`HazardViolation`.
 
-A schedule that executes without a :class:`HazardViolation` is
-hazard-free by construction, so the simulator doubles as the oracle for
-the compiler's scheduling correctness (the data the paper's Fig. 8
-claims rest on).
+This module is the one definition of the machine: :func:`op_duration`,
+:func:`op_occupancy`, :func:`op_ports` and :data:`SCALAR_UNITS` say
+what one instruction takes, and :func:`hazard_walk` is the one check
+of a schedule against them.  The scheduler books the same requests,
+and the interpreter, the trace lowering and every load of a schedule
+run the same walk.  A schedule that executes without a
+:class:`HazardViolation` is hazard-free by construction, so the
+simulator doubles as the oracle for the compiler's scheduling
+correctness (the data the paper's Fig. 8 claims rest on).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +40,10 @@ __all__ = [
     "HazardViolation",
     "NetworkSimulator",
     "SCALAR_UNITS",
+    "hazard_walk",
     "op_occupancy",
     "op_duration",
+    "op_ports",
 ]
 
 # Scalar side-units next to the network (reciprocals and the fused
@@ -78,13 +87,23 @@ def op_occupancy(op: NetOp, bf: Butterfly) -> int:
     return occ
 
 
-@dataclass
-class _PendingWrite:
-    commit_cycle: int
-    loc: Location
-    value: float
-    accumulate: bool
-    seq: int = 0
+def op_ports(op: NetOp) -> tuple[int, int]:
+    """Register-file ports of one op: ``(read_banks, write_banks)`` as
+    bank masks (bit ``b`` = bank ``b``'s port).
+
+    The op holds both masks in every cycle of :func:`op_duration`: a
+    double-pumped binary EWISE op streams its operands over two cycles
+    but keeps all of its read and write ports for both.
+    """
+    reads = 0
+    for loc in op.reads:
+        if loc.space == "rf":
+            reads |= 1 << loc.bank
+    writes = 0
+    for loc, _ in op.writes:
+        if loc.space == "rf":
+            writes |= 1 << loc.bank
+    return reads, writes
 
 
 @dataclass
@@ -109,6 +128,123 @@ class SimulationStats:
     @property
     def mean_issue_width(self) -> float:
         return self.instructions / self.bundles if self.bundles else 0.0
+
+
+def hazard_walk(
+    slots: list[list[NetOp]],
+    bf: Butterfly,
+    extra_latency: int,
+    execute: Callable[[NetOp], list[tuple[Location, object, bool]]],
+    commit: Callable[[Location, object, bool], None],
+) -> SimulationStats:
+    """Walk a schedule cycle by cycle and raise :class:`HazardViolation`
+    on the first structural or data hazard.
+
+    ``slots[t]`` is the bundle issued at cycle ``t``.  Per cycle the
+    walk checks node occupancy, scalar-unit count and register-file
+    ports (:func:`op_ports`, held for :func:`op_duration` cycles), and
+    that no op reads a location an earlier op's write still has in
+    flight.  ``execute(op)`` returns the op's writes as ``(location,
+    value, accumulate)`` triples; each is handed to ``commit`` when its
+    pipeline latency has elapsed, in issue order within a cycle and in
+    ``(commit cycle, program order)`` in the final drain.  The walk
+    keeps its own per-cycle state and shares none with the scheduler.
+    """
+    latency = bf.latency + int(extra_latency)
+    # Writes in flight, bucketed by commit cycle (in issue order).
+    pending: dict[int, list[tuple[int, Location, object, bool]]] = {}
+    # Program-order sequence of every in-flight write, per location:
+    # a read only races (RAW) against writes that precede it in
+    # program order; overlapping a *later* write (WAR) is legal — the
+    # read sees the committed old value.  Drained locations are
+    # deleted so the map's size tracks writes in flight, not every
+    # location ever touched across a long multi-kernel run.
+    in_flight: dict[Location, list[int]] = {}
+    # Ports and nodes a double-pumped op holds in a later cycle:
+    # cycle -> (read banks, write banks, occupancy).
+    held: dict[int, tuple[int, int, int]] = {}
+    stats = SimulationStats()
+    next_seq = 0
+
+    for t, bundle in enumerate(slots):
+        for seq, loc, value, acc in pending.pop(t, ()):
+            commit(loc, value, acc)
+            lst = in_flight[loc]
+            lst.remove(seq)
+            if not lst:
+                del in_flight[loc]
+        if not bundle:
+            continue
+        read_banks, write_banks, occ_used = held.pop(t, (0, 0, 0))
+        scalar_used = 0
+        for op in bundle:
+            dur = op_duration(op)
+            occ = op_occupancy(op, bf)
+            if occ & occ_used:
+                raise HazardViolation(
+                    f"node conflict at cycle {t}: {op.tag or op.kind}"
+                )
+            occ_used |= occ
+            if op.kind is OpKind.SCALAR:
+                scalar_used += 1
+                if scalar_used > SCALAR_UNITS:
+                    raise HazardViolation(
+                        f"scalar units oversubscribed at cycle {t}"
+                    )
+            reads, writes = op_ports(op)
+            if dur == 1 and reads.bit_count() != sum(
+                loc.space == "rf" for loc in op.reads
+            ):
+                raise HazardViolation(
+                    f"op reads one bank twice at cycle {t}: {op.tag}"
+                )
+            if reads & read_banks:
+                raise HazardViolation(
+                    f"read-port conflict at cycle {t}: {op.tag or op.kind}"
+                )
+            if writes & write_banks:
+                raise HazardViolation(
+                    f"write-port conflict at cycle {t}: {op.tag or op.kind}"
+                )
+            read_banks |= reads
+            write_banks |= writes
+            for u in range(t + 1, t + dur):
+                hr, hw, ho = held.get(u, (0, 0, 0))
+                held[u] = (hr | reads, hw | writes, ho | occ)
+            # Program-order stamp (assigned by the scheduler; falls
+            # back to encounter order for hand-built schedules).
+            seq = getattr(op, "_seq", None)
+            if seq is None:
+                seq = next_seq
+            next_seq = max(next_seq, seq + 1)
+            # Data hazards: reading a word while an *earlier* write to
+            # it is still in flight is a true RAW violation.
+            for loc in op.all_read_locations():
+                lst = in_flight.get(loc)
+                if lst and any(s < seq for s in lst):
+                    raise HazardViolation(
+                        f"RAW hazard at cycle {t} on {loc}: "
+                        f"{op.tag or op.kind}"
+                    )
+            due = pending.setdefault(t + dur - 1 + latency, [])
+            for loc, value, acc in execute(op):
+                due.append((seq, loc, value, acc))
+                in_flight.setdefault(loc, []).append(seq)
+            stats.instructions += 1
+            stats.node_cycles_busy += occ.bit_count()
+        stats.bundles += 1
+        width = len(bundle)
+        stats.issue_width_histogram[width] = (
+            stats.issue_width_histogram.get(width, 0) + 1
+        )
+
+    # Drain the pipeline: by commit cycle, then program order.
+    for cycle in sorted(pending):
+        for _, loc, value, acc in sorted(pending[cycle], key=lambda w: w[0]):
+            commit(loc, value, acc)
+    stats.cycles = len(slots) + latency
+    stats.latency = latency
+    return stats
 
 
 class NetworkSimulator:
@@ -184,117 +320,13 @@ class NetworkSimulator:
         cycle ``t``.  Raises :class:`HazardViolation` on any structural
         or data hazard."""
         streams = streams or StreamBuffers()
-        latency = self.bf.latency + self.extra_latency
-        pending: list[_PendingWrite] = []
-        # Program-order sequence of every in-flight write, per location:
-        # a read only races (RAW) against writes that precede it in
-        # program order; overlapping a *later* write (WAR) is legal —
-        # the read sees the committed old value.  Drained locations are
-        # deleted so the map's size tracks writes in flight, not every
-        # location ever touched across a long multi-kernel run.
-        in_flight: dict[Location, list[int]] = {}
-        stats = SimulationStats()
-        next_seq = 0
-
-        # Ports held by multi-cycle (double-pumped) ops:
-        # maps cycle -> (read_banks, write_banks, occupancy)
-        held: dict[int, tuple[set[int], set[int], int]] = defaultdict(
-            lambda: (set(), set(), 0)
+        stats = hazard_walk(
+            slots,
+            self.bf,
+            self.extra_latency,
+            lambda op: self._execute(op, streams),
+            self.write_loc,
         )
-
-        for t, bundle in enumerate(slots):
-            # Commit matured writes.
-            still: list[_PendingWrite] = []
-            for w in pending:
-                if w.commit_cycle <= t:
-                    self.write_loc(w.loc, w.value, w.accumulate)
-                    lst = in_flight[w.loc]
-                    lst.remove(w.seq)
-                    if not lst:
-                        del in_flight[w.loc]
-                else:
-                    still.append(w)
-            pending = still
-
-            if not bundle:
-                continue
-            read_banks, write_banks, occ_used = held.pop(t, (set(), set(), 0))
-            read_banks, write_banks = set(read_banks), set(write_banks)
-            scalar_used = 0
-
-            for op in bundle:
-                dur = op_duration(op)
-                occ = op_occupancy(op, self.bf)
-                if occ & occ_used:
-                    raise HazardViolation(
-                        f"node conflict at cycle {t}: {op.tag or op.kind}"
-                    )
-                occ_used |= occ
-                if op.kind is OpKind.SCALAR:
-                    scalar_used += 1
-                    if scalar_used > SCALAR_UNITS:
-                        raise HazardViolation(
-                            f"scalar units oversubscribed at cycle {t}"
-                        )
-                # Port checks for this cycle and any held future cycles.
-                op_read_banks = {loc.bank for loc in op.rf_reads()}
-                op_write_banks = {loc.bank for loc in op.rf_writes()}
-                if len(op_read_banks) != len(op.rf_reads()) and dur == 1:
-                    raise HazardViolation(
-                        f"op reads one bank twice at cycle {t}: {op.tag}"
-                    )
-                if op_read_banks & read_banks:
-                    raise HazardViolation(
-                        f"read-port conflict at cycle {t}: {op.tag or op.kind}"
-                    )
-                if op_write_banks & write_banks:
-                    raise HazardViolation(
-                        f"write-port conflict at cycle {t}: {op.tag or op.kind}"
-                    )
-                read_banks |= op_read_banks
-                write_banks |= op_write_banks
-                if dur > 1:
-                    for extra in range(1, dur):
-                        hr, hw, ho = held[t + extra]
-                        held[t + extra] = (
-                            hr | op_read_banks,
-                            hw | op_write_banks,
-                            ho | occ,
-                        )
-                # Program-order stamp (assigned by the scheduler; falls
-                # back to encounter order for hand-built schedules).
-                seq = getattr(op, "_seq", None)
-                if seq is None:
-                    seq = next_seq
-                next_seq = max(next_seq, seq + 1)
-                # Data hazards: reading a word while an *earlier* write
-                # to it is still in flight is a true RAW violation.
-                for loc in op.all_read_locations():
-                    lst = in_flight.get(loc)
-                    if lst and any(s < seq for s in lst):
-                        raise HazardViolation(
-                            f"RAW hazard at cycle {t} on {loc}: {op.tag or op.kind}"
-                        )
-                # Execute semantics; queue result writes.
-                for loc, value, accumulate in self._execute(op, streams):
-                    pending.append(
-                        _PendingWrite(
-                            t + dur - 1 + latency, loc, value, accumulate, seq
-                        )
-                    )
-                    in_flight.setdefault(loc, []).append(seq)
-                stats.instructions += 1
-                stats.node_cycles_busy += occ.bit_count()
-            stats.bundles += 1
-            width = len(bundle)
-            stats.issue_width_histogram[width] = (
-                stats.issue_width_histogram.get(width, 0) + 1
-            )
-        # Drain the pipeline.
-        for w in sorted(pending, key=lambda w: (w.commit_cycle, w.seq)):
-            self.write_loc(w.loc, w.value, w.accumulate)
-        stats.cycles = len(slots) + latency
-        stats.latency = latency
         # The oracle crosses the host boundary once per instruction
         # (every op is a Python-level dispatch) and once per bundle.
         stats.host_crossings = stats.instructions

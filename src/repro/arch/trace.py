@@ -2,10 +2,10 @@
 
 ADMM is a fixed-point iteration — every iteration re-runs the exact
 same compiled schedules.  :func:`compile_trace` walks a schedule once
-through the *full* cycle-level semantics of
-:meth:`~repro.arch.simulator.NetworkSimulator.run` (structural node
-occupancy, register-file ports, scalar-unit counts, RAW windows,
-pipeline latency, commit ordering) and lowers it into a
+through :func:`~repro.arch.simulator.hazard_walk`, the walk
+:meth:`~repro.arch.simulator.NetworkSimulator.run` executes (structural
+node occupancy, register-file ports, scalar-unit counts, RAW windows,
+pipeline latency, commit ordering), and lowers it into a
 :class:`CompiledTrace`: flat numpy index arrays over a compacted state
 vector, grouped into *phases* whose internal ordering is provably
 equivalent to the cycle-by-cycle interpretation.  Replaying the trace
@@ -39,13 +39,7 @@ import numpy as np
 
 from .hbm import StreamBuffers
 from .isa import BINARY_EWISE_FNS, EwiseFn, Location, NetOp, OpKind
-from .simulator import (
-    SCALAR_UNITS,
-    HazardViolation,
-    SimulationStats,
-    op_duration,
-    op_occupancy,
-)
+from .simulator import SimulationStats, hazard_walk
 from .topology import Butterfly
 
 __all__ = [
@@ -737,113 +731,6 @@ class _TraceBuilder:
         )
 
 
-def _hazard_walk(
-    slots: list[list[NetOp]], c: int, extra_latency: int, execute, commit
-) -> SimulationStats:
-    """Walk a schedule cycle by cycle under the interpreter's hazard
-    analysis.
-
-    ``execute(op)`` returns the op's pending writes as ``(loc, value id,
-    accumulate)`` triples and ``commit`` receives each one in the
-    interpreter's commit order; raises :class:`HazardViolation` with
-    the interpreter's diagnostics on the first violation.
-    """
-    bf = Butterfly(c)
-    latency = bf.latency + int(extra_latency)
-    # Pending writes: (commit_cycle, seq, loc, vid, accumulate).
-    pending: list[tuple[int, int, Location, int, bool]] = []
-    in_flight: dict[Location, list[int]] = {}
-    held: dict[int, tuple[set[int], set[int], int]] = {}
-    stats = SimulationStats()
-    next_seq = 0
-
-    for t, bundle in enumerate(slots):
-        still: list[tuple[int, int, Location, int, bool]] = []
-        for w in pending:
-            if w[0] <= t:
-                commit(w[2], w[3], w[4])
-                lst = in_flight[w[2]]
-                lst.remove(w[1])
-                if not lst:
-                    del in_flight[w[2]]
-            else:
-                still.append(w)
-        pending = still
-
-        if not bundle:
-            continue
-        read_banks, write_banks, occ_used = held.pop(t, (set(), set(), 0))
-        read_banks, write_banks = set(read_banks), set(write_banks)
-        scalar_used = 0
-
-        for op in bundle:
-            dur = op_duration(op)
-            occ = op_occupancy(op, bf)
-            if occ & occ_used:
-                raise HazardViolation(
-                    f"node conflict at cycle {t}: {op.tag or op.kind}"
-                )
-            occ_used |= occ
-            if op.kind is OpKind.SCALAR:
-                scalar_used += 1
-                if scalar_used > SCALAR_UNITS:
-                    raise HazardViolation(
-                        f"scalar units oversubscribed at cycle {t}"
-                    )
-            op_read_banks = {loc.bank for loc in op.rf_reads()}
-            op_write_banks = {loc.bank for loc in op.rf_writes()}
-            if len(op_read_banks) != len(op.rf_reads()) and dur == 1:
-                raise HazardViolation(
-                    f"op reads one bank twice at cycle {t}: {op.tag}"
-                )
-            if op_read_banks & read_banks:
-                raise HazardViolation(
-                    f"read-port conflict at cycle {t}: {op.tag or op.kind}"
-                )
-            if op_write_banks & write_banks:
-                raise HazardViolation(
-                    f"write-port conflict at cycle {t}: {op.tag or op.kind}"
-                )
-            read_banks |= op_read_banks
-            write_banks |= op_write_banks
-            if dur > 1:
-                for extra in range(1, dur):
-                    hr, hw, ho = held.get(t + extra, (set(), set(), 0))
-                    held[t + extra] = (
-                        hr | op_read_banks,
-                        hw | op_write_banks,
-                        ho | occ,
-                    )
-            seq = getattr(op, "_seq", None)
-            if seq is None:
-                seq = next_seq
-            next_seq = max(next_seq, seq + 1)
-            for loc in op.all_read_locations():
-                lst = in_flight.get(loc)
-                if lst and any(s < seq for s in lst):
-                    raise HazardViolation(
-                        f"RAW hazard at cycle {t} on {loc}: "
-                        f"{op.tag or op.kind}"
-                    )
-            for loc, vid, acc in execute(op):
-                pending.append((t + dur - 1 + latency, seq, loc, vid, acc))
-                in_flight.setdefault(loc, []).append(seq)
-            stats.instructions += 1
-            stats.node_cycles_busy += occ.bit_count()
-        stats.bundles += 1
-        width = len(bundle)
-        stats.issue_width_histogram[width] = (
-            stats.issue_width_histogram.get(width, 0) + 1
-        )
-
-    # Drain the pipeline in the interpreter's commit order.
-    for w in sorted(pending, key=lambda w: (w[0], w[1])):
-        commit(w[2], w[3], w[4])
-    stats.cycles = len(slots) + latency
-    stats.latency = latency
-    return stats
-
-
 def compile_trace(
     slots: list[list[NetOp]],
     *,
@@ -854,17 +741,19 @@ def compile_trace(
 ) -> CompiledTrace:
     """Validate-and-lower one schedule into a :class:`CompiledTrace`.
 
-    Every lowering performs *exactly* the hazard analysis of
-    :meth:`NetworkSimulator.run` — node-occupancy overlap, scalar-unit
-    counts, register-file port conflicts (including the double-pumped
-    port holds of binary EWISE ops) and latency-window RAW races —
-    raising :class:`HazardViolation` with the interpreter's
-    diagnostics, so no trace replays a schedule the interpreter would
-    refuse.
+    The lowering runs inside :func:`~repro.arch.simulator.hazard_walk`,
+    the walk :meth:`NetworkSimulator.run` executes, so it raises every
+    :class:`~repro.arch.simulator.HazardViolation` the interpreter
+    would, with the same diagnostics, and no trace replays a schedule
+    the interpreter would refuse.
     """
     builder = _TraceBuilder(c, depth)
-    stats = _hazard_walk(
-        slots, c, int(extra_latency), builder.record_exec, builder.emit_commit
+    stats = hazard_walk(
+        slots,
+        Butterfly(c),
+        extra_latency,
+        builder.record_exec,
+        builder.emit_commit,
     )
     return builder.finalize(stats, name=name, extra_latency=int(extra_latency))
 
@@ -876,12 +765,14 @@ def _pending_writes(op: NetOp) -> list[tuple[Location, int, bool]]:
 def check_schedule(
     slots: list[list[NetOp]], *, c: int, extra_latency: int = 0
 ) -> None:
-    """:func:`compile_trace`'s hazard analysis without the lowering.
+    """:func:`~repro.arch.simulator.hazard_walk` with nothing executed.
 
     The check a schedule read from outside the process passes before
-    it is priced or run: it raises every :class:`HazardViolation` a
-    lowering would, at about a third of the cost, and builds nothing.
+    it is priced or run: it raises every
+    :class:`~repro.arch.simulator.HazardViolation` the interpreter or a
+    lowering would, at about a third of a lowering's cost, and builds
+    nothing.
     """
-    _hazard_walk(
-        slots, c, int(extra_latency), _pending_writes, lambda *_: None
+    hazard_walk(
+        slots, Butterfly(c), extra_latency, _pending_writes, lambda *_: None
     )

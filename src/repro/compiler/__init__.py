@@ -21,7 +21,6 @@ from .scheduler import (
     Schedule,
     ScheduleOptions,
     schedule_program,
-    validate_schedule,
 )
 from .serialize import (
     FORMAT_VERSION,
@@ -57,5 +56,4 @@ __all__ = [
     "render_occupancy",
     "row_major_view",
     "schedule_program",
-    "validate_schedule",
 ]

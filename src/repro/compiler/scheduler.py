@@ -21,10 +21,12 @@ placement, the scheduler inserts a copy instruction in an earlier free
 slot that moves the operand to an idle bank and rewrites the blocked
 instruction to read the copy.
 
-The scheduler is conservative and the
-:class:`~repro.arch.simulator.NetworkSimulator` re-verifies every
-constraint at execution time, so a scheduling bug cannot silently
-corrupt results.
+Requests come from the simulator's one definition of the machine
+(``op_duration``, ``op_occupancy``, ``op_ports``, ``SCALAR_UNITS``),
+and :func:`~repro.arch.simulator.hazard_walk` re-verifies every
+constraint with its own bookkeeping whenever a schedule is executed,
+lowered or loaded, so a scheduling bug cannot silently corrupt
+results.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..arch.isa import Location, NetOp, OpKind
-from ..arch.simulator import SCALAR_UNITS, op_duration, op_occupancy
+from ..arch.simulator import SCALAR_UNITS, op_duration, op_occupancy, op_ports
 from ..arch.topology import Butterfly
 from .kernels import NetworkProgram
 
-__all__ = ["Schedule", "ScheduleOptions", "schedule_program", "validate_schedule"]
+__all__ = ["Schedule", "ScheduleOptions", "schedule_program"]
 
 
 @dataclass
@@ -115,30 +117,6 @@ class Schedule:
         return busy / total
 
 
-def _op_port_usage(op: NetOp) -> tuple[list[set[int]], list[set[int]]]:
-    """Per-cycle read/write bank sets (index = cycle offset).
-
-    Binary element-wise instructions double-pump: the first operand
-    block is read in the issue cycle, the second in the next.
-    """
-    dur = op_duration(op)
-    writes = {loc.bank for loc in op.rf_writes()}
-    if dur == 1:
-        return [{loc.bank for loc in op.rf_reads()}], [writes]
-    width = len(op.writes)
-    rf_reads = op.reads  # binary EWISE reads are all rf by construction
-    first = {loc.bank for loc in rf_reads[:width] if loc.space == "rf"}
-    second = {loc.bank for loc in rf_reads[width:] if loc.space == "rf"}
-    return [first, second], [set(), writes]
-
-
-def _bank_mask(banks: set[int]) -> int:
-    mask = 0
-    for bank in banks:
-        mask |= 1 << bank
-    return mask
-
-
 @dataclass
 class _Tracker:
     """Data-dependency bookkeeping across placed instructions."""
@@ -155,8 +133,9 @@ class _FirstFitScheduler:
     the node-occupancy word ``occ[t]``, the read- and write-bank masks
     ``rd[t]`` / ``wr[t]`` (bit ``b`` = bank ``b``'s port is taken) and
     the scalar-unit count ``sc[t]``.  An instruction's *request* —
-    ``(occ, dur, reads_per_cycle, writes_per_cycle, is_scalar)`` with the
-    port usage as bank masks — is a pure function of the instruction
+    ``(occ, dur, reads, writes, is_scalar)``, its node occupancy and
+    register-file ports (:func:`~repro.arch.simulator.op_ports`) held
+    in each of its ``dur`` cycles — is a pure function of the instruction
     until a prefetch rewrites an operand, so it is derived once per
     placement (``request_builds`` counts the derivations) and every
     probe is a handful of integer ANDs.
@@ -207,16 +186,15 @@ class _FirstFitScheduler:
             self.bundles += [[] for _ in range(extra)]
 
     def _request(self, op: NetOp) -> tuple:
-        """The hardware request of ``op``: ``(occ, dur, reads_per_cycle,
-        writes_per_cycle, is_scalar)``, port usage as bank masks."""
+        """The hardware request of ``op``: ``(occ, dur, reads, writes,
+        is_scalar)``; occupancy and the port bank masks are held in
+        every one of the ``dur`` cycles."""
         req = self._requests.get(id(op))
         if req is None:
-            reads_pc, writes_pc = _op_port_usage(op)
             req = (
                 op_occupancy(op, self.bf),
                 op_duration(op),
-                tuple(_bank_mask(banks) for banks in reads_pc),
-                tuple(_bank_mask(banks) for banks in writes_pc),
+                *op_ports(op),
                 op.kind is OpKind.SCALAR,
             )
             self._requests[id(op)] = req
@@ -254,15 +232,14 @@ class _FirstFitScheduler:
 
     def _probe(self, request: tuple, t: int) -> tuple[bool, bool]:
         """:meth:`_fits` for an already-derived request."""
-        occ, dur, reads_pc, writes_pc, is_scalar = request
+        occ, dur, reads, writes, is_scalar = request
         self._grow(t + dur)
         ok = True
         read_block = False
-        for off in range(dur):
-            u = t + off
-            if occ & self.occ[u] or writes_pc[off] & self.wr[u]:
+        for u in range(t, t + dur):
+            if occ & self.occ[u] or writes & self.wr[u]:
                 ok = False
-            if reads_pc[off] & self.rd[u]:
+            if reads & self.rd[u]:
                 ok = False
                 read_block = True
         if is_scalar and self.sc[t] >= SCALAR_UNITS:
@@ -280,13 +257,12 @@ class _FirstFitScheduler:
         it alone skips the slots an identical request already failed.
         """
         request = self._request(op)
-        occ, dur, reads_pc, writes_pc, is_scalar = request
+        occ, dur, reads, writes, is_scalar = request
         first_read_block: int | None = None
         t = t0
         if dur == 1:
             # The common case, inlined: one cycle, three ANDs a probe.
             # A slot past the end is empty, so it always fits.
-            reads, writes = reads_pc[0], writes_pc[0]
             s_occ, s_rd, s_wr, s_sc = self.occ, self.rd, self.wr, self.sc
             n = len(s_occ)
             if not reads:
@@ -326,14 +302,13 @@ class _FirstFitScheduler:
     def _place(self, op: NetOp, t: int) -> None:
         op._seq = self._next_seq  # program order, consumed by the simulator
         self._next_seq += 1
-        occ, dur, reads_pc, writes_pc, is_scalar = self._request(op)
+        occ, dur, reads, writes, is_scalar = self._request(op)
         del self._requests[id(op)]
         self._grow(t + dur)
-        for off in range(dur):
-            u = t + off
+        for u in range(t, t + dur):
             self.occ[u] |= occ
-            self.rd[u] |= reads_pc[off]
-            self.wr[u] |= writes_pc[off]
+            self.rd[u] |= reads
+            self.wr[u] |= writes
         if is_scalar:
             self.sc[t] += 1
         self.bundles[t].append(op)
@@ -362,7 +337,7 @@ class _FirstFitScheduler:
         if op.kind not in (OpKind.MAC, OpKind.COLELIM):
             return False
         blocked_reads = self.rd[t_blocked]
-        own_banks = self._request(op)[2][0]  # MAC / COLELIM are one cycle
+        own_banks = self._request(op)[2]
         # The copy must commit before the blocked issue cycle; every
         # candidate slot lies below ``t_blocked`` and so already exists.
         t_copy_max = t_blocked - self.latency - 1
@@ -564,53 +539,6 @@ class _FirstFitScheduler:
             n_prefetch=self.n_prefetch,
             extra_latency=self.options.extra_latency,
         )
-
-
-def validate_schedule(schedule: Schedule) -> None:
-    """Statically re-check a schedule's structural constraints.
-
-    Intended for executables loaded from disk (a corrupted or
-    hand-edited file must fail here, not mid-solve): verifies node
-    occupancy disjointness, register-file port limits, scalar-unit
-    capacity and double-pump holds for every slot.  Data hazards are
-    checked whenever a schedule is lowered to a replay trace
-    (:func:`~repro.arch.trace.compile_trace`) and by the interpreter
-    (:meth:`~repro.arch.simulator.NetworkSimulator.run`).
-    Raises ``ValueError`` on the first violation.
-    """
-    bf = Butterfly(schedule.c)
-    held_reads: dict[int, set[int]] = defaultdict(set)
-    held_writes: dict[int, set[int]] = defaultdict(set)
-    held_occ: dict[int, int] = defaultdict(int)
-    for t, bundle in enumerate(schedule.slots):
-        reads = set(held_reads.pop(t, set()))
-        writes = set(held_writes.pop(t, set()))
-        occ = held_occ.pop(t, 0)
-        scalars = 0
-        for op in bundle:
-            op_occ = op_occupancy(op, bf)
-            if op_occ & occ:
-                raise ValueError(f"node conflict in slot {t}: {op.tag}")
-            occ |= op_occ
-            if op.kind is OpKind.SCALAR:
-                scalars += 1
-                if scalars > SCALAR_UNITS:
-                    raise ValueError(f"scalar units oversubscribed in slot {t}")
-            reads_pc, writes_pc = _op_port_usage(op)
-            dur = op_duration(op)
-            for off in range(dur):
-                r_set = reads if off == 0 else held_reads[t + off]
-                w_set = writes if off == 0 else held_writes[t + off]
-                if reads_pc[off] & r_set:
-                    raise ValueError(f"read-port conflict in slot {t + off}: {op.tag}")
-                if writes_pc[off] & w_set:
-                    raise ValueError(
-                        f"write-port conflict in slot {t + off}: {op.tag}"
-                    )
-                r_set |= reads_pc[off]
-                w_set |= writes_pc[off]
-                if off > 0:
-                    held_occ[t + off] |= op_occ
 
 
 def schedule_program(

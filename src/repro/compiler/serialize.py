@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..arch.isa import EwiseFn, Location, NetOp, OpKind, StreamRef
+from ..arch.trace import check_schedule
 from .scheduler import Schedule
 
 __all__ = [
@@ -139,16 +140,17 @@ def save_schedule(schedule: Schedule, path: str | Path) -> Path:
     return path
 
 
-def load_schedule(path: str | Path, *, validate: bool = True) -> Schedule:
+def load_schedule(path: str | Path) -> Schedule:
     """Load a schedule from a JSON executable file.
 
-    With ``validate`` (default), the structural constraints of every
-    slot are re-checked so a corrupted or tampered executable fails at
-    load time rather than mid-solve.
+    Every load passes :func:`~repro.arch.trace.check_schedule` (the
+    interpreter's hazard walk: structural and data hazards), so a
+    corrupted or tampered executable raises
+    :class:`~repro.arch.simulator.HazardViolation` here rather than
+    mid-solve.
     """
     schedule = schedule_from_dict(json.loads(Path(path).read_text()))
-    if validate:
-        from .scheduler import validate_schedule
-
-        validate_schedule(schedule)
+    check_schedule(
+        schedule.slots, c=schedule.c, extra_latency=schedule.extra_latency
+    )
     return schedule

@@ -1,10 +1,14 @@
 """The set-based first-fit scheduler, kept as the oracle.
 
-``_SlotState`` / ``_op_port_usage`` / ``_Tracker`` / ``_FirstFitScheduler``
-are the bodies ``repro.compiler.scheduler`` ran before an instruction's
-bin-packing request was priced once per placement and probed with
-integer masks, moved here verbatim (every probe re-derives the request
-and tests per-slot ``set``s).  ``oracle_schedule_program`` is the old
+``_SlotState`` / ``_Tracker`` / ``_FirstFitScheduler`` are the bodies
+``repro.compiler.scheduler`` ran before an instruction's bin-packing
+request was priced once per placement and probed with integer masks,
+moved here verbatim (every probe re-derives the request and tests
+per-slot ``set``s).  The oracle pins the first-fit and prefetch
+*algorithm*, not the machine: what an instruction takes comes from
+``repro.arch.simulator`` (``op_duration``, ``op_occupancy``,
+``op_ports``, ``SCALAR_UNITS``), the one definition the scheduler and
+the hazard walk share.  ``oracle_schedule_program`` is the old
 ``schedule_program``; the product scheduler must emit the same schedule
 slot by slot, op by op — :func:`schedule_signature` is the comparison
 key, and the SHA-256 of it is what ``golden_schedules.json`` pins.
@@ -21,7 +25,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.arch.isa import Location, NetOp, OpKind
-from repro.arch.simulator import SCALAR_UNITS, op_duration, op_occupancy
+from repro.arch.simulator import (
+    SCALAR_UNITS,
+    op_duration,
+    op_occupancy,
+    op_ports,
+)
 from repro.arch.topology import Butterfly
 from repro.compiler.kernels import NetworkProgram
 from repro.compiler.scheduler import Schedule, ScheduleOptions
@@ -39,21 +48,15 @@ class _SlotState:
         self.scalars = 0
 
 
-def _op_port_usage(op: NetOp) -> tuple[list[set[int]], list[set[int]]]:
-    """Per-cycle read/write bank sets (index = cycle offset).
-
-    Binary element-wise instructions double-pump: the first operand
-    block is read in the issue cycle, the second in the next.
-    """
+def _port_sets(op: NetOp) -> tuple[list[set[int]], list[set[int]]]:
+    """Per-cycle read/write bank sets (index = cycle offset): the
+    ``op_ports`` masks, held in every cycle of ``op_duration``."""
     dur = op_duration(op)
-    writes = {loc.bank for loc in op.rf_writes()}
-    if dur == 1:
-        return [{loc.bank for loc in op.rf_reads()}], [writes]
-    width = len(op.writes)
-    rf_reads = op.reads  # binary EWISE reads are all rf by construction
-    first = {loc.bank for loc in rf_reads[:width] if loc.space == "rf"}
-    second = {loc.bank for loc in rf_reads[width:] if loc.space == "rf"}
-    return [first, second], [set(), writes]
+    reads, writes = (
+        {b for b in range(mask.bit_length()) if mask >> b & 1}
+        for mask in op_ports(op)
+    )
+    return [reads] * dur, [writes] * dur
 
 
 @dataclass
@@ -117,7 +120,7 @@ class _FirstFitScheduler:
         copy).
         """
         occ = op_occupancy(op, self.bf)
-        reads_per_cycle, writes_per_cycle = _op_port_usage(op)
+        reads_per_cycle, writes_per_cycle = _port_sets(op)
         dur = op_duration(op)
         ok = True
         read_block = False
@@ -138,7 +141,7 @@ class _FirstFitScheduler:
         op._seq = self._next_seq  # program order, consumed by the simulator
         self._next_seq += 1
         occ = op_occupancy(op, self.bf)
-        reads_per_cycle, writes_per_cycle = _op_port_usage(op)
+        reads_per_cycle, writes_per_cycle = _port_sets(op)
         dur = op_duration(op)
         for off in range(dur):
             slot = self._slot(t + off)
@@ -181,7 +184,7 @@ class _FirstFitScheduler:
                 continue
             # Never collide with the op's own operand banks, nor with
             # reads already placed in the blocked slot.
-            own_banks = {l.bank for l in op.rf_reads()}
+            own_banks = _port_sets(op)[0][0]
             forbidden = {loc.bank} | slot.read_banks | own_banks
             for t_copy in range(self.track.ready.get(loc, 0), t_copy_max + 1):
                 cslot = self._slot(t_copy)

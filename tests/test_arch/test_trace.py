@@ -22,6 +22,7 @@ from repro.arch import (
     NetworkSimulator,
     OpKind,
     StreamBuffers,
+    check_schedule,
     compile_trace,
 )
 from repro.compiler import (
@@ -57,7 +58,9 @@ def mixed_program(c: int, seed: int):
     flavor: MAC (stream + implicit-ones), COLELIM (stream, negated),
     PERMUTE (stream load, immediate zero-fill, pure copy, HBM store),
     EWISE (binary, scaled, streamed, clip) and the factorization's
-    SCALAR ops (RECIP + FACTOR_FIN with lbuf/scalar coeff_reads).
+    SCALAR ops (RECIP + FACTOR_FIN with lbuf/scalar coeff_reads).  The
+    factorization takes one scratch accumulator per lane, as
+    ``MIBSolver`` builds it.
 
     Returns (ops, streams, initial vector loads, builder).
     """
@@ -79,7 +82,9 @@ def mixed_program(c: int, seed: int):
     ops = (
         kb.spmv(row_major_view(a), x, y, "A")
         + kb.spmv_transpose(row_major_view(a), y, out, "A")
-        + kb.factorization(ref.symbolic, up, y=[fy], d=fd, dinv=fdi)
+        + kb.factorization(
+            ref.symbolic, up, y=kb.lane_copies(fy), d=fd, dinv=fdi
+        )
         + kb.load_vector(sx, "B")
         + kb.lsolve_columns(ref.symbolic, sx, "Lh")
         + kb.dsolve(sx, "Dinvh")
@@ -143,6 +148,28 @@ class TestReplayEquivalence:
         )
         oracle, replayed, s_run, s_replay, _ = run_both(
             8, sched.slots, streams, loads
+        )
+        assert_states_identical(oracle, replayed)
+        assert s_run == s_replay
+
+    @pytest.mark.parametrize("c", [8, 16, 32])
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("multi_issue", [True, False])
+    def test_scheduler_and_walk_share_one_port_model(self, c, seed, multi_issue):
+        """A scalar op co-issued beside a double-pumped add must not
+        take a read bank the add still holds in its second cycle: the
+        scheduler books ``op_ports`` in both cycles, as the walk checks
+        them (once 5 of these 48 schedules raised a read-port
+        conflict)."""
+        ops, streams, loads, kb = mixed_program(c, seed)
+        sched = schedule_program(
+            NetworkProgram("mixed", list(ops)),
+            c,
+            ScheduleOptions(multi_issue=multi_issue, prefetch=multi_issue),
+        )
+        check_schedule(sched.slots, c=c)
+        oracle, replayed, s_run, s_replay, _ = run_both(
+            c, sched.slots, streams, loads
         )
         assert_states_identical(oracle, replayed)
         assert s_run == s_replay

@@ -26,12 +26,12 @@ from repro.arch import (
     NetworkSimulator,
     OpKind,
     StreamBuffers,
+    check_schedule,
 )
 from repro.compiler import (
     NetworkProgram,
     ScheduleOptions,
     schedule_program,
-    validate_schedule,
 )
 from tests.scheduler_oracle import assert_same_schedule, oracle_schedule_program
 
@@ -160,13 +160,14 @@ def programs(draw):
 
 def checked_schedule(ops, options):
     """Schedule ``ops`` (mutating them); the result must equal the
-    oracle's schedule of a copy and pass ``validate_schedule``."""
+    oracle's schedule of a copy and pass ``check_schedule`` (structural
+    and data hazards)."""
     want = oracle_schedule_program(
         NetworkProgram("fuzz", copy.deepcopy(ops)), C, options
     )
     sched = schedule_program(NetworkProgram("fuzz", list(ops)), C, options)
     assert_same_schedule(sched, want)
-    validate_schedule(sched)
+    check_schedule(sched.slots, c=C, extra_latency=sched.extra_latency)
     return sched
 
 

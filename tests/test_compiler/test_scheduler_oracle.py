@@ -5,8 +5,8 @@ once and probes with integer masks; ``tests/scheduler_oracle.py`` is the
 scheduler it replaced.  The two must emit the same schedule slot by
 slot, op by op — for every kernel of a real solver at every network
 width, and across the scheduling-option matrix — and every schedule
-compared here also passes ``validate_schedule`` and executes on the
-hazard-checking ``NetworkSimulator``.
+compared here also passes ``check_schedule`` (structural and data
+hazards) and executes on the hazard-checking ``NetworkSimulator``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import dataclasses
 
 import pytest
 
-from repro.arch import StreamBuffers
+from repro.arch import StreamBuffers, check_schedule
 from repro.backends import mib as mib_module
 from repro.backends.mib import MIBSolver
-from repro.compiler import schedule_program, validate_schedule
+from repro.compiler import schedule_program
 from tests.scheduler_oracle import assert_same_schedule, oracle_schedule_program
 from tests.test_compiler.test_golden_schedules import PATTERNS
 
@@ -49,7 +49,7 @@ def compared(monkeypatch):
         got = schedule_program(program, c, options)
         want = oracle_schedule_program(twin, c, options)
         assert_same_schedule(got, want)
-        validate_schedule(got)
+        check_schedule(got.slots, c=c, extra_latency=got.extra_latency)
         names.append(program.name)
         return got
 

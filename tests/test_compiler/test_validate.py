@@ -1,20 +1,28 @@
-"""Tests for the static schedule validator (loaded-executable safety)."""
+"""Tests for the schedule check (loaded-executable safety).
+
+``check_schedule`` is the interpreter's hazard walk with nothing
+executed, and ``load_schedule`` runs it on every file it reads: a
+tampered executable raises ``HazardViolation`` at load time, not
+mid-solve.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.arch import HazardViolation, check_schedule
+from repro.backends.mib import MIBSolver
 from repro.compiler import (
     KernelBuilder,
     NetworkProgram,
     ScheduleOptions,
+    load_schedule,
     row_major_view,
+    save_schedule,
     schedule_program,
-    schedule_from_dict,
-    schedule_to_dict,
-    validate_schedule,
 )
+from repro.problems import benchmark_suite
 from tests.conftest import random_sparse
 
 
@@ -28,9 +36,13 @@ def compiled_spmv(c=8):
     return schedule_program(NetworkProgram("p", ops), c)
 
 
+def check(sched) -> None:
+    check_schedule(sched.slots, c=sched.c, extra_latency=sched.extra_latency)
+
+
 class TestValidate:
     def test_compiler_output_validates(self):
-        validate_schedule(compiled_spmv())
+        check(compiled_spmv())
 
     def test_all_modes_validate(self):
         for options in (
@@ -48,22 +60,25 @@ class TestValidate:
                 8,
                 options,
             )
-            validate_schedule(sched)
+            check(sched)
 
-    def test_serialized_schedule_validates(self):
-        sched = schedule_from_dict(schedule_to_dict(compiled_spmv()))
-        validate_schedule(sched)
+    def test_serialized_schedule_validates(self, tmp_path):
+        sched = load_schedule(save_schedule(compiled_spmv(), tmp_path / "p.mibx"))
+        check(sched)
 
-    def test_tampered_bundle_fails(self):
+    def test_tampered_bundle_fails(self, tmp_path):
         """Duplicating an instruction inside its own slot must produce a
-        node conflict."""
+        node conflict, and the file must not load."""
         sched = compiled_spmv()
         busy = next(b for b in sched.slots if b)
         busy.append(busy[0])
-        with pytest.raises(ValueError):
-            validate_schedule(sched)
+        with pytest.raises(HazardViolation):
+            check(sched)
+        path = save_schedule(sched, tmp_path / "p.mibx")
+        with pytest.raises(HazardViolation):
+            load_schedule(path)
 
-    def test_merged_slots_fail(self):
+    def test_merged_slots_fail(self, tmp_path):
         """Cramming two full slots into one oversubscribes ports/nodes."""
         sched = compiled_spmv()
         busy = [i for i, b in enumerate(sched.slots) if len(b) >= 2]
@@ -72,8 +87,11 @@ class TestValidate:
         a, b = busy[0], busy[1]
         sched.slots[a].extend(sched.slots[b])
         sched.slots[b] = []
-        with pytest.raises(ValueError):
-            validate_schedule(sched)
+        with pytest.raises(HazardViolation):
+            check(sched)
+        path = save_schedule(sched, tmp_path / "p.mibx")
+        with pytest.raises(HazardViolation):
+            load_schedule(path)
 
     def test_factorization_schedule_validates(self):
         from repro.linalg import ldl_factor
@@ -90,4 +108,20 @@ class TestValidate:
             d=kb.vector("fd", 10),
             dinv=kb.vector("fdinv", 10),
         )
-        validate_schedule(schedule_program(NetworkProgram("f", ops), 8))
+        check(schedule_program(NetworkProgram("f", ops), 8))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("variant", ["direct", "indirect"])
+@pytest.mark.parametrize("c", [8, 32])
+@pytest.mark.parametrize(
+    "spec", benchmark_suite(n_scales=2), ids=lambda spec: spec.label
+)
+def test_every_compiled_schedule_passes_the_walk(spec, c, variant):
+    """Every kernel ``MIBSolver`` compiles, lowered or only priced,
+    passes the hazard walk: the scheduler and the walk share one
+    machine model."""
+    solver = MIBSolver(spec.generate(), c=c, variant=variant)
+    assert solver.kernels.schedules
+    for sched in solver.kernels.schedules.values():
+        check(sched)
