@@ -10,12 +10,63 @@ Algorithm 2 of the paper.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .problem import QPProblem
 from .results import OpTrace, Primitive
 
-__all__ = ["IndirectKKTSolver", "CGDiagnostics"]
+__all__ = ["IndirectKKTSolver", "CGDiagnostics", "pcg"]
+
+
+def pcg(
+    apply_s: Callable[[np.ndarray], np.ndarray],
+    m_inv: np.ndarray,
+    b: np.ndarray,
+    x0: np.ndarray,
+    *,
+    tol: float,
+    max_iter: int,
+    trace: OpTrace | None = None,
+) -> tuple[np.ndarray, int, bool]:
+    """Algorithm 2: Jacobi-preconditioned CG on ``S x = b`` from ``x0``.
+
+    ``apply_s`` computes ``S·v`` wherever S lives (host numpy, or the
+    network's ``apply_s`` kernel); the scalar λ/μ control runs here.
+    The stopping rule is ``‖r‖ < tol·‖b‖`` (line 10).  Returns the
+    solution, the CG iteration count and whether the rule was met.
+    """
+    n = b.size
+    x = x0.astype(np.float64, copy=True)
+    r = apply_s(x) - b
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(n), 0, True
+    d = m_inv * r
+    p = -d
+    rd = float(r @ d)
+    iterations = 0
+    converged = float(np.linalg.norm(r)) < tol * b_norm
+    while not converged and iterations < max_iter:
+        sp = apply_s(p)
+        denom = float(p @ sp)
+        if denom <= 0.0:
+            # Numerical breakdown; S is PD so this only happens at
+            # round-off level — accept the current iterate.
+            break
+        lam = rd / denom
+        x += lam * p
+        r += lam * sp
+        d = m_inv * r
+        rd_new = float(r @ d)
+        p = -d + (rd_new / rd) * p
+        rd = rd_new
+        iterations += 1
+        if trace is not None:
+            trace.add("cg_vector_ops", Primitive.ELEMENTWISE, 10.0 * n)
+        converged = float(np.linalg.norm(r)) < tol * b_norm
+    return x, iterations, converged
 
 
 class CGDiagnostics:
@@ -128,40 +179,13 @@ class IndirectKKTSolver:
     ) -> tuple[np.ndarray, int]:
         """Run PCG on ``S x = b`` from warm start ``x0``.
 
-        Returns the solution and the number of CG iterations.  The
-        stopping rule is ``‖r‖ < tol·‖b‖`` (Algorithm 2 line 10).
+        Returns the solution and the number of CG iterations
+        (:func:`pcg` over the host's ``S`` product).
         """
         tol = self.tol if tol is None else tol
-        n = b.size
-        x = x0.astype(np.float64, copy=True)
-        r = self.apply_s(x, trace) - b
-        b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            self.diagnostics.record(0, True)
-            return np.zeros(n), 0
-        d = self._m_inv * r
-        p = -d
-        rd = float(r @ d)
-        iterations = 0
-        converged = float(np.linalg.norm(r)) < tol * b_norm
-        while not converged and iterations < self.max_iter:
-            sp = self.apply_s(p, trace)
-            denom = float(p @ sp)
-            if denom <= 0.0:
-                # Numerical breakdown; S is PD so this only happens at
-                # round-off level — accept the current iterate.
-                break
-            lam = rd / denom
-            x += lam * p
-            r += lam * sp
-            d = self._m_inv * r
-            rd_new = float(r @ d)
-            mu = rd_new / rd
-            p = -d + mu * p
-            rd = rd_new
-            iterations += 1
-            if trace is not None:
-                trace.add("cg_vector_ops", Primitive.ELEMENTWISE, 10.0 * n)
-            converged = float(np.linalg.norm(r)) < tol * b_norm
+        x, iterations, converged = pcg(
+            lambda v: self.apply_s(v, trace), self._m_inv, b, x0,
+            tol=tol, max_iter=self.max_iter, trace=trace,
+        )
         self.diagnostics.record(iterations, converged)
         return x, iterations

@@ -68,6 +68,12 @@ class Settings:
             raise ValueError("alpha must be in (0, 2)")
         if self.rho <= 0 or self.sigma <= 0:
             raise ValueError("rho and sigma must be positive")
+        if self.check_interval < 1 or self.adaptive_rho_interval < 1:
+            raise ValueError(
+                "check_interval and adaptive_rho_interval must be >= 1"
+            )
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass
