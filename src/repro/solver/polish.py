@@ -40,7 +40,10 @@ class PolishResult:
     n_active_upper: int
 
 
-def _residuals(problem: QPProblem, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def unscaled_residuals(
+    problem: QPProblem, x: np.ndarray, y: np.ndarray
+) -> tuple[float, float]:
+    """Original-space feasibility/stationarity norms (the polish gate)."""
     ax = problem.a.matvec(x)
     prim = float(
         np.maximum(ax - problem.u, 0.0).max(initial=0.0)
@@ -138,7 +141,7 @@ def polish(
     y_pol[lower_idx] = y_act[: lower_idx.size]
     y_pol[upper_idx] = y_act[lower_idx.size :]
     z_pol = problem.a.matvec(x_pol)
-    prim, dual = _residuals(problem, x_pol, y_pol)
+    prim, dual = unscaled_residuals(problem, x_pol, y_pol)
     return PolishResult(
         success=bool(np.isfinite(prim) and np.isfinite(dual)),
         x=x_pol,

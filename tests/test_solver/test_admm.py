@@ -250,6 +250,21 @@ class TestSolverBehaviour:
         with pytest.raises(ValueError):
             Settings(rho=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("check_interval", 0),
+            ("check_interval", -5),
+            ("adaptive_rho_interval", 0),
+            ("max_iter", -1),
+        ],
+    )
+    def test_cadence_that_would_crash_a_solve_rejected(self, field, value):
+        """A zero cadence used to pass construction and then raise
+        ZeroDivisionError inside ``solve()``."""
+        with pytest.raises(ValueError, match=field):
+            Settings(**{field: value})
+
     def test_no_scaling_still_solves(self):
         prob = random_qp(21)
         res = solve(prob, scale=False, settings=TIGHT)
