@@ -689,6 +689,15 @@ class MIBSolver:
         priced at its kernel's scheduled cycle count.  ``x0``/``y0``
         warm-start the iteration (closed-loop MPC re-solves).
         """
+        kkt = self.reference.kkt_solver
+        if self.variant != "direct":
+            # The CG counters run over the solver's whole life; this
+            # solve is billed only its own share of them.
+            assert isinstance(kkt, IndirectKKTSolver)
+            cg_before = (
+                kkt.diagnostics.total_iterations,
+                kkt.diagnostics.calls,
+            )
         result = self.reference.solve(x0=x0, y0=y0)
         st = self.reference.settings
         iters = result.iterations
@@ -700,10 +709,9 @@ class MIBSolver:
             # bind the host did not refactor for (DESIGN.md §5.8).
             invocations["factor"] = 1 + result.rho_updates
         else:
-            kkt = self.reference.kkt_solver
-            assert isinstance(kkt, IndirectKKTSolver)
-            cg_iters = kkt.diagnostics.total_iterations
-            invocations["apply_s"] = cg_iters + kkt.diagnostics.calls
+            cg_iters = kkt.diagnostics.total_iterations - cg_before[0]
+            cg_calls = kkt.diagnostics.calls - cg_before[1]
+            invocations["apply_s"] = cg_iters + cg_calls
             invocations["cg_vector"] = cg_iters
         # The pricing model: every kernel invocation at its scheduled
         # cycle count, on top of the initial data load.
@@ -975,7 +983,7 @@ class MIBSolver:
             ("adm_y", y),
         ):
             sim.rf.load_vector(alloc.get(name), values)
-        sim.run(self.kernels.schedules["admm_vector"].slots, streams)
+        self._run_kernel(sim, "admm_vector", streams)
         return {
             "x": sim.rf.read_vector(alloc.get("adm_x")),
             "z": sim.rf.read_vector(alloc.get("adm_z")),

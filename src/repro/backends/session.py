@@ -71,21 +71,23 @@ class SessionStep:
 class SolveSession:
     """Carry ``(x, y, ρ)`` across re-solves of one compiled solver.
 
-    The session does not own the solver: a serve-pool entry lends its
-    resident solver to many sessions of the same pattern, each
-    restoring its own carried state before stepping (see
-    :mod:`repro.serve.session`).  Within one session, :meth:`step` is
-    strictly sequential — the caller serializes concurrent use.
+    The session does not own the solver.  A serve-pool entry lends its
+    resident solver to a stored session for the span of one request and
+    takes it back afterwards (``solver`` is ``None`` in between; see
+    :mod:`repro.serve.session`), so one session may step on several
+    same-pattern solvers over its life.  :meth:`step` is strictly
+    sequential — the caller serializes concurrent use.
     """
 
-    def __init__(self, solver: MIBSolver) -> None:
+    def __init__(self, solver: MIBSolver | None = None) -> None:
         self.solver = solver
         self.x: np.ndarray | None = None
         self.y: np.ndarray | None = None
-        # Fresh sessions start from the configured initial ρ — the same
-        # starting point as bind_instance() — not from wherever a
-        # previous tenant of the shared solver left its adaptation.
-        self.rho: float = float(solver.reference.settings.rho)
+        # None until the first step, which is a regime change and so
+        # starts from the configured initial ρ — the same starting point
+        # as bind_instance(), not wherever a previous tenant of a shared
+        # solver left its adaptation.
+        self.rho: float | None = None
         # Matrix values of the session's own previous instance — the
         # continuation classifier (NOT the solver's bound values).
         self.last_a_data: np.ndarray | None = None
@@ -94,28 +96,6 @@ class SolveSession:
         self.delta_binds = 0
 
     # ------------------------------------------------------------------
-    def restore(
-        self,
-        x: np.ndarray | None,
-        y: np.ndarray | None,
-        rho: float | None,
-        *,
-        a_data: np.ndarray | None = None,
-        p_data: np.ndarray | None = None,
-    ) -> None:
-        """Install externally held session state (serve-layer store).
-
-        ``a_data``/``p_data`` are the matrix values of the stream's
-        previous instance; without them the next step cannot prove
-        continuation and solves cold.
-        """
-        self.x = None if x is None else np.asarray(x, dtype=np.float64)
-        self.y = None if y is None else np.asarray(y, dtype=np.float64)
-        if rho is not None:
-            self.rho = float(rho)
-        self.last_a_data = a_data
-        self.last_p_data = p_data
-
     def reset(self) -> None:
         """Drop carried state; the next step is a cold start."""
         self.x = None
@@ -147,9 +127,7 @@ class SolveSession:
         continuation = self._continues(problem)
         if not continuation:
             # Regime change: the previous trajectory is stale here.
-            self.x = None
-            self.y = None
-            self.rho = float(self.solver.reference.settings.rho)
+            self.reset()
         warm = self.x is not None
         # The solver-level bind may still be a full rebind on a session
         # continuation (an interleaved session rebound the shared

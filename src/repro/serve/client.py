@@ -366,9 +366,9 @@ class ServeClient:
     ) -> SolveResponse:
         """Submit one QP; blocks until the response (or its timeout).
 
-        ``session`` pins the solve to a server-side session: the warm
-        start restores that session's carried iterate instead of
-        whatever request last touched the pattern.
+        ``session`` pins the solve to a server-side session: it warm
+        starts from that session's carried iterate, not from whatever
+        request last touched the pattern.
         """
         http_status, payload = self._post(
             "/v1/solve",

@@ -526,7 +526,7 @@ class BatchController:
                 self.metrics.inc("rider_rejects_cap")
             return False
         if (
-            value_distance(head.problem, candidate.problem)
+            value_distance(head.problems[0], candidate.problems[0])
             > self.bucket_width
         ):
             if self.metrics is not None:

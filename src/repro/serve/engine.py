@@ -184,34 +184,28 @@ class SolveEngine:
 
     def _ok_payload(
         self,
+        request: SolveRequest,
         solved,
         queue_wait: float,
         held: float,
         *,
-        batched: bool,
         batch_lanes: int,
     ) -> dict:
-        """``held`` is how long the dispatch window kept this request's
-        batch open; a rider that joined mid-hold waited less than that,
-        all of it in the window."""
-        result = solved.report.result
+        """A ``/v1/solve`` reply: the step block plus the request's own
+        fields.  ``held`` is how long the dispatch window kept this
+        request's batch open; a rider that joined mid-hold waited less
+        than that, all of it in the window."""
         return {
             "status": "ok",
-            "fingerprint": solved.fingerprint,
-            "warm": solved.warm,
-            "delta_bind": solved.delta_bind,
-            "session": solved.session_key,
+            "fingerprint": request.fingerprint,
+            "session": request.session_key,
             "cache_hit": solved.cache_hit,
-            "batched": batched,
+            "batched": batch_lanes > 1,
             "batch_lanes": batch_lanes,
             "queue_seconds": queue_wait,
             "window_seconds": min(queue_wait, held),
-            "compile_seconds": solved.compile_seconds,
-            "solve_seconds": solved.solve_seconds,
-            "cycles": solved.report.cycles,
             "runtime_seconds": solved.report.runtime_seconds,
-            "solved": result.status is SolverStatus.SOLVED,
-            "result": result.to_dict(),
+            **self._step_payload(solved),
         }
 
     def _process(self, request: SolveRequest, held: float = 0.0) -> None:
@@ -219,9 +213,9 @@ class SolveEngine:
             self._timeout_queued(request)
             return
         queue_wait = self._queue_wait(request)
-        if request.steps is not None:
+        if request.kind == "sequence":
             self._process_sequence(request, queue_wait)
-        elif request.scenarios is not None:
+        elif request.kind == "scenarios":
             self._process_scenarios(request, queue_wait)
         else:
             self._solve_solo(request, queue_wait, held)
@@ -232,7 +226,7 @@ class SolveEngine:
         cpu_t0 = time.thread_time()
         try:
             solved = self.pool.solve(
-                request.problem,
+                request.problems[0],
                 fingerprint=request.fingerprint,
                 session=request.session_key,
             )
@@ -253,13 +247,12 @@ class SolveEngine:
         self._finish(
             request,
             200,
-            self._ok_payload(
-                solved, queue_wait, held, batched=False, batch_lanes=1
-            ),
+            self._ok_payload(request, solved, queue_wait, held, batch_lanes=1),
         )
 
     def _step_payload(self, solved) -> dict:
-        """The per-step/per-lane block inside a streaming response."""
+        """One solve's block: a ``/v1/solve`` reply's core, and each
+        step or lane of a streaming reply."""
         result = solved.report.result
         return {
             "warm": solved.warm,
@@ -282,7 +275,7 @@ class SolveEngine:
         self.metrics.inc("sequence_requests")
         try:
             solves = self.pool.solve_sequence(
-                request.steps,
+                request.problems,
                 fingerprint=request.fingerprint,
                 session=request.session_key,
                 should_stop=request.expired,
@@ -292,7 +285,7 @@ class SolveEngine:
             return
         self.metrics.inc("sequence_steps", len(solves))
         steps = [self._step_payload(s) for s in solves]
-        if len(solves) < len(request.steps):
+        if len(solves) < len(request.problems):
             self._finish(
                 request,
                 504,
@@ -300,7 +293,7 @@ class SolveEngine:
                     "status": "timeout",
                     "detail": "deadline expired mid-sequence",
                     "queue_seconds": queue_wait,
-                    "steps_requested": len(request.steps),
+                    "steps_requested": len(request.problems),
                     "steps_completed": len(solves),
                     "steps": steps,
                 },
@@ -324,7 +317,7 @@ class SolveEngine:
         self.metrics.inc("scenario_requests")
         try:
             solves = self.pool.solve_batch(
-                request.scenarios, fingerprint=request.fingerprint
+                request.problems, fingerprint=request.fingerprint
             )
         except Exception as exc:
             self._fail(request, exc)
@@ -373,7 +366,7 @@ class SolveEngine:
         solves = []
         try:
             for solved in self.pool.iter_batch(
-                [r.problem for r in live], fingerprint=batch.fingerprint
+                [r.problems[0] for r in live], fingerprint=batch.fingerprint
             ):
                 # Answered now, under the pool entry's lock, not at the
                 # end of the pass: a request waits for the lanes ahead
@@ -384,10 +377,10 @@ class SolveEngine:
                     request,
                     200,
                     self._ok_payload(
+                        request,
                         solved,
                         waits[request.request_id],
                         batch.held_seconds,
-                        batched=True,
                         batch_lanes=len(live),
                     ),
                 )

@@ -243,13 +243,14 @@ class SolverPool:
         All steps run on the pattern's resident solver under one entry
         lock, carrying ``(x, y, ρ)`` from step to step through a
         :class:`~repro.backends.session.SolveSession`; vectors-only
-        steps ride the delta bind.  With ``session`` set, the carried
-        state is restored from — and saved back to — that key's
-        :class:`~repro.serve.session.SessionState`, and the session
-        lock is held for the whole span so concurrent requests on one
-        key serialize.  ``should_stop``, when given, is polled before
-        every step (the engine's deadline hook); a truthy return ends
-        the sequence early with the steps solved so far.
+        steps ride the delta bind.  With ``session`` set, that is the
+        key's stored session, stepped in place with the session lock
+        held for the whole span so concurrent requests on one key
+        serialize; it holds the entry's solver only for that span.  A
+        step's ``solve_seconds`` is its own time.  ``should_stop``,
+        when given, is polled before every step (the engine's deadline
+        hook); a truthy return ends the sequence early with the steps
+        solved so far.
 
         Returns one :class:`PoolSolve` per *completed* step, in order.
         """
@@ -271,15 +272,8 @@ class SolverPool:
                 warm, cache_hit, compile_seconds = self._build(
                     key, entry, problems[0]
                 )
-                sess = SolveSession(entry.solver)
-                if state is not None and state.warm:
-                    sess.restore(
-                        state.x,
-                        state.y,
-                        state.rho,
-                        a_data=state.a_data,
-                        p_data=state.p_data,
-                    )
+                sess = state.session if state is not None else SolveSession()
+                sess.solver = entry.solver
                 for i, problem in enumerate(problems):
                     if should_stop is not None and should_stop():
                         break
@@ -305,14 +299,11 @@ class SolverPool:
                         )
                     )
                 crossings = entry.crossings_per_iter or 0
-                if state is not None:
-                    state.x, state.y, state.rho = sess.x, sess.y, sess.rho
-                    state.a_data = sess.last_a_data
-                    state.p_data = sess.last_p_data
-                    state.steps += sess.steps
-                    state.delta_binds += sess.delta_binds
         finally:
             if state is not None:
+                # Lent for this request only: a stored session must not
+                # keep the solver alive once the pool evicts its pattern.
+                state.session.solver = None
                 state.lock.release()
                 self.sessions.touch(session)
         for solved in solves:

@@ -38,12 +38,18 @@ from typing import NamedTuple
 from ..solver import QPProblem
 
 __all__ = [
+    "KINDS",
     "DispatchBatch",
     "Hold",
     "QueueFullError",
     "RequestQueue",
     "SolveRequest",
 ]
+
+# What a request asks for (see DESIGN.md §5.8): one instance solved
+# (/v1/solve), an ordered step list run on one session (/v1/sequence),
+# or a scenario fan-out over one pattern (/v1/scenarios).
+KINDS = ("solve", "sequence", "scenarios")
 
 _REQUEST_IDS = itertools.count(1)
 
@@ -68,8 +74,9 @@ class SolveRequest:
     block.
     """
 
-    problem: QPProblem
+    problems: list[QPProblem]  # a solve's one instance, or the steps/lanes
     fingerprint: str
+    kind: str = "solve"  # one of KINDS, set once where the request enters
     deadline: float | None = None  # absolute time.monotonic() deadline
     enqueued_at: float = field(default_factory=time.monotonic)
     request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
@@ -77,13 +84,8 @@ class SolveRequest:
     status_code: int | None = None
     response: dict | None = None
     on_done: object | None = None  # callable(SolveRequest) | None
-    # Streaming extensions (see repro.serve.session / DESIGN.md §5.8):
-    # a sticky warm-start key, an ordered step list (/v1/sequence;
-    # ``problem`` is then steps[0], kept for routing/registration), or
-    # a scenario fan-out (/v1/scenarios; ``problem`` is the base).
+    # A sticky warm-start key (see repro.serve.session).
     session_key: str | None = None
-    steps: list | None = None  # list[QPProblem] | None
-    scenarios: list | None = None  # list[QPProblem] | None
     _publish_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
@@ -91,11 +93,7 @@ class SolveRequest:
         """Stateful or multi-solve requests dispatch alone: they hold
         session state or a whole pass, so they neither ride along in a
         coalesced batch nor accept riders."""
-        return (
-            self.session_key is not None
-            or self.steps is not None
-            or self.scenarios is not None
-        )
+        return self.session_key is not None or self.kind != "solve"
 
     def expired(self, now: float | None = None) -> bool:
         if self.deadline is None:

@@ -34,10 +34,9 @@ server already holds, values only):
   ``Content-Length`` that is not a non-negative integer), 413 on a
   body over 64 MiB, 503
   when the queue rejects (backpressure), 504 on deadline expiry.  A
-  ``session`` key makes the warm start *sticky*: the solve restores
-  that session's
-  carried ``(x, y, ρ)`` and saves the new iterate back (see
-  DESIGN.md §5.8).
+  ``session`` key makes the warm start *sticky*: the solve is one step
+  of that session's stream, starting from its carried ``(x, y, ρ)``
+  (see DESIGN.md §5.8).
 * ``POST /v1/sequence`` — body ``{"problem": <doc>, "steps":
   [<override>, ...], "session": <str, optional>, "timeout_s":
   <float, optional>}`` where each override is an object with any of
@@ -69,6 +68,12 @@ server already holds, values only):
   {"status": "unknown_pattern"}`` (resend as JSON); a body its blobs
   do not tile exactly, or whose sizes do not match the pattern, is a
   400.
+* ``solve_seconds`` — in a ``/v1/solve`` reply and in each step or
+  lane block.  A ``/v1/sequence`` step's is that step's own time (so
+  is a session-keyed ``/v1/solve``'s: it is a one-step sequence).  An
+  anonymous ``/v1/solve``'s and a ``/v1/scenarios`` lane's is the time
+  elapsed since its pass began: a coalesced lane waits for the lanes
+  ahead of it.
 * ``GET /v1/health`` — liveness + pool occupancy (per-shard liveness
   and pattern residency when sharded; HTTP 207 while degraded).
 * ``GET /v1/metrics`` — the :class:`~repro.serve.metrics.ServeMetrics`
@@ -139,12 +144,13 @@ _CLOSE_WAIT_S = 5.0
 
 _OVERRIDE_FIELDS = frozenset({"q", "l", "u", "a_data", "p_data"})
 
-# Endpoint -> (the JSON field listing its instances, most instances
-# per request).  A solve's one instance is the base problem itself.
+# Endpoint -> (its request kind, the JSON field listing its instances,
+# most instances per request).  A solve's one instance is the base
+# problem itself.
 _ENDPOINTS = {
-    "/v1/solve": (None, 1),
-    "/v1/sequence": ("steps", MAX_SEQUENCE_STEPS),
-    "/v1/scenarios": ("scenarios", MAX_SCENARIO_LANES),
+    "/v1/solve": ("solve", None, 1),
+    "/v1/sequence": ("sequence", "steps", MAX_SEQUENCE_STEPS),
+    "/v1/scenarios": ("scenarios", "scenarios", MAX_SCENARIO_LANES),
 }
 
 
@@ -336,15 +342,6 @@ class ServeServer:
         sharded front-end's admission-side registry)."""
         return self.tier.metrics
 
-    def _process(self, request: SolveRequest) -> None:
-        self.engine._process(request)
-
-    def _process_batch(self, batch) -> None:
-        self.engine._process_batch(batch)
-
-    def _timeout_queued(self, request: SolveRequest) -> None:
-        self.engine._timeout_queued(request)
-
     # ------------------------------------------------------------------
     def start(self) -> "ServeServer":
         self.tier.start()
@@ -440,24 +437,24 @@ class ServeServer:
     ) -> tuple[int, dict]:
         """Build the endpoint's request from its instances, admit it
         and wait for its response."""
+        kind = _ENDPOINTS[path][0]
         request = SolveRequest(
-            problem=problems[0],
+            problems=problems,
             fingerprint=fingerprint,
+            kind=kind,
             deadline=time.monotonic() + timeout_s,
             session_key=(
                 str(session)
-                if session is not None and path != "/v1/scenarios"
+                if session is not None and kind != "scenarios"
                 else None
             ),
-            steps=problems if path == "/v1/sequence" else None,
-            scenarios=problems if path == "/v1/scenarios" else None,
         )
         return self._admit_and_wait(request, timeout_s)
 
     def handle_json(self, path: str, body: dict) -> tuple[int, dict]:
         """Admit one parsed JSON request and wait for its response."""
         self.metrics.inc("requests_total")
-        field, cap = _ENDPOINTS[path]
+        _, field, cap = _ENDPOINTS[path]
         try:
             timeout_s = self._parse_timeout(body.get("timeout_s"))
             base = problem_from_dict(body["problem"])
@@ -500,7 +497,7 @@ class ServeServer:
             }
         try:
             problems = rebuild_problems(
-                skeleton, iter_blobs(raw, _ENDPOINTS[path][1])
+                skeleton, iter_blobs(raw, _ENDPOINTS[path][2])
             )
         except Exception as exc:
             return self._malformed(path, exc)

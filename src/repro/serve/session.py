@@ -1,9 +1,10 @@
 """Server-side session state: carried iterates keyed by client session.
 
 The serve tier's sticky warm-start store.  A client that tags its
-requests with a ``session`` key gets its own carried ``(x, y, ρ)``
-triple — restored onto the pattern's resident solver before each step,
-saved back after — so consecutive solves of a parametric stream warm
+requests with a ``session`` key gets its own
+:class:`~repro.backends.session.SolveSession` — the stream's one record
+of its carried ``(x, y, ρ)``, stepped in place on the pattern's
+resident solver — so consecutive solves of a parametric stream warm
 start from *that stream's* trajectory, not from whatever unrelated
 request last touched the pattern.  It is the serve tier's only warm
 start: an anonymous solve starts from the zero iterate (only the
@@ -18,10 +19,9 @@ client's next request gets a fresh cold session (or a fast 503 while
 the shard respawns) and the stream re-warms.
 
 Locking: :meth:`SessionStore.acquire` returns the state object; the
-caller holds ``state.lock`` for the whole read-state → solve →
-write-state span, serializing concurrent requests on one session key
-(no interleaved ``bind_values`` between restore and save).  The
-session lock is taken strictly *outside* the pool's entry lock.
+caller holds ``state.lock`` for the whole span of a request's steps,
+serializing concurrent requests on one session key.  The session lock
+is taken strictly *outside* the pool's entry lock.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ..backends.session import SolveSession
 from .metrics import ServeMetrics
 
 __all__ = ["SessionState", "SessionStore"]
@@ -40,27 +39,17 @@ __all__ = ["SessionState", "SessionStore"]
 
 @dataclass
 class SessionState:
-    """One client session's carried state (all guarded by ``lock``)."""
+    """One client session (its ``session`` guarded by ``lock``)."""
 
     key: str
     fingerprint: str
     lock: threading.Lock = field(default_factory=threading.Lock)
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    rho: float | None = None
-    # Matrix values of the stream's previous instance — the session's
-    # continuation classifier (carried state applies only to
-    # vectors-only continuations; see repro.backends.session).
-    a_data: np.ndarray | None = None
-    p_data: np.ndarray | None = None
-    steps: int = 0
-    delta_binds: int = 0
+    # The stream's carried state.  The pool lends it the pattern's
+    # solver for the span of one request and detaches it afterwards,
+    # so a stored session never keeps an evicted solver alive.
+    session: SolveSession = field(default_factory=SolveSession)
     created_at: float = 0.0
     last_used: float = 0.0
-
-    @property
-    def warm(self) -> bool:
-        return self.x is not None
 
 
 class SessionStore:
@@ -102,7 +91,7 @@ class SessionStore:
         A key reused with a different pattern fingerprint starts over:
         the carried iterate of another pattern has the wrong shape and
         the wrong meaning.  The caller must take ``state.lock`` before
-        touching the carried fields.
+        touching ``state.session``.
         """
         now = self._time()
         with self._lock:
@@ -184,6 +173,8 @@ class SessionStore:
                 "active": len(states),
                 "capacity": self.capacity,
                 "ttl_s": self.ttl_s,
-                "steps_total": sum(s.steps for s in states),
-                "delta_binds_total": sum(s.delta_binds for s in states),
+                "steps_total": sum(s.session.steps for s in states),
+                "delta_binds_total": sum(
+                    s.session.delta_binds for s in states
+                ),
             }

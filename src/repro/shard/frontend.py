@@ -245,13 +245,7 @@ class ShardFrontend:
     def _ship(self, shard_id: int, request: SolveRequest) -> bool:
         """Send one request to one shard; ``False`` = pick another."""
         handle = self.manager.handles[shard_id]
-        if request.steps is not None:
-            kind, problems = "sequence", request.steps
-        elif request.scenarios is not None:
-            kind, problems = "scenarios", request.scenarios
-        else:
-            kind, problems = "solve", [request.problem]
-        payloads = [pack_values(p) for p in problems]
+        payloads = [pack_values(p) for p in request.problems]
         with handle.lock:
             if not handle.alive or handle.conn is None:
                 return False
@@ -267,9 +261,8 @@ class ShardFrontend:
                     dropped = None
                     if len(registered) >= self.pool.capacity:
                         dropped = registered.popitem(last=False)[0]
-                    handle.conn.send(
-                        ("register", fp, Skeleton.of(request.problem), dropped)
-                    )
+                    skeleton = Skeleton.of(request.problems[0])
+                    handle.conn.send(("register", fp, skeleton, dropped))
                     registered[fp] = None
                 with self._inflight_lock:
                     self._inflight[request.request_id] = _InFlight(
@@ -282,7 +275,7 @@ class ShardFrontend:
                         request.fingerprint,
                         request.deadline,
                         request.session_key,
-                        kind,
+                        request.kind,
                         payloads,
                     )
                 )

@@ -47,7 +47,7 @@ import time
 
 from ..io import Skeleton, rebuild_problems, unpack_values
 from ..serve.engine import SolveEngine
-from ..serve.queue import QueueFullError, SolveRequest
+from ..serve.queue import KINDS, QueueFullError, SolveRequest
 
 __all__ = ["ShardWorker", "shard_worker_main"]
 
@@ -156,7 +156,7 @@ class ShardWorker:
             )
             return
         try:
-            if kind not in ("solve", "sequence", "scenarios"):
+            if kind not in KINDS:
                 raise ValueError(f"unknown request kind {kind!r}")
             if not payloads:
                 raise ValueError("empty payload list")
@@ -172,13 +172,12 @@ class ShardWorker:
             )
             return
         request = SolveRequest(
-            problem=problems[0],
+            problems=problems,
             fingerprint=fingerprint,
+            kind=kind,
             deadline=deadline,
             on_done=lambda done: finish(done.status_code, done.response),
             session_key=session,
-            steps=problems if kind == "sequence" else None,
-            scenarios=problems if kind == "scenarios" else None,
         )
         try:
             self.engine.submit(request)

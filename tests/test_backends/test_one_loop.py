@@ -35,7 +35,11 @@ instance.  Four guards:
   test), and with the fresh half (ρ bits and ``next_x`` / ``next_y``
   moved, no count did).  Both halves' cycle fields were re-recorded
   when the factorization took one scratch accumulator per lane (only
-  ``factor`` got shorter; no digest, status or count moved).
+  ``factor`` got shorter; no digest, status or count moved).  The
+  host half's second indirect solves were re-recorded when an
+  indirect solve started being billed only its own CG work: their
+  ``cycles`` and ``apply_s`` / ``cg_vector`` invocations dropped to
+  the first solve's share, no digest, status or iteration moved.
   Regenerate only together with a change that is meant to move a
   network solve:
 

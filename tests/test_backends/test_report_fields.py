@@ -1,12 +1,13 @@
 """Smaller backend contract tests: report fields, data-load pricing,
-clock behaviour of the super-pipelined configuration."""
+per-solve CG pricing, clock behaviour of the super-pipelined
+configuration."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.backends import MIBSolver
-from repro.problems import portfolio_problem
+from repro.problems import huber_problem, portfolio_problem
 from repro.solver import Settings
 
 FAST = Settings(eps_abs=1e-3, eps_rel=1e-3)
@@ -32,6 +33,18 @@ class TestReportFields:
         report = solver.solve()
         assert report.kernel_invocations["kkt_solve"] == report.result.iterations
         assert report.kernel_invocations["factor"] == 1 + report.result.rho_updates
+
+
+class TestIndirectPricing:
+    def test_repeated_solve_is_billed_only_its_own_cg_work(self):
+        """The PCG counters run over the solver's life; each solve is
+        priced from its own share, so identical solves cost the same."""
+        problem = huber_problem(10, n_samples=30)
+        solver = MIBSolver(problem, variant="indirect", c=8)
+        first, second = solver.solve(), solver.solve()
+        assert first.result.iterations == second.result.iterations
+        assert first.kernel_invocations == second.kernel_invocations
+        assert first.cycles == second.cycles
 
 
 class TestSuperPipelined:

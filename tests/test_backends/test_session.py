@@ -123,26 +123,24 @@ class TestRegimeChange:
 
 
 class TestStateManagement:
-    def test_restore_with_classifier_proves_continuation(self):
+    def test_classifier_proves_continuation_on_another_solver(self):
         problems = lasso_stream(3)
         solver = MIBSolver(problems[0], variant="direct", c=8, settings=FAST)
-        first = SolveSession(solver)
-        first.step(problems[0])
-        carried = (first.x, first.y, first.rho)
-        classifier = (first.last_a_data, first.last_p_data)
+        session = SolveSession(solver)
+        session.step(problems[0])
 
-        # A fresh session with the full saved state continues the
-        # stream exactly where the first left it.
-        resumed = SolveSession(solver)
-        resumed.restore(*carried, a_data=classifier[0], p_data=classifier[1])
-        step = resumed.step(problems[1])
+        # The session is the stream's whole state: lent another
+        # same-lineage solver, it continues the stream where it left it.
+        session.solver = MIBSolver(
+            problems[0], variant="direct", c=8, settings=FAST
+        )
+        step = session.step(problems[1])
         assert step.bind == "delta" and step.warm
 
         # Without the classifier the state cannot prove continuation:
         # the step solves cold (never a wrong warm start).
-        blind = SolveSession(solver)
-        blind.restore(*carried)
-        step = blind.step(problems[1])
+        session.last_a_data = None
+        step = session.step(problems[2])
         assert step.bind == "full" and not step.warm
 
     def test_reset_forces_a_cold_next_step(self):

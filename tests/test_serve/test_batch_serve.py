@@ -43,7 +43,7 @@ SETTINGS = Settings(eps_abs=1e-3, eps_rel=1e-3, max_iter=2000, check_interval=5)
 
 def _request(fingerprint: str, *, deadline: float | None = None) -> SolveRequest:
     return SolveRequest(
-        problem=object(), fingerprint=fingerprint, deadline=deadline
+        problems=[object()], fingerprint=fingerprint, deadline=deadline
     )
 
 
@@ -296,13 +296,13 @@ def _drain_once(server: ServeServer, max_batch: int) -> None:
     assert batch is not None
     for request in batch.expired:
         server.metrics.inc("expired_at_pop")
-        server._timeout_queued(request)
+        server.engine._timeout_queued(request)
     if len(batch) > 1:
         server.metrics.inc("coalesced_batches")
         server.metrics.inc("coalesced_requests", len(batch) - 1)
-        server._process_batch(batch)
+        server.engine._process_batch(batch)
     elif batch:
-        server._process(batch[0])
+        server.engine._process(batch[0])
 
 
 @pytest.mark.serve_e2e

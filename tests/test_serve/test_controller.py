@@ -50,7 +50,7 @@ def perturbed(base: QPProblem, seed: int, scale: float = 0.05) -> QPProblem:
 
 
 def _request(problem: QPProblem, fingerprint: str = "fp") -> SolveRequest:
-    return SolveRequest(problem=problem, fingerprint=fingerprint)
+    return SolveRequest(problems=[problem], fingerprint=fingerprint)
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +373,10 @@ class TestDispatchWindow:
     def test_window_is_twice_solo_capped_by_max_window(self):
         ctrl = BatchController(max_window=0.05)
         _learned(ctrl, fp="fp2", solo=0.040)
-        req = SolveRequest(problem=self.BASE, fingerprint="fp2")
+        req = SolveRequest(problems=[self.BASE], fingerprint="fp2")
         assert ctrl.dispatch_window(req, 2).seconds == pytest.approx(0.05)
         # Solo cost never observed: the absolute bound applies.
-        cold = SolveRequest(problem=self.BASE, fingerprint="never-solved")
+        cold = SolveRequest(problems=[self.BASE], fingerprint="never-solved")
         assert ctrl.dispatch_window(cold, 2).seconds == pytest.approx(0.05)
 
     def test_deadline_tightens_the_window(self):
@@ -385,14 +385,14 @@ class TestDispatchWindow:
         ctrl = BatchController()
         _learned(ctrl, solo=0.020)
         req = SolveRequest(
-            problem=self.BASE,
+            problems=[self.BASE],
             fingerprint="fp",
             deadline=time.monotonic() + 0.040,
         )
         # min(2 * solo, 0.25 * remaining) ~= 0.25 * 0.040
         assert ctrl.dispatch_window(req, 2).seconds <= 0.25 * 0.040 + 1e-6
         late = SolveRequest(
-            problem=self.BASE,
+            problems=[self.BASE],
             fingerprint="fp",
             deadline=time.monotonic() - 1.0,
         )
@@ -636,7 +636,7 @@ class TestDifferentialBitwise:
                 ),
             )
             assert len(batch) == burst
-            server._process_batch(batch)
+            server.engine._process_batch(batch)
             for t in threads:
                 t.join(timeout=10.0)
             assert not any(t.is_alive() for t in threads)

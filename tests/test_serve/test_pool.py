@@ -12,7 +12,7 @@ import pytest
 
 from repro.backends.mib import MIBSolver
 from repro.compiler import ScheduleCache
-from repro.problems import lasso_problem, portfolio_problem
+from repro.problems import huber_problem, lasso_problem, portfolio_problem
 from repro.serve import SolverPool
 from repro.solver import QPProblem, Settings
 from tests.test_backends.test_solve_batch import perturbed_full
@@ -108,6 +108,13 @@ class TestHitMiss:
         assert warm.report.result.objective == pytest.approx(
             fresh.report.result.objective, rel=1e-4, abs=1e-6
         )
+
+    def test_repeated_indirect_solve_prices_the_same(self):
+        pool = SolverPool(variant="indirect", c=8)
+        problem = huber_problem(10, n_samples=30)
+        first, second = pool.solve(problem), pool.solve(problem)
+        assert second.warm and second.delta_bind
+        assert first.report.cycles == second.report.cycles
 
     def test_fingerprint_is_pattern_keyed(self):
         pool = _pool()

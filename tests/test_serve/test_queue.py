@@ -18,7 +18,7 @@ from repro.serve import Hold, QueueFullError, RequestQueue, SolveRequest
 def _request(fingerprint: str, *, deadline: float | None = None) -> SolveRequest:
     # The queue never inspects the payload; a sentinel object suffices.
     return SolveRequest(
-        problem=object(), fingerprint=fingerprint, deadline=deadline
+        problems=[object()], fingerprint=fingerprint, deadline=deadline
     )
 
 

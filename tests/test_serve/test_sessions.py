@@ -9,11 +9,15 @@ surface (``/v1/sequence``, ``/v1/scenarios``, session-keyed
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.backends import MIBSolver
+from repro.backends.session import SolveSession
 from repro.problems import lasso_problem, portfolio_problem
 from repro.serve import ServeClient, ServeServer, SolverPool
 from repro.serve.session import SessionStore
@@ -89,7 +93,7 @@ class TestSessionStoreLifecycle:
         store.acquire("c", "fp")  # evicts b
         assert len(store) == 2
         state = store.acquire("b", "fp")
-        assert state.steps == 0  # b came back fresh
+        assert state.session.steps == 0  # b came back fresh
 
     def test_new_key_never_evicts_itself(self):
         """With every older state in flight, a new key is handed out
@@ -112,16 +116,16 @@ class TestSessionStoreLifecycle:
     def test_fingerprint_change_resets_the_session(self):
         store = SessionStore(capacity=8, ttl_s=1000.0, time_fn=FakeClock())
         first = store.acquire("k", "fp-one")
-        first.steps = 3
+        first.session.steps = 3
         again = store.acquire("k", "fp-two")
-        assert again is not first and again.steps == 0
+        assert again is not first and again.session.steps == 0
         counters = store.metrics.snapshot()["counters"]
         assert counters["session_resets"] == 1
 
     def test_snapshot_aggregates_step_counters(self):
         store = SessionStore(capacity=8, ttl_s=1000.0, time_fn=FakeClock())
         state = store.acquire("k", "fp")
-        state.steps, state.delta_binds = 5, 4
+        state.session.steps, state.session.delta_binds = 5, 4
         snap = store.snapshot()
         assert snap["active"] == 1
         assert snap["steps_total"] == 5
@@ -181,9 +185,46 @@ class TestPoolSessions:
             t.join()
         assert not errors
         state = pool.sessions.acquire("s", seq_fingerprint(pool, steps[0]))
-        assert state.steps == 1 + 6 * len(steps)
+        assert state.session.steps == 1 + 6 * len(steps)
         counters = pool.metrics.snapshot()["counters"]
         assert counters["session_solves"] == 1 + 6 * len(steps)
+
+
+    def test_session_survives_its_patterns_eviction(self):
+        """DESIGN.md §5.8 across a rebuilt solver: the step after the
+        pattern's eviction is still the warm delta continuation, bitwise
+        the twin's solve from the carried ``(x, y, ρ)``."""
+        steps = q_stream(2)
+        pool = _pool(capacity=1)
+        first = pool.solve(steps[0], session="s")
+        # Step 0 is a fresh session's cold step; replay it for its ρ.
+        oracle = SolveSession(MIBSolver(steps[0], c=8, settings=FAST))
+        oracle.step(steps[0])
+        assert np.array_equal(oracle.x, first.report.result.x)
+        pool.solve(portfolio_problem(10))  # the one slot: evicts A
+        assert pool.fingerprints() == [pool.fingerprint(portfolio_problem(10))]
+
+        second = pool.solve(steps[1], session="s")
+        assert not second.warm  # the pool rebuilt the solver...
+        assert second.delta_bind  # ...and the stream continued on it
+        twin = MIBSolver(steps[1], c=8, settings=FAST)
+        twin.bind_instance(steps[1], rho0=oracle.rho)
+        ref = twin.solve(x0=first.report.result.x, y0=first.report.result.y)
+        assert np.array_equal(second.report.result.x, ref.result.x)
+        assert np.array_equal(second.report.result.y, ref.result.y)
+        assert second.report.result.iterations == ref.result.iterations
+
+    def test_evicted_solver_is_freed_while_its_session_lives(self):
+        """A stored session holds its pattern's solver only while it
+        steps: eviction frees the solver, not just the pool's slot."""
+        steps = q_stream(1)
+        pool = _pool(capacity=1)
+        pool.solve(steps[0], session="s")
+        solver = weakref.ref(pool._entries[pool.fingerprint(steps[0])].solver)
+        pool.solve(portfolio_problem(10))  # evicts the session's pattern
+        gc.collect()
+        assert solver() is None
+        assert len(pool.sessions) == 1  # the session itself lives on
 
 
 def seq_fingerprint(pool: SolverPool, problem: QPProblem) -> str:
