@@ -3,7 +3,11 @@
 ``golden_schedules.json`` pins every kernel schedule of the seven
 resident serving patterns at C = 8: ``cycles``, ``n_ops``,
 ``n_prefetch`` and a SHA-256 over the ordered op tuples
-(:func:`tests.scheduler_oracle.schedule_signature`).  A change that
+(:func:`tests.scheduler_oracle.schedule_signature`).  Five of them are
+pinned again under the configurations the default kernels leave
+uncovered: ``lower_method="row"`` (the row-based forward solve in
+``kkt_solve``) and ``variant="indirect"`` (``apply_s`` / ``cg_vector``),
+keyed ``<pattern>/row`` and ``<pattern>/indirect``.  A change that
 moves a schedule — on purpose or not — must regenerate the file in the
 same commit:
 
@@ -64,18 +68,28 @@ CROSSINGS = {
 }
 
 
-def digests(pattern: str) -> dict[str, dict]:
-    solver = MIBSolver(PATTERNS[pattern](), c=C)
+# Golden key -> (pattern, MIBSolver keyword arguments).
+CONFIGS = {"row": {"lower_method": "row"}, "indirect": {"variant": "indirect"}}
+GOLDEN_KEYS = {p: (p, {}) for p in PATTERNS} | {
+    f"{p}/{config}": (p, kwargs)
+    for config, kwargs in CONFIGS.items()
+    for p in ("lasso", "mpc", "portfolio", "svm", "huber")
+}
+
+
+def digests(key: str) -> dict[str, dict]:
+    pattern, kwargs = GOLDEN_KEYS[key]
+    solver = MIBSolver(PATTERNS[pattern](), c=C, **kwargs)
     return {
         name: schedule_digest(sched)
         for name, sched in sorted(solver.kernels.schedules.items())
     }
 
 
-@pytest.mark.parametrize("pattern", PATTERNS)
-def test_schedules_match_committed_digest(pattern):
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
+def test_schedules_match_committed_digest(key):
     golden = json.loads(GOLDEN.read_text())
-    assert digests(pattern) == golden[pattern]
+    assert digests(key) == golden[key]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -107,7 +121,7 @@ def test_request_built_once_per_placement(pattern, monkeypatch):
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps({p: digests(p) for p in PATTERNS}, indent=1, sort_keys=True)
+        json.dumps({k: digests(k) for k in GOLDEN_KEYS}, indent=1, sort_keys=True)
         + "\n"
     )
     print(f"wrote {GOLDEN}")
