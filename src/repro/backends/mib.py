@@ -258,6 +258,8 @@ class MIBSolver:
             ordering=ordering,
             lower_method=lower_method,
         )
+        if variant == "direct":
+            self._kkt_dim = self.reference.kkt_solver.dim
         self.builder = KernelBuilder(c, depth=1 << 24)
         self.kernels = _CompiledKernels()
         self.cache_key: str | None = None
@@ -286,11 +288,13 @@ class MIBSolver:
                     self.kernels = _CompiledKernels()
         if not self.cache_hit:
             with _gc_paused():
+                sp = self.reference.scaling.scaled
+                a_view, p_view = row_major_view(sp.a), row_major_view(sp.p_full)
                 if variant == "direct":
                     self._compile_direct()
                 else:
-                    self._compile_indirect()
-                self._compile_vector_kernels()
+                    self._compile_indirect(a_view, p_view)
+                self._compile_vector_kernels(a_view, p_view)
                 if variant == "direct":
                     self._compile_network_iteration()
                     self._compile_factor()
@@ -305,9 +309,8 @@ class MIBSolver:
         """Rebuild the compiled state from a cached artifact.
 
         Replays the register-file allocations (so the schedules'
-        absolute locations resolve to the same regions), installs the
-        schedules, and recomputes the cheap pattern-derived views the
-        network-execution paths consult.  No lowering, no scheduling.
+        absolute locations resolve to the same regions) and installs the
+        schedules.  No lowering, no scheduling.
         """
         for slot in artifact.vectors:
             view = self.builder.alloc.allocate(
@@ -318,14 +321,6 @@ class MIBSolver:
                     f"allocator layout drift restoring {slot.name!r}"
                 )
         self.kernels.schedules.update(artifact.schedules)
-        sp = self.reference.scaling.scaled
-        self._a_view = row_major_view(sp.a)
-        self._p_view = row_major_view(sp.p_full)
-        if self.variant == "direct":
-            kkt = self.reference.kkt_solver
-            assert isinstance(kkt, DirectKKTSolver)
-            self._kkt_dim = kkt.dim
-            self._perm = kkt.perm
 
     def _to_artifact(self, key: str) -> CompiledArtifact:
         """Snapshot the compiled state for the cache."""
@@ -426,8 +421,6 @@ class MIBSolver:
         sym = kkt.symbolic
         dim = kkt.dim
         kb = self.builder
-        self._kkt_dim = dim
-        self._perm = kkt.perm
         bx = kb.vector("kkt_b", dim)  # incoming right-hand side
         px = kb.vector("kkt_x", dim)  # permuted solve buffer
         # The factorization's registers; ``_compile_factor`` lowers it
@@ -442,13 +435,13 @@ class MIBSolver:
             if self.reference.kkt_solver.lower_method == "column"
             else kb.lsolve_rows
         )
-        perm = self._perm.perm
+        perm = kkt.perm.perm.tolist()
         solve_ops = (
-            kb.gather(px, list(range(dim)), bx, perm.tolist(), tag="permutate")
+            kb.gather(px, range(dim), bx, perm, tag="permutate")
             + lower(sym, px, "L")
             + kb.dsolve(px, "Dinv")
             + kb.ltsolve(sym, px, "L")
-            + kb.gather(bx, perm.tolist(), px, list(range(dim)), tag="inv_permutate")
+            + kb.gather(bx, perm, px, range(dim), tag="inv_permutate")
         )
         self._schedule("kkt_solve", solve_ops)
 
@@ -472,14 +465,12 @@ class MIBSolver:
             ),
         )
 
-    def _compile_indirect(self) -> None:
+    def _compile_indirect(self, a_view, p_view) -> None:
         kkt = self.reference.kkt_solver
         assert isinstance(kkt, IndirectKKTSolver)
         sp = self.reference.scaling.scaled
         kb = self.builder
         n, m = sp.n, sp.m
-        self._a_view = row_major_view(sp.a)
-        self._p_view = row_major_view(sp.p_full)
         v = kb.vector("cg_v", n)
         sv = kb.vector("cg_sv", n)
         pv = kb.vector("cg_pv", n)
@@ -488,10 +479,10 @@ class MIBSolver:
         # One application of S = P + σI + Aᵀ·diag(ρ)·A (Algorithm 2's
         # work horse): MAC for A and P, column elimination for Aᵀ.
         ops = (
-            kb.spmv(self._a_view, v, av, "A", tag="spmv_A")
+            kb.spmv(a_view, v, av, "A", tag="spmv_A")
             + kb.stream_mul(av, av, "rho")
-            + kb.spmv_transpose(self._a_view, av, atv, "A", tag="spmv_At")
-            + kb.spmv(self._p_view, v, pv, "P", tag="spmv_P")
+            + kb.spmv_transpose(a_view, av, atv, "A", tag="spmv_At")
+            + kb.spmv(p_view, v, pv, "P", tag="spmv_P")
             + kb.ew_add(sv, pv, atv)
             + kb.axpby(sv, sv, v, 1.0, self.reference.settings.sigma)
         )
@@ -508,51 +499,62 @@ class MIBSolver:
         )
         self._schedule("cg_vector", cg_vec)
 
-    def _compile_vector_kernels(self) -> None:
-        """The per-ADMM-iteration vector work (Algorithm 1 lines 4-7)."""
+    def _lower_rhs(self) -> list:
+        """Algorithm 1's KKT right-hand side: ``σx − q`` into
+        ``adm_rhs_top`` and ``z − y/ρ`` into ``adm_tmp_m``."""
+        kb, get = self.builder, self.builder.alloc.get
+        rhs_top, tmp_m = get("adm_rhs_top"), get("adm_tmp_m")
+        return (
+            kb.ew_scale(rhs_top, get("adm_x"), self.reference.settings.sigma)
+            + kb.stream_axpy(rhs_top, rhs_top, "q", -1.0)
+            + kb.stream_mul(tmp_m, get("adm_y"), "rho_inv")
+            + kb.ew_sub(tmp_m, get("adm_z"), tmp_m)
+        )
+
+    def _lower_update(self, tmp) -> list:
+        """Algorithm 1's relaxation, projection Π and dual update from
+        ``adm_xt`` / ``adm_zt``, through the scratch vector ``tmp``."""
+        kb, get = self.builder, self.builder.alloc.get
+        x, xt, z, zt, y, w = (
+            get(f"adm_{v}") for v in ("x", "xt", "z", "zt", "y", "w")
+        )
+        alpha = self.reference.settings.alpha
+        return (
+            kb.axpby(x, xt, x, alpha, 1.0 - alpha)
+            + kb.axpby(w, zt, z, alpha, 1.0 - alpha)
+            + kb.stream_mul(tmp, y, "rho_inv")
+            + kb.ew_add(tmp, w, tmp)
+            + kb.clip(z, tmp, "bounds", length=z.length)  # projection Π
+            + kb.ew_sub(tmp, w, z)
+            + kb.stream_mul(tmp, tmp, "rho")
+            + kb.ew_add(y, y, tmp)  # dual update: y += ρ(w − z)
+        )
+
+    def _compile_vector_kernels(self, a_view, p_view) -> None:
+        """The per-ADMM-iteration vector work (Algorithm 1 lines 4-7)
+        and the residual products."""
         kb = self.builder
         sp = self.reference.scaling.scaled
         n, m = sp.n, sp.m
-        alpha = self.reference.settings.alpha
         x = kb.vector("adm_x", n)
-        xt = kb.vector("adm_xt", n)
-        z = kb.vector("adm_z", m)
-        zt = kb.vector("adm_zt", m)
+        kb.vector("adm_xt", n)
+        kb.vector("adm_z", m)
+        kb.vector("adm_zt", m)
         y = kb.vector("adm_y", m)
-        w = kb.vector("adm_w", m)
+        kb.vector("adm_w", m)
         tmp_m = kb.vector("adm_tmp_m", m)
-        rhs_top = kb.vector("adm_rhs_top", n)
-        ops = (
-            # rhs build: σx − q ; z − y/ρ
-            kb.ew_scale(rhs_top, x, self.reference.settings.sigma)
-            + kb.stream_axpy(rhs_top, rhs_top, "q", -1.0)
-            + kb.stream_mul(tmp_m, y, "rho_inv")
-            + kb.ew_sub(tmp_m, z, tmp_m)
-            # relaxation and projection
-            + kb.axpby(x, xt, x, alpha, 1.0 - alpha)
-            + kb.axpby(w, zt, z, alpha, 1.0 - alpha)
-            + kb.stream_mul(tmp_m, y, "rho_inv")
-            + kb.ew_add(tmp_m, w, tmp_m)
-            + kb.clip(z, tmp_m, "bounds", length=m)
-            # dual update: y += ρ(w − z)
-            + kb.ew_sub(tmp_m, w, z)
-            + kb.stream_mul(tmp_m, tmp_m, "rho")
-            + kb.ew_add(y, y, tmp_m)
-        )
-        self._schedule("admm_vector", ops)
+        kb.vector("adm_rhs_top", n)
+        self._schedule("admm_vector", self._lower_rhs() + self._lower_update(tmp_m))
 
         # Residual computation (every check_interval iterations):
         # A·x, P·x, Aᵀ·y plus norms.
-        if self.variant == "direct":
-            self._a_view = row_major_view(sp.a)
-            self._p_view = row_major_view(sp.p_full)
         ax = kb.vector("res_ax", m)
         px_v = kb.vector("res_px", n)
         aty = kb.vector("res_aty", n)
         res_ops = (
-            kb.spmv(self._a_view, x, ax, "A", tag="res_A")
-            + kb.spmv(self._p_view, x, px_v, "P", tag="res_P")
-            + kb.spmv_transpose(self._a_view, y, aty, "A", tag="res_At")
+            kb.spmv(a_view, x, ax, "A", tag="res_A")
+            + kb.spmv(p_view, x, px_v, "P", tag="res_P")
+            + kb.spmv_transpose(a_view, y, aty, "A", tag="res_At")
         )
         self._schedule("residuals", res_ops)
 
@@ -561,48 +563,35 @@ class MIBSolver:
         executed solve (:meth:`solve_on_network`).
 
         ``admm_vector`` prices the iteration's vector work for the
-        cycle model; these kernels order the same work around the KKT
-        solve exactly as Algorithm 1 requires: ``iter_pre`` builds the
-        right-hand side into the solve buffer, ``iter_post`` applies
-        relaxation, projection and the dual update from the solution.
+        cycle model; these kernels lower the same work (the same
+        ``_lower_rhs`` / ``_lower_update`` ops) around the KKT solve as
+        Algorithm 1 orders it: ``iter_pre`` builds the right-hand side
+        into the solve buffer, ``iter_post`` forms z̃ from the solution
+        and applies relaxation, projection and the dual update.
         """
         kb = self.builder
         sp = self.reference.scaling.scaled
         n, m = sp.n, sp.m
-        alpha = self.reference.settings.alpha
-        alloc = kb.alloc
-        x, xt = alloc.get("adm_x"), alloc.get("adm_xt")
-        z, zt = alloc.get("adm_z"), alloc.get("adm_zt")
-        y, w = alloc.get("adm_y"), alloc.get("adm_w")
-        tmp_m = alloc.get("adm_tmp_m")
-        rhs_top = alloc.get("adm_rhs_top")
+        get = kb.alloc.get
+        xt, z, zt = get("adm_xt"), get("adm_z"), get("adm_zt")
+        y, tmp_m = get("adm_y"), get("adm_tmp_m")
         tmp2 = kb.vector("adm_tmp2_m", m)
-        bx = alloc.get("kkt_b")
+        bx = get("kkt_b")
 
         pre = (
-            kb.ew_scale(rhs_top, x, self.reference.settings.sigma)
-            + kb.stream_axpy(rhs_top, rhs_top, "q", -1.0)
-            + kb.stream_mul(tmp_m, y, "rho_inv")
-            + kb.ew_sub(tmp_m, z, tmp_m)
-            + kb.gather(bx, list(range(n)), rhs_top, list(range(n)))
-            + kb.gather(bx, list(range(n, n + m)), tmp_m, list(range(m)))
+            self._lower_rhs()
+            + kb.gather(bx, range(n), get("adm_rhs_top"), range(n))
+            + kb.gather(bx, range(n, n + m), tmp_m, range(m))
         )
         self._schedule("iter_pre", pre)
 
         post = (
-            kb.gather(xt, list(range(n)), bx, list(range(n)))
-            + kb.gather(tmp_m, list(range(m)), bx, list(range(n, n + m)))
+            kb.gather(xt, range(n), bx, range(n))
+            + kb.gather(tmp_m, range(m), bx, range(n, n + m))
             + kb.ew_sub(tmp2, tmp_m, y)  # ν − y
             + kb.stream_mul(tmp2, tmp2, "rho_inv")
             + kb.ew_add(zt, z, tmp2)  # z̃ = z + (ν − y)/ρ
-            + kb.axpby(x, xt, x, alpha, 1.0 - alpha)
-            + kb.axpby(w, zt, z, alpha, 1.0 - alpha)
-            + kb.stream_mul(tmp2, y, "rho_inv")
-            + kb.ew_add(tmp2, w, tmp2)
-            + kb.clip(z, tmp2, "bounds", length=m)  # projection Π
-            + kb.ew_sub(tmp2, w, z)
-            + kb.stream_mul(tmp2, tmp2, "rho")
-            + kb.ew_add(y, y, tmp2)  # dual update
+            + self._lower_update(tmp2)
         )
         self._schedule("iter_post", post)
 

@@ -142,7 +142,6 @@ class KernelBuilder:
         view: VectorView,
         stream: str,
         *,
-        offset: int = 0,
         tag: str = "",
     ) -> list[NetOp]:
         """``load_vec``: stream ``view.length`` words from HBM into the
@@ -160,7 +159,7 @@ class KernelBuilder:
                     NetOp(
                         kind=OpKind.PERMUTE,
                         writes=[(view.location(int(i)), False) for i in idx],
-                        coeffs=StreamRef(stream, offset + idx),
+                        coeffs=StreamRef(stream, idx),
                         src_lanes=[a for a, _, _ in group],
                         dst_lanes=[d for _, d, _ in group],
                         tag=f"{tag}.b{row}.{gi}",
@@ -209,24 +208,13 @@ class KernelBuilder:
         """
         if len(perm) != dst.length or src.length != dst.length:
             raise ValueError("permutation length mismatch")
-        tag = tag or f"perm:{src.name}->{dst.name}"
-        pairs = [
-            (src.lane(int(perm[i])), dst.lane(i), (int(perm[i]), i))
-            for i in range(dst.length)
-        ]
-        ops: list[NetOp] = []
-        for gi, group in enumerate(self._route_groups(pairs)):
-            ops.append(
-                NetOp(
-                    kind=OpKind.PERMUTE,
-                    reads=[src.location(s) for _, _, (s, _) in group],
-                    writes=[(dst.location(d), False) for _, _, (_, d) in group],
-                    src_lanes=[a for a, _, _ in group],
-                    dst_lanes=[d for _, d, _ in group],
-                    tag=f"{tag}.{gi}",
-                )
-            )
-        return ops
+        return self.gather(
+            dst,
+            range(dst.length),
+            src,
+            perm,
+            tag=tag or f"perm:{src.name}->{dst.name}",
+        )
 
     def gather(
         self,
@@ -276,14 +264,11 @@ class KernelBuilder:
         *,
         scalars: tuple[float, ...] = (),
         stream: str | None = None,
-        stream_offset: int = 0,
         stream_stride: int = 1,
-        tag: str = "",
     ) -> list[NetOp]:
         ops: list[NetOp] = []
         for row in range(out.rows()):
             block = out.block(row)
-            width = len(block)
             reads: list[Location] = []
             if a is not None:
                 reads += [a.location(i) for i in block]
@@ -291,14 +276,10 @@ class KernelBuilder:
                 reads += [b.location(i) for i in block]
             coeffs = None
             if stream is not None:
+                idx = block
                 if fn is EwiseFn.CLIP:
-                    idx = np.array(
-                        [stream_offset + i for i in block]
-                        + [stream_offset + stream_stride + i for i in block]
-                    )
-                else:
-                    idx = np.array([stream_offset + i for i in block])
-                coeffs = StreamRef(stream, idx)
+                    idx = block + [stream_stride + i for i in block]
+                coeffs = StreamRef(stream, np.array(idx))
             ops.append(
                 NetOp(
                     kind=OpKind.EWISE,
@@ -307,7 +288,7 @@ class KernelBuilder:
                     writes=[(out.location(i), False) for i in block],
                     coeffs=coeffs,
                     scalars=scalars,
-                    tag=f"{tag or fn.value}:{out.name}.b{row}",
+                    tag=f"{fn.value}:{out.name}.b{row}",
                 )
             )
         return ops
@@ -328,11 +309,9 @@ class KernelBuilder:
             )
         return ops
 
-    def set_from_stream(self, out: VectorView, stream: str, *, offset: int = 0):
+    def set_from_stream(self, out: VectorView, stream: str):
         """``cond_set`` from an HBM stream (constants, bounds, q...)."""
-        return self._ewise_blocks(
-            EwiseFn.SET, out, stream=stream, stream_offset=offset
-        )
+        return self._ewise_blocks(EwiseFn.SET, out, stream=stream)
 
     def axpby(self, out, a, b, s0: float, s1: float):
         """``axpby``: out = s0·a + s1·b."""
@@ -358,21 +337,14 @@ class KernelBuilder:
     def ew_scale(self, out, a, s0: float):
         return self._ewise_blocks(EwiseFn.SCALE, out, a, scalars=(s0,))
 
-    def stream_mul(self, out, a, stream: str, *, offset: int = 0):
+    def stream_mul(self, out, a, stream: str):
         """out = a ⊙ stream (diagonal scaling, 1/ρ multiplies, D-solve)."""
-        return self._ewise_blocks(
-            EwiseFn.STREAM_MUL, out, a, stream=stream, stream_offset=offset
-        )
+        return self._ewise_blocks(EwiseFn.STREAM_MUL, out, a, stream=stream)
 
-    def stream_axpy(self, out, a, stream: str, s0: float, *, offset: int = 0):
+    def stream_axpy(self, out, a, stream: str, s0: float):
         """out = a + s0·stream."""
         return self._ewise_blocks(
-            EwiseFn.STREAM_AXPY,
-            out,
-            a,
-            scalars=(s0,),
-            stream=stream,
-            stream_offset=offset,
+            EwiseFn.STREAM_AXPY, out, a, scalars=(s0,), stream=stream
         )
 
     def clip(self, out, a, stream: str, *, length: int):
@@ -381,6 +353,83 @@ class KernelBuilder:
         return self._ewise_blocks(
             EwiseFn.CLIP, out, a, stream=stream, stream_stride=length
         )
+
+    # ------------------------------------------------------------------
+    # the two network primitives of the sparse kernels (Table I)
+    # ------------------------------------------------------------------
+    def _mac(
+        self,
+        out: VectorView,
+        i: int,
+        src: VectorView,
+        cols: list[int],
+        positions: list[int],
+        stream: str,
+        *,
+        scale: float = 1.0,
+        tag: str,
+    ) -> list[NetOp]:
+        """MAC reduction ``out[i] += scale·Σ stream[p]·src[j]`` over the
+        pairs ``(j, p)`` of ``cols`` and ``positions``: one instruction
+        per run of lane-distinct sources."""
+        entries = list(zip(cols, positions))
+        return [
+            NetOp(
+                kind=OpKind.MAC,
+                reads=[src.location(j) for j, _ in chunk],
+                writes=[(out.location(i), True)],
+                coeffs=StreamRef(stream, np.array([p for _, p in chunk])),
+                coeff_scale=scale,
+                src_lanes=[src.lane(j) for j, _ in chunk],
+                dst_lanes=[out.lane(i)],
+                tag=f"{tag}.{ci}",
+            )
+            for ci, chunk in enumerate(
+                _chunk_by_lane(entries, lambda e: src.lane(e[0]), self.c)
+            )
+        ]
+
+    def _colelim(
+        self,
+        out: VectorView,
+        rows: list[int],
+        src: VectorView,
+        i: int,
+        positions: list[int],
+        stream: str | None,
+        *,
+        scale: float = 1.0,
+        tag: str,
+    ) -> list[NetOp]:
+        """Column-elimination broadcast ``out[j] += scale·c_p·src[i]``
+        over the pairs ``(j, p)`` of ``rows`` and ``positions``: one
+        instruction per run of lane-distinct destinations.  ``c_p`` is
+        ``stream[p]``, or L-buffer word ``p`` when ``stream`` is None
+        (the factorization consuming its own factor values)."""
+        entries = list(zip(rows, positions))
+        lbuf = stream is None
+        return [
+            NetOp(
+                kind=OpKind.COLELIM,
+                reads=[src.location(i)],
+                writes=[(out.location(j), True) for j, _ in chunk],
+                coeffs=(
+                    None
+                    if lbuf
+                    else StreamRef(stream, np.array([p for _, p in chunk]))
+                ),
+                coeff_reads=(
+                    [Location("lbuf", 0, p) for _, p in chunk] if lbuf else []
+                ),
+                coeff_scale=scale,
+                src_lanes=[src.lane(i)],
+                dst_lanes=[out.lane(j) for j, _ in chunk],
+                tag=f"{tag}.{ci}",
+            )
+            for ci, chunk in enumerate(
+                _chunk_by_lane(entries, lambda e: out.lane(e[0]), self.c)
+            )
+        ]
 
     # ------------------------------------------------------------------
     # sparse matrix-vector multiplication
@@ -393,34 +442,17 @@ class KernelBuilder:
         stream: str,
         *,
         tag: str = "spmv",
-        zero_first: bool = True,
     ) -> list[NetOp]:
         """``y = M·x`` with the MAC primitive: one reduction per row
         chunk, packed by the scheduler (Section IV-B)."""
         if view.ncols != x.length or view.nrows != y.length:
             raise ValueError("spmv dimension mismatch")
-        ops: list[NetOp] = list(self.set_zero(y)) if zero_first else []
+        ops = self.set_zero(y)
         for i in range(view.nrows):
             cols, positions = view.row(i)
-            if cols.size == 0:
-                continue
-            entries = list(zip(cols.tolist(), positions.tolist()))
-            for ci, chunk in enumerate(
-                _chunk_by_lane(entries, lambda e: x.lane(e[0]), self.c)
-            ):
-                ops.append(
-                    NetOp(
-                        kind=OpKind.MAC,
-                        reads=[x.location(j) for j, _ in chunk],
-                        writes=[(y.location(i), True)],
-                        coeffs=StreamRef(
-                            stream, np.array([p for _, p in chunk])
-                        ),
-                        src_lanes=[x.lane(j) for j, _ in chunk],
-                        dst_lanes=[y.lane(i)],
-                        tag=f"{tag}.r{i}.{ci}",
-                    )
-                )
+            ops += self._mac(
+                y, i, x, cols.tolist(), positions.tolist(), stream, tag=f"{tag}.r{i}"
+            )
         return ops
 
     def spmv_transpose(
@@ -431,40 +463,29 @@ class KernelBuilder:
         stream: str,
         *,
         tag: str = "spmvT",
-        zero_first: bool = True,
     ) -> list[NetOp]:
         """``out = Mᵀ·y`` with the column-elimination primitive: broadcast
         ``y_i`` across the row-``i`` pattern and scatter-accumulate
         (Section IV-B: Aᵀ uses column elimination)."""
         if view.nrows != y.length or view.ncols != out.length:
             raise ValueError("spmv_transpose dimension mismatch")
-        ops: list[NetOp] = list(self.set_zero(out)) if zero_first else []
+        ops = self.set_zero(out)
         for i in range(view.nrows):
             cols, positions = view.row(i)
-            if cols.size == 0:
-                continue
-            entries = list(zip(cols.tolist(), positions.tolist()))
-            for ci, chunk in enumerate(
-                _chunk_by_lane(entries, lambda e: out.lane(e[0]), self.c)
-            ):
-                ops.append(
-                    NetOp(
-                        kind=OpKind.COLELIM,
-                        reads=[y.location(i)],
-                        writes=[(out.location(j), True) for j, _ in chunk],
-                        coeffs=StreamRef(
-                            stream, np.array([p for _, p in chunk])
-                        ),
-                        src_lanes=[y.lane(i)],
-                        dst_lanes=[out.lane(j) for j, _ in chunk],
-                        tag=f"{tag}.r{i}.{ci}",
-                    )
-                )
+            ops += self._colelim(
+                out, cols.tolist(), y, i, positions.tolist(), stream, tag=f"{tag}.r{i}"
+            )
         return ops
 
     # ------------------------------------------------------------------
     # triangular solves
     # ------------------------------------------------------------------
+    @staticmethod
+    def _l_column(sym: SymbolicFactor, j: int) -> tuple[list[int], list[int]]:
+        """Rows of column ``j`` of ``L`` and their L-buffer positions."""
+        lo, hi = sym.l_indptr[j], sym.l_indptr[j + 1]
+        return sym.l_indices[lo:hi].tolist(), np.arange(lo, hi).tolist()
+
     def lsolve_columns(
         self, sym: SymbolicFactor, x: VectorView, stream: str = "L"
     ) -> list[NetOp]:
@@ -474,26 +495,10 @@ class KernelBuilder:
         column ``j`` of ``L`` and subtract (eqs. (8)–(12))."""
         ops: list[NetOp] = []
         for j in range(sym.n):
-            rows = sym.col_pattern(j)
-            if rows.size == 0:
-                continue
-            positions = np.arange(sym.l_indptr[j], sym.l_indptr[j + 1])
-            entries = list(zip(rows.tolist(), positions.tolist()))
-            for ci, chunk in enumerate(
-                _chunk_by_lane(entries, lambda e: x.lane(e[0]), self.c)
-            ):
-                ops.append(
-                    NetOp(
-                        kind=OpKind.COLELIM,
-                        reads=[x.location(j)],
-                        writes=[(x.location(i), True) for i, _ in chunk],
-                        coeffs=StreamRef(stream, np.array([p for _, p in chunk])),
-                        coeff_scale=-1.0,
-                        src_lanes=[x.lane(j)],
-                        dst_lanes=[x.lane(i) for i, _ in chunk],
-                        tag=f"lsolve.c{j}.{ci}",
-                    )
-                )
+            rows, positions = self._l_column(sym, j)
+            ops += self._colelim(
+                x, rows, x, j, positions, stream, scale=-1.0, tag=f"lsolve.c{j}"
+            )
         return ops
 
     def lsolve_rows(
@@ -505,25 +510,11 @@ class KernelBuilder:
         ops: list[NetOp] = []
         for i in range(sym.n):
             lo, hi = sym.row_indptr[i], sym.row_indptr[i + 1]
-            cols = sym.row_indices[lo:hi]
-            if cols.size == 0:
-                continue
-            entries = list(zip(cols.tolist(), row_pos[lo:hi].tolist()))
-            for ci, chunk in enumerate(
-                _chunk_by_lane(entries, lambda e: x.lane(e[0]), self.c)
-            ):
-                ops.append(
-                    NetOp(
-                        kind=OpKind.MAC,
-                        reads=[x.location(j) for j, _ in chunk],
-                        writes=[(x.location(i), True)],
-                        coeffs=StreamRef(stream, np.array([p for _, p in chunk])),
-                        coeff_scale=-1.0,
-                        src_lanes=[x.lane(j) for j, _ in chunk],
-                        dst_lanes=[x.lane(i)],
-                        tag=f"lsolve.r{i}.{ci}",
-                    )
-                )
+            cols, positions = sym.row_indices[lo:hi], row_pos[lo:hi]
+            ops += self._mac(
+                x, i, x, cols.tolist(), positions.tolist(), stream, scale=-1.0,
+                tag=f"lsolve.r{i}",
+            )
         return ops
 
     def ltsolve(
@@ -533,26 +524,10 @@ class KernelBuilder:
         is row ``j`` of ``Lᵀ``, consumed as a MAC reduction."""
         ops: list[NetOp] = []
         for j in range(sym.n - 1, -1, -1):
-            rows = sym.col_pattern(j)
-            if rows.size == 0:
-                continue
-            positions = np.arange(sym.l_indptr[j], sym.l_indptr[j + 1])
-            entries = list(zip(rows.tolist(), positions.tolist()))
-            for ci, chunk in enumerate(
-                _chunk_by_lane(entries, lambda e: x.lane(e[0]), self.c)
-            ):
-                ops.append(
-                    NetOp(
-                        kind=OpKind.MAC,
-                        reads=[x.location(i) for i, _ in chunk],
-                        writes=[(x.location(j), True)],
-                        coeffs=StreamRef(stream, np.array([p for _, p in chunk])),
-                        coeff_scale=-1.0,
-                        src_lanes=[x.lane(i) for i, _ in chunk],
-                        dst_lanes=[x.lane(j)],
-                        tag=f"ltsolve.c{j}.{ci}",
-                    )
-                )
+            rows, positions = self._l_column(sym, j)
+            ops += self._mac(
+                x, j, x, rows, positions, stream, scale=-1.0, tag=f"ltsolve.c{j}"
+            )
         return ops
 
     def dsolve(self, x: VectorView, stream: str = "Dinv") -> list[NetOp]:
@@ -661,29 +636,16 @@ class KernelBuilder:
             for j in pattern.tolist():
                 col_rows = sym.col_pattern(j)
                 cut = int(np.searchsorted(col_rows, k))
-                upd_rows = col_rows[:cut]
-                upd_pos = np.arange(sym.l_indptr[j], sym.l_indptr[j] + cut)
-                if upd_rows.size:
-                    entries = list(zip(upd_rows.tolist(), upd_pos.tolist()))
-                    for ci, chunk in enumerate(
-                        _chunk_by_lane(entries, lambda e: y.lane(e[0]), self.c)
-                    ):
-                        ops.append(
-                            NetOp(
-                                kind=OpKind.COLELIM,
-                                reads=[y.location(j)],
-                                writes=[
-                                    (y.location(i), True) for i, _ in chunk
-                                ],
-                                coeff_reads=[
-                                    Location("lbuf", 0, int(p)) for _, p in chunk
-                                ],
-                                coeff_scale=-1.0,
-                                src_lanes=[y.lane(j)],
-                                dst_lanes=[y.lane(i) for i, _ in chunk],
-                                tag=f"factor.upd{k}.{j}.{ci}",
-                            )
-                        )
+                ops += self._colelim(
+                    y,
+                    col_rows[:cut].tolist(),
+                    y,
+                    j,
+                    np.arange(sym.l_indptr[j], sym.l_indptr[j] + cut).tolist(),
+                    None,
+                    scale=-1.0,
+                    tag=f"factor.upd{k}.{j}",
+                )
                 # Finalize l_kj and fold its pivot contribution into d_k.
                 slot = int(sym.l_indptr[j] + cut)
                 if sym.l_indices[slot] != k:  # pragma: no cover - invariant

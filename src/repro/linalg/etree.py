@@ -169,12 +169,4 @@ def topological_order(parent: np.ndarray) -> np.ndarray:
 
 def tree_height(parent: np.ndarray) -> int:
     """Height of the elimination tree (the factorization critical path)."""
-    n = parent.size
-    if n == 0:
-        return 0
-    depth = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
-        if p != -1:
-            depth[p] = max(depth[p], depth[j] + 1)
-    return int(depth.max()) + 1
+    return len(level_sets(parent))

@@ -70,20 +70,16 @@ def pcg(
 
 
 class CGDiagnostics:
-    """Running statistics of PCG usage across a solve."""
+    """PCG calls and iterations over the solver's life
+    (``MIBSolver.solve`` prices one solve's share of them)."""
 
     def __init__(self) -> None:
         self.total_iterations = 0
         self.calls = 0
-        self.max_iterations_in_call = 0
-        self.failures = 0  # calls that hit the iteration cap
 
-    def record(self, iterations: int, converged: bool) -> None:
+    def record(self, iterations: int) -> None:
         self.total_iterations += iterations
         self.calls += 1
-        self.max_iterations_in_call = max(self.max_iterations_in_call, iterations)
-        if not converged:
-            self.failures += 1
 
 
 class IndirectKKTSolver:
@@ -183,9 +179,9 @@ class IndirectKKTSolver:
         (:func:`pcg` over the host's ``S`` product).
         """
         tol = self.tol if tol is None else tol
-        x, iterations, converged = pcg(
+        x, iterations, _ = pcg(
             lambda v: self.apply_s(v, trace), self._m_inv, b, x0,
             tol=tol, max_iter=self.max_iter, trace=trace,
         )
-        self.diagnostics.record(iterations, converged)
+        self.diagnostics.record(iterations)
         return x, iterations

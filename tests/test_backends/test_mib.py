@@ -147,6 +147,14 @@ class TestSolve:
         assert report.result.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
+def _mpc_small():
+    return mpc_problem(3, horizon=4)
+
+
+def _svm_small():
+    return svm_problem(5, n_samples=12)
+
+
 class TestNetworkValidation:
     def test_kkt_solve_on_network(self, direct_solver):
         dim = direct_solver._kkt_dim
@@ -170,11 +178,21 @@ class TestNetworkValidation:
             direct_solver.apply_s_on_network(np.zeros(3))
 
     @pytest.mark.parametrize(
-        "factory", [lambda: mpc_problem(3, horizon=4), lambda: svm_problem(5, n_samples=12)]
+        "factory, lower_method",
+        # The column cases keep the ids they had before ``lower_method``
+        # became a parameter; the row cases build ``lsolve_rows``.
+        [
+            pytest.param(_mpc_small, "column", id="<lambda>0"),
+            pytest.param(_svm_small, "column", id="<lambda>1"),
+            pytest.param(_mpc_small, "row", id="row-mpc"),
+            pytest.param(_svm_small, "row", id="row-svm"),
+        ],
     )
-    def test_kkt_network_solve_other_domains(self, factory):
+    def test_kkt_network_solve_other_domains(self, factory, lower_method):
         prob = factory()
-        solver = MIBSolver(prob, variant="direct", c=16, settings=FAST)
+        solver = MIBSolver(
+            prob, variant="direct", c=16, settings=FAST, lower_method=lower_method
+        )
         rhs = np.random.default_rng(0).standard_normal(solver._kkt_dim)
         np.testing.assert_allclose(
             solver.solve_kkt_on_network(rhs),
