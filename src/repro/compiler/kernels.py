@@ -510,9 +510,14 @@ class KernelBuilder:
         ops: list[NetOp] = []
         for i in range(sym.n):
             lo, hi = sym.row_indptr[i], sym.row_indptr[i + 1]
-            cols, positions = sym.row_indices[lo:hi], row_pos[lo:hi]
             ops += self._mac(
-                x, i, x, cols.tolist(), positions.tolist(), stream, scale=-1.0,
+                x,
+                i,
+                x,
+                sym.row_indices[lo:hi].tolist(),
+                row_pos[lo:hi].tolist(),
+                stream,
+                scale=-1.0,
                 tag=f"lsolve.r{i}",
             )
         return ops
