@@ -536,6 +536,8 @@ class MIBSolver:
         kb = self.builder
         sp = self.reference.scaling.scaled
         n, m = sp.n, sp.m
+        # Allocation order fixes the register layout every schedule
+        # addresses; ``_lower_rhs`` / ``_lower_update`` look these up.
         x = kb.vector("adm_x", n)
         kb.vector("adm_xt", n)
         kb.vector("adm_z", m)
