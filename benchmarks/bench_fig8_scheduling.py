@@ -75,7 +75,7 @@ def test_fig8_reordered_program_is_correct(benchmark):
         for mi in (False, True):
             kb, program = _spmv_program(problem)
             sched = schedule_program(
-                program, C, ScheduleOptions(multi_issue=mi)
+                program, C, ScheduleOptions(multi_issue=mi, priority="program")
             )
             sim = NetworkSimulator(C, depth=1 << 23)
             xv = np.random.default_rng(0).standard_normal(problem.n)

@@ -68,8 +68,10 @@ __all__ = [
 # retired.  Both maps were dropped — every trace is now hazard-checked
 # whenever it is lowered — and neither changed any other field's
 # meaning.  v4: the factorization rotates one scratch accumulator per
-# lane, so a v3 ``factor`` schedule prices a different kernel.
-CACHE_FORMAT_VERSION = 4
+# lane, so a v3 ``factor`` schedule prices a different kernel.  v5: a
+# schedule's slots run to the end of its last op, so a v4 schedule
+# that closes on a double-pumped op is one slot short.
+CACHE_FORMAT_VERSION = 5
 
 
 # sha256 states after each configuration header seen, keyed by the

@@ -112,12 +112,15 @@ def render_occupancy(
 def compare_scheduling(
     program: NetworkProgram, c: int, *, prefetch: bool = True
 ) -> SchedulingComparison:
-    """Schedule a program with and without multi-issue (Fig. 8)."""
+    """Schedule a program with and without multi-issue (Fig. 8), both
+    walking it in program order as the figure does."""
     before = schedule_program(
         program, c, ScheduleOptions(multi_issue=False, prefetch=False)
     )
     after = schedule_program(
-        program, c, ScheduleOptions(multi_issue=True, prefetch=prefetch)
+        program,
+        c,
+        ScheduleOptions(multi_issue=True, prefetch=prefetch, priority="program"),
     )
     return SchedulingComparison(
         name=program.name,

@@ -13,6 +13,12 @@ the hazard walk share.  ``oracle_schedule_program`` is the old
 slot by slot, op by op — :func:`schedule_signature` is the comparison
 key, and the SHA-256 of it is what ``golden_schedules.json`` pins.
 
+Two things changed in the oracle with the product since the move: a
+schedule ends when its last op does (``_finish`` keeps the second
+cycle of a closing double-pumped op), and the successor-list height
+pass is the module-level :func:`successor_heights`, which the tests
+compare with the product's one-pass ``dependency_heights``.
+
 Both schedulers mutate the ops they place (``_seq``, prefetch operand
 rewrites), so the two sides of a differential must be given separate
 copies of the program.
@@ -66,6 +72,36 @@ class _Tracker:
     ready: dict[Location, int] = field(default_factory=dict)  # commit cycle
     last_read: dict[Location, int] = field(default_factory=dict)
     last_write_commit: dict[Location, int] = field(default_factory=dict)
+
+
+def successor_heights(ops: list[NetOp]) -> list[int]:
+    """Per op, the length of the longest chain of RAW / WAW / WAR
+    dependent ops below it, from explicit successor lists."""
+    n = len(ops)
+    # Build RAW/WAW/WAR successor lists via location tracking.
+    successors: list[list[int]] = [[] for _ in range(n)]
+    last_writer: dict[Location, int] = {}
+    readers: dict[Location, list[int]] = {}
+    for i, op in enumerate(ops):
+        for loc in op.all_read_locations():
+            if loc in last_writer:
+                successors[last_writer[loc]].append(i)
+            readers.setdefault(loc, []).append(i)
+        for loc in op.all_write_locations():
+            if loc in last_writer:
+                successors[last_writer[loc]].append(i)
+            for r in readers.get(loc, ()):
+                if r != i:
+                    successors[r].append(i)
+            readers[loc] = []
+            last_writer[loc] = i
+    height = [0] * n
+    for i in range(n - 1, -1, -1):
+        h = 0
+        for s in successors[i]:
+            h = max(h, height[s] + 1)
+        height[i] = h
+    return height
 
 
 class _FirstFitScheduler:
@@ -233,31 +269,8 @@ class _FirstFitScheduler:
         topological order of the dependency graph.
         """
         ops = self.program.ops
-        n = len(ops)
-        # Build RAW/WAW/WAR successor lists via location tracking.
-        successors: list[list[int]] = [[] for _ in range(n)]
-        last_writer: dict[Location, int] = {}
-        readers: dict[Location, list[int]] = {}
-        for i, op in enumerate(ops):
-            for loc in op.all_read_locations():
-                if loc in last_writer:
-                    successors[last_writer[loc]].append(i)
-                readers.setdefault(loc, []).append(i)
-            for loc in op.all_write_locations():
-                if loc in last_writer:
-                    successors[last_writer[loc]].append(i)
-                for r in readers.get(loc, ()):
-                    if r != i:
-                        successors[r].append(i)
-                readers[loc] = []
-                last_writer[loc] = i
-        height = [0] * n
-        for i in range(n - 1, -1, -1):
-            h = 0
-            for s in successors[i]:
-                h = max(h, height[s] + 1)
-            height[i] = h
-        order = sorted(range(n), key=lambda i: (-height[i], i))
+        height = successor_heights(ops)
+        order = sorted(range(len(ops)), key=lambda i: (-height[i], i))
         # Re-sorting must stay topological: an op's dependencies all
         # have strictly greater height, so they sort earlier.
         return [ops[i] for i in order]
@@ -370,19 +383,20 @@ class _FirstFitScheduler:
         return self._finish()
 
     def _finish(self) -> Schedule:
-        # Trim trailing empty slots.
-        last = max(
-            (t for t, b in enumerate(self.bundles) if b), default=-1
+        # The schedule ends when its last op does: a double-pumped op
+        # issued in the last bundle holds one slot past it.
+        end = max(
+            (t + op_duration(op) for t, b in enumerate(self.bundles) for op in b),
+            default=0,
         )
         return Schedule(
             name=self.program.name,
             c=self.c,
-            slots=self.bundles[: last + 1],
+            slots=self.bundles[:end],
             n_ops=len(self.program.ops) + self.n_prefetch,
             n_prefetch=self.n_prefetch,
             extra_latency=self.options.extra_latency,
         )
-
 
 
 def oracle_schedule_program(

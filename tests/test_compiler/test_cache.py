@@ -96,20 +96,26 @@ class TestWarmPath:
     def test_v3_directory_is_never_served(self, tmp_path):
         """v4 lowers the factorization over one scratch accumulator per
         lane, so a v3 file's ``factor`` schedule prices a different
-        kernel.  The version enters the pattern fingerprint, so a v3
-        directory is never looked up; a v3 artifact found under a v4 key
-        is a load error, and either way the warm solver prices exactly
-        what a cold one does."""
+        kernel; v5 schedules run to the end of their last op (and
+        critical-path order is the default), so a v4 file's schedules
+        can be a slot short.  The version enters the pattern
+        fingerprint, so an old directory is never looked up; an old
+        artifact found under the current key is a load error, and either
+        way the warm solver prices exactly what a cold one does."""
         problem = _problem()
         cold = _solver(problem, ScheduleCache(tmp_path))
-        # The key this pattern had under v3 (recorded from that code).
+        # The keys this pattern had under v3 and v4 (recorded from that
+        # code).
         v3_key = (
             "1da585728ed6a21cbdb1b5bc853a87c70b222303f9dcaf3570ce33f18870c528"
         )
-        assert cold.cache_key != v3_key
+        v4_key = (
+            "b95fcdb9711c78c36ad8ad60f348a257ede9869b51137f4652f8a3514ca76823"
+        )
+        assert cold.cache_key not in (v3_key, v4_key)
         path = ScheduleCache(tmp_path).path_for(cold.cache_key)
         raw = json.loads(path.read_text())
-        assert raw["cache_format_version"] == 4
+        assert raw["cache_format_version"] == 5
         v3 = dict(raw, cache_format_version=3)
         path.with_name(f"{v3_key}.mibc").write_text(
             json.dumps(dict(v3, key=v3_key))

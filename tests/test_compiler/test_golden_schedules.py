@@ -17,7 +17,10 @@ The count guard replaces a stopwatch: the scheduler derives an
 instruction's bin-packing request once per placement and once more per
 prefetch rewrite, so ``request_builds`` is a function of the schedule.
 A change that goes back to deriving it per probe fails here without a
-wall-clock gate.
+wall-clock gate.  The same holds for the prefetch search: the scheduler
+counts the slots it visits looking for a copy slot
+(``prefetch_visits``), and mpc's count is pinned, so a search that scans
+slots where no copy can land shows up as a larger count.
 """
 
 from __future__ import annotations
@@ -56,15 +59,17 @@ PATTERNS = {
 # ``MIBSolver(p, c=C).iteration_crossings()`` and ``(check=True)`` per
 # pattern.  The e2e benchmark compares ``arch.host_crossings_per_iter``
 # as an exact count, so a change to the replay dispatch must move these
-# on purpose.
+# on purpose.  Critical-path order moved them (mpc 605 -> 668 without a
+# check): its ``kkt_solve`` is 80 slots shorter but lowers to 202
+# replay phases where program order's lowered to 190.
 CROSSINGS = {
-    "lasso": (394, 504),
-    "mpc": (605, 770),
-    "portfolio": (223, 296),
-    "svm": (303, 354),
-    "huber": (274, 357),
-    "portfolio160": (652, 1074),
-    "lasso32": (736, 1052),
+    "lasso": (392, 518),
+    "mpc": (668, 936),
+    "portfolio": (216, 304),
+    "svm": (325, 404),
+    "huber": (296, 387),
+    "portfolio160": (836, 1277),
+    "lasso32": (830, 1179),
 }
 
 
@@ -117,6 +122,27 @@ def test_request_built_once_per_placement(pattern, monkeypatch):
     assert sum(s.n_prefetch for _, s in finished) > 0
     for builds, schedule in finished:
         assert builds == schedule.n_ops + schedule.n_prefetch, schedule.name
+
+
+# Slots the prefetch search visits compiling mpc's six kernels at C = 8.
+# Scanning on when the blocked slot's reads and the op's own banks
+# leave no destination bank visits many more (for mpc's residuals).
+PREFETCH_VISITS = {"kkt_solve": 373, "residuals": 23543, "factor": 1131}
+
+
+def test_prefetch_search_visits_pinned(monkeypatch):
+    visits = {}
+
+    class Counting(scheduler_module._FirstFitScheduler):
+        def _finish(self):
+            schedule = super()._finish()
+            if self.prefetch_visits:
+                visits[schedule.name] = self.prefetch_visits
+            return schedule
+
+    monkeypatch.setattr(scheduler_module, "_FirstFitScheduler", Counting)
+    MIBSolver(PATTERNS["mpc"](), c=C)
+    assert visits == PREFETCH_VISITS
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
-"""Tests for the critical-path priority (list scheduling) mode."""
+"""Tests for the critical-path priority (list scheduling) mode, the
+default: its schedules compute what program order computes, and its
+one-pass dependency heights equal the successor-list heights of
+``tests/scheduler_oracle.py``."""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import NetworkSimulator, StreamBuffers
+from repro.arch.isa import Location, NetOp, OpKind
 from repro.compiler import (
     KernelBuilder,
     NetworkProgram,
@@ -15,11 +19,43 @@ from repro.compiler import (
     row_major_view,
     schedule_program,
 )
+from repro.compiler.scheduler import _FirstFitScheduler, dependency_heights
 from tests.conftest import random_sparse
+from tests.scheduler_oracle import successor_heights
 
 from .test_fuzz_scheduler import interpret, programs
 
 C = 8
+
+
+def reverse_pass_heights(ops: list[NetOp]) -> list[int]:
+    """The product scheduler's heights of ``ops``, in program order."""
+    sched = _FirstFitScheduler(NetworkProgram("h", ops), C, ScheduleOptions())
+    locs = sched._location_ids(ops)
+    return dependency_heights(locs, len(sched._loc_ids))
+
+
+# A pool of three words, so draws read and write one location in one
+# op, write one location twice, and chain through coefficient words.
+_WORDS = [Location("rf", 0, 0), Location("rf", 1, 0), Location("lbuf", 0, 0)]
+
+
+@st.composite
+def location_programs(draw):
+    """Ops that only carry dependencies: reads, coefficient reads and
+    writes drawn from a three-word pool."""
+    word = st.sampled_from(_WORDS)
+    ops = []
+    for _ in range(draw(st.integers(1, 25))):
+        ops.append(
+            NetOp(
+                kind=OpKind.PERMUTE,
+                reads=draw(st.lists(word, max_size=3)),
+                coeff_reads=draw(st.lists(word, max_size=2)),
+                writes=[(loc, False) for loc in draw(st.lists(word, max_size=3))],
+            )
+        )
+    return ops
 
 
 class TestCriticalPathPriority:
@@ -75,3 +111,36 @@ class TestCriticalPathPriority:
         sim.rf.data[:, :] = state
         sim.run(sched.slots, StreamBuffers())
         np.testing.assert_allclose(sim.rf.data, expected, atol=1e-9)
+
+
+class TestDependencyHeights:
+    """The reverse pass against the oracle's successor lists."""
+
+    @given(programs())
+    @settings(max_examples=60, deadline=None)
+    def test_match_successor_lists_on_fuzzed_programs(self, ops):
+        assert reverse_pass_heights(ops) == successor_heights(ops)
+
+    @given(location_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_match_successor_lists_on_shared_words(self, ops):
+        assert reverse_pass_heights(ops) == successor_heights(ops)
+
+    def test_read_write_and_double_write(self):
+        a, b = _WORDS[:2]
+
+        def op(reads, writes):
+            return NetOp(
+                kind=OpKind.PERMUTE,
+                reads=list(reads),
+                writes=[(loc, False) for loc in writes],
+            )
+
+        ops = [
+            op([a], [a]),  # reads and writes one word
+            op([a], [b]),  # RAW on a
+            op([], [a]),  # WAR after the read above, WAW on a
+            op([], [b, b]),  # writes b twice: its own successor
+        ]
+        assert successor_heights(ops) == [3, 2, 0, 1]
+        assert reverse_pass_heights(ops) == [3, 2, 0, 1]

@@ -232,3 +232,17 @@ class TestMetrics:
     def test_cycles_property(self):
         sched = schedule_program(self._spmv_program(), C)
         assert sched.cycles == sched.n_slots + NetworkSimulator(C).bf.latency
+
+    @pytest.mark.parametrize("multi_issue", [True, False])
+    def test_closing_double_pumped_op_keeps_its_second_cycle(self, multi_issue):
+        """A binary element-wise op holds two slots; when it issues in
+        the last bundle the schedule still runs to the end of it."""
+        kb = KernelBuilder(C)
+        a, b, out = (kb.vector(n, C) for n in ("a", "b", "out"))
+        ops = kb.ew_add(out, a, b)
+        assert len(ops) == 1
+        sched = schedule_program(
+            NetworkProgram("add", ops), C, ScheduleOptions(multi_issue=multi_issue)
+        )
+        assert [len(bundle) for bundle in sched.slots] == [1, 0]
+        assert sched.cycles == 2 + NetworkSimulator(C).bf.latency

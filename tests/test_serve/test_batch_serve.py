@@ -196,26 +196,29 @@ class TestPoolSolveBatch:
 # tests/test_backends/test_solve_batch.py (ρ refactorizations, an
 # infeasible lane, lanes stopped by ``max_iter`` between checks),
 # RE-RECORDED when a lane became the solo solve at that point of the
-# stream, and again (cycles and runtimes only, 3 cycles per ``factor``)
-# when the factorization took one scratch accumulator per lane.
+# stream, again (cycles and runtimes only, 3 cycles per ``factor``)
+# when the factorization took one scratch accumulator per lane, and
+# again (cycles and runtimes only) when critical-path list scheduling
+# became the default and a schedule started running to the end of its
+# last op.
 # Floats are ``float.hex()``.
 RECORDED_SETTINGS = Settings(
     max_iter=298, check_interval=5, adaptive_rho=True,
     eps_abs=1e-8, eps_rel=1e-8,
 )
 RECORDED_KERNEL_CYCLES = {
-    "factor": 174, "kkt_solve": 183, "admm_vector": 71, "residuals": 33,
-    "iter_pre": 28, "iter_post": 81,
+    "factor": 171, "kkt_solve": 182, "admm_vector": 64, "residuals": 30,
+    "iter_pre": 28, "iter_post": 80,
 }
 RECORDED_TRANSFER = "0x1.50c4e0e78353ep-16"
 RECORDED_LANES = [
     # status, cycles, runtime_seconds, iterations, residuals, factor
-    ("SOLVED", 11948, "0x1.f6798dfffcef8p-15", 45, 10, 1),
-    ("SOLVED", 17334, "0x1.468a05b076b37p-14", 65, 14, 2),
-    ("SOLVED", 49909, "0x1.86fc3e8ae0a4bp-13", 190, 39, 2),
-    ("PRIMAL_INFEASIBLE", 76143, "0x1.1f2fe872671d1p-12", 290, 59, 3),
-    ("MAX_ITERATIONS", 77860, "0x1.253040eb326e4p-12", 298, 60, 1),
-    ("MAX_ITERATIONS", 77860, "0x1.253040eb326e4p-12", 298, 60, 1),
+    ("SOLVED", 11555, "0x1.eb7c59e23e17cp-15", 45, 10, 1),
+    ("SOLVED", 16766, "0x1.3e99122f7cbfap-14", 65, 14, 2),
+    ("SOLVED", 48266, "0x1.7b7ffb35122dbp-13", 190, 39, 2),
+    ("PRIMAL_INFEASIBLE", 73637, "0x1.166d93c04fcfep-12", 290, 59, 3),
+    ("MAX_ITERATIONS", 75293, "0x1.1c37574346e5bp-12", 298, 60, 1),
+    ("MAX_ITERATIONS", 75293, "0x1.1c37574346e5bp-12", 298, 60, 1),
 ]
 
 
@@ -223,16 +226,15 @@ def test_scenario_lane_pricing_matches_recorded_parent():
     """What a scenario lane is told it cost: the solo pricing of
     ``MIBSolver.solve()``, kernel counts x scheduled cycles.
 
-    Against the executed batch lane recorded before (13 628 and 19 777
-    cycles for lanes 0 and 1), at equal iterations and factorizations
-    a lane now reads 1 677 and 2 437 cycles less: the priced iteration
-    is one ``admm_vector`` (71) where the executed one ran ``iter_pre``
-    + ``iter_post`` (28 + 81), 38 cycles per iteration, less the one
-    extra ``residuals`` check (33) the pricing counts when a solve
-    stops on a check iteration.  From lane 2 on the iterations differ
-    too: ρ carries from lane to lane as between consecutive
-    ``/v1/solve`` requests, where the batch engine started every lane
-    from the resident ρ."""
+    The priced iteration is one ``admm_vector`` (64) where an executed
+    one runs ``iter_pre`` + ``iter_post`` (28 + 80), and a solve that
+    stops on a check iteration is priced one extra ``residuals`` check
+    (30).  Lanes 0 and 1 keep the iterations and factorizations of the
+    executed batch lanes recorded before this pricing (13 628 and
+    19 777 cycles, under the program-order schedules of that time).
+    From lane 2 on the iterations differ too: ρ carries from lane to
+    lane as between consecutive ``/v1/solve`` requests, where the batch
+    engine started every lane from the resident ρ."""
     from tests.test_backends.test_solve_batch import (
         SEED_SCALES,
         perturbed_full,

@@ -49,6 +49,20 @@ class TestConfiguration:
         assert not hasattr(pool, "array_backend")
 
 
+class TestFingerprint:
+    def test_fingerprint_is_the_solver_cache_key(self, tmp_path):
+        """The pool's scheduler options mirror ``MIBSolver``'s default
+        (critical-path priority), so the key a request coalesces under
+        is the key the solver itself caches under."""
+        problem = portfolio_problem(10)
+        pool = _pool()
+        solver = MIBSolver(
+            problem, c=8, settings=FAST, cache=ScheduleCache(tmp_path)
+        )
+        assert solver.options.priority == "critical_path"
+        assert pool.fingerprint(problem) == solver.cache_key
+
+
 class TestHitMiss:
     def test_first_solve_is_cold_second_is_warm(self):
         pool = _pool()
